@@ -197,14 +197,9 @@ def cmd_eval(args):
 
 
 def cmd_inspect(args):
-    net = load_model(args.model)
-    problems = net.check_masks()
-    gen_counts = []
-    for gens in net.hidden_gens:
-        counts = {}
-        for g in gens:
-            counts[str(g)] = counts.get(str(g), 0) + 1
-        gen_counts.append(counts)
+    net = load_model(args.model)  # audits the structure or raises
+    gen_counts = [{str(g): gens.count(g) for g in set(gens)}
+                  for gens in net.hidden_gens]
     info = {
         "task": net.task,
         "hidden_sizes": net.hidden_sizes(),
@@ -212,10 +207,9 @@ def cmd_inspect(args):
         "parameter_count": net.parameter_count(),
         "freeze_scope": net.freeze_scope,
         "generation_counts": gen_counts,
-        "violations": problems,
     }
     print(json.dumps(info, sort_keys=True, indent=2))
-    return EXIT_NUMERIC if problems else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_gradcheck(args):

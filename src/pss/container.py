@@ -8,6 +8,8 @@ smuggle object arrays in.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -43,8 +45,22 @@ def write_container(path, magic, meta, arrays):
             f.write(blob)
 
 
+def _entry(entry):
+    """``(name, dtype, shape)`` of one header array entry, validated."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str) \
+            or entry.get("dtype") not in ALLOWED_DTYPES \
+            or not isinstance(entry.get("shape"), list) \
+            or not all(type(s) is int and s >= 0 for s in entry["shape"]):
+        raise ContainerError(f"bad array entry {entry!r:.80}: need name, dtype, dims")
+    return entry["name"], entry["dtype"], tuple(entry["shape"])
+
+
 def read_container(path, magic):
-    """Read a container written by ``write_container``; returns (meta, arrays)."""
+    """Read a container written by ``write_container``; returns (meta, arrays).
+
+    Every header fault, and any length that runs past the end of the
+    file, raises ``ContainerError``.
+    """
     with open(path, "rb") as f:
         got = f.read(8)
         if got != magic:
@@ -54,23 +70,27 @@ def read_container(path, magic):
         if len(raw_len) != 8:
             raise ContainerError("truncated container header length")
         (header_len,) = HEADER_STRUCT.unpack(raw_len)
-        raw_header = f.read(header_len)
-        if len(raw_header) != header_len:
+        remaining = os.fstat(f.fileno()).st_size - 16
+        if header_len > remaining:
             raise ContainerError("truncated container header")
         try:
-            header = json.loads(raw_header.decode("utf-8"))
+            header = json.loads(f.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ContainerError(f"unreadable container header: {e}") from e
+        if not isinstance(header, dict) or not isinstance(header.get("meta"), dict) \
+                or not isinstance(header.get("arrays"), list):
+            raise ContainerError("header needs a meta object and an arrays list")
+        remaining -= header_len
         arrays = {}
         for entry in header["arrays"]:
-            dtype = entry["dtype"]
-            if dtype not in ALLOWED_DTYPES:
-                raise ContainerError(f"dtype {dtype} not allowed in container")
-            shape = tuple(int(s) for s in entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            blob = f.read(count * np.dtype(dtype).itemsize)
-            if len(blob) != count * np.dtype(dtype).itemsize:
-                raise ContainerError(f"truncated array {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(
-                blob, dtype=dtype).reshape(shape).copy()
+            name, dtype, shape = _entry(entry)
+            size = math.prod(shape) * np.dtype(dtype).itemsize
+            if size > remaining:
+                raise ContainerError(f"truncated array {name!r}")
+            remaining -= size
+            try:
+                arrays[name] = np.frombuffer(
+                    f.read(size), dtype=dtype).reshape(shape).copy()
+            except ValueError as e:  # a zero-size shape numpy cannot hold
+                raise ContainerError(f"array {name!r}: {e}") from e
         return header["meta"], arrays

@@ -6,7 +6,9 @@ must stay exactly 0.0), the trainability mask marks frozen weights
 (edges that exist but receive no updates). Backpropagation is derived
 by hand for the fixed affine + activation layer form and can be
 truncated so the loss gradient enters only at a chosen subset of
-output nodes.
+output nodes. Masks may hold any 0/1 pattern (the gradient checker
+draws random ones); a growing network derives them from generation
+tags (see ``plasticity``).
 
 Pre-activations are accumulated block by block (see
 ``MaskedLayer.affine``). Within one block the operand shapes never
@@ -51,12 +53,19 @@ def _softplus(z):
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
+ACTIVATION_KINDS = ("identity", "leaky_relu")
+
+
 @dataclass(frozen=True)
 class Activation:
     """Elementwise activation, applied to a layer's pre-activations."""
 
-    kind: str  # "identity" or "leaky_relu"
+    kind: str  # one of ACTIVATION_KINDS
     slope: float = DEFAULT_LEAKY_SLOPE
+
+    def __post_init__(self):
+        if self.kind not in ACTIVATION_KINDS:
+            raise ValueError(f"unknown activation kind {self.kind!r}")
 
     def apply(self, z):
         if self.kind == "identity":
@@ -132,17 +141,14 @@ class MaskedLayer:
         return self.weights.shape[1]
 
     def validate(self):
-        fan_out, fan_in = self.weights.shape
-        for name in ("conn_mask", "train_mask"):
+        for name, shape in (("conn_mask", self.weights.shape),
+                            ("train_mask", self.weights.shape),
+                            ("bias_train_mask", self.bias.shape)):
             m = getattr(self, name)
-            if m.shape != (fan_out, fan_in):
-                raise DimensionError(f"{name} shape {m.shape} != weights shape")
+            if m.shape != shape:
+                raise DimensionError(f"{name} shape {m.shape} != {shape}")
             if not np.all((m == 0.0) | (m == 1.0)):
                 raise MaskError(f"{name} entries must be exactly 0 or 1")
-        if self.bias_train_mask.shape != (fan_out,):
-            raise DimensionError("bias_train_mask length does not match fan_out")
-        if not np.all((self.bias_train_mask == 0.0) | (self.bias_train_mask == 1.0)):
-            raise MaskError("bias_train_mask entries must be exactly 0 or 1")
         if np.any((self.conn_mask == 0.0) & (self.weights != 0.0)):
             raise MaskError("nonzero weight at a structurally masked position")
         if np.any(self.train_mask > self.conn_mask):
@@ -174,11 +180,6 @@ class MaskedLayer:
                 acc += x[:, c0:c1] @ self.weights[r0:r1, c0:c1].T
             z[:, r0:r1] = acc
         return z
-
-    def copy(self):
-        return MaskedLayer(self.weights.copy(), self.bias.copy(),
-                           self.conn_mask.copy(), self.train_mask.copy(),
-                           self.bias_train_mask.copy(), self.activation)
 
 
 @dataclass

@@ -18,8 +18,15 @@ Generations are isolated by the connectivity rule
 so information flows from old structure into new structure but never
 back. Hidden-to-output edges are exempt from the rule; instead, a new
 neuron's weights toward pre-existing output nodes start at exactly 0.0
-and stay frozen, which keeps earlier tasks' output logits unchanged to
-the last bit as long as the old generations themselves are frozen.
+and receive no gradient (the loss enters only at the current task's
+output), which keeps earlier tasks' output logits unchanged to the last
+bit as long as the old generations themselves are frozen.
+
+The tags are the only stored structure. Every layer's connectivity and
+trainability masks, and the block partition of the forward pass, are
+derived from (tags, task, freeze scope, magnitude-freeze set) by
+``PlasticNetwork.set_structural_freeze``, which runs after every change
+of structure, task or scope.
 
 Thresholds escalate as a task ages: the effective threshold for layer
 ``l`` after ``e`` completed epochs is ``sigma[l] + e * delta[l]``, so
@@ -132,15 +139,9 @@ def generation_runs(gens):
     extend. That stability is what lets the blocked forward pass
     reproduce old pre-activations bit for bit after the network grows.
     """
-    runs = []
-    start = 0
-    for i in range(1, len(gens)):
-        if gens[i] != gens[i - 1]:
-            runs.append((start, i))
-            start = i
-    if len(gens):
-        runs.append((start, len(gens)))
-    return runs
+    cuts = [i for i in range(1, len(gens)) if gens[i] != gens[i - 1]]
+    bounds = [0, *cuts, len(gens)] if len(gens) else []
+    return list(zip(bounds, bounds[1:]))
 
 
 FREEZE_SCOPES = ("full_truncated", "pss_only")
@@ -151,12 +152,14 @@ class PlasticNetwork:
 
     ``layers`` holds the hidden layers followed by one output layer.
     The output layer starts empty and gains one node per task via
-    ``grow_output``. All structural bookkeeping (generation tags,
-    connectivity masks, block partitions for the stable forward pass)
-    lives here; the training loop drives it from outside.
+    ``grow_output``. The generation tags are the structural state;
+    the layers' masks and the forward pass's block partition are
+    derived from them (``set_structural_freeze``). The training loop
+    drives the network from outside.
     """
 
-    def __init__(self, layers, hidden_gens, output_gens, task=-1, rng=None):
+    def __init__(self, layers, hidden_gens, output_gens, task=-1, rng=None,
+                 freeze_scope="full_truncated"):
         if len(layers) < 2:
             raise DimensionError("need at least one hidden layer plus the output layer")
         self.layers = layers
@@ -166,9 +169,9 @@ class PlasticNetwork:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.snapshot = None
         self.schedule = None
-        self.freeze_scope = "full_truncated"
         self._split_done = [set() for _ in self.hidden_layers]
         self._small_frozen = None
+        self.set_structural_freeze(freeze_scope)
 
     # -- construction ----------------------------------------------------
 
@@ -188,8 +191,7 @@ class PlasticNetwork:
                                       activation=leaky_relu(slope)))
             fan_in = h
         layers.append(MaskedLayer(np.zeros((0, fan_in)), np.zeros(0),
-                                  np.zeros((0, fan_in)), np.zeros((0, fan_in)),
-                                  np.zeros(0), IDENTITY))
+                                  activation=IDENTITY))
         gens = [[0] * int(h) for h in hidden_sizes]
         return cls(layers, gens, [], task=-1, rng=rng)
 
@@ -220,34 +222,22 @@ class PlasticNetwork:
 
     def parameter_count(self):
         """Structurally present weights plus biases."""
-        total = 0
-        for l in self.layers:
-            total += int(l.conn_mask.sum()) + l.fan_out
-        return total
+        return sum(int(l.conn_mask.sum()) + l.fan_out for l in self.layers)
 
     def current_output_index(self):
         """Index of the output node belonging to the current task."""
-        for j, g in enumerate(self.output_gens):
-            if g == self.task:
-                return j
-        return None
+        gens = self.output_gens
+        return gens.index(self.task) if self.task in gens else None
 
     def blocks(self):
         """Per-layer (row_blocks, col_blocks) for the stable forward pass.
 
         Hidden layers are partitioned by generation runs on both axes;
         the output layer uses one row block per output node so each
-        logit's summation order is independent of its neighbours.
+        logit's summation order is independent of its neighbours. Derived
+        with the masks and cached until the next structural change.
         """
-        out = []
-        prev_runs = [(0, self.n_features)]
-        for i, layer in enumerate(self.hidden_layers):
-            rows = generation_runs(self.hidden_gens[i])
-            out.append((rows, prev_runs))
-            prev_runs = rows
-        out_rows = [(j, j + 1) for j in range(self.n_outputs)]
-        out.append((out_rows, prev_runs))
-        return out
+        return self._blocks
 
     def predict(self, x):
         """Logits for every output node, shape (n, n_outputs)."""
@@ -263,22 +253,19 @@ class PlasticNetwork:
 
         The node receives He-initialised weights from every hidden
         neuron of the last layer (hidden-to-output edges are never
-        structurally masked) and a zero bias.
+        structurally masked) and a zero bias. A magnitude freeze of the
+        previous task is dropped.
         """
         if task != self.task + 1:
             raise ValueError(f"tasks must be opened in order; next is {self.task + 1}")
         self.task = task
         out = self.output_layer
-        fan_in = out.fan_in
-        w = np.vstack([out.weights, he_normal(1, fan_in, self.rng)])
-        b = np.concatenate([out.bias, [0.0]])
-        conn = np.vstack([out.conn_mask, np.ones((1, fan_in))])
-        train = np.vstack([out.train_mask, np.ones((1, fan_in))])
-        b_train = np.concatenate([out.bias_train_mask, [1.0]])
-        self.layers[-1] = MaskedLayer(w, b, conn, train, b_train, out.activation)
+        out.weights = np.vstack([out.weights, he_normal(1, out.fan_in, self.rng)])
+        out.bias = np.concatenate([out.bias, [0.0]])
         self.output_gens.append(task)
         self._split_done = [set() for _ in self.hidden_layers]
         self._small_frozen = None
+        self.set_structural_freeze(self.freeze_scope)
         return self.n_outputs - 1
 
     def take_snapshot(self):
@@ -310,54 +297,29 @@ class PlasticNetwork:
     def _append_hidden(self, layer_index, incoming, bias_value):
         """Append one neuron of the current generation to a hidden layer.
 
-        ``incoming`` covers the layer's full current fan-in. Structural
-        consequences downstream: old hidden neurons of the next layer
-        get a masked (exact zero) column, same-generation neurons get a
-        random one; pre-existing output nodes get an exactly-zero column
-        that only the current task's output row may train.
+        ``incoming`` covers the layer's full current fan-in. In the next
+        layer, current-generation units (hidden neurons, or this task's
+        output node) get a random incoming weight from the new neuron,
+        drawn in row order; every older unit gets exactly 0.0, a masked
+        edge for hidden neurons and an untrained one for old outputs.
         """
-        g = self.task
         layer = self.hidden_layers[layer_index]
         incoming = np.asarray(incoming, dtype=np.float64)
         if incoming.shape != (layer.fan_in,):
             raise DimensionError("incoming row does not match layer fan-in")
-        w = np.vstack([layer.weights, incoming[None, :]])
-        b = np.concatenate([layer.bias, [float(bias_value)]])
-        conn = np.vstack([layer.conn_mask, np.ones((1, layer.fan_in))])
-        train = np.vstack([layer.train_mask, np.ones((1, layer.fan_in))])
-        b_train = np.concatenate([layer.bias_train_mask, [1.0]])
-        self.layers[layer_index] = MaskedLayer(w, b, conn, train, b_train,
-                                               layer.activation)
-        self.hidden_gens[layer_index].append(g)
-        new_index = self.layers[layer_index].fan_out - 1
+        layer.weights = np.vstack([layer.weights, incoming[None, :]])
+        layer.bias = np.concatenate([layer.bias, [float(bias_value)]])
+        self.hidden_gens[layer_index].append(self.task)
 
         down = self.layers[layer_index + 1]
-        is_output = layer_index + 1 == len(self.layers) - 1
-        down_gens = self.output_gens if is_output else self.hidden_gens[layer_index + 1]
-        col_w = np.zeros((down.fan_out, 1))
-        col_conn = np.zeros((down.fan_out, 1))
-        col_train = np.zeros((down.fan_out, 1))
+        down_gens = (self.hidden_gens + [self.output_gens])[layer_index + 1]
+        live = np.asarray(down_gens) >= self.task
+        col = np.zeros((down.fan_out, 1))
         std = np.sqrt(2.0 / max(down.fan_in + 1, 1))
-        for v in range(down.fan_out):
-            if is_output:
-                col_conn[v, 0] = 1.0  # outputs see every hidden neuron
-                if down_gens[v] == g:
-                    col_w[v, 0] = self.rng.normal(0.0, std)
-                    col_train[v, 0] = 1.0
-                # weights toward pre-existing outputs stay exactly 0.0
-            elif down_gens[v] >= g:
-                col_conn[v, 0] = 1.0
-                col_w[v, 0] = self.rng.normal(0.0, std)
-                col_train[v, 0] = 1.0
-            # older hidden neurons never see newer ones: masked column
-        self.layers[layer_index + 1] = MaskedLayer(
-            np.hstack([down.weights, col_w]),
-            down.bias,
-            np.hstack([down.conn_mask, col_conn]),
-            np.hstack([down.train_mask, col_train]),
-            down.bias_train_mask,
-            down.activation)
-        return new_index
+        col[live, 0] = self.rng.normal(0.0, std, size=int(live.sum()))
+        down.weights = np.hstack([down.weights, col])
+        self.set_structural_freeze(self.freeze_scope)
+        return layer.fan_out - 1
 
     def split_neuron(self, layer_index, neuron_index, split_init="drifted"):
         """Split one drifted neuron: revert the original, append a copy.
@@ -383,20 +345,17 @@ class PlasticNetwork:
 
         layer = self.hidden_layers[layer_index]
         k0 = snap_w.shape[1]
-        drifted = layer.weights[neuron_index].copy()
-        drifted_bias = float(layer.bias[neuron_index])
-
         if split_init == "drifted":
-            incoming, bias_value = drifted, drifted_bias
+            incoming = layer.weights[neuron_index].copy()
+            bias_value = float(layer.bias[neuron_index])
         else:
             incoming = np.zeros(layer.fan_in)
             incoming[:k0] = snap_w[neuron_index]
             bias_value = float(snap_b[neuron_index])
 
         # revert the original before the append resizes anything
-        w = layer.weights
-        w[neuron_index, :k0] = snap_w[neuron_index]
-        w[neuron_index, k0:] = 0.0
+        layer.weights[neuron_index, :k0] = snap_w[neuron_index]
+        layer.weights[neuron_index, k0:] = 0.0
         layer.bias[neuron_index] = snap_b[neuron_index]
 
         new_index = self._append_hidden(layer_index, incoming, bias_value)
@@ -416,14 +375,11 @@ class PlasticNetwork:
         a He-initialised filler.
         """
         added = []
-        g = self.task
-        for l in range(self.n_hidden_layers):
-            if any(gen == g for gen in self.hidden_gens[l]):
-                continue
-            layer = self.hidden_layers[l]
-            incoming = he_normal(1, layer.fan_in, self.rng)[0]
-            idx = self._append_hidden(l, incoming, 0.0)
-            added.append(NeuronTag(l, idx, g))
+        for l, layer in enumerate(self.hidden_layers):
+            if self.task not in self.hidden_gens[l]:
+                filler = he_normal(1, layer.fan_in, self.rng)[0]
+                idx = self._append_hidden(l, filler, 0.0)
+                added.append(NeuronTag(l, idx, self.task))
         return added
 
     def splitting_round(self, epoch, split_init="drifted"):
@@ -441,11 +397,8 @@ class PlasticNetwork:
         report = SplitReport(task=self.task, epoch=epoch, thresholds=thresholds)
         drifts = [self.semantic_drift(l) for l in range(self.n_hidden_layers)]
         for l in range(self.n_hidden_layers):
-            snap_rows = self.snapshot.weights[l].shape[0]
-            for i in range(snap_rows):
-                if i in self._split_done[l]:
-                    continue
-                if drifts[l][i] > thresholds[l]:
+            for i in range(self.snapshot.weights[l].shape[0]):
+                if i not in self._split_done[l] and drifts[l][i] > thresholds[l]:
                     old_tag, new_tag = self.split_neuron(l, i, split_init)
                     report.splits.append(old_tag)
                     report.new_neurons.append(new_tag)
@@ -464,46 +417,50 @@ class PlasticNetwork:
     # -- freezing ------------------------------------------------------------
 
     def set_structural_freeze(self, scope):
-        """Rebuild every trainability mask for the given scope.
+        """Enter ``scope`` and derive all masks and blocks from the tags.
+
+        The only writer of layer masks and of the block partition; it
+        runs after every change of structure, task or scope.
 
         ``full_truncated``: every structurally present weight trains;
         old tasks are shielded only by gradient truncation at the
         output layer.
 
-        ``pss_only``: only current-generation structure trains, namely
-        the incoming weights and biases of generation-``g`` hidden
-        neurons and of this task's output node. Everything else is
-        frozen, which (with the masked topology) keeps earlier tasks'
+        ``pss_only``: only the incoming weights and biases of
+        generation-``g`` hidden neurons and of this task's output node
+        train, which (with the masked topology) keeps earlier tasks'
         logits bit-identical through further training.
 
-        A magnitude freeze recorded by ``freeze_small_weights`` is
-        re-applied on top, so rebuilding scope never unfreezes it.
+        A magnitude freeze recorded by ``freeze_small_weights`` stays on.
         """
         if scope not in FREEZE_SCOPES:
             raise ValueError(f"unknown freeze scope {scope!r}")
         self.freeze_scope = scope
-        g = self.task
-        for l, layer in enumerate(self.hidden_layers):
-            if scope == "full_truncated":
-                layer.train_mask = layer.conn_mask.copy()
-                layer.bias_train_mask = np.ones(layer.fan_out)
-            else:
-                rows = np.asarray([gen == g for gen in self.hidden_gens[l]],
-                                  dtype=np.float64)
-                layer.train_mask = layer.conn_mask * rows[:, None]
-                layer.bias_train_mask = rows.copy()
-        out = self.output_layer
-        if scope == "full_truncated":
-            out.train_mask = out.conn_mask.copy()
-            out.bias_train_mask = np.ones(out.fan_out)
-        else:
-            rows = np.asarray([gen == g for gen in self.output_gens],
-                              dtype=np.float64)
-            out.train_mask = out.conn_mask * rows[:, None]
-            out.bias_train_mask = rows.copy()
-        self._reapply_small_frozen()
-        for layer in self.layers:
-            layer.validate()
+        for i, layer in enumerate(self.layers):
+            layer.conn_mask, layer.train_mask, layer.bias_train_mask = self._rule(i)
+        rows = [generation_runs(g) for g in self.hidden_gens] + \
+            [[(j, j + 1) for j in range(len(self.output_gens))]]
+        self._blocks = list(zip(rows, [[(0, self.n_features)]] + rows[:-1]))
+
+    def _rule(self, i):
+        """``(conn_mask, train_mask, bias_train_mask)`` of layer ``i``.
+
+        An edge exists iff its source is no newer than its target; the
+        inputs count as oldest and output nodes see every hidden neuron.
+        Under ``pss_only`` only rows of the current generation train.
+        Magnitude-frozen positions never train.
+        """
+        rows = np.asarray((self.hidden_gens + [self.output_gens])[i], dtype=np.float64)
+        cols = np.asarray(self.hidden_gens[i - 1], dtype=np.float64) if i \
+            else np.full(self.n_features, -np.inf)
+        sees = np.full(rows.shape, np.inf) if i == self.n_hidden_layers else rows
+        conn = (cols[None, :] <= sees[:, None]).astype(np.float64)
+        live = ((rows == self.task) | (self.freeze_scope != "pss_only")).astype(float)
+        train = conn * live[:, None]
+        if self._small_frozen is not None:
+            small = self._small_frozen[i]
+            train[:small.shape[0], :small.shape[1]][small] = 0.0
+        return conn, train, live
 
     def freeze_small_weights(self, threshold):
         """Freeze weights with ``|w| < threshold`` for the rest of the task.
@@ -518,51 +475,35 @@ class PlasticNetwork:
         self._small_frozen = [
             (np.abs(layer.weights) < threshold) & (layer.conn_mask == 1.0)
             for layer in self.layers]
-        self._reapply_small_frozen()
+        self.set_structural_freeze(self.freeze_scope)
         return sum(int(m.sum()) for m in self._small_frozen)
-
-    def _reapply_small_frozen(self):
-        if self._small_frozen is None:
-            return
-        for layer, small in zip(self.layers, self._small_frozen):
-            m, k = small.shape
-            layer.train_mask[:m, :k][small] = 0.0
 
     # -- invariants ------------------------------------------------------------
 
     def check_masks(self):
-        """Audit every structural invariant; return violation strings."""
+        """Audit every structural invariant; return violation strings:
+        output tags are ``0..task``, each layer has one non-decreasing tag
+        per unit, valid parameters, and exactly the masks ``_rule`` gives."""
         problems = []
-        for i, layer in enumerate(self.layers):
+        if self.output_gens != list(range(self.task + 1)):
+            problems.append(f"output tags {self.output_gens} are not 0..{self.task}")
+        names = [f"layer {i}" for i in range(self.n_hidden_layers)] + ["output layer"]
+        tags = self.hidden_gens + [self.output_gens]
+        for name, layer, gens in zip(names, self.layers, tags):
+            if len(gens) != layer.fan_out:
+                problems.append(f"{name}: {len(gens)} tags for {layer.fan_out} units")
+            if any(a > b for a, b in zip(gens, gens[1:])):
+                problems.append(f"{name}: generations not non-decreasing")
             try:
                 layer.validate()
             except (MaskError, DimensionError, FloatingPointError) as e:
-                problems.append(f"layer {i}: {e}")
-        for l, gens in enumerate(self.hidden_gens):
-            if len(gens) != self.hidden_layers[l].fan_out:
-                problems.append(f"layer {l}: {len(gens)} tags for "
-                                f"{self.hidden_layers[l].fan_out} neurons")
-                continue
-            if any(gens[i] > gens[i + 1] for i in range(len(gens) - 1)):
-                problems.append(f"layer {l}: generations not non-decreasing")
-        if len(self.output_gens) != self.n_outputs:
-            problems.append("output generation tags do not match output count")
-        if any(self.output_gens[i] >= self.output_gens[i + 1]
-               for i in range(len(self.output_gens) - 1)):
-            problems.append("output generations not strictly increasing")
+                problems.append(f"{name}: {e}")
         if problems:
             return problems
-
-        for l in range(1, self.n_hidden_layers):
-            layer = self.hidden_layers[l]
-            in_gens = np.asarray(self.hidden_gens[l - 1])
-            out_gens = np.asarray(self.hidden_gens[l])
-            expected = (in_gens[None, :] <= out_gens[:, None]).astype(np.float64)
-            if not np.array_equal(layer.conn_mask, expected):
-                problems.append(
-                    f"layer {l}: connectivity mask disagrees with generation rule")
-        if not np.all(self.hidden_layers[0].conn_mask == 1.0):
-            problems.append("layer 0: input edges must all be present")
-        if not np.all(self.output_layer.conn_mask == 1.0):
-            problems.append("output layer: hidden-to-output edges must all be present")
+        for i, (name, layer) in enumerate(zip(names, self.layers)):
+            got = (layer.conn_mask, layer.train_mask, layer.bias_train_mask)
+            for kind, have, want in zip(("connectivity", "trainability", "bias"),
+                                        got, self._rule(i)):
+                if not np.array_equal(have, want):
+                    problems.append(f"{name}: {kind} mask breaks the generation rule")
         return problems

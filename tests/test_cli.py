@@ -78,8 +78,10 @@ class TestModelVerbs:
         assert code == EXIT_OK
         info = json.loads(capsys.readouterr().out)
         assert info["outputs"] == 3
-        assert info["violations"] == []
+        assert info["freeze_scope"] in ("full_truncated", "pss_only")
         assert len(info["hidden_sizes"]) == 2
+        assert [sum(c.values()) for c in info["generation_counts"]] == \
+            info["hidden_sizes"]
 
     def test_inspect_garbage_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

@@ -5,6 +5,7 @@ import pytest
 
 from pss.numerics import (
     IDENTITY,
+    Activation,
     DimensionError,
     MaskedLayer,
     MaskError,
@@ -165,6 +166,10 @@ class TestForward:
         layer = MaskedLayer(np.eye(2), np.zeros(2), activation=leaky_relu(0.01))
         out = forward([layer], np.array([[-1.0, 4.0]])).output
         np.testing.assert_allclose(out, [[-0.01, 4.0]], rtol=1e-15)
+
+    def test_unknown_activation_kind_rejected(self):
+        with pytest.raises(ValueError, match="tanh"):
+            Activation("tanh")
 
     def test_trace_records_every_layer(self):
         rng = np.random.default_rng(3)

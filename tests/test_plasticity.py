@@ -1,9 +1,11 @@
 """Unit tests for drift detection, splitting and generation isolation."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from pss.numerics import backward_truncated, sgd_step
+from pss.numerics import MaskedLayer, backward_truncated, sgd_step
 from pss.plasticity import (
     DriftSchedule,
     PlasticNetwork,
@@ -152,9 +154,17 @@ class TestSplitNeuron:
         col = new_tag.index
         assert np.all(out.conn_mask[:, col] == 1.0)   # outputs are exempt
         assert out.weights[0, col] == 0.0             # task 0 logit untouched
-        assert out.train_mask[0, col] == 0.0
         assert out.weights[1, col] != 0.0             # current task gets a live edge
         assert out.train_mask[1, col] == 1.0
+        # under full_truncated the old row may train but gets no gradient
+        assert out.train_mask[0, col] == 1.0
+        row0 = out.weights[0].copy()
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((6, 3))
+        train_steps(net, x, rng.integers(0, 2, size=6).astype(float), 1, steps=1)
+        assert out.weights[0].tobytes() == row0.tobytes()
+        net.set_structural_freeze("pss_only")
+        assert out.train_mask[0, col] == 0.0
 
     def test_same_generation_downstream_edge_is_live(self):
         net = self.setup_net()
@@ -168,6 +178,20 @@ class TestSplitNeuron:
         gen0_rows = [i for i, g in enumerate(net.hidden_gens[1]) if g == 0]
         assert np.all(l1.conn_mask[gen1_rows, col] == 1.0)
         assert np.all(l1.conn_mask[gen0_rows, col] == 0.0)
+
+    def test_new_column_matches_scalar_draws(self):
+        net = self.setup_net()
+        for i in range(3):                             # layer 1: 3 gen-0, 3 gen-1 rows
+            net.hidden_layers[1].weights[i] += 1.0
+            net.split_neuron(1, i)
+        ref = copy.deepcopy(net.rng)
+        std = np.sqrt(2.0 / (net.hidden_layers[1].fan_in + 1))
+        net.hidden_layers[0].weights[0] += 1.0
+        _, new_tag = net.split_neuron(0, 0)
+        expected = [0.0] * 3 + [ref.normal(0.0, std) for _ in range(3)]
+        col = net.hidden_layers[1].weights[:, new_tag.index]
+        assert col.tobytes() == np.array(expected).tobytes()
+        assert net.rng.bit_generator.state == ref.bit_generator.state
 
     def test_split_preconditions(self):
         net = self.setup_net()
@@ -360,6 +384,31 @@ class TestFreezeScopes:
         assert net.freeze_small_weights(0.0) == 0
         for b, l in zip(before, net.layers):
             assert np.array_equal(b, l.train_mask)
+
+
+class TestDerivedStructure:
+    """Masks and blocks are a pure function of weights, tags, task and scope."""
+
+    @pytest.mark.parametrize("scope", ["full_truncated", "pss_only"])
+    def test_rebuild_from_tags_reproduces_masks_and_blocks(self, scope):
+        net = open_task(fresh_net(hidden=(5, 4, 3)), 0, sigma=0.5)
+        for task in (1, 2):
+            net.grow_output(task)
+            net.take_snapshot()
+            net.hidden_layers[0].weights[task] += 1.0
+            net.hidden_layers[2].weights[0] += 1.0
+            assert net.splitting_round(epoch=0).total_splits == 2
+        net.set_structural_freeze(scope)
+        rebuilt = PlasticNetwork(
+            [MaskedLayer(l.weights.copy(), l.bias.copy(), activation=l.activation)
+             for l in net.layers],
+            net.hidden_gens, net.output_gens, task=net.task, freeze_scope=scope)
+        assert any((l.conn_mask == 0.0).any() for l in net.layers)
+        for a, b in zip(net.layers, rebuilt.layers):
+            for name in ("conn_mask", "train_mask", "bias_train_mask"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert rebuilt.blocks() == net.blocks()
+        assert rebuilt.check_masks() == []
 
 
 class TestCheckMasks:
