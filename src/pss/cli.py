@@ -63,7 +63,7 @@ def _int_tuple(text):
 
 @dataclass
 class RunConfig:
-    """Everything a training or evaluation run needs, resolved from flags."""
+    """Everything a run needs, resolved from flags (``trainer``: train only)."""
 
     preset: str = "synthetic"
     data_dir: str = None
@@ -80,19 +80,21 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args):
-        trainer = TrainerConfig(
-            hidden_sizes=args.hidden_sizes,
-            learning_rate=args.lr,
-            momentum=args.momentum,
-            batch_size=args.batch_size,
-            epochs_per_task=args.epochs,
-            sigma=args.sigma,
-            delta=args.delta,
-            freeze_scope=args.scope,
-            split_init=args.split_init,
-            magnitude_freeze_threshold=args.magnitude_freeze,
-            seed=args.seed,
-        ).validate()
+        trainer = None
+        if args.command == "train":
+            trainer = TrainerConfig(
+                hidden_sizes=args.hidden_sizes,
+                learning_rate=args.lr,
+                momentum=args.momentum,
+                batch_size=args.batch_size,
+                epochs_per_task=args.epochs,
+                sigma=args.sigma,
+                delta=args.delta,
+                freeze_scope=args.scope,
+                split_init=args.split_init,
+                magnitude_freeze_threshold=args.magnitude_freeze,
+                seed=args.seed,
+            ).validate()
         return cls(preset=args.preset, data_dir=args.data_dir,
                    out_dir=getattr(args, "out", "runs/latest"),
                    seed=args.seed, n_tasks=args.tasks,
@@ -264,7 +266,6 @@ def build_parser():
     p = sub.add_parser("eval", help="score a saved model on a task stream")
     p.add_argument("--model", required=True)
     _add_stream_flags(p)
-    _add_trainer_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("inspect", help="print a saved model's structure")

@@ -10,10 +10,11 @@ output nodes. Masks may hold any 0/1 pattern (the gradient checker
 draws random ones); a growing network derives them from generation
 tags (see ``plasticity``).
 
-Pre-activations are accumulated block by block (see
-``MaskedLayer.affine``). Within one block the operand shapes never
+Pre-activations are computed one run of rows at a time, each run
+against the prefix of input columns it can see (see
+``MaskedLayer.affine``). Once a run is closed its operand shapes never
 change over the life of a network, which keeps the floating-point
-summation order stable when other blocks are appended. This is what
+summation order stable when rows or columns are appended. This is what
 makes outputs of untouched subnetworks reproducible to the bit after
 the network has grown.
 """
@@ -156,29 +157,22 @@ class MaskedLayer:
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise NonFiniteError("layer parameters contain NaN/Inf")
 
-    def affine(self, x, row_blocks=None, col_blocks=None):
-        """Compute ``x @ weights.T + bias`` with block-stable accumulation.
+    def affine(self, x, runs=None):
+        """Compute ``x @ weights.T + bias``, one matmul per run of rows.
 
-        ``row_blocks`` partitions this layer's units, ``col_blocks``
-        partitions the input columns, both as lists of ``(start, stop)``
-        pairs. Each (row block, col block) product is a separate matmul
-        and blocks are accumulated in list order, so results for a block
-        are unaffected by blocks appended after it.
+        ``runs`` lists ``(r0, r1, c1)`` entries that tile the rows in
+        order: rows ``r0:r1`` see the input columns ``:c1`` and hold
+        structural zeros beyond them. Each run is a separate matmul, so
+        its results are unaffected by rows or columns appended after it.
         """
         if x.ndim != 2 or x.shape[1] != self.fan_in:
             raise DimensionError(
                 f"input shape {x.shape} incompatible with fan_in {self.fan_in}")
-        if row_blocks is None:
-            row_blocks = [(0, self.fan_out)]
-        if col_blocks is None:
-            col_blocks = [(0, self.fan_in)]
+        if runs is None:
+            runs = [(0, self.fan_out, self.fan_in)]
         z = np.empty((x.shape[0], self.fan_out))
-        for r0, r1 in row_blocks:
-            acc = np.empty((x.shape[0], r1 - r0))
-            acc[:] = self.bias[r0:r1]
-            for c0, c1 in col_blocks:
-                acc += x[:, c0:c1] @ self.weights[r0:r1, c0:c1].T
-            z[:, r0:r1] = acc
+        for r0, r1, c1 in runs:
+            z[:, r0:r1] = x[:, :c1] @ self.weights[r0:r1, :c1].T + self.bias[r0:r1]
         return z
 
 
@@ -198,11 +192,11 @@ class ForwardTrace:
         return self.inputs if i == 0 else self.post[i - 1]
 
 
-def forward(layers, batch, blocks=None):
+def forward(layers, batch, runs=None):
     """Run ``batch`` through ``layers`` and record the full trace.
 
-    ``blocks`` is an optional per-layer list of ``(row_blocks,
-    col_blocks)`` pairs forwarded to ``MaskedLayer.affine``.
+    ``runs`` is an optional per-layer list of ``(r0, r1, c1)`` run
+    lists forwarded to ``MaskedLayer.affine``.
     """
     x = _as_float_matrix(batch, "batch")
     if layers and x.shape[1] != layers[0].fan_in:
@@ -212,8 +206,7 @@ def forward(layers, batch, blocks=None):
         raise NonFiniteError("batch contains NaN/Inf")
     pre, post = [], []
     for i, layer in enumerate(layers):
-        rb, cb = blocks[i] if blocks is not None else (None, None)
-        z = layer.affine(x, rb, cb)
+        z = layer.affine(x, runs[i] if runs is not None else None)
         if not np.all(np.isfinite(z)):
             raise NonFiniteError(f"non-finite pre-activation at layer {i}")
         a = layer.activation.apply(z)
@@ -327,30 +320,39 @@ def pad_velocity(velocity, layers):
 
 
 def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
-    """One SGD-with-momentum update obeying both masks.
+    """One SGD-with-momentum update obeying both masks, all or nothing.
 
     Weights move only where the trainability mask is 1; velocity at
     frozen positions is forced to exactly 0 so a freshly frozen weight
     carries no residual momentum. Structural zeros are untouched because
-    the trainability mask never exceeds the connectivity mask.
+    the trainability mask never exceeds the connectivity mask. Every new
+    velocity and parameter is computed and checked before any is stored,
+    so a ``NonFiniteError`` leaves layers and velocity as they were.
     """
     if velocity is None:
         velocity = init_velocity(layers)
     if len(grads) != len(layers) or len(velocity) != len(layers):
         raise DimensionError("grads/velocity length does not match layers")
+    staged = []
     for layer, g, v in zip(layers, grads, velocity):
         if g.weights.shape != layer.weights.shape:
             raise DimensionError("gradient shape does not match layer")
-        np.multiply(v.weights, momentum, out=v.weights)
-        v.weights += g.weights
-        v.weights *= layer.train_mask
-        layer.weights -= learning_rate * v.weights
-        np.multiply(v.bias, momentum, out=v.bias)
-        v.bias += g.bias
-        v.bias *= layer.bias_train_mask
-        layer.bias -= learning_rate * v.bias
-        if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
+        v_w = v.weights * momentum
+        v_w += g.weights
+        v_w *= layer.train_mask
+        v_b = v.bias * momentum
+        v_b += g.bias
+        v_b *= layer.bias_train_mask
+        # w + (-lr * v) rounds exactly as w - lr * v, with one temporary less
+        w = v_w * -learning_rate
+        w += layer.weights
+        b = v_b * -learning_rate
+        b += layer.bias
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise NonFiniteError("non-finite parameter after SGD update")
+        staged.append((v_w, v_b, w, b))
+    for layer, v, (v_w, v_b, w, b) in zip(layers, velocity, staged):
+        v.weights, v.bias, layer.weights, layer.bias = v_w, v_b, w, b
     return velocity
 
 

@@ -10,23 +10,22 @@ threshold is split: a copy carrying the drifted weights is appended as
 a new neuron of the current generation, and the original is reverted
 to its snapshot so whatever it encoded for earlier tasks is restored.
 
-Generations are isolated by the connectivity rule
+Generations are isolated by one connectivity rule for every layer,
+output nodes included (output node ``j`` belongs to generation ``j``):
 
-    edge u -> v between hidden neurons is structurally absent
-    iff generation(u) > generation(v),
+    edge u -> v is structurally absent iff generation(u) > generation(v),
 
 so information flows from old structure into new structure but never
-back. Hidden-to-output edges are exempt from the rule; instead, a new
-neuron's weights toward pre-existing output nodes start at exactly 0.0
-and receive no gradient (the loss enters only at the current task's
-output), which keeps earlier tasks' output logits unchanged to the last
-bit as long as the old generations themselves are frozen.
+back, and earlier tasks' output logits stay unchanged to the last bit
+as long as the old generations themselves are frozen.
 
 The tags are the only stored structure. Every layer's connectivity and
-trainability masks, and the block partition of the forward pass, are
-derived from (tags, task, freeze scope, magnitude-freeze set) by
+trainability masks, and the runs of the forward pass, are derived from
+(tags, task, freeze scope, magnitude-freeze set) by
 ``PlasticNetwork.set_structural_freeze``, which runs after every change
-of structure, task or scope.
+of structure, task or scope. Because tags never decrease along a layer,
+each generation run of a layer sees exactly a prefix of its input
+columns, and the forward pass multiplies each run by that prefix only.
 
 Thresholds escalate as a task ages: the effective threshold for layer
 ``l`` after ``e`` completed epochs is ``sigma[l] + e * delta[l]``, so
@@ -136,8 +135,8 @@ def generation_runs(gens):
 
     Generations are appended in non-decreasing order, so runs for old
     generations keep their boundaries forever; only the newest run can
-    extend. That stability is what lets the blocked forward pass
-    reproduce old pre-activations bit for bit after the network grows.
+    extend. That stability is what lets the forward pass reproduce old
+    pre-activations bit for bit after the network grows.
     """
     cuts = [i for i in range(1, len(gens)) if gens[i] != gens[i - 1]]
     bounds = [0, *cuts, len(gens)] if len(gens) else []
@@ -153,8 +152,8 @@ class PlasticNetwork:
     ``layers`` holds the hidden layers followed by one output layer.
     The output layer starts empty and gains one node per task via
     ``grow_output``. The generation tags are the structural state;
-    the layers' masks and the forward pass's block partition are
-    derived from them (``set_structural_freeze``). The training loop
+    the layers' masks and the forward pass's runs are derived from
+    them (``set_structural_freeze``). The training loop
     drives the network from outside.
     """
 
@@ -229,22 +228,12 @@ class PlasticNetwork:
         gens = self.output_gens
         return gens.index(self.task) if self.task in gens else None
 
-    def blocks(self):
-        """Per-layer (row_blocks, col_blocks) for the stable forward pass.
-
-        Hidden layers are partitioned by generation runs on both axes;
-        the output layer uses one row block per output node so each
-        logit's summation order is independent of its neighbours. Derived
-        with the masks and cached until the next structural change.
-        """
-        return self._blocks
-
     def predict(self, x):
         """Logits for every output node, shape (n, n_outputs)."""
-        return forward(self.layers, x, self.blocks()).output
+        return forward(self.layers, x, self._prefix_runs).output
 
     def trace(self, x):
-        return forward(self.layers, x, self.blocks())
+        return forward(self.layers, x, self._prefix_runs)
 
     # -- task boundaries ---------------------------------------------------
 
@@ -252,9 +241,9 @@ class PlasticNetwork:
         """Open a new task: append its output node, advance the task index.
 
         The node receives He-initialised weights from every hidden
-        neuron of the last layer (hidden-to-output edges are never
-        structurally masked) and a zero bias. A magnitude freeze of the
-        previous task is dropped.
+        neuron of the last layer (all of them are of its generation or
+        older) and a zero bias. A magnitude freeze of the previous task
+        is dropped.
         """
         if task != self.task + 1:
             raise ValueError(f"tasks must be opened in order; next is {self.task + 1}")
@@ -300,8 +289,8 @@ class PlasticNetwork:
         ``incoming`` covers the layer's full current fan-in. In the next
         layer, current-generation units (hidden neurons, or this task's
         output node) get a random incoming weight from the new neuron,
-        drawn in row order; every older unit gets exactly 0.0, a masked
-        edge for hidden neurons and an untrained one for old outputs.
+        drawn in row order; every older unit, hidden or output, gets a
+        structural zero.
         """
         layer = self.hidden_layers[layer_index]
         incoming = np.asarray(incoming, dtype=np.float64)
@@ -367,12 +356,12 @@ class PlasticNetwork:
     def ensure_support_path(self):
         """Give every hidden layer a current-generation neuron.
 
-        Same-generation edges are always structurally present, and
-        hidden-to-output edges are never masked, so once every hidden
+        Same-generation edges are always structurally present, and this
+        task's output node is of generation ``g``, so once every hidden
         layer holds a generation-``g`` neuron there is a path from the
-        input through generation-``g`` structure to this task's output
-        node. Layers that already have one are left alone; the rest get
-        a He-initialised filler.
+        input through generation-``g`` structure to that output node.
+        Layers that already have one are left alone; the rest get a
+        He-initialised filler.
         """
         added = []
         for l, layer in enumerate(self.hidden_layers):
@@ -417,10 +406,14 @@ class PlasticNetwork:
     # -- freezing ------------------------------------------------------------
 
     def set_structural_freeze(self, scope):
-        """Enter ``scope`` and derive all masks and blocks from the tags.
+        """Enter ``scope`` and derive all masks and runs from the tags.
 
-        The only writer of layer masks and of the block partition; it
-        runs after every change of structure, task or scope.
+        The only writer of layer masks and of the forward pass's runs;
+        it runs after every change of structure, task or scope. Each
+        layer gets one ``(r0, r1, c1)`` run per generation run of its
+        rows, where ``c1`` counts the input columns those rows see (the
+        sources of the same or an older generation, which form a
+        prefix; every feature for layer 0).
 
         ``full_truncated``: every structurally present weight trains;
         old tasks are shielded only by gradient truncation at the
@@ -438,23 +431,22 @@ class PlasticNetwork:
         self.freeze_scope = scope
         for i, layer in enumerate(self.layers):
             layer.conn_mask, layer.train_mask, layer.bias_train_mask = self._rule(i)
-        rows = [generation_runs(g) for g in self.hidden_gens] + \
-            [[(j, j + 1) for j in range(len(self.output_gens))]]
-        self._blocks = list(zip(rows, [[(0, self.n_features)]] + rows[:-1]))
+        tags = self.hidden_gens + [self.output_gens]
+        self._prefix_runs = [[(r0, r1, int(layer.conn_mask[r0].sum()))
+                              for r0, r1 in generation_runs(gens)]
+                             for layer, gens in zip(self.layers, tags)]
 
     def _rule(self, i):
         """``(conn_mask, train_mask, bias_train_mask)`` of layer ``i``.
 
         An edge exists iff its source is no newer than its target; the
-        inputs count as oldest and output nodes see every hidden neuron.
-        Under ``pss_only`` only rows of the current generation train.
-        Magnitude-frozen positions never train.
+        inputs count as oldest. Under ``pss_only`` only rows of the
+        current generation train. Magnitude-frozen positions never train.
         """
         rows = np.asarray((self.hidden_gens + [self.output_gens])[i], dtype=np.float64)
         cols = np.asarray(self.hidden_gens[i - 1], dtype=np.float64) if i \
             else np.full(self.n_features, -np.inf)
-        sees = np.full(rows.shape, np.inf) if i == self.n_hidden_layers else rows
-        conn = (cols[None, :] <= sees[:, None]).astype(np.float64)
+        conn = (cols[None, :] <= rows[:, None]).astype(np.float64)
         live = ((rows == self.task) | (self.freeze_scope != "pss_only")).astype(float)
         train = conn * live[:, None]
         if self._small_frozen is not None:

@@ -66,7 +66,6 @@ class TrainerConfig:
     leaky_slope: float = 0.01
     seed: int = 0
     splitting_enabled: bool = True
-    split_on_first_task: bool = False
 
     def validate(self):
         if not self.hidden_sizes or any(int(h) < 1 for h in self.hidden_sizes):
@@ -130,8 +129,7 @@ def train_task(net, task_data, config, task_index=None):
     n = len(task_data)
     report = TaskReport(task=task_index)
 
-    rounds_active = config.splitting_enabled and (
-        task_index > 0 or config.split_on_first_task)
+    rounds_active = config.splitting_enabled and task_index > 0
 
     for epoch in range(config.epochs_per_task):
         order = shuffle_rng.permutation(n)

@@ -6,10 +6,10 @@ import pytest
 
 from pss.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
-FAST = ["--preset", "synthetic", "--train-size", "240", "--test-size", "120",
-        "--tasks", "3", "--test-count", "120", "--hidden-sizes", "10,6",
-        "--epochs", "1", "--batch-size", "32", "--sigma", "1e-6",
-        "--delta", "0"]
+STREAM = ["--preset", "synthetic", "--train-size", "240", "--test-size", "120",
+          "--tasks", "3", "--test-count", "120"]
+FAST = [*STREAM, "--hidden-sizes", "10,6", "--epochs", "1", "--batch-size", "32",
+        "--sigma", "1e-6", "--delta", "0"]
 
 
 def run_train(tmp_path, *extra):
@@ -68,7 +68,7 @@ class TestModelVerbs:
         assert code == EXIT_OK and model.exists()
         capsys.readouterr()
 
-        code = main(["eval", "--model", str(model), *FAST])
+        code = main(["eval", "--model", str(model), *STREAM])
         assert code == EXIT_OK
         result = json.loads(capsys.readouterr().out)
         assert len(result["binary_accuracy"]) == 3
@@ -91,8 +91,13 @@ class TestModelVerbs:
         assert "data error" in capsys.readouterr().err
 
     def test_eval_missing_model_is_data_error(self, tmp_path):
-        assert main(["eval", "--model", str(tmp_path / "nope"), *FAST]) \
+        assert main(["eval", "--model", str(tmp_path / "nope"), *STREAM]) \
             == EXIT_DATA
+
+    def test_eval_rejects_trainer_flags(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", str(tmp_path / "m"), *STREAM, "--lr", "0.1"])
+        assert exc.value.code == 2
 
 
 class TestGradcheck:

@@ -36,11 +36,18 @@ def rewrite_header(path, edit):
                      + blob[16 + hlen:])
 
 
-def weight_at_structural_zero(path):
+def weight_at_structural_zero(path, layer):
     net = load_model(path)
-    rows, cols = np.nonzero(net.hidden_layers[1].conn_mask == 0.0)
-    net.hidden_layers[1].weights[rows[0], cols[0]] = 0.5
+    rows, cols = np.nonzero(net.layers[layer].conn_mask == 0.0)
+    net.layers[layer].weights[rows[0], cols[0]] = 0.5
     save_model(path, net)
+
+
+# Nonzero weights where the generation rule puts a structural zero.
+STRUCTURAL_ZERO = {
+    "weight at structural zero": 1,
+    "old output sees newer neuron": 2,
+}
 
 
 # Each edit turns a valid model file into one ``pss inspect`` must refuse.
@@ -142,19 +149,19 @@ class TestHostileModelFiles:
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
         net, _, _ = trained_net()
-        assert any((l.conn_mask == 0.0).any() for l in net.hidden_layers)
+        assert all((l.conn_mask == 0.0).any() for l in net.layers[1:])
         path = tmp_path_factory.mktemp("model") / "model.pssnet"
         save_model(path, net)
         return path.read_bytes()
 
-    @pytest.mark.parametrize("case", sorted(HOSTILE) + ["weight at structural zero"])
+    @pytest.mark.parametrize("case", sorted(HOSTILE) + sorted(STRUCTURAL_ZERO))
     def test_inspect_refuses_with_data_error(self, case, saved, tmp_path, capsys):
         path = tmp_path / "model.pssnet"
         path.write_bytes(saved)
         if case in HOSTILE:
             rewrite_header(path, HOSTILE[case])
         else:
-            weight_at_structural_zero(path)
+            weight_at_structural_zero(path, STRUCTURAL_ZERO[case])
         if case in CONTAINER_FAULTS:
             with pytest.raises(ContainerError):
                 read_container(path, MODEL_MAGIC)

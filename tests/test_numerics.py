@@ -118,35 +118,35 @@ class TestMaskedLayer:
 
     def test_blocked_affine_close_to_direct(self):
         rng = np.random.default_rng(8)
-        w = rng.standard_normal((9, 10))
+        conn = np.ones((9, 10))
+        conn[:4, 3:] = 0.0  # rows 0:4 see columns :3, rows 4:9 see all
+        w = rng.standard_normal((9, 10)) * conn
         b = rng.standard_normal(9)
-        layer = MaskedLayer(w, b)
+        layer = MaskedLayer(w, b, conn)
         x = rng.standard_normal((7, 10))
-        z = layer.affine(x, row_blocks=[(0, 4), (4, 9)], col_blocks=[(0, 3), (3, 10)])
+        z = layer.affine(x, runs=[(0, 4, 3), (4, 9, 10)])
         np.testing.assert_allclose(z, x @ w.T + b, rtol=1e-12)
 
     def test_block_outputs_survive_growth_bitwise(self):
-        """Old blocks produce bit-identical pre-activations after the
-        matrix grows, provided old rows hold structural zeros against
-        the new columns."""
+        """An old run's pre-activations stay bit-identical after rows and
+        columns are appended, provided its rows hold structural zeros
+        against the new columns."""
         rng = np.random.default_rng(9)
         w0 = rng.standard_normal((7, 5))
         b0 = rng.standard_normal(7)
         x0 = rng.standard_normal((11, 5))
         small = MaskedLayer(w0, b0)
-        z_small = small.affine(x0, row_blocks=[(0, 7)], col_blocks=[(0, 5)])
+        z_small = small.affine(x0, runs=[(0, 7, 5)])
 
         w1 = np.zeros((10, 8))
         w1[:7, :5] = w0
         w1[7:, :] = rng.standard_normal((3, 8))
         conn = np.ones((10, 8))
         conn[:7, 5:] = 0.0  # old units do not see new inputs
-        w1[:7, 5:] = 0.0
         b1 = np.concatenate([b0, rng.standard_normal(3)])
         big = MaskedLayer(w1, b1, conn)
         x1 = np.concatenate([x0, rng.standard_normal((11, 3))], axis=1)
-        z_big = big.affine(x1, row_blocks=[(0, 7), (7, 10)],
-                           col_blocks=[(0, 5), (5, 8)])
+        z_big = big.affine(x1, runs=[(0, 7, 5), (7, 10, 8)])
         assert np.ascontiguousarray(z_big[:, :7]).tobytes() == z_small.tobytes()
 
     def test_rejects_wrong_input_width(self):
@@ -323,6 +323,24 @@ class TestSgdStep:
             vel = sgd_step([layer], [g], 0.1, 0.9, vel)
         assert np.all(layer.weights[conn == 0.0] == 0.0)
         layer.validate()
+
+    def test_non_finite_update_changes_nothing(self):
+        rng = np.random.default_rng(19)
+        layers = [MaskedLayer(rng.standard_normal((3, 4)), rng.standard_normal(3)),
+                  MaskedLayer(rng.standard_normal((2, 3)), rng.standard_normal(2))]
+        from pss.numerics import LayerGrads
+        vel = [LayerGrads(rng.standard_normal(l.weights.shape),
+                          rng.standard_normal(l.bias.shape)) for l in layers]
+        grads = [LayerGrads(rng.standard_normal(l.weights.shape),
+                            rng.standard_normal(l.bias.shape)) for l in layers]
+        grads[1].weights[1, 2] = 1e308     # only the last layer overflows
+        before = [(l.weights.tobytes(), l.bias.tobytes(), v.weights.tobytes(),
+                   v.bias.tobytes()) for l, v in zip(layers, vel)]
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            sgd_step(layers, grads, 10.0, 0.9, vel)
+        after = [(l.weights.tobytes(), l.bias.tobytes(), v.weights.tobytes(),
+                  v.bias.tobytes()) for l, v in zip(layers, vel)]
+        assert after == before
 
     def test_pad_velocity_preserves_old_entries(self):
         layer_small = MaskedLayer(np.ones((2, 2)), np.zeros(2))

@@ -152,12 +152,12 @@ class TestSplitNeuron:
         _, new_tag = net.split_neuron(1, 0)
         out = net.output_layer
         col = new_tag.index
-        assert np.all(out.conn_mask[:, col] == 1.0)   # outputs are exempt
+        assert out.conn_mask[0, col] == 0.0           # task 0 does not see gen 1
         assert out.weights[0, col] == 0.0             # task 0 logit untouched
+        assert out.conn_mask[1, col] == 1.0
         assert out.weights[1, col] != 0.0             # current task gets a live edge
         assert out.train_mask[1, col] == 1.0
-        # under full_truncated the old row may train but gets no gradient
-        assert out.train_mask[0, col] == 1.0
+        assert out.train_mask[0, col] == 0.0          # under full_truncated too
         row0 = out.weights[0].copy()
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 3))
@@ -387,10 +387,10 @@ class TestFreezeScopes:
 
 
 class TestDerivedStructure:
-    """Masks and blocks are a pure function of weights, tags, task and scope."""
+    """Masks and runs are a pure function of weights, tags, task and scope."""
 
-    @pytest.mark.parametrize("scope", ["full_truncated", "pss_only"])
-    def test_rebuild_from_tags_reproduces_masks_and_blocks(self, scope):
+    @staticmethod
+    def split_net(scope):
         net = open_task(fresh_net(hidden=(5, 4, 3)), 0, sigma=0.5)
         for task in (1, 2):
             net.grow_output(task)
@@ -399,6 +399,11 @@ class TestDerivedStructure:
             net.hidden_layers[2].weights[0] += 1.0
             assert net.splitting_round(epoch=0).total_splits == 2
         net.set_structural_freeze(scope)
+        return net
+
+    @pytest.mark.parametrize("scope", ["full_truncated", "pss_only"])
+    def test_rebuild_from_tags_reproduces_masks_and_blocks(self, scope):
+        net = self.split_net(scope)
         rebuilt = PlasticNetwork(
             [MaskedLayer(l.weights.copy(), l.bias.copy(), activation=l.activation)
              for l in net.layers],
@@ -407,8 +412,24 @@ class TestDerivedStructure:
         for a, b in zip(net.layers, rebuilt.layers):
             for name in ("conn_mask", "train_mask", "bias_train_mask"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert rebuilt.blocks() == net.blocks()
+        assert rebuilt._prefix_runs == net._prefix_runs
         assert rebuilt.check_masks() == []
+
+    @pytest.mark.parametrize("scope", ["full_truncated", "pss_only"])
+    def test_predict_matches_dense_reference(self, scope):
+        net = self.split_net(scope)
+        assert net.output_layer.conn_mask[0].sum() < net.output_layer.fan_in
+        x = np.random.default_rng(11).standard_normal((8, net.n_features))
+        ref = x
+        for layer in net.layers:
+            ref = layer.activation.apply(ref @ layer.weights.T + layer.bias)
+        np.testing.assert_allclose(net.predict(x), ref, rtol=1e-12, atol=0)
+
+    def test_one_run_per_generation_sees_its_prefix(self):
+        net = self.split_net("pss_only")
+        assert net._prefix_runs[0] == [(0, 5, 3), (5, 6, 3), (6, 7, 3)]
+        assert net._prefix_runs[1] == [(0, 4, 5), (4, 5, 6), (5, 6, 7)]
+        assert net._prefix_runs[-1] == [(0, 1, 3), (1, 2, 4), (2, 3, 5)]
 
 
 class TestCheckMasks:
