@@ -27,12 +27,13 @@ from .data import (
     make_variation,
     synthetic_digits,
 )
-from .evaluation import RunReport, export, multiclass_accuracy, task_accuracy
+from .evaluation import RunReport, export
 from .model_io import load_model, save_model
 from .numerics import NonFiniteError, gradcheck
 from .trainer import (
     SCOPE_CHOICES,
     TrainerConfig,
+    evaluate_boundary,
     run_baseline_finetune,
     run_lifelong,
 )
@@ -187,12 +188,11 @@ def cmd_eval(args):
     if net.n_outputs == 0:
         raise DataFormatError("model has no trained tasks to evaluate")
     upto = min(net.n_outputs, len(stream.tasks))
-    accs = [task_accuracy(net, stream.tasks[j].test, j) for j in range(upto)]
+    accs, mc = evaluate_boundary(net, stream, upto - 1)
     result = {
         "binary_accuracy": accs,
         "average_accuracy": float(np.mean(accs)),
-        "multiclass_accuracy": multiclass_accuracy(net, stream.pool_x,
-                                                   stream.pool_y),
+        "multiclass_accuracy": mc,
     }
     print(json.dumps(result, sort_keys=True, indent=2))
     return EXIT_OK
@@ -235,8 +235,8 @@ def cmd_gradcheck(args):
 def cmd_export_metrics(args):
     try:
         with open(args.report, "r", encoding="utf-8") as f:
-            report = RunReport.from_dict(json.load(f))
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+            report = RunReport.from_json(f.read())
+    except (ValueError, TypeError, RecursionError) as e:  # bad or too deep JSON
         raise DataFormatError(f"{args.report}: not a run report: {e}") from e
     out_dir = args.out or os.path.dirname(os.path.abspath(args.report))
     os.makedirs(out_dir, exist_ok=True)

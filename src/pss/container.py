@@ -75,7 +75,7 @@ def read_container(path, magic):
             raise ContainerError("truncated container header")
         try:
             header = json.loads(f.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise ContainerError(f"unreadable container header: {e}") from e
         if not isinstance(header, dict) or not isinstance(header.get("meta"), dict) \
                 or not isinstance(header.get("arrays"), list):

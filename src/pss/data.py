@@ -11,18 +11,16 @@ noise per pixel.
 """
 
 import gzip
-import hashlib
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .container import read_container, write_container
-
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
-DATASET_MAGIC = b"PSSDAT1\0"
+READ_CHUNK = 1 << 24
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -62,12 +60,6 @@ class ImageDataset:
         return ImageDataset(self.images[indices], self.labels[indices],
                             self.name, self.noised)
 
-    def checksum(self):
-        h = hashlib.sha256()
-        h.update(self.images.tobytes())
-        h.update(self.labels.tobytes())
-        return h.hexdigest()
-
 
 def _open_maybe_gzip(path):
     with open(path, "rb") as probe:
@@ -78,10 +70,19 @@ def _open_maybe_gzip(path):
 
 
 def _read_exact(f, n, what):
-    blob = f.read(n)
-    if len(blob) != n:
-        raise DataFormatError(f"truncated IDX file while reading {what}")
-    return blob
+    """``n`` bytes of ``f``, read in chunks so that a header claiming more
+    than the file holds fails at its end instead of allocating the claim."""
+    chunks = []
+    try:
+        while n > 0:
+            chunk = f.read(min(n, READ_CHUNK))
+            if not chunk:
+                raise DataFormatError(f"truncated IDX file while reading {what}")
+            chunks.append(chunk)
+            n -= len(chunk)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+        raise DataFormatError(f"corrupt gzip stream while reading {what}: {e}") from e
+    return b"".join(chunks)
 
 
 def load_idx(images_path, labels_path, name=None):
@@ -97,7 +98,10 @@ def load_idx(images_path, labels_path, name=None):
             raise DataFormatError(
                 f"{images_path}: image magic {magic}, expected {IDX_IMAGES_MAGIC}")
         raw = _read_exact(f, n * rows * cols, f"{n} images")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
+        try:
+            images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
+        except ValueError as e:  # no images, but more pixels than numpy can index
+            raise DataFormatError(f"{images_path}: image dims {rows}x{cols}: {e}") from e
     with _open_maybe_gzip(labels_path) as f:
         magic, n_labels = struct.unpack(">II", _read_exact(f, 8, "label header"))
         if magic != IDX_LABELS_MAGIC:
@@ -223,18 +227,17 @@ class TaskStream:
         return iter(self.tasks)
 
 
-def _binary_set(images, labels, cls, rng, task, cap=None, ratio=1.0):
+def _binary_set(images, labels, cls, rng, task, cap=None):
     pos = np.flatnonzero(labels == cls)
     neg = np.flatnonzero(labels != cls)
     if len(pos) == 0:
         raise DataFormatError(f"no examples of class {cls}")
     rng.shuffle(pos)
     if cap is not None:
-        pos = pos[:max(1, min(len(pos), int(cap / (1.0 + ratio))))]
-    n_neg = min(int(round(ratio * len(pos))), len(neg))
+        pos = pos[:max(1, min(len(pos), int(cap / 2.0)))]
+    n_neg = min(len(pos), len(neg))
     if n_neg == 0:
-        raise DataFormatError(
-            f"class {cls}: no negative examples at ratio {ratio}")
+        raise DataFormatError(f"class {cls}: no negative examples")
     neg = rng.choice(neg, size=n_neg, replace=False)
     idx = np.concatenate([pos, neg])
     y = np.concatenate([np.ones(len(pos)), np.zeros(n_neg)])
@@ -243,22 +246,20 @@ def _binary_set(images, labels, cls, rng, task, cap=None, ratio=1.0):
 
 
 def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
-                      test_count=2000, negative_ratio=1.0):
+                      test_count=2000):
     """Cut two image datasets into an ordered one-vs-rest task stream.
 
     Task ``t`` is "class ``t`` against the rest": its training
     positives are every class-``t`` training image (shuffled, then
     capped so positives + negatives stay within ``per_task_train`` when
-    a cap is given) and its negatives ``negative_ratio`` times as many
-    images sampled from the other classes. Binary test sets are always
-    balanced and come from the multiclass pool, which is the first
-    ``test_count`` images of ``test``. All sampling comes from one seed
-    and is reproducible byte for byte.
+    a cap is given) and its negatives as many images sampled from the
+    other classes. Binary test sets are balanced the same way and come
+    from the multiclass pool, which is the first ``test_count`` images
+    of ``test``. All sampling comes from one seed and is reproducible
+    byte for byte.
     """
     if n_tasks < 1:
         raise DataFormatError("need at least one task")
-    if negative_ratio <= 0:
-        raise DataFormatError("negative_ratio must be positive")
     present = set(np.unique(train.labels).tolist())
     missing = [c for c in range(n_tasks) if c not in present]
     if missing:
@@ -268,28 +269,10 @@ def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
     tasks = []
     for t, child in enumerate(ss.spawn(n_tasks)):
         rng = np.random.default_rng(child)
-        tr = _binary_set(train.images, train.labels, t, rng, t,
-                         cap=per_task_train, ratio=negative_ratio)
+        tr = _binary_set(train.images, train.labels, t, rng, t, cap=per_task_train)
         te = _binary_set(pool.images, pool.labels, t, rng, t)
         tasks.append(Task(index=t, positive_class=t, train=tr, test=te))
     return TaskStream(tasks=tasks, pool_x=pool.images, pool_y=pool.labels)
-
-
-def save_dataset(path, dataset):
-    """Cache a dataset as a binary container."""
-    write_container(path, DATASET_MAGIC,
-                    {"name": dataset.name, "noised": dataset.noised,
-                     "checksum": dataset.checksum()},
-                    {"images": dataset.images, "labels": dataset.labels})
-
-
-def load_dataset(path):
-    meta, arrays = read_container(path, DATASET_MAGIC)
-    ds = ImageDataset(arrays["images"], arrays["labels"],
-                      meta["name"], meta["noised"])
-    if ds.checksum() != meta["checksum"]:
-        raise DataFormatError(f"{path}: dataset bytes do not match stored checksum")
-    return ds
 
 
 def find_mnist(data_dir=None):

@@ -69,6 +69,28 @@ def forgetting(matrix):
     return per_task, mean
 
 
+def _list_of(kind, v):
+    return isinstance(v, list) and all(type(x) is kind for x in v)
+
+
+# What ``from_dict`` accepts for each field: the types ``to_dict`` writes,
+# and a lower-triangular accuracy matrix (row ``t`` covers tasks ``0..t``).
+REPORT_FIELDS = {
+    "mode": lambda v: isinstance(v, str),
+    "seed": lambda v: type(v) is int,
+    "config": lambda v: isinstance(v, dict),
+    "accuracy_matrix": lambda v: isinstance(v, list) and all(
+        _list_of(float, row) and len(row) == t + 1 for t, row in enumerate(v)),
+    "multiclass": lambda v: _list_of(float, v),
+    "hidden_sizes": lambda v: isinstance(v, list) and all(_list_of(int, s) for s in v),
+    "parameter_counts": lambda v: _list_of(int, v),
+    "split_counts": lambda v: _list_of(int, v),
+    "filler_counts": lambda v: _list_of(int, v),
+    "epoch_losses": lambda v: isinstance(v, list) and all(_list_of(float, e) for e in v),
+    "schema": lambda v: type(v) is int,
+}
+
+
 @dataclass
 class RunReport:
     """Everything measurable about one lifelong run, minus wall time."""
@@ -116,15 +138,14 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(mode=d["mode"], seed=d["seed"], config=d["config"],
-                   accuracy_matrix=d["accuracy_matrix"],
-                   multiclass=d["multiclass"],
-                   hidden_sizes=d["hidden_sizes"],
-                   parameter_counts=d["parameter_counts"],
-                   split_counts=d["split_counts"],
-                   filler_counts=d["filler_counts"],
-                   epoch_losses=d["epoch_losses"],
-                   schema=d["schema"])
+        """Rebuild a report from ``to_dict`` output (``derived`` is
+        recomputed); a missing or wrong-typed field raises ``TypeError``."""
+        if not isinstance(d, dict):
+            raise TypeError("a run report is a JSON object")
+        bad = sorted(k for k, ok in REPORT_FIELDS.items() if k not in d or not ok(d[k]))
+        if bad:
+            raise TypeError(f"missing or malformed report fields {bad}")
+        return cls(**{k: d[k] for k in REPORT_FIELDS})
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

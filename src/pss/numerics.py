@@ -1,22 +1,24 @@
 """Dense float64 layers with masked, hand-derived backpropagation.
 
-A layer is a weight matrix plus bias with two binary masks: the
-connectivity mask marks structural zeros (edges that do not exist and
-must stay exactly 0.0), the trainability mask marks frozen weights
-(edges that exist but receive no updates). Backpropagation is derived
-by hand for the fixed affine + activation layer form and can be
-truncated so the loss gradient enters only at a chosen subset of
-output nodes. Masks may hold any 0/1 pattern (the gradient checker
-draws random ones); a growing network derives them from generation
-tags (see ``plasticity``).
+A layer is a weight matrix plus bias, its structure and a trainability
+mask. The structure is a list of row runs ``(r0, r1, c1)``: rows
+``r0:r1`` see the input columns ``:c1``, and every weight past that
+prefix is a structural zero (an edge that does not exist and stays
+exactly 0.0). ``conn_mask`` is the dense 0/1 view of the runs. The
+trainability mask marks frozen weights (edges that exist but receive no
+updates). Backpropagation is derived by hand for the fixed affine +
+activation layer form and can be truncated so the loss gradient enters
+only at a chosen subset of output nodes. The trainability mask may hold
+any 0/1 pattern inside the runs (the gradient checker draws random
+ones); a growing network derives runs and masks from generation tags
+(see ``plasticity``).
 
-Pre-activations are computed one run of rows at a time, each run
-against the prefix of input columns it can see (see
-``MaskedLayer.affine``). Once a run is closed its operand shapes never
-change over the life of a network, which keeps the floating-point
-summation order stable when rows or columns are appended. This is what
-makes outputs of untouched subnetworks reproducible to the bit after
-the network has grown.
+Pre-activations are computed one run at a time, each run against the
+prefix of input columns it can see (see ``MaskedLayer.affine``). Once a
+run is closed its operand shapes never change over the life of a
+network, which keeps the floating-point summation order stable when
+rows or columns are appended. This is what makes outputs of untouched
+subnetworks reproducible to the bit after the network has grown.
 """
 
 from dataclasses import dataclass
@@ -100,20 +102,22 @@ def _as_float_matrix(a, name):
 
 
 class MaskedLayer:
-    """One dense layer: weights, bias, connectivity and trainability masks.
+    """One dense layer: weights, bias, row runs and trainability masks.
 
     Invariants, enforced by ``validate`` and preserved by every
     operation in this module:
 
-    * ``weights[i, j] == 0.0`` exactly wherever ``conn_mask[i, j] == 0``;
-    * ``train_mask <= conn_mask`` elementwise (a structurally absent
-      edge is never trainable).
+    * ``runs`` tile the rows in order, each seeing a prefix ``:c1`` of
+      the input columns (one run over the whole layer by default);
+    * ``weights`` and ``train_mask`` are exactly 0.0 past each run's
+      prefix (a structurally absent edge holds no weight and never
+      trains).
 
     Masks are float64 arrays holding exactly 0.0 or 1.0 so they can be
     multiplied straight into gradients.
     """
 
-    def __init__(self, weights, bias, conn_mask=None, train_mask=None,
+    def __init__(self, weights, bias, runs=None, train_mask=None,
                  bias_train_mask=None, activation=IDENTITY):
         self.weights = _as_float_matrix(weights, "weights")
         fan_out, fan_in = self.weights.shape
@@ -121,11 +125,9 @@ class MaskedLayer:
         if self.bias.shape != (fan_out,):
             raise DimensionError(
                 f"bias shape {self.bias.shape} does not match fan_out {fan_out}")
-        if conn_mask is None:
-            conn_mask = np.ones((fan_out, fan_in))
-        self.conn_mask = _as_float_matrix(conn_mask, "conn_mask")
+        self.runs = [(0, fan_out, fan_in)] if runs is None else list(runs)
         if train_mask is None:
-            train_mask = self.conn_mask.copy()
+            train_mask = self.conn_mask
         self.train_mask = _as_float_matrix(train_mask, "train_mask")
         if bias_train_mask is None:
             bias_train_mask = np.ones(fan_out)
@@ -141,37 +143,47 @@ class MaskedLayer:
     def fan_in(self):
         return self.weights.shape[1]
 
+    @property
+    def conn_mask(self):
+        """Dense 0/1 view of ``runs``: 1.0 where an edge exists."""
+        mask = np.zeros(self.weights.shape)
+        for r0, r1, c1 in self.runs:
+            mask[r0:r1, :c1] = 1.0
+        return mask
+
     def validate(self):
-        for name, shape in (("conn_mask", self.weights.shape),
-                            ("train_mask", self.weights.shape),
+        for name, shape in (("train_mask", self.weights.shape),
                             ("bias_train_mask", self.bias.shape)):
             m = getattr(self, name)
             if m.shape != shape:
                 raise DimensionError(f"{name} shape {m.shape} != {shape}")
             if not np.all((m == 0.0) | (m == 1.0)):
                 raise MaskError(f"{name} entries must be exactly 0 or 1")
-        if np.any((self.conn_mask == 0.0) & (self.weights != 0.0)):
-            raise MaskError("nonzero weight at a structurally masked position")
-        if np.any(self.train_mask > self.conn_mask):
-            raise MaskError("trainable weight at a structurally masked position")
+        ends = [0] + [r1 for _, r1, _ in self.runs]
+        if [r0 for r0, _, _ in self.runs] != ends[:-1] or ends[-1] != self.fan_out \
+                or any(r1 < r0 or not 0 <= c1 <= self.fan_in for r0, r1, c1 in self.runs):
+            raise MaskError(f"runs {self.runs!r:.80} do not tile {self.fan_out} rows "
+                            f"within fan_in {self.fan_in}")
+        for r0, r1, c1 in self.runs:
+            if np.any(self.weights[r0:r1, c1:]):
+                raise MaskError("nonzero weight at a structurally masked position")
+            if np.any(self.train_mask[r0:r1, c1:]):
+                raise MaskError("trainable weight at a structurally masked position")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise NonFiniteError("layer parameters contain NaN/Inf")
 
-    def affine(self, x, runs=None):
-        """Compute ``x @ weights.T + bias``, one matmul per run of rows.
+    def affine(self, x):
+        """Compute ``x @ weights.T + bias``, one matmul per run.
 
-        ``runs`` lists ``(r0, r1, c1)`` entries that tile the rows in
-        order: rows ``r0:r1`` see the input columns ``:c1`` and hold
-        structural zeros beyond them. Each run is a separate matmul, so
-        its results are unaffected by rows or columns appended after it.
+        Each run's rows are multiplied by the input columns they see
+        only, so its results are unaffected by rows or columns appended
+        after it.
         """
         if x.ndim != 2 or x.shape[1] != self.fan_in:
             raise DimensionError(
                 f"input shape {x.shape} incompatible with fan_in {self.fan_in}")
-        if runs is None:
-            runs = [(0, self.fan_out, self.fan_in)]
         z = np.empty((x.shape[0], self.fan_out))
-        for r0, r1, c1 in runs:
+        for r0, r1, c1 in self.runs:
             z[:, r0:r1] = x[:, :c1] @ self.weights[r0:r1, :c1].T + self.bias[r0:r1]
         return z
 
@@ -192,12 +204,8 @@ class ForwardTrace:
         return self.inputs if i == 0 else self.post[i - 1]
 
 
-def forward(layers, batch, runs=None):
-    """Run ``batch`` through ``layers`` and record the full trace.
-
-    ``runs`` is an optional per-layer list of ``(r0, r1, c1)`` run
-    lists forwarded to ``MaskedLayer.affine``.
-    """
+def forward(layers, batch):
+    """Run ``batch`` through ``layers`` and record the full trace."""
     x = _as_float_matrix(batch, "batch")
     if layers and x.shape[1] != layers[0].fan_in:
         raise DimensionError(
@@ -206,7 +214,7 @@ def forward(layers, batch, runs=None):
         raise NonFiniteError("batch contains NaN/Inf")
     pre, post = [], []
     for i, layer in enumerate(layers):
-        z = layer.affine(x, runs[i] if runs is not None else None)
+        z = layer.affine(x)
         if not np.all(np.isfinite(z)):
             raise NonFiniteError(f"non-finite pre-activation at layer {i}")
         a = layer.activation.apply(z)
@@ -325,7 +333,7 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
     Weights move only where the trainability mask is 1; velocity at
     frozen positions is forced to exactly 0 so a freshly frozen weight
     carries no residual momentum. Structural zeros are untouched because
-    the trainability mask never exceeds the connectivity mask. Every new
+    the trainability mask is 0 past every run's prefix. Every new
     velocity and parameter is computed and checked before any is stored,
     so a ``NonFiniteError`` leaves layers and velocity as they were.
     """
@@ -384,13 +392,15 @@ def _random_masked_net(dims, rng, zero_prob, freeze_prob):
     layers = []
     for i in range(1, len(dims)):
         fan_in, fan_out = dims[i - 1], dims[i]
-        conn = (rng.random((fan_out, fan_in)) >= zero_prob).astype(np.float64)
-        train = conn * (rng.random((fan_out, fan_in)) >= freeze_prob)
-        w = he_normal(fan_out, fan_in, rng) * conn
+        # random structural zeros: zero weights that never train
+        keep = (rng.random((fan_out, fan_in)) >= zero_prob).astype(np.float64)
+        train = keep * (rng.random((fan_out, fan_in)) >= freeze_prob)
+        w = he_normal(fan_out, fan_in, rng) * keep
         b = rng.normal(0.0, 0.1, size=fan_out)
         b_train = (rng.random(fan_out) >= freeze_prob).astype(np.float64)
         act = IDENTITY if i == len(dims) - 1 else leaky_relu()
-        layers.append(MaskedLayer(w, b, conn, train, b_train, act))
+        layers.append(MaskedLayer(w, b, train_mask=train, bias_train_mask=b_train,
+                                  activation=act))
     return layers
 
 

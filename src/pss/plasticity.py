@@ -19,19 +19,19 @@ so information flows from old structure into new structure but never
 back, and earlier tasks' output logits stay unchanged to the last bit
 as long as the old generations themselves are frozen.
 
-The tags are the only stored structure. Every layer's connectivity and
-trainability masks, and the runs of the forward pass, are derived from
-(tags, task, freeze scope, magnitude-freeze set) by
-``PlasticNetwork.set_structural_freeze``, which runs after every change
-of structure, task or scope. Because tags never decrease along a layer,
-each generation run of a layer sees exactly a prefix of its input
-columns, and the forward pass multiplies each run by that prefix only.
+The tags are the only stored structure. Because tags never decrease
+along a layer, each generation run of a layer's rows sees exactly a
+prefix of its input columns: one ``(r0, r1, c1)`` run per generation.
+``PlasticNetwork.set_structural_freeze`` derives every layer's runs and
+trainability masks from (tags, task, freeze scope, magnitude-freeze
+set); it runs after every change of structure, task or scope.
 
 Thresholds escalate as a task ages: the effective threshold for layer
 ``l`` after ``e`` completed epochs is ``sigma[l] + e * delta[l]``, so
 early drift splits readily while late drift has to be large.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,9 +152,9 @@ class PlasticNetwork:
     ``layers`` holds the hidden layers followed by one output layer.
     The output layer starts empty and gains one node per task via
     ``grow_output``. The generation tags are the structural state;
-    the layers' masks and the forward pass's runs are derived from
-    them (``set_structural_freeze``). The training loop
-    drives the network from outside.
+    the layers' runs and masks are derived from them
+    (``set_structural_freeze``). The training loop drives the network
+    from outside.
     """
 
     def __init__(self, layers, hidden_gens, output_gens, task=-1, rng=None,
@@ -230,10 +230,10 @@ class PlasticNetwork:
 
     def predict(self, x):
         """Logits for every output node, shape (n, n_outputs)."""
-        return forward(self.layers, x, self._prefix_runs).output
+        return forward(self.layers, x).output
 
     def trace(self, x):
-        return forward(self.layers, x, self._prefix_runs)
+        return forward(self.layers, x)
 
     # -- task boundaries ---------------------------------------------------
 
@@ -406,14 +406,13 @@ class PlasticNetwork:
     # -- freezing ------------------------------------------------------------
 
     def set_structural_freeze(self, scope):
-        """Enter ``scope`` and derive all masks and runs from the tags.
+        """Enter ``scope`` and derive every layer's runs and masks from the tags.
 
-        The only writer of layer masks and of the forward pass's runs;
-        it runs after every change of structure, task or scope. Each
-        layer gets one ``(r0, r1, c1)`` run per generation run of its
-        rows, where ``c1`` counts the input columns those rows see (the
-        sources of the same or an older generation, which form a
-        prefix; every feature for layer 0).
+        The only writer of layer runs and masks; it runs after every
+        change of structure, task or scope. Each layer gets one
+        ``(r0, r1, c1)`` run per generation run of its rows, where ``c1``
+        counts the source units of the rows' generation or older (a
+        prefix, since tags never decrease; every feature for layer 0).
 
         ``full_truncated``: every structurally present weight trains;
         old tasks are shielded only by gradient truncation at the
@@ -424,35 +423,21 @@ class PlasticNetwork:
         train, which (with the masked topology) keeps earlier tasks'
         logits bit-identical through further training.
 
-        A magnitude freeze recorded by ``freeze_small_weights`` stays on.
+        Magnitude-frozen positions (``freeze_small_weights``) never train.
         """
         if scope not in FREEZE_SCOPES:
             raise ValueError(f"unknown freeze scope {scope!r}")
         self.freeze_scope = scope
-        for i, layer in enumerate(self.layers):
-            layer.conn_mask, layer.train_mask, layer.bias_train_mask = self._rule(i)
         tags = self.hidden_gens + [self.output_gens]
-        self._prefix_runs = [[(r0, r1, int(layer.conn_mask[r0].sum()))
-                              for r0, r1 in generation_runs(gens)]
-                             for layer, gens in zip(self.layers, tags)]
-
-    def _rule(self, i):
-        """``(conn_mask, train_mask, bias_train_mask)`` of layer ``i``.
-
-        An edge exists iff its source is no newer than its target; the
-        inputs count as oldest. Under ``pss_only`` only rows of the
-        current generation train. Magnitude-frozen positions never train.
-        """
-        rows = np.asarray((self.hidden_gens + [self.output_gens])[i], dtype=np.float64)
-        cols = np.asarray(self.hidden_gens[i - 1], dtype=np.float64) if i \
-            else np.full(self.n_features, -np.inf)
-        conn = (cols[None, :] <= rows[:, None]).astype(np.float64)
-        live = ((rows == self.task) | (self.freeze_scope != "pss_only")).astype(float)
-        train = conn * live[:, None]
-        if self._small_frozen is not None:
-            small = self._small_frozen[i]
-            train[:small.shape[0], :small.shape[1]][small] = 0.0
-        return conn, train, live
+        for i, (layer, gens) in enumerate(zip(self.layers, tags)):
+            layer.runs = [(r0, r1, bisect_right(tags[i - 1], gens[r0])
+                           if i else layer.fan_in) for r0, r1 in generation_runs(gens)]
+            live = (np.asarray(gens) == self.task) | (scope != "pss_only")
+            layer.train_mask = layer.conn_mask * live[:, None]
+            if self._small_frozen is not None:
+                small = self._small_frozen[i]
+                layer.train_mask[:small.shape[0], :small.shape[1]][small] = 0.0
+            layer.bias_train_mask = live.astype(np.float64)
 
     def freeze_small_weights(self, threshold):
         """Freeze weights with ``|w| < threshold`` for the rest of the task.
@@ -475,27 +460,23 @@ class PlasticNetwork:
     def check_masks(self):
         """Audit every structural invariant; return violation strings:
         output tags are ``0..task``, each layer has one non-decreasing tag
-        per unit, valid parameters, and exactly the masks ``_rule`` gives."""
+        per unit and one input per unit of the layer below, and valid
+        parameters and masks (``MaskedLayer.validate``)."""
         problems = []
         if self.output_gens != list(range(self.task + 1)):
             problems.append(f"output tags {self.output_gens} are not 0..{self.task}")
         names = [f"layer {i}" for i in range(self.n_hidden_layers)] + ["output layer"]
         tags = self.hidden_gens + [self.output_gens]
-        for name, layer, gens in zip(names, self.layers, tags):
+        for i, (name, layer, gens) in enumerate(zip(names, self.layers, tags)):
             if len(gens) != layer.fan_out:
                 problems.append(f"{name}: {len(gens)} tags for {layer.fan_out} units")
             if any(a > b for a, b in zip(gens, gens[1:])):
                 problems.append(f"{name}: generations not non-decreasing")
+            if i and layer.fan_in != self.layers[i - 1].fan_out:
+                problems.append(f"{name}: fan-in {layer.fan_in} for "
+                                f"{self.layers[i - 1].fan_out} units below")
             try:
                 layer.validate()
             except (MaskError, DimensionError, FloatingPointError) as e:
                 problems.append(f"{name}: {e}")
-        if problems:
-            return problems
-        for i, (name, layer) in enumerate(zip(names, self.layers)):
-            got = (layer.conn_mask, layer.train_mask, layer.bias_train_mask)
-            for kind, have, want in zip(("connectivity", "trainability", "bias"),
-                                        got, self._rule(i)):
-                if not np.array_equal(have, want):
-                    problems.append(f"{name}: {kind} mask breaks the generation rule")
         return problems

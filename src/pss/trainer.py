@@ -70,6 +70,9 @@ class TrainerConfig:
     def validate(self):
         if not self.hidden_sizes or any(int(h) < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be non-empty positive ints")
+        for name in ("learning_rate", "sigma", "delta", "magnitude_freeze_threshold"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:

@@ -4,12 +4,27 @@ import json
 
 import pytest
 
-from pss.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from pss.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, RunConfig, main
 
 STREAM = ["--preset", "synthetic", "--train-size", "240", "--test-size", "120",
           "--tasks", "3", "--test-count", "120"]
 FAST = [*STREAM, "--hidden-sizes", "10,6", "--epochs", "1", "--batch-size", "32",
         "--sigma", "1e-6", "--delta", "0"]
+
+
+# Each edit turns a valid report.json into one export-metrics must refuse;
+# bytes replace the file outright.
+MALFORMED_REPORTS = {
+    "string accuracy matrix": lambda r: r.__setitem__("accuracy_matrix", "ab"),
+    "number epoch losses": lambda r: r.__setitem__("epoch_losses", [3]),
+    "empty accuracy row": lambda r: r.__setitem__("accuracy_matrix", [[]]),
+    "ragged accuracy matrix": lambda r: r["accuracy_matrix"][1].pop(),
+    "string multiclass": lambda r: r.__setitem__("multiclass", "abc"),
+    "string hidden size": lambda r: r["hidden_sizes"][0].__setitem__(0, "10"),
+    "top-level list": b"[1, 2]",
+    "not UTF-8": b"\xff\xfe{}",
+    "deeply nested": b"[" * 100000 + b"]" * 100000,
+}
 
 
 def run_train(tmp_path, *extra):
@@ -47,6 +62,17 @@ class TestTrain:
                      "--momentum", "1.5"])
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--sigma", "nan"], ["--sigma", "0.3,inf"], ["--delta", "inf"],
+        ["--magnitude-freeze", "nan"], ["--lr", "nan"], ["--lr", "inf"]], ids=" ".join)
+    def test_non_finite_flag_is_config_error(self, flags, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(RunConfig, "build_stream",
+                            lambda self: pytest.fail("data built before validation"))
+        code = main(["train", *FAST, "--out", str(tmp_path / "x"), *flags])
+        assert code == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
 
     def test_bad_sigma_text_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -135,3 +161,22 @@ class TestExportMetrics:
         bad = tmp_path / "other.json"
         bad.write_text('{"something": "else"}')
         assert main(["export-metrics", "--report", str(bad)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+    def test_malformed_report_is_data_error(self, case, tmp_path, capsys):
+        _, out = run_train(tmp_path)
+        text = (out / "report.json").read_text()
+        bad = tmp_path / "bad.json"
+        edit = MALFORMED_REPORTS[case]
+        if isinstance(edit, bytes):
+            bad.write_bytes(edit)
+        else:
+            report = json.loads(text)
+            edit(report)
+            bad.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["export-metrics", "--report", str(bad),
+                     "--out", str(tmp_path / "csv")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+        assert not (tmp_path / "csv").exists()

@@ -1,20 +1,21 @@
 """Unit tests for IDX parsing, noise variation and task streams."""
 
 import gzip
+import struct
 
 import numpy as np
 import pytest
 
+from pss.cli import EXIT_DATA, main
 from pss.container import ContainerError, read_container, write_container
 from pss.data import (
+    MNIST_FILES,
     DataFormatError,
     ImageDataset,
     build_task_stream,
     find_mnist,
-    load_dataset,
     load_idx,
     make_variation,
-    save_dataset,
     save_idx,
     synthetic_digits,
 )
@@ -79,6 +80,42 @@ class TestIdxRoundTrip:
         with pytest.raises(DataFormatError):
             save_idx(tmp_path / "i", tmp_path / "l",
                      np.zeros((3, 4, 4)), np.zeros(3, dtype=np.uint8))
+
+
+def gzip_cut_in_half(path):
+    blob = gzip.compress(path.read_bytes())
+    path.write_bytes(blob[:len(blob) // 2])
+
+
+def claim_max_images(path, gzipped=False):
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = struct.pack(">I", 2**32 - 1)
+    path.write_bytes(gzip.compress(bytes(blob)) if gzipped else bytes(blob))
+
+
+# Each edit turns the training images of a valid corpus into a hostile file.
+HOSTILE_IDX = {
+    "gzip cut in half": gzip_cut_in_half,
+    "2**32-1 images claimed": claim_max_images,
+    "2**32-1 images claimed, gzipped": lambda p: claim_max_images(p, gzipped=True),
+}
+
+
+class TestHostileIdx:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_IDX))
+    def test_train_refuses_with_data_error(self, case, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for split in ("train", "test"):
+            save_idx(tmp_path / MNIST_FILES[f"{split}_images"],
+                     tmp_path / MNIST_FILES[f"{split}_labels"],
+                     rng.integers(0, 256, size=(20, 28, 28), dtype=np.uint8),
+                     np.arange(20) % 10)
+        HOSTILE_IDX[case](tmp_path / MNIST_FILES["train_images"])
+        code = main(["train", "--preset", "mnist", "--data-dir", str(tmp_path),
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
 
 
 class TestVariation:
@@ -181,47 +218,6 @@ class TestTaskStream:
         train.labels[train.labels == 9] = 0
         with pytest.raises(DataFormatError, match="classes"):
             build_task_stream(train, test, n_tasks=10, seed=0)
-
-    def test_negative_ratio_scales_training_negatives(self):
-        doubled = self.make_stream(negative_ratio=2.0)
-        for task in doubled:
-            n_pos = int(task.train.y.sum())
-            assert len(task.train.y) - n_pos == 2 * n_pos
-            # test sets stay balanced regardless of the training ratio
-            assert task.test.y.sum() * 2 == len(task.test.y)
-
-    def test_negative_ratio_default_is_bitwise_identical(self):
-        implicit = self.make_stream(seed=3)
-        explicit = self.make_stream(seed=3, negative_ratio=1.0)
-        for ta, tb in zip(implicit, explicit):
-            assert ta.train.x.tobytes() == tb.train.x.tobytes()
-            assert ta.train.y.tobytes() == tb.train.y.tobytes()
-
-    def test_nonpositive_negative_ratio_rejected(self):
-        with pytest.raises(DataFormatError, match="negative_ratio"):
-            self.make_stream(negative_ratio=0.0)
-
-
-class TestDatasetCache:
-    def test_round_trip_bitwise(self, tmp_path):
-        rng = np.random.default_rng(0)
-        ds = ImageDataset(rng.random((20, 49)), rng.integers(0, 10, 20), "tiny")
-        path = tmp_path / "tiny.pssdat"
-        save_dataset(path, ds)
-        back = load_dataset(path)
-        assert back.images.tobytes() == ds.images.tobytes()
-        assert back.labels.tobytes() == ds.labels.tobytes()
-        assert back.name == "tiny" and back.noised is False
-
-    def test_corruption_detected(self, tmp_path):
-        ds = ImageDataset(np.ones((4, 9)), np.zeros(4, dtype=int), "x")
-        path = tmp_path / "x.pssdat"
-        save_dataset(path, ds)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(DataFormatError, match="checksum"):
-            load_dataset(path)
 
 
 class TestContainer:

@@ -146,6 +146,14 @@ class TestSaveLoad:
 
 
 class TestHostileModelFiles:
+    def test_deeply_nested_header_is_data_error(self, tmp_path, capsys):
+        header = b"[" * 100000 + b"]" * 100000
+        path = tmp_path / "deep.pssnet"
+        path.write_bytes(MODEL_MAGIC + struct.pack(">Q", len(header)) + header)
+        assert main(["inspect", "--model", str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
         net, _, _ = trained_net()

@@ -94,19 +94,26 @@ class TestBceLoss:
 class TestMaskedLayer:
     def test_invariants_enforced(self):
         w = np.array([[1.0, 0.0], [0.0, 2.0]])
-        conn = np.array([[1.0, 0.0], [0.0, 1.0]])
-        layer = MaskedLayer(w, np.zeros(2), conn)
+        runs = [(0, 1, 1), (1, 2, 2)]  # row 0 sees column 0, row 1 both
+        layer = MaskedLayer(w, np.zeros(2), runs)
         layer.validate()
+        np.testing.assert_array_equal(layer.conn_mask, [[1.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(layer.train_mask, layer.conn_mask)
         # weight present where the edge is structurally absent
-        with pytest.raises(MaskError):
-            MaskedLayer(np.array([[1.0, 3.0], [0.0, 2.0]]), np.zeros(2), conn)
+        with pytest.raises(MaskError, match="nonzero weight"):
+            MaskedLayer(np.array([[1.0, 3.0], [0.0, 2.0]]), np.zeros(2), runs)
         # trainable where no edge exists
-        with pytest.raises(MaskError):
-            MaskedLayer(w, np.zeros(2), conn, train_mask=np.ones((2, 2)))
-        with pytest.raises(MaskError):
-            MaskedLayer(w, np.zeros(2), conn * 0.5)
+        with pytest.raises(MaskError, match="trainable weight"):
+            MaskedLayer(w, np.zeros(2), runs, train_mask=np.ones((2, 2)))
+        with pytest.raises(MaskError, match="exactly 0 or 1"):
+            MaskedLayer(w, np.zeros(2), runs, train_mask=layer.conn_mask * 0.5)
         with pytest.raises(DimensionError):
-            MaskedLayer(w, np.zeros(3), conn)
+            MaskedLayer(w, np.zeros(3), runs)
+        # runs must tile the rows in order, each within the fan-in
+        for bad in ([(0, 1, 1)], [(0, 1, 1), (0, 2, 2)], [(0, 2, 3)],
+                    [(0, 1, 1), (2, 2, 2)]):
+            with pytest.raises(MaskError, match="run"):
+                MaskedLayer(w, np.zeros(2), bad)
 
     def test_affine_matches_direct_product(self):
         rng = np.random.default_rng(7)
@@ -122,9 +129,10 @@ class TestMaskedLayer:
         conn[:4, 3:] = 0.0  # rows 0:4 see columns :3, rows 4:9 see all
         w = rng.standard_normal((9, 10)) * conn
         b = rng.standard_normal(9)
-        layer = MaskedLayer(w, b, conn)
+        layer = MaskedLayer(w, b, runs=[(0, 4, 3), (4, 9, 10)])
+        np.testing.assert_array_equal(layer.conn_mask, conn)
         x = rng.standard_normal((7, 10))
-        z = layer.affine(x, runs=[(0, 4, 3), (4, 9, 10)])
+        z = layer.affine(x)
         np.testing.assert_allclose(z, x @ w.T + b, rtol=1e-12)
 
     def test_block_outputs_survive_growth_bitwise(self):
@@ -136,17 +144,17 @@ class TestMaskedLayer:
         b0 = rng.standard_normal(7)
         x0 = rng.standard_normal((11, 5))
         small = MaskedLayer(w0, b0)
-        z_small = small.affine(x0, runs=[(0, 7, 5)])
+        assert small.runs == [(0, 7, 5)]
+        z_small = small.affine(x0)
 
         w1 = np.zeros((10, 8))
         w1[:7, :5] = w0
         w1[7:, :] = rng.standard_normal((3, 8))
-        conn = np.ones((10, 8))
-        conn[:7, 5:] = 0.0  # old units do not see new inputs
         b1 = np.concatenate([b0, rng.standard_normal(3)])
-        big = MaskedLayer(w1, b1, conn)
+        # old units do not see new inputs
+        big = MaskedLayer(w1, b1, runs=[(0, 7, 5), (7, 10, 8)])
         x1 = np.concatenate([x0, rng.standard_normal((11, 3))], axis=1)
-        z_big = big.affine(x1, runs=[(0, 7, 5), (7, 10, 8)])
+        z_big = big.affine(x1)
         assert np.ascontiguousarray(z_big[:, :7]).tobytes() == z_small.tobytes()
 
     def test_rejects_wrong_input_width(self):
@@ -224,11 +232,16 @@ class TestBackwardTruncated:
 
     def test_matches_finite_differences_on_masked_net(self):
         rng = np.random.default_rng(42)
-        conn1 = (rng.random((5, 4)) >= 0.3).astype(float)
-        train1 = conn1 * (rng.random((5, 4)) >= 0.3)
-        l1 = MaskedLayer(he_normal(5, 4, rng) * conn1, rng.standard_normal(5) * 0.1,
-                         conn1, train1, activation=leaky_relu())
-        l2 = MaskedLayer(he_normal(3, 5, rng), rng.standard_normal(3) * 0.1)
+        # random structural zeros: zero weights that never train
+        keep1 = (rng.random((5, 4)) >= 0.3).astype(float)
+        train1 = keep1 * (rng.random((5, 4)) >= 0.3)
+        l1 = MaskedLayer(he_normal(5, 4, rng) * keep1, rng.standard_normal(5) * 0.1,
+                         train_mask=train1, activation=leaky_relu())
+        # output rows 0:2 see hidden units :3, row 2 sees all five
+        runs2 = [(0, 2, 3), (2, 3, 5)]
+        w2 = he_normal(3, 5, rng)
+        w2[:2, 3:] = 0.0
+        l2 = MaskedLayer(w2, rng.standard_normal(3) * 0.1, runs2)
         layers = [l1, l2]
         x = rng.standard_normal((6, 4))
         y = rng.integers(0, 2, size=(6, 2)).astype(float)
@@ -238,13 +251,15 @@ class TestBackwardTruncated:
         for layer, g, (fw, fb) in zip(layers, grads, fd):
             np.testing.assert_allclose(g.weights, fw * layer.train_mask, atol=2e-9)
             np.testing.assert_allclose(g.bias, fb * layer.bias_train_mask, atol=2e-9)
+        assert np.all(fd[1][0][:2, 3:] == 0.0)      # no edge, no dependence
+        assert np.all(grads[1].weights[:2, 3:] == 0.0)
+        assert np.all(grads[0].weights[keep1 == 0.0] == 0.0)
 
     def test_frozen_positions_get_exact_zero(self):
         rng = np.random.default_rng(5)
-        conn = np.ones((3, 3))
         train = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
         layer = MaskedLayer(rng.standard_normal((3, 3)), rng.standard_normal(3),
-                            conn, train, bias_train_mask=np.array([1.0, 0.0, 1.0]))
+                            train_mask=train, bias_train_mask=np.array([1.0, 0.0, 1.0]))
         x = rng.standard_normal((4, 3))
         g = backward_truncated([layer], forward([layer], x),
                                rng.integers(0, 2, size=(4, 3)).astype(float),
@@ -294,11 +309,10 @@ class TestSgdStep:
 
     def test_frozen_weight_and_velocity_stay_zero(self):
         rng = np.random.default_rng(13)
-        conn = np.ones((3, 3))
         train = np.zeros((3, 3))
         train[0, 0] = 1.0
         w = rng.standard_normal((3, 3))
-        layer = MaskedLayer(w.copy(), np.zeros(3), conn, train,
+        layer = MaskedLayer(w.copy(), np.zeros(3), train_mask=train,
                             bias_train_mask=np.zeros(3))
         from pss.numerics import LayerGrads
         vel = init_velocity([layer])
@@ -313,8 +327,9 @@ class TestSgdStep:
 
     def test_structural_zeros_survive_updates(self):
         rng = np.random.default_rng(17)
-        conn = (rng.random((4, 4)) >= 0.5).astype(float)
-        layer = MaskedLayer(rng.standard_normal((4, 4)) * conn, np.zeros(4), conn)
+        runs = [(0, 1, 1), (1, 3, 2), (3, 4, 4)]
+        conn = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1.0]])
+        layer = MaskedLayer(rng.standard_normal((4, 4)) * conn, np.zeros(4), runs)
         from pss.numerics import LayerGrads
         vel = None
         for _ in range(5):

@@ -412,7 +412,7 @@ class TestDerivedStructure:
         for a, b in zip(net.layers, rebuilt.layers):
             for name in ("conn_mask", "train_mask", "bias_train_mask"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert rebuilt._prefix_runs == net._prefix_runs
+        assert [l.runs for l in rebuilt.layers] == [l.runs for l in net.layers]
         assert rebuilt.check_masks() == []
 
     @pytest.mark.parametrize("scope", ["full_truncated", "pss_only"])
@@ -427,9 +427,9 @@ class TestDerivedStructure:
 
     def test_one_run_per_generation_sees_its_prefix(self):
         net = self.split_net("pss_only")
-        assert net._prefix_runs[0] == [(0, 5, 3), (5, 6, 3), (6, 7, 3)]
-        assert net._prefix_runs[1] == [(0, 4, 5), (4, 5, 6), (5, 6, 7)]
-        assert net._prefix_runs[-1] == [(0, 1, 3), (1, 2, 4), (2, 3, 5)]
+        assert net.layers[0].runs == [(0, 5, 3), (5, 6, 3), (6, 7, 3)]
+        assert net.layers[1].runs == [(0, 4, 5), (4, 5, 6), (5, 6, 7)]
+        assert net.layers[-1].runs == [(0, 1, 3), (1, 2, 4), (2, 3, 5)]
 
 
 class TestCheckMasks:
@@ -444,7 +444,8 @@ class TestCheckMasks:
         net.hidden_layers[0].weights[0] += 1.0
         _, tag = net.split_neuron(0, 0)
         net.hidden_layers[1].weights[0, tag.index] = 0.5   # masked edge
-        assert any("layer" in p for p in net.check_masks())
+        assert net.check_masks() == [
+            "layer 1: nonzero weight at a structurally masked position"]
 
     def test_detects_generation_rule_breach(self):
         net = open_task(fresh_net(), 0)
@@ -452,8 +453,17 @@ class TestCheckMasks:
         net.take_snapshot()
         net.hidden_layers[0].weights[0] += 1.0
         _, tag = net.split_neuron(0, 0)
-        net.hidden_layers[1].conn_mask[0, tag.index] = 1.0  # forbidden edge opened
-        assert any("generation rule" in p for p in net.check_masks())
+        net.hidden_layers[1].train_mask[0, tag.index] = 1.0  # forbidden edge opened
+        assert net.check_masks() == [
+            "layer 1: trainable weight at a structurally masked position"]
+
+    def test_detects_fan_in_mismatch(self):
+        net = open_task(fresh_net(), 0)
+        l1 = net.hidden_layers[1]
+        l1.weights = l1.weights[:, :-1].copy()
+        l1.train_mask = l1.train_mask[:, :-1].copy()
+        l1.runs = [(0, 3, 3)]
+        assert net.check_masks() == ["layer 1: fan-in 3 for 4 units below"]
 
     def test_detects_disordered_generations(self):
         net = open_task(fresh_net(), 0)
@@ -462,10 +472,14 @@ class TestCheckMasks:
 
     def test_detects_severed_output_edge(self):
         net = open_task(fresh_net(), 0)
-        net.output_layer.conn_mask[0, 0] = 0.0
-        net.output_layer.weights[0, 0] = 0.0
-        net.output_layer.train_mask[0, 0] = 0.0
-        assert any("output" in p for p in net.check_masks())
+        out = net.output_layer
+        assert out.weights[0, -1] != 0.0
+        out.runs = [(0, 1, out.fan_in - 1)]                 # live edge severed
+        out.train_mask[0, -1] = 0.0
+        assert net.check_masks() == [
+            "output layer: nonzero weight at a structurally masked position"]
+        out.runs = []                                       # row left uncovered
+        assert any(p.startswith("output layer: runs") for p in net.check_masks())
 
 
 class TestBitExactness:
