@@ -44,6 +44,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 PRESET_CHOICES = ("mnist", "mnist-variation", "synthetic")
+N_CLASSES = 10  # every preset is a ten-class digit corpus
 
 
 def _scalar_or_tuple(text):
@@ -104,7 +105,21 @@ class RunConfig:
                    train_size=args.train_size, test_size=args.test_size,
                    baseline=getattr(args, "baseline", False),
                    model_path=getattr(args, "save_model", None),
-                   trainer=trainer)
+                   trainer=trainer).validate()
+
+    def validate(self):
+        """Reject stream flags no corpus can satisfy, before any data is built."""
+        if not 1 <= self.n_tasks <= N_CLASSES:
+            raise ValueError(f"--tasks must be 1..{N_CLASSES}, one per digit class")
+        for flag, value, least in (("--train-size", self.train_size, N_CLASSES),
+                                   ("--test-size", self.test_size, N_CLASSES),
+                                   ("--test-count", self.test_count, 1)):
+            if value < least:
+                raise ValueError(f"{flag} must be at least {least}")
+        if self.per_task_train is not None and self.per_task_train < 2:
+            raise ValueError("--per-task-train must be at least 2 "
+                             "(one positive and one negative image)")
+        return self
 
     def load_corpus(self):
         if self.preset == "synthetic":
@@ -182,8 +197,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    net = load_model(args.model)
     cfg = RunConfig.from_args(args)
+    net = load_model(args.model)
     stream = cfg.build_stream()
     if net.n_outputs == 0:
         raise DataFormatError("model has no trained tasks to evaluate")

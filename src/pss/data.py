@@ -259,7 +259,7 @@ def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
     byte for byte.
     """
     if n_tasks < 1:
-        raise DataFormatError("need at least one task")
+        raise ValueError("need at least one task")
     present = set(np.unique(train.labels).tolist())
     missing = [c for c in range(n_tasks) if c not in present]
     if missing:

@@ -19,6 +19,16 @@ run is closed its operand shapes never change over the life of a
 network, which keeps the floating-point summation order stable when
 rows or columns are appended. This is what makes outputs of untouched
 subnetworks reproducible to the bit after the network has grown.
+
+Each layer also holds ``train_from``, its first trainable row: every
+row before it is frozen, and by the edge rule sees only input columns
+before the ``train_from`` of the layer below. A training step computes
+only the rows from ``train_from`` on. ``forward`` takes the frozen rows'
+post-activations from a cache when one is given, ``backward_truncated``
+returns gradients for the trainable rows only, and ``sgd_step`` reads
+and writes only those rows. With ``train_from`` 0 (the default, and
+every layer outside the ``pss_only`` scope) each of them does exactly
+the dense arithmetic.
 """
 
 from dataclasses import dataclass
@@ -111,7 +121,8 @@ class MaskedLayer:
       the input columns (one run over the whole layer by default);
     * ``weights`` and ``train_mask`` are exactly 0.0 past each run's
       prefix (a structurally absent edge holds no weight and never
-      trains).
+      trains);
+    * no weight or bias of a row before ``train_from`` trains.
 
     Masks are float64 arrays holding exactly 0.0 or 1.0 so they can be
     multiplied straight into gradients.
@@ -133,6 +144,7 @@ class MaskedLayer:
             bias_train_mask = np.ones(fan_out)
         self.bias_train_mask = np.ascontiguousarray(bias_train_mask, dtype=np.float64)
         self.activation = activation
+        self.train_from = 0
         self.validate()
 
     @property
@@ -169,11 +181,15 @@ class MaskedLayer:
                 raise MaskError("nonzero weight at a structurally masked position")
             if np.any(self.train_mask[r0:r1, c1:]):
                 raise MaskError("trainable weight at a structurally masked position")
+        o = self.train_from
+        if np.any(self.train_mask[:o]) or np.any(self.bias_train_mask[:o]):
+            raise MaskError(f"trainable parameter before first trainable row {o}")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise NonFiniteError("layer parameters contain NaN/Inf")
 
-    def affine(self, x):
-        """Compute ``x @ weights.T + bias``, one matmul per run.
+    def affine(self, x, start=0):
+        """Compute ``x @ weights.T + bias`` for rows ``start:``, one matmul
+        per run.
 
         Each run's rows are multiplied by the input columns they see
         only, so its results are unaffected by rows or columns appended
@@ -182,15 +198,20 @@ class MaskedLayer:
         if x.ndim != 2 or x.shape[1] != self.fan_in:
             raise DimensionError(
                 f"input shape {x.shape} incompatible with fan_in {self.fan_in}")
-        z = np.empty((x.shape[0], self.fan_out))
+        z = np.empty((x.shape[0], self.fan_out - start))
         for r0, r1, c1 in self.runs:
-            z[:, r0:r1] = x[:, :c1] @ self.weights[r0:r1, :c1].T + self.bias[r0:r1]
+            r0 = max(r0, start)
+            if r0 < r1:
+                z[:, r0 - start:r1 - start] = \
+                    x[:, :c1] @ self.weights[r0:r1, :c1].T + self.bias[r0:r1]
         return z
 
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre/post activations for one mini-batch."""
+    """Per-layer activations for one mini-batch: ``post[i]`` holds every
+    row of layer ``i``, ``pre[i]`` only the rows the pass computed (the
+    trailing ones, all of them unless a cache supplied the rest)."""
 
     inputs: np.ndarray
     pre: list
@@ -204,8 +225,14 @@ class ForwardTrace:
         return self.inputs if i == 0 else self.post[i - 1]
 
 
-def forward(layers, batch):
-    """Run ``batch`` through ``layers`` and record the full trace."""
+def forward(layers, batch, cached=None):
+    """Run ``batch`` through ``layers`` and record the trace.
+
+    ``cached``, when given, holds one array per layer: the
+    post-activations of the layer's first ``cached[i].shape[1]`` rows
+    for this batch. Those rows are taken as given and only the rows
+    after them are computed.
+    """
     x = _as_float_matrix(batch, "batch")
     if layers and x.shape[1] != layers[0].fan_in:
         raise DimensionError(
@@ -214,10 +241,13 @@ def forward(layers, batch):
         raise NonFiniteError("batch contains NaN/Inf")
     pre, post = [], []
     for i, layer in enumerate(layers):
-        z = layer.affine(x)
+        start = 0 if cached is None else cached[i].shape[1]
+        z = layer.affine(x, start)
         if not np.all(np.isfinite(z)):
             raise NonFiniteError(f"non-finite pre-activation at layer {i}")
         a = layer.activation.apply(z)
+        if start:
+            a = np.concatenate([cached[i], a], axis=1)
         pre.append(z)
         post.append(a)
         x = a
@@ -262,6 +292,14 @@ def _check_selection(selected_outputs, out_dim):
     return sel
 
 
+def _open_delta(d_post, layer, z):
+    """``d_post * activation'`` for the rows from ``layer.train_from`` on,
+    where ``z`` holds (at least) those rows' pre-activations, last."""
+    k = layer.fan_out - layer.train_from
+    # z[:, -k:] would be all of z when k == 0
+    return d_post * layer.activation.derivative(z[:, z.shape[1] - k:])
+
+
 def backward_truncated(layers, trace, targets, selected_outputs):
     """Gradients of the truncated mean BCE loss for every layer.
 
@@ -270,6 +308,12 @@ def backward_truncated(layers, trace, targets, selected_outputs):
     the network at exactly those output nodes. Returned gradients are
     zeroed wherever a layer's trainability mask is 0 (which covers all
     structural zeros as well).
+
+    Gradients cover each layer's rows from ``train_from`` on only. The
+    rows before it are frozen and, by the edge rule, see no input
+    column from the lower layer's ``train_from`` on, so the error is
+    propagated through ``weights[o:, o_below:]`` alone and the
+    trainable rows get exactly the dense gradient.
 
     ``targets`` is ``(n, k)`` with columns aligned to the selection
     order, or ``(n,)`` when a single output is selected.
@@ -293,17 +337,20 @@ def backward_truncated(layers, trace, targets, selected_outputs):
     d_post[:, sel] = (sigmoid(out[:, sel]) - y) / (n * len(sel))
 
     grads = [None] * len(layers)
-    delta = d_post * layers[-1].activation.derivative(trace.pre[-1])
+    top = layers[-1]
+    delta = _open_delta(d_post[:, top.train_from:], top, trace.pre[-1])
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
-        a_in = trace.layer_input(i)
-        d_w = delta.T @ a_in
+        o = layer.train_from
+        d_w = delta.T @ trace.layer_input(i)
         d_b = delta.sum(axis=0)
-        d_w *= layer.train_mask
-        d_b *= layer.bias_train_mask
+        d_w *= layer.train_mask[o:]
+        d_b *= layer.bias_train_mask[o:]
         grads[i] = LayerGrads(d_w, d_b)
         if i > 0:
-            delta = (delta @ layer.weights) * layers[i - 1].activation.derivative(trace.pre[i - 1])
+            below = layers[i - 1]
+            delta = _open_delta(delta @ layer.weights[o:, below.train_from:],
+                                below, trace.pre[i - 1])
     return grads
 
 
@@ -333,9 +380,12 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
     Weights move only where the trainability mask is 1; velocity at
     frozen positions is forced to exactly 0 so a freshly frozen weight
     carries no residual momentum. Structural zeros are untouched because
-    the trainability mask is 0 past every run's prefix. Every new
-    velocity and parameter is computed and checked before any is stored,
-    so a ``NonFiniteError`` leaves layers and velocity as they were.
+    the trainability mask is 0 past every run's prefix. Only each
+    layer's rows from ``train_from`` on are read or written, velocity
+    included, and ``grads`` hold exactly those rows (as
+    ``backward_truncated`` returns them). Every new velocity and
+    parameter is computed and checked before any is stored, so a
+    ``NonFiniteError`` leaves layers and velocity as they were.
     """
     if velocity is None:
         velocity = init_velocity(layers)
@@ -343,24 +393,29 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
         raise DimensionError("grads/velocity length does not match layers")
     staged = []
     for layer, g, v in zip(layers, grads, velocity):
-        if g.weights.shape != layer.weights.shape:
+        o = layer.train_from
+        if g.weights.shape != layer.weights[o:].shape:
             raise DimensionError("gradient shape does not match layer")
-        v_w = v.weights * momentum
+        v_w = v.weights[o:] * momentum
         v_w += g.weights
-        v_w *= layer.train_mask
-        v_b = v.bias * momentum
+        v_w *= layer.train_mask[o:]
+        v_b = v.bias[o:] * momentum
         v_b += g.bias
-        v_b *= layer.bias_train_mask
+        v_b *= layer.bias_train_mask[o:]
         # w + (-lr * v) rounds exactly as w - lr * v, with one temporary less
         w = v_w * -learning_rate
-        w += layer.weights
+        w += layer.weights[o:]
         b = v_b * -learning_rate
-        b += layer.bias
+        b += layer.bias[o:]
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise NonFiniteError("non-finite parameter after SGD update")
-        staged.append((v_w, v_b, w, b))
-    for layer, v, (v_w, v_b, w, b) in zip(layers, velocity, staged):
-        v.weights, v.bias, layer.weights, layer.bias = v_w, v_b, w, b
+        staged.append((o, v_w, v_b, w, b))
+    for layer, v, (o, v_w, v_b, w, b) in zip(layers, velocity, staged):
+        # frozen rows stay put; a whole layer is rebound, saving a copy
+        if o:
+            v.weights[o:], v.bias[o:], layer.weights[o:], layer.bias[o:] = v_w, v_b, w, b
+        else:
+            v.weights, v.bias, layer.weights, layer.bias = v_w, v_b, w, b
     return velocity
 
 

@@ -15,6 +15,15 @@ network may move:
     only the current generation trains from the first step on. Old
     generations never move, so earlier tasks' logits stay bit-identical.
 
+Under ``pss_only`` (from task start, or from the hybrid switch on) a
+step computes only the current generation's rows. On entering the
+scope the trainer caches every frozen row's post-activation over the
+task's training set (``PlasticNetwork.frozen_activations``) and clears
+the frozen rows' velocity; each step takes the batch's rows of that
+cache, and backward and SGD touch the trainable rows only. A splitting
+round that splits reverts frozen rows, so the cache is rebuilt after
+it.
+
 The baseline runner trains the same architecture with splitting
 disabled and everything trainable, which is plain multi-head
 fine-tuning and forgets accordingly.
@@ -113,6 +122,14 @@ def _initial_scope(config):
         else config.freeze_scope
 
 
+def _frozen_cache(net, x, velocity):
+    """Cache the rows that cannot train and clear their velocity."""
+    for layer, v in zip(net.layers, velocity):
+        v.weights[:layer.train_from] = 0.0
+        v.bias[:layer.train_from] = 0.0
+    return net.frozen_activations(x)
+
+
 def train_task(net, task_data, config, task_index=None):
     """Train one binary task end to end on an already-built network."""
     config.validate()
@@ -127,6 +144,7 @@ def train_task(net, task_data, config, task_index=None):
         frozen = net.freeze_small_weights(config.magnitude_freeze_threshold)
         log.debug("task %d: %d small weights frozen", task_index, frozen)
     velocity = init_velocity(net.layers)
+    cache = _frozen_cache(net, task_data.x, velocity)
     out_index = net.current_output_index()
     shuffle_rng = rng_for(config.seed, 1, task_index)
     n = len(task_data)
@@ -140,7 +158,7 @@ def train_task(net, task_data, config, task_index=None):
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = task_data.x[idx], task_data.y[idx]
-            trace = net.trace(xb)
+            trace = net.trace(xb, None if cache is None else [c[idx] for c in cache])
             loss_sum += selected_bce(trace.output, [out_index], yb) * len(idx)
             grads = backward_truncated(net.layers, trace, yb, [out_index])
             velocity = sgd_step(net.layers, grads, config.learning_rate,
@@ -159,6 +177,7 @@ def train_task(net, task_data, config, task_index=None):
                     velocity[tag.layer].bias[tag.index] = 0.0
                 if config.freeze_scope == "hybrid":
                     net.set_structural_freeze("pss_only")
+                cache = _frozen_cache(net, task_data.x, velocity)
                 log.info("task %d epoch %d: %d splits, %d fillers",
                          task_index, epoch, round_report.total_splits,
                          round_report.total_fillers)

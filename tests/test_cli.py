@@ -74,6 +74,24 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--tasks", "0"], ["--tasks", "11"], ["--train-size", "0"],
+        ["--train-size", "9"], ["--test-size", "0"], ["--test-count", "0"],
+        ["--per-task-train", "0"], ["--per-task-train", "-5"],
+        ["--per-task-train", "1"]], ids=" ".join)
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    def test_bad_stream_flag_is_config_error(self, verb, flags, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(RunConfig, "build_stream",
+                            lambda self: pytest.fail("data built before validation"))
+        # eval checks its flags before it opens the (here missing) model
+        base = [*FAST, "--out", str(tmp_path / "x")] if verb == "train" else \
+            [*STREAM, "--model", str(tmp_path / "missing")]
+        code = main([verb, *base, *flags])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and flags[0] in err
+
     def test_bad_sigma_text_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", *FAST, "--sigma", "abc"])

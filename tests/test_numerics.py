@@ -114,6 +114,15 @@ class TestMaskedLayer:
                     [(0, 1, 1), (2, 2, 2)]):
             with pytest.raises(MaskError, match="run"):
                 MaskedLayer(w, np.zeros(2), bad)
+        # nothing before the first trainable row may train
+        layer.train_from = 1
+        with pytest.raises(MaskError, match="before first trainable row 1"):
+            layer.validate()
+        layer.train_mask[0] = 0.0
+        with pytest.raises(MaskError, match="before first trainable row 1"):
+            layer.validate()
+        layer.bias_train_mask[0] = 0.0
+        layer.validate()
 
     def test_affine_matches_direct_product(self):
         rng = np.random.default_rng(7)

@@ -1,0 +1,214 @@
+"""The ``pss_only`` step against a dense reference.
+
+Under ``pss_only`` a training step computes only each layer's rows from
+``train_from`` on: frozen rows come from a cache, backward and SGD skip
+them. Here every such step is replayed on a dense copy of the network
+(every ``train_from`` set to 0, no cache), which runs the dense
+``forward``, ``backward_truncated`` and ``sgd_step``. Activations,
+gradients, parameters and velocity must agree to 1e-12 relative, and
+frozen parameters and earlier tasks' logits must not change by a bit.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from pss import trainer
+from pss.data import TaskDataset
+from pss.numerics import backward_truncated, forward, init_velocity, sgd_step
+from pss.plasticity import PlasticNetwork
+from pss.trainer import TrainerConfig, rng_for, train_task
+
+RTOL = 1e-12
+N_FEATURES = 6
+
+
+def assert_close(got, want):
+    """Equal shapes, and ``max|got - want| <= RTOL * max|want|``."""
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= RTOL * scale
+
+
+def dense_copy(layers):
+    dense = copy.deepcopy(layers)
+    for layer in dense:
+        layer.train_from = 0
+    return dense
+
+
+def check_step(layers, trace, targets, sel, grads, velocity, probe,
+               learning_rate=0.05, momentum=0.9):
+    """Take one restricted step with ``grads`` and replay it densely.
+    Returns what the step covered and the new velocity."""
+    offsets = [layer.train_from for layer in layers]
+    dense = dense_copy(layers)
+    dense_velocity = copy.deepcopy(velocity)
+    dense_trace = forward(dense, trace.inputs)
+    for z, a, dense_z, dense_a in zip(trace.pre, trace.post,
+                                      dense_trace.pre, dense_trace.post):
+        assert_close(z, dense_z[:, dense_z.shape[1] - z.shape[1]:])
+        assert_close(a, dense_a)
+    dense_grads = backward_truncated(dense, dense_trace, targets, sel)
+    for g, dg, o in zip(grads, dense_grads, offsets):
+        assert not dg.weights[:o].any() and not dg.bias[:o].any()
+        assert_close(g.weights, dg.weights[o:])
+        assert_close(g.bias, dg.bias[o:])
+
+    frozen = [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
+              for l, o in zip(layers, offsets)]
+    old_logits = forward(layers, probe).output[:, :offsets[-1]].tobytes()
+    sgd_step(dense, dense_grads, learning_rate, momentum, dense_velocity)
+    velocity = sgd_step(layers, grads, learning_rate, momentum, velocity)
+    for layer, d, v, dv in zip(layers, dense, velocity, dense_velocity):
+        assert_close(layer.weights, d.weights)
+        assert_close(layer.bias, d.bias)
+        assert_close(v.weights, dv.weights)
+        assert_close(v.bias, dv.bias)
+    assert frozen == [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
+                      for l, o in zip(layers, offsets)]
+    assert forward(layers, probe).output[:, :offsets[-1]].tobytes() == old_logits
+    return {
+        "batch": len(trace.inputs),
+        "open": [l.fan_out - o for l, o in zip(layers, offsets)],
+        "computed": [z.shape[1] for z in trace.pre],
+        "frozen_in_open": any((l.train_mask[o:] != l.conn_mask[o:]).any()
+                              for l, o in zip(layers, offsets)),
+    }, velocity
+
+
+@pytest.fixture
+def checked_steps(monkeypatch):
+    """Check every step the trainer takes with some ``train_from`` > 0
+    against the dense reference, and record what it covered."""
+    steps = []
+    last = {}
+    probe = np.random.default_rng(3).standard_normal((5, N_FEATURES))
+
+    def backward(layers, trace, targets, sel):
+        last.update(trace=trace, targets=targets, sel=sel)
+        return backward_truncated(layers, trace, targets, sel)
+
+    def step(layers, grads, learning_rate, momentum, velocity):
+        if not any(layer.train_from for layer in layers):
+            return sgd_step(layers, grads, learning_rate, momentum, velocity)
+        covered, velocity = check_step(
+            layers, last["trace"], last["targets"], last["sel"], grads,
+            velocity, probe, learning_rate, momentum)
+        steps.append(covered)
+        return velocity
+
+    monkeypatch.setattr(trainer, "backward_truncated", backward)
+    monkeypatch.setattr(trainer, "sgd_step", step)
+    return steps
+
+
+def odd_tasks(n_tasks=3, n=33):
+    """Tasks of 33 images: with batch size 8 each epoch ends on one image."""
+    rng = np.random.default_rng(11)
+    return [TaskDataset(rng.standard_normal((n, N_FEATURES)),
+                        rng.integers(0, 2, size=n).astype(float), t, t)
+            for t in range(n_tasks)]
+
+
+def train_all(config):
+    net = PlasticNetwork.new(N_FEATURES, list(config.hidden_sizes),
+                             rng_for(config.seed, 0), config.leaky_slope)
+    for t, data in enumerate(odd_tasks()):
+        train_task(net, data, config, t)
+    assert net.check_masks() == []
+    return net
+
+
+CONFIG = dict(hidden_sizes=(12, 8), sigma=1e-6, delta=0.0, batch_size=8,
+              epochs_per_task=3, seed=5)
+
+
+class TestTrainerSteps:
+    def test_pss_only_from_task_start(self, checked_steps):
+        """No hidden row can train: only the output row is computed."""
+        train_all(TrainerConfig(**CONFIG, freeze_scope="pss_only"))
+        # tasks 1 and 2, four full batches and one single image per epoch
+        assert len(checked_steps) == 2 * 3 * 5
+        assert all(s["open"] == s["computed"] == [0, 0, 1] for s in checked_steps)
+        assert any(s["batch"] == 1 for s in checked_steps)
+
+    def test_hybrid_after_split_with_magnitude_freeze(self, checked_steps):
+        """The cache is built after the first split; small weights of the
+        output row stay frozen inside the trainable rows."""
+        train_all(TrainerConfig(**CONFIG, magnitude_freeze_threshold=0.3))
+        assert checked_steps
+        assert all(s["open"] == s["computed"] for s in checked_steps)
+        assert all(min(s["open"][:-1]) > 0 for s in checked_steps)
+        assert any(s["frozen_in_open"] for s in checked_steps)
+        assert any(s["batch"] == 1 for s in checked_steps)
+
+    def test_full_truncated_takes_no_restricted_step(self, checked_steps):
+        train_all(TrainerConfig(**CONFIG, freeze_scope="full_truncated"))
+        assert checked_steps == []
+
+
+class TestFrozenCache:
+    def drifted_task(self):
+        """Task 1 trained under full_truncated so old neurons drift,
+        then frozen: no hidden row can train yet."""
+        config = TrainerConfig(**CONFIG, freeze_scope="full_truncated")
+        net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
+        data = odd_tasks()
+        train_task(net, data[0], config, 0)
+        net.grow_output(1)
+        net.take_snapshot()
+        net.attach_schedule(1e-6, 0.0)
+        velocity = None
+        for _ in range(5):
+            trace = net.trace(data[1].x)
+            grads = backward_truncated(net.layers, trace, data[1].y, [1])
+            velocity = sgd_step(net.layers, grads, 0.05, 0.9, velocity)
+        net.set_structural_freeze("pss_only")
+        return net, data[1]
+
+    def test_cache_is_the_frozen_rows_of_a_full_forward(self):
+        net, data = self.drifted_task()
+        cache = net.frozen_activations(data.x)
+        assert [c.shape[1] for c in cache] == [12, 8, 1]
+        post = forward(net.layers, data.x).post
+        for c, a, layer in zip(cache, post, net.layers):
+            assert c.shape == (len(data.x), layer.train_from)
+            assert_close(c, a[:, :layer.train_from])
+        # a trace built from the cache computes only the trainable rows
+        idx = np.arange(0, len(data.x), 2)
+        trace = net.trace(data.x[idx], [c[idx] for c in cache])
+        assert [z.shape[1] for z in trace.pre] == [0, 0, 1]
+        for got, want in zip(trace.post, forward(net.layers, data.x[idx]).post):
+            assert_close(got, want)
+
+    def test_nothing_frozen_means_no_cache(self):
+        net, data = self.drifted_task()
+        net.set_structural_freeze("full_truncated")
+        assert net.frozen_activations(data.x) is None
+
+    def test_cache_rebuilt_after_split(self):
+        """A split reverts frozen rows, so a cache built before it is
+        stale; the rebuilt one matches a fresh forward and the steps
+        after it match the dense reference."""
+        net, data = self.drifted_task()
+        stale = net.frozen_activations(data.x)
+        assert net.splitting_round(0).total_splits
+        assert [l.train_from for l in net.layers] == [12, 8, 1]
+        assert net.hidden_layers[0].fan_out > 12
+        fresh = net.frozen_activations(data.x)
+        assert any(not np.array_equal(s, f) for s, f in zip(stale, fresh))
+        post = forward(net.layers, data.x).post
+        for c, a, layer in zip(fresh, post, net.layers):
+            assert_close(c, a[:, :layer.train_from])
+
+        velocity = init_velocity(net.layers)
+        # gemm, gemv, then a full trace (no cache) of the same network
+        for idx, cached in ((np.arange(8), True), (np.array([5]), True),
+                            (np.arange(8, 16), False)):
+            trace = net.trace(data.x[idx], [c[idx] for c in fresh] if cached else None)
+            grads = backward_truncated(net.layers, trace, data.y[idx], [1])
+            covered, velocity = check_step(net.layers, trace, data.y[idx], [1],
+                                           grads, velocity, data.x[:4])
+            assert covered["open"][0] > 0
