@@ -230,8 +230,6 @@ class TaskStream:
 def _binary_set(images, labels, cls, rng, task, cap=None):
     pos = np.flatnonzero(labels == cls)
     neg = np.flatnonzero(labels != cls)
-    if len(pos) == 0:
-        raise DataFormatError(f"no examples of class {cls}")
     rng.shuffle(pos)
     if cap is not None:
         pos = pos[:max(1, min(len(pos), int(cap / 2.0)))]
@@ -256,15 +254,21 @@ def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
     other classes. Binary test sets are balanced the same way and come
     from the multiclass pool, which is the first ``test_count`` images
     of ``test``. All sampling comes from one seed and is reproducible
-    byte for byte.
+    byte for byte. Data lacking a task's class raises ``DataFormatError``;
+    a pool too small to hold one raises ``ValueError`` (raise ``test_count``).
     """
     if n_tasks < 1:
         raise ValueError("need at least one task")
-    present = set(np.unique(train.labels).tolist())
-    missing = [c for c in range(n_tasks) if c not in present]
-    if missing:
-        raise DataFormatError(f"training data lacks classes {missing}")
     pool = test.subset(np.arange(min(test_count, len(test))))
+    for data, fault, what in (
+            (train, DataFormatError, "training data"),
+            (test, DataFormatError, "test data"),
+            (pool, ValueError,
+             f"a multiclass pool of {len(pool)} test images (test_count)")):
+        present = set(np.unique(data.labels).tolist())
+        missing = [c for c in range(n_tasks) if c not in present]
+        if missing:
+            raise fault(f"{what} lacks classes {missing}")
     ss = np.random.SeedSequence(seed)
     tasks = []
     for t, child in enumerate(ss.spawn(n_tasks)):

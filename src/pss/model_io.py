@@ -3,8 +3,8 @@
 A model file (schema 2) is a binary container holding each layer's
 weights ``w{i}`` and bias ``b{i}``, the generation tags, task index,
 freeze scope, activations and generator state, so a run resumed from a
-boundary continues bit-for-bit like an uninterrupted one. Masks are
-derived from the tags, not stored; schema-1 files, which stored them,
+boundary continues bit-for-bit like an uninterrupted one. Structure is
+derived from the tags, not stored; schema-1 files, which stored masks,
 are rejected. ``load_model`` checks the metadata and the tags against
 the weight shapes before deriving anything, then audits the network,
 and raises ``ContainerError`` on any fault. Mid-task state (snapshot,

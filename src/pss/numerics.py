@@ -1,17 +1,17 @@
-"""Dense float64 layers with masked, hand-derived backpropagation.
+"""Dense float64 layers with structural, hand-derived backpropagation.
 
-A layer is a weight matrix plus bias, its structure and a trainability
-mask. The structure is a list of row runs ``(r0, r1, c1)``: rows
-``r0:r1`` see the input columns ``:c1``, and every weight past that
+A layer is a weight matrix plus bias, its structure and its first
+trainable row. The structure is a list of row runs ``(r0, r1, c1)``:
+rows ``r0:r1`` see the input columns ``:c1``, and every weight past that
 prefix is a structural zero (an edge that does not exist and stays
-exactly 0.0). ``conn_mask`` is the dense 0/1 view of the runs. The
-trainability mask marks frozen weights (edges that exist but receive no
-updates). Backpropagation is derived by hand for the fixed affine +
-activation layer form and can be truncated so the loss gradient enters
-only at a chosen subset of output nodes. The trainability mask may hold
-any 0/1 pattern inside the runs (the gradient checker draws random
-ones); a growing network derives runs and masks from generation tags
-(see ``plasticity``).
+exactly 0.0). Trainability is structure: the present weights and the
+biases of the rows from ``train_from`` on train. An optional 0/1
+overlay freezes positions inside them (a magnitude freeze, or the
+gradient checker's random masks). ``conn_mask`` and ``train_mask`` are
+dense views, built on demand and never read by training.
+Backpropagation is derived by hand for the fixed affine + activation
+layer form and can be truncated so the loss gradient enters only at a
+chosen subset of output nodes.
 
 Pre-activations are computed one run at a time, each run against the
 prefix of input columns it can see (see ``MaskedLayer.affine``). Once a
@@ -20,15 +20,14 @@ network, which keeps the floating-point summation order stable when
 rows or columns are appended. This is what makes outputs of untouched
 subnetworks reproducible to the bit after the network has grown.
 
-Each layer also holds ``train_from``, its first trainable row: every
-row before it is frozen, and by the edge rule sees only input columns
-before the ``train_from`` of the layer below. A training step computes
-only the rows from ``train_from`` on. ``forward`` takes the frozen rows'
-post-activations from a cache when one is given, ``backward_truncated``
-returns gradients for the trainable rows only, and ``sgd_step`` reads
-and writes only those rows. With ``train_from`` 0 (the default, and
-every layer outside the ``pss_only`` scope) each of them does exactly
-the dense arithmetic.
+Every row before ``train_from`` is frozen, and by the edge rule sees
+only input columns before the ``train_from`` of the layer below. A
+training step computes only the rows from ``train_from`` on.
+``forward`` takes the frozen rows' post-activations from a cache when
+one is given, ``backward_truncated`` returns gradients for the
+trainable rows only, and ``sgd_step`` reads and writes only those rows.
+With ``train_from`` 0 (the default, and every layer outside the
+``pss_only`` scope) each of them does exactly the dense arithmetic.
 """
 
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ class NonFiniteError(FloatingPointError):
 
 
 class MaskError(ValueError):
-    """A mask invariant is broken (structural zeros, mask ordering)."""
+    """A structural invariant is broken (runs, structural zeros, overlay)."""
 
 
 def sigmoid(z):
@@ -104,6 +103,14 @@ def he_normal(fan_out, fan_in, rng):
     return rng.normal(0.0, std, size=(fan_out, fan_in))
 
 
+def run_mask(runs, shape):
+    """Dense 0/1 array of ``shape``, 1.0 where one of ``runs`` has an edge."""
+    mask = np.zeros(shape)
+    for r0, r1, c1 in runs:
+        mask[r0:r1, :c1] = 1.0
+    return mask
+
+
 def _as_float_matrix(a, name):
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -112,24 +119,21 @@ def _as_float_matrix(a, name):
 
 
 class MaskedLayer:
-    """One dense layer: weights, bias, row runs and trainability masks.
+    """One dense layer: weights, bias, row runs and first trainable row.
 
     Invariants, enforced by ``validate`` and preserved by every
     operation in this module:
 
     * ``runs`` tile the rows in order, each seeing a prefix ``:c1`` of
       the input columns (one run over the whole layer by default);
-    * ``weights`` and ``train_mask`` are exactly 0.0 past each run's
-      prefix (a structurally absent edge holds no weight and never
-      trains);
-    * no weight or bias of a row before ``train_from`` trains.
-
-    Masks are float64 arrays holding exactly 0.0 or 1.0 so they can be
-    multiplied straight into gradients.
+    * ``weights`` are exactly 0.0 past each run's prefix (a structurally
+      absent edge holds no weight and never trains);
+    * ``overlay`` is None or a ``LayerGrads`` of 0/1 arrays shaped like
+      the weights and bias, 0.0 past each run's prefix; a 0.0 freezes
+      that weight or bias.
     """
 
-    def __init__(self, weights, bias, runs=None, train_mask=None,
-                 bias_train_mask=None, activation=IDENTITY):
+    def __init__(self, weights, bias, runs=None, overlay=None, activation=IDENTITY):
         self.weights = _as_float_matrix(weights, "weights")
         fan_out, fan_in = self.weights.shape
         self.bias = np.ascontiguousarray(bias, dtype=np.float64)
@@ -137,12 +141,7 @@ class MaskedLayer:
             raise DimensionError(
                 f"bias shape {self.bias.shape} does not match fan_out {fan_out}")
         self.runs = [(0, fan_out, fan_in)] if runs is None else list(runs)
-        if train_mask is None:
-            train_mask = self.conn_mask
-        self.train_mask = _as_float_matrix(train_mask, "train_mask")
-        if bias_train_mask is None:
-            bias_train_mask = np.ones(fan_out)
-        self.bias_train_mask = np.ascontiguousarray(bias_train_mask, dtype=np.float64)
+        self.overlay = overlay
         self.activation = activation
         self.train_from = 0
         self.validate()
@@ -158,19 +157,23 @@ class MaskedLayer:
     @property
     def conn_mask(self):
         """Dense 0/1 view of ``runs``: 1.0 where an edge exists."""
-        mask = np.zeros(self.weights.shape)
-        for r0, r1, c1 in self.runs:
-            mask[r0:r1, :c1] = 1.0
-        return mask
+        return run_mask(self.runs, self.weights.shape)
+
+    @property
+    def train_mask(self):
+        """Dense 0/1 view of the weights that train (runs, ``train_from``, overlay)."""
+        mask = self.conn_mask
+        mask[:self.train_from] = 0.0
+        return mask if self.overlay is None else mask * self.overlay.weights
 
     def validate(self):
-        for name, shape in (("train_mask", self.weights.shape),
-                            ("bias_train_mask", self.bias.shape)):
-            m = getattr(self, name)
-            if m.shape != shape:
-                raise DimensionError(f"{name} shape {m.shape} != {shape}")
-            if not np.all((m == 0.0) | (m == 1.0)):
-                raise MaskError(f"{name} entries must be exactly 0 or 1")
+        if self.overlay is not None:
+            for m, shape in ((self.overlay.weights, self.weights.shape),
+                             (self.overlay.bias, self.bias.shape)):
+                if m.shape != shape:
+                    raise DimensionError(f"overlay shape {m.shape} != {shape}")
+                if not np.all((m == 0.0) | (m == 1.0)):
+                    raise MaskError("overlay entries must be exactly 0 or 1")
         ends = [0] + [r1 for _, r1, _ in self.runs]
         if [r0 for r0, _, _ in self.runs] != ends[:-1] or ends[-1] != self.fan_out \
                 or any(r1 < r0 or not 0 <= c1 <= self.fan_in for r0, r1, c1 in self.runs):
@@ -179,11 +182,8 @@ class MaskedLayer:
         for r0, r1, c1 in self.runs:
             if np.any(self.weights[r0:r1, c1:]):
                 raise MaskError("nonzero weight at a structurally masked position")
-            if np.any(self.train_mask[r0:r1, c1:]):
+            if self.overlay is not None and np.any(self.overlay.weights[r0:r1, c1:]):
                 raise MaskError("trainable weight at a structurally masked position")
-        o = self.train_from
-        if np.any(self.train_mask[:o]) or np.any(self.bias_train_mask[:o]):
-            raise MaskError(f"trainable parameter before first trainable row {o}")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise NonFiniteError("layer parameters contain NaN/Inf")
 
@@ -274,7 +274,7 @@ def bce_loss(logits, labels):
 
 @dataclass
 class LayerGrads:
-    """Gradient (or velocity) arrays matching one layer's parameters."""
+    """Arrays shaped like one layer's parameters: gradients, velocity or overlay."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -306,8 +306,8 @@ def backward_truncated(layers, trace, targets, selected_outputs):
     The loss is the mean binary cross-entropy of ``sigmoid`` over the
     final post-activations at ``selected_outputs`` only; gradient enters
     the network at exactly those output nodes. Returned gradients are
-    zeroed wherever a layer's trainability mask is 0 (which covers all
-    structural zeros as well).
+    exactly zero past each run's prefix (at every structural zero), and
+    wherever a layer's overlay, when it has one, is 0.
 
     Gradients cover each layer's rows from ``train_from`` on only. The
     rows before it are frozen and, by the edge rule, see no input
@@ -344,8 +344,12 @@ def backward_truncated(layers, trace, targets, selected_outputs):
         o = layer.train_from
         d_w = delta.T @ trace.layer_input(i)
         d_b = delta.sum(axis=0)
-        d_w *= layer.train_mask[o:]
-        d_b *= layer.bias_train_mask[o:]
+        for r0, r1, c1 in layer.runs:
+            if r1 > o:
+                d_w[max(r0, o) - o:r1 - o, c1:] = 0.0
+        if layer.overlay is not None:
+            d_w *= layer.overlay.weights[o:]
+            d_b *= layer.overlay.bias[o:]
         grads[i] = LayerGrads(d_w, d_b)
         if i > 0:
             below = layers[i - 1]
@@ -375,15 +379,14 @@ def pad_velocity(velocity, layers):
 
 
 def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
-    """One SGD-with-momentum update obeying both masks, all or nothing.
+    """One SGD-with-momentum update of the trainable rows, all or nothing.
 
-    Weights move only where the trainability mask is 1; velocity at
-    frozen positions is forced to exactly 0 so a freshly frozen weight
-    carries no residual momentum. Structural zeros are untouched because
-    the trainability mask is 0 past every run's prefix. Only each
-    layer's rows from ``train_from`` on are read or written, velocity
-    included, and ``grads`` hold exactly those rows (as
-    ``backward_truncated`` returns them). Every new velocity and
+    Only each layer's rows from ``train_from`` on are read or written,
+    velocity included, and ``grads`` hold exactly those rows, zero past
+    every run's prefix (as ``backward_truncated`` returns them), so
+    structural zeros stay 0.0. Where a layer's overlay is 0, weights do
+    not move and velocity is forced to exactly 0, so a freshly frozen
+    weight carries no residual momentum. Every new velocity and
     parameter is computed and checked before any is stored, so a
     ``NonFiniteError`` leaves layers and velocity as they were.
     """
@@ -398,10 +401,11 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
             raise DimensionError("gradient shape does not match layer")
         v_w = v.weights[o:] * momentum
         v_w += g.weights
-        v_w *= layer.train_mask[o:]
         v_b = v.bias[o:] * momentum
         v_b += g.bias
-        v_b *= layer.bias_train_mask[o:]
+        if layer.overlay is not None:
+            v_w *= layer.overlay.weights[o:]
+            v_b *= layer.overlay.bias[o:]
         # w + (-lr * v) rounds exactly as w - lr * v, with one temporary less
         w = v_w * -learning_rate
         w += layer.weights[o:]
@@ -454,7 +458,7 @@ def _random_masked_net(dims, rng, zero_prob, freeze_prob):
         b = rng.normal(0.0, 0.1, size=fan_out)
         b_train = (rng.random(fan_out) >= freeze_prob).astype(np.float64)
         act = IDENTITY if i == len(dims) - 1 else leaky_relu()
-        layers.append(MaskedLayer(w, b, train_mask=train, bias_train_mask=b_train,
+        layers.append(MaskedLayer(w, b, overlay=LayerGrads(train, b_train),
                                   activation=act))
     return layers
 
@@ -491,8 +495,8 @@ def gradcheck(layer_dims, seed=0, batch=3, zero_prob=0.0, freeze_prob=0.0,
     checked = frozen_checked = frozen_nonzero = 0
     for layer, g in zip(layers, grads):
         for arr, garr, mask in (
-                (layer.weights, g.weights, layer.train_mask),
-                (layer.bias, g.bias, layer.bias_train_mask)):
+                (layer.weights, g.weights, layer.overlay.weights),
+                (layer.bias, g.bias, layer.overlay.bias)):
             flat = arr.reshape(-1)
             gflat = garr.reshape(-1)
             mflat = mask.reshape(-1)

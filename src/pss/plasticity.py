@@ -21,9 +21,10 @@ as long as the old generations themselves are frozen.
 
 The tags are the only stored structure. Because tags never decrease
 along a layer, each generation run of a layer's rows sees exactly a
-prefix of its input columns: one ``(r0, r1, c1)`` run per generation.
-``PlasticNetwork.set_structural_freeze`` derives every layer's runs and
-trainability masks from (tags, task, freeze scope, magnitude-freeze
+prefix of its input columns: one ``(r0, r1, c1)`` run per generation,
+and the rows that train are the trailing ones from ``train_from`` on.
+``PlasticNetwork.set_structural_freeze`` derives both, and the overlay
+of a magnitude freeze, from (tags, task, freeze scope, magnitude-freeze
 set); it runs after every change of structure, task or scope.
 
 Thresholds escalate as a task ages: the effective threshold for layer
@@ -40,11 +41,13 @@ from .numerics import (
     DEFAULT_LEAKY_SLOPE,
     IDENTITY,
     DimensionError,
+    LayerGrads,
     MaskedLayer,
     MaskError,
     forward,
     he_normal,
     leaky_relu,
+    run_mask,
 )
 
 
@@ -152,7 +155,7 @@ class PlasticNetwork:
     ``layers`` holds the hidden layers followed by one output layer.
     The output layer starts empty and gains one node per task via
     ``grow_output``. The generation tags are the structural state;
-    the layers' runs and masks are derived from them
+    the layers' runs, ``train_from`` and overlays are derived from them
     (``set_structural_freeze``). The training loop drives the network
     from outside.
     """
@@ -221,7 +224,8 @@ class PlasticNetwork:
 
     def parameter_count(self):
         """Structurally present weights plus biases."""
-        return sum(int(l.conn_mask.sum()) + l.fan_out for l in self.layers)
+        return sum(sum((r1 - r0) * c1 for r0, r1, c1 in l.runs) + l.fan_out
+                   for l in self.layers)
 
     def current_output_index(self):
         """Index of the output node belonging to the current task."""
@@ -396,8 +400,8 @@ class PlasticNetwork:
         Thresholds come from the schedule state at call time; the
         comparison is strict, so drift exactly at the threshold does not
         split. If anything split, every hidden layer is topped up with
-        a support filler and the freeze masks are rebuilt for the
-        current scope.
+        a support filler; each appended neuron has already derived the
+        layers' structure again.
         """
         if self.schedule is None:
             raise ValueError("no drift schedule; call attach_schedule first")
@@ -413,7 +417,6 @@ class PlasticNetwork:
                     report.drifts.append(float(drifts[l][i]))
         if report.total_splits:
             report.fillers = self.ensure_support_path()
-            self.set_structural_freeze(self.freeze_scope)
         return report
 
     # -- schedule ------------------------------------------------------------
@@ -425,10 +428,10 @@ class PlasticNetwork:
     # -- freezing ------------------------------------------------------------
 
     def set_structural_freeze(self, scope):
-        """Enter ``scope`` and derive every layer's runs and masks from the tags.
+        """Enter ``scope``; derive each layer's runs, ``train_from`` and overlay.
 
-        The only writer of layer runs and masks; it runs after every
-        change of structure, task or scope. Each layer gets one
+        The only writer of them; it runs after every change of
+        structure, task or scope. Each layer gets one
         ``(r0, r1, c1)`` run per generation run of its rows, where ``c1``
         counts the source units of the rows' generation or older (a
         prefix, since tags never decrease; every feature for layer 0).
@@ -442,10 +445,11 @@ class PlasticNetwork:
         train, which (with the masked topology) keeps earlier tasks'
         logits bit-identical through further training.
 
-        Magnitude-frozen positions (``freeze_small_weights``) never train.
         Each layer's ``train_from`` is its first trainable row: the start
         of the current generation's run under ``pss_only`` (``fan_out``
-        when there is none), 0 under ``full_truncated``.
+        when there is none), 0 under ``full_truncated``. The overlay,
+        the only dense array built here, freezes magnitude-frozen
+        positions (``freeze_small_weights``) and is None without them.
         """
         if scope not in FREEZE_SCOPES:
             raise ValueError(f"unknown freeze scope {scope!r}")
@@ -454,13 +458,13 @@ class PlasticNetwork:
         for i, (layer, gens) in enumerate(zip(self.layers, tags)):
             layer.runs = [(r0, r1, bisect_right(tags[i - 1], gens[r0])
                            if i else layer.fan_in) for r0, r1 in generation_runs(gens)]
-            live = (np.asarray(gens) == self.task) | (scope != "pss_only")
-            layer.train_mask = layer.conn_mask * live[:, None]
+            layer.train_from = bisect_left(gens, self.task) if scope == "pss_only" else 0
+            layer.overlay = None
             if self._small_frozen is not None:
                 small = self._small_frozen[i]
-                layer.train_mask[:small.shape[0], :small.shape[1]][small] = 0.0
-            layer.bias_train_mask = live.astype(np.float64)
-            layer.train_from = bisect_left(gens, self.task) if scope == "pss_only" else 0
+                keep = run_mask(layer.runs, layer.weights.shape)
+                keep[:small.shape[0], :small.shape[1]][small] = 0.0
+                layer.overlay = LayerGrads(keep, np.ones(layer.fan_out))
 
     def freeze_small_weights(self, threshold):
         """Freeze weights with ``|w| < threshold`` for the rest of the task.
@@ -473,7 +477,8 @@ class PlasticNetwork:
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
         self._small_frozen = [
-            (np.abs(layer.weights) < threshold) & (layer.conn_mask == 1.0)
+            (np.abs(layer.weights) < threshold)
+            & (run_mask(layer.runs, layer.weights.shape) == 1.0)
             for layer in self.layers]
         self.set_structural_freeze(self.freeze_scope)
         return sum(int(m.sum()) for m in self._small_frozen)
@@ -484,7 +489,7 @@ class PlasticNetwork:
         """Audit every structural invariant; return violation strings:
         output tags are ``0..task``, each layer has one non-decreasing tag
         per unit and one input per unit of the layer below, and valid
-        parameters and masks (``MaskedLayer.validate``)."""
+        parameters, runs and overlays (``MaskedLayer.validate``)."""
         problems = []
         if self.output_gens != list(range(self.task + 1)):
             problems.append(f"output tags {self.output_gens} are not 0..{self.task}")

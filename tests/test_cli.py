@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from pss.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, RunConfig, main
+from pss.data import save_idx
 
 STREAM = ["--preset", "synthetic", "--train-size", "240", "--test-size", "120",
           "--tasks", "3", "--test-count", "120"]
@@ -91,6 +93,24 @@ class TestTrain:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and flags[0] in err
+
+    def test_pool_without_a_task_class_is_config_error(self, tmp_path, capsys):
+        """Two pool images cannot hold three classes; the corpus can."""
+        code = main(["train", *FAST, "--out", str(tmp_path / "x"), "--test-count", "2"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "pool of 2 test images" in err
+
+    def test_test_set_without_a_task_class_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for split, labels in (("train", np.arange(60) % 3), ("t10k", np.arange(60) % 2)):
+            save_idx(tmp_path / f"{split}-images-idx3-ubyte",
+                     tmp_path / f"{split}-labels-idx1-ubyte",
+                     rng.integers(0, 256, size=(60, 4, 4), dtype=np.uint8), labels)
+        code = main(["train", "--preset", "mnist", "--data-dir", str(tmp_path),
+                     "--tasks", "3", "--out", str(tmp_path / "x")])
+        assert code == EXIT_DATA
+        assert "test data lacks classes [2]" in capsys.readouterr().err
 
     def test_bad_sigma_text_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

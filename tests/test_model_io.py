@@ -83,7 +83,8 @@ class TestSaveLoad:
             assert a.weights.tobytes() == b.weights.tobytes()
             assert np.array_equal(a.conn_mask, b.conn_mask)
             assert np.array_equal(a.train_mask, b.train_mask)
-            assert np.array_equal(a.bias_train_mask, b.bias_train_mask)
+            assert a.train_from == b.train_from           # which biases train
+            assert a.overlay is None and b.overlay is None
             assert a.activation == b.activation
         assert back.hidden_gens == net.hidden_gens
         assert back.output_gens == net.output_gens

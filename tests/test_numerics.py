@@ -7,6 +7,7 @@ from pss.numerics import (
     IDENTITY,
     Activation,
     DimensionError,
+    LayerGrads,
     MaskedLayer,
     MaskError,
     NonFiniteError,
@@ -104,25 +105,35 @@ class TestMaskedLayer:
             MaskedLayer(np.array([[1.0, 3.0], [0.0, 2.0]]), np.zeros(2), runs)
         # trainable where no edge exists
         with pytest.raises(MaskError, match="trainable weight"):
-            MaskedLayer(w, np.zeros(2), runs, train_mask=np.ones((2, 2)))
+            MaskedLayer(w, np.zeros(2), runs, LayerGrads(np.ones((2, 2)), np.ones(2)))
         with pytest.raises(MaskError, match="exactly 0 or 1"):
-            MaskedLayer(w, np.zeros(2), runs, train_mask=layer.conn_mask * 0.5)
+            MaskedLayer(w, np.zeros(2), runs,
+                        LayerGrads(layer.conn_mask * 0.5, np.ones(2)))
+        with pytest.raises(MaskError, match="exactly 0 or 1"):
+            MaskedLayer(w, np.zeros(2), runs, LayerGrads(layer.conn_mask, np.full(2, 2.0)))
         with pytest.raises(DimensionError):
             MaskedLayer(w, np.zeros(3), runs)
+        with pytest.raises(DimensionError, match="overlay shape"):
+            MaskedLayer(w, np.zeros(2), runs, LayerGrads(np.ones((2, 1)), np.ones(2)))
+        with pytest.raises(DimensionError, match="overlay shape"):
+            MaskedLayer(w, np.zeros(2), runs, LayerGrads(layer.conn_mask, np.ones(3)))
         # runs must tile the rows in order, each within the fan-in
         for bad in ([(0, 1, 1)], [(0, 1, 1), (0, 2, 2)], [(0, 2, 3)],
                     [(0, 1, 1), (2, 2, 2)]):
             with pytest.raises(MaskError, match="run"):
                 MaskedLayer(w, np.zeros(2), bad)
-        # nothing before the first trainable row may train
+        # nothing before the first trainable row trains, overlay or not
         layer.train_from = 1
-        with pytest.raises(MaskError, match="before first trainable row 1"):
-            layer.validate()
-        layer.train_mask[0] = 0.0
-        with pytest.raises(MaskError, match="before first trainable row 1"):
-            layer.validate()
-        layer.bias_train_mask[0] = 0.0
         layer.validate()
+        np.testing.assert_array_equal(layer.train_mask, [[0.0, 0.0], [1.0, 1.0]])
+        layer.overlay = LayerGrads(layer.conn_mask, np.ones(2))
+        layer.validate()
+        np.testing.assert_array_equal(layer.train_mask, [[0.0, 0.0], [1.0, 1.0]])
+        layer.overlay.weights[1, 0] = 0.0
+        np.testing.assert_array_equal(layer.train_mask, [[0.0, 0.0], [0.0, 1.0]])
+        # the views are derived, not stored
+        with pytest.raises(AttributeError):
+            layer.train_mask = np.zeros((2, 2))
 
     def test_affine_matches_direct_product(self):
         rng = np.random.default_rng(7)
@@ -245,7 +256,7 @@ class TestBackwardTruncated:
         keep1 = (rng.random((5, 4)) >= 0.3).astype(float)
         train1 = keep1 * (rng.random((5, 4)) >= 0.3)
         l1 = MaskedLayer(he_normal(5, 4, rng) * keep1, rng.standard_normal(5) * 0.1,
-                         train_mask=train1, activation=leaky_relu())
+                         overlay=LayerGrads(train1, np.ones(5)), activation=leaky_relu())
         # output rows 0:2 see hidden units :3, row 2 sees all five
         runs2 = [(0, 2, 3), (2, 3, 5)]
         w2 = he_normal(3, 5, rng)
@@ -257,9 +268,10 @@ class TestBackwardTruncated:
         sel = [0, 2]
         grads = backward_truncated(layers, forward(layers, x), y, sel)
         fd = finite_diff_grads(layers, x, y, sel)
+        assert np.all(l1.overlay.bias == 1.0) and l2.overlay is None  # every bias trains
         for layer, g, (fw, fb) in zip(layers, grads, fd):
             np.testing.assert_allclose(g.weights, fw * layer.train_mask, atol=2e-9)
-            np.testing.assert_allclose(g.bias, fb * layer.bias_train_mask, atol=2e-9)
+            np.testing.assert_allclose(g.bias, fb, atol=2e-9)
         assert np.all(fd[1][0][:2, 3:] == 0.0)      # no edge, no dependence
         assert np.all(grads[1].weights[:2, 3:] == 0.0)
         assert np.all(grads[0].weights[keep1 == 0.0] == 0.0)
@@ -268,7 +280,7 @@ class TestBackwardTruncated:
         rng = np.random.default_rng(5)
         train = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
         layer = MaskedLayer(rng.standard_normal((3, 3)), rng.standard_normal(3),
-                            train_mask=train, bias_train_mask=np.array([1.0, 0.0, 1.0]))
+                            overlay=LayerGrads(train, np.array([1.0, 0.0, 1.0])))
         x = rng.standard_normal((4, 3))
         g = backward_truncated([layer], forward([layer], x),
                                rng.integers(0, 2, size=(4, 3)).astype(float),
@@ -276,14 +288,32 @@ class TestBackwardTruncated:
         assert np.all(g.weights[train == 0.0] == 0.0)
         assert g.bias[1] == 0.0
 
+    def test_trainable_rows_zero_past_each_prefix(self):
+        """With ``train_from`` inside a run, the returned rows are the
+        dense gradient's rows, zero past every run's prefix."""
+        rng = np.random.default_rng(23)
+        runs = [(0, 2, 1), (2, 3, 2), (3, 4, 3)]
+        w = rng.standard_normal((4, 3))
+        w[:2, 1:] = 0.0
+        w[2, 2:] = 0.0
+        layer = MaskedLayer(w, rng.standard_normal(4), runs)
+        x = rng.standard_normal((5, 3))
+        y = rng.integers(0, 2, size=(5, 4)).astype(float)
+        dense = backward_truncated([layer], forward([layer], x), y, [0, 1, 2, 3])[0]
+        assert np.all(dense.weights[:2, 1:] == 0.0) and np.all(dense.weights[2, 2:] == 0.0)
+        assert np.all(dense.weights[3] != 0.0)
+        layer.train_from = 1
+        g = backward_truncated([layer], forward([layer], x), y, [0, 1, 2, 3])[0]
+        assert g.weights.tobytes() == dense.weights[1:].tobytes()
+        assert g.bias.tobytes() == dense.bias[1:].tobytes()
+
     def test_gradient_flows_through_frozen_weights(self):
         """Freezing stops updates to a weight, not signal through it."""
         rng = np.random.default_rng(11)
         l1 = MaskedLayer(rng.standard_normal((4, 3)), np.zeros(4),
                          activation=leaky_relu())
         l2 = MaskedLayer(rng.standard_normal((2, 4)), np.zeros(2),
-                         train_mask=np.zeros((2, 4)),
-                         bias_train_mask=np.zeros(2))
+                         overlay=LayerGrads(np.zeros((2, 4)), np.zeros(2)))
         x = rng.standard_normal((5, 3))
         y = rng.integers(0, 2, size=(5, 2)).astype(float)
         grads = backward_truncated([l1, l2], forward([l1, l2], x), y, [0, 1])
@@ -308,7 +338,6 @@ class TestSgdStep:
         layer = MaskedLayer(np.array([[1.0]]), np.array([0.0]))
         g1 = np.array([[0.5]])
         g2 = np.array([[-0.25]])
-        from pss.numerics import LayerGrads
         vel = sgd_step([layer], [LayerGrads(g1, np.zeros(1))], 0.1, 0.9)
         assert layer.weights[0, 0] == 1.0 - 0.1 * 0.5
         vel = sgd_step([layer], [LayerGrads(g2, np.zeros(1))], 0.1, 0.9, vel)
@@ -321,9 +350,8 @@ class TestSgdStep:
         train = np.zeros((3, 3))
         train[0, 0] = 1.0
         w = rng.standard_normal((3, 3))
-        layer = MaskedLayer(w.copy(), np.zeros(3), train_mask=train,
-                            bias_train_mask=np.zeros(3))
-        from pss.numerics import LayerGrads
+        layer = MaskedLayer(w.copy(), np.zeros(3),
+                            overlay=LayerGrads(train, np.zeros(3)))
         vel = init_velocity([layer])
         vel[0].weights[:] = rng.standard_normal((3, 3))  # stale momentum
         g = LayerGrads(rng.standard_normal((3, 3)), rng.standard_normal(3))
@@ -339,7 +367,6 @@ class TestSgdStep:
         runs = [(0, 1, 1), (1, 3, 2), (3, 4, 4)]
         conn = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1.0]])
         layer = MaskedLayer(rng.standard_normal((4, 4)) * conn, np.zeros(4), runs)
-        from pss.numerics import LayerGrads
         vel = None
         for _ in range(5):
             g = LayerGrads(rng.standard_normal((4, 4)), rng.standard_normal(4))
@@ -352,7 +379,6 @@ class TestSgdStep:
         rng = np.random.default_rng(19)
         layers = [MaskedLayer(rng.standard_normal((3, 4)), rng.standard_normal(3)),
                   MaskedLayer(rng.standard_normal((2, 3)), rng.standard_normal(2))]
-        from pss.numerics import LayerGrads
         vel = [LayerGrads(rng.standard_normal(l.weights.shape),
                           rng.standard_normal(l.bias.shape)) for l in layers]
         grads = [LayerGrads(rng.standard_normal(l.weights.shape),

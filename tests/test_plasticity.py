@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from pss.numerics import MaskedLayer, backward_truncated, sgd_step
+from pss.numerics import LayerGrads, MaskedLayer, backward_truncated, sgd_step
 from pss.plasticity import (
     DriftSchedule,
     PlasticNetwork,
@@ -340,17 +340,20 @@ class TestFreezeScopes:
         net.ensure_support_path()
         net.set_structural_freeze("pss_only")
         l0, l1 = net.hidden_layers
+        # a bias trains iff its row is from train_from on (no overlay)
         for l, gens in ((l0, net.hidden_gens[0]), (l1, net.hidden_gens[1])):
+            assert l.overlay is None
             for i, g in enumerate(gens):
                 if g == 1:
                     assert np.array_equal(l.train_mask[i], l.conn_mask[i])
-                    assert l.bias_train_mask[i] == 1.0
+                    assert i >= l.train_from
                 else:
                     assert np.all(l.train_mask[i] == 0.0)
-                    assert l.bias_train_mask[i] == 0.0
+                    assert i < l.train_from
         out = net.output_layer
-        assert np.all(out.train_mask[0] == 0.0) and out.bias_train_mask[0] == 0.0
-        assert np.all(out.train_mask[1] == 1.0) and out.bias_train_mask[1] == 1.0
+        assert out.overlay is None and out.train_from == 1
+        assert np.all(out.train_mask[0] == 0.0)
+        assert np.all(out.train_mask[1] == 1.0)
 
     def test_full_truncated_trains_everything_present(self):
         net = open_task(fresh_net(), 0)
@@ -358,7 +361,7 @@ class TestFreezeScopes:
         net.set_structural_freeze("full_truncated")
         for layer in net.layers:
             assert np.array_equal(layer.train_mask, layer.conn_mask)
-            assert np.all(layer.bias_train_mask == 1.0)
+            assert layer.train_from == 0 and layer.overlay is None  # every bias trains
 
     def test_unknown_scope_rejected(self):
         net = fresh_net()
@@ -410,8 +413,10 @@ class TestDerivedStructure:
             net.hidden_gens, net.output_gens, task=net.task, freeze_scope=scope)
         assert any((l.conn_mask == 0.0).any() for l in net.layers)
         for a, b in zip(net.layers, rebuilt.layers):
-            for name in ("conn_mask", "train_mask", "bias_train_mask"):
+            for name in ("conn_mask", "train_mask"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert a.train_from == b.train_from           # which biases train
+            assert a.overlay is None and b.overlay is None
         assert [l.runs for l in rebuilt.layers] == [l.runs for l in net.layers]
         assert rebuilt.check_masks() == []
 
@@ -453,7 +458,11 @@ class TestCheckMasks:
         net.take_snapshot()
         net.hidden_layers[0].weights[0] += 1.0
         _, tag = net.split_neuron(0, 0)
-        net.hidden_layers[1].train_mask[0, tag.index] = 1.0  # forbidden edge opened
+        l1 = net.hidden_layers[1]
+        assert l1.train_mask[0, tag.index] == 0.0           # no edge, so no training
+        keep = LayerGrads(l1.conn_mask, np.ones(l1.fan_out))
+        keep.weights[0, tag.index] = 1.0                    # forbidden edge opened
+        l1.overlay = keep
         assert net.check_masks() == [
             "layer 1: trainable weight at a structurally masked position"]
 
@@ -461,7 +470,6 @@ class TestCheckMasks:
         net = open_task(fresh_net(), 0)
         l1 = net.hidden_layers[1]
         l1.weights = l1.weights[:, :-1].copy()
-        l1.train_mask = l1.train_mask[:, :-1].copy()
         l1.runs = [(0, 3, 3)]
         assert net.check_masks() == ["layer 1: fan-in 3 for 4 units below"]
 
@@ -475,7 +483,6 @@ class TestCheckMasks:
         out = net.output_layer
         assert out.weights[0, -1] != 0.0
         out.runs = [(0, 1, out.fan_in - 1)]                 # live edge severed
-        out.train_mask[0, -1] = 0.0
         assert net.check_masks() == [
             "output layer: nonzero weight at a structurally masked position"]
         out.runs = []                                       # row left uncovered
@@ -556,3 +563,10 @@ class TestParameterCount:
         assert net.parameter_count() == 4 + 2 + 2 + 1
         net.grow_output(1)
         assert net.parameter_count() == 4 + 2 + 4 + 2
+
+    @pytest.mark.parametrize("scope", ["full_truncated", "pss_only"])
+    def test_split_network_counts_its_edges(self, scope):
+        net = TestDerivedStructure.split_net(scope)
+        assert any((l.conn_mask == 0.0).any() for l in net.layers)
+        assert net.parameter_count() == sum(int(l.conn_mask.sum()) + l.fan_out
+                                            for l in net.layers)

@@ -3,10 +3,12 @@
 Under ``pss_only`` a training step computes only each layer's rows from
 ``train_from`` on: frozen rows come from a cache, backward and SGD skip
 them. Here every such step is replayed on a dense copy of the network
-(every ``train_from`` set to 0, no cache), which runs the dense
-``forward``, ``backward_truncated`` and ``sgd_step``. Activations,
-gradients, parameters and velocity must agree to 1e-12 relative, and
-frozen parameters and earlier tasks' logits must not change by a bit.
+(every ``train_from`` set to 0, no cache, the rows before it frozen by
+an overlay instead), which runs the dense ``forward``,
+``backward_truncated`` and ``sgd_step`` with the mask arithmetic.
+Activations, gradients, parameters and velocity must agree to 1e-12
+relative, and frozen parameters and earlier tasks' logits must not
+change by a bit.
 """
 
 import copy
@@ -16,7 +18,13 @@ import pytest
 
 from pss import trainer
 from pss.data import TaskDataset
-from pss.numerics import backward_truncated, forward, init_velocity, sgd_step
+from pss.numerics import (
+    LayerGrads,
+    backward_truncated,
+    forward,
+    init_velocity,
+    sgd_step,
+)
 from pss.plasticity import PlasticNetwork
 from pss.trainer import TrainerConfig, rng_for, train_task
 
@@ -32,9 +40,16 @@ def assert_close(got, want):
 
 
 def dense_copy(layers):
+    """Copies that train from row 0, with the rows before each
+    ``train_from`` frozen through the overlay (merged into a magnitude
+    overlay when there is one)."""
     dense = copy.deepcopy(layers)
     for layer in dense:
-        layer.train_from = 0
+        keep = layer.overlay or LayerGrads(layer.conn_mask, np.ones(layer.fan_out))
+        keep.weights[:layer.train_from] = 0.0
+        keep.bias[:layer.train_from] = 0.0
+        layer.overlay, layer.train_from = keep, 0
+        layer.validate()
     return dense
 
 

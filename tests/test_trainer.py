@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pss.data import build_task_stream, synthetic_digits
+from pss.numerics import MaskedLayer
 from pss.plasticity import PlasticNetwork
 from pss.trainer import (
     TrainerConfig,
@@ -196,6 +197,31 @@ class TestHybridScope:
         l0 = net.hidden_layers[0]
         gen0 = [i for i, g in enumerate(net.hidden_gens[0]) if g == 0]
         assert np.all(l0.train_mask[gen0] == 0.0)
+
+
+class TestNoDenseViews:
+    """Trainability is runs, ``train_from`` and an overlay; training never
+    builds the dense ``conn_mask`` or ``train_mask`` views."""
+
+    @pytest.mark.parametrize("scope", ["hybrid", "pss_only", "full_truncated", "baseline"])
+    def test_training_reads_no_dense_view(self, scope, monkeypatch):
+        def refuse(layer):
+            raise AssertionError("a dense view was read")
+        for name in ("conn_mask", "train_mask"):
+            monkeypatch.setattr(MaskedLayer, name, property(refuse))
+        if scope == "baseline":
+            net, report = run_baseline_finetune(small_stream(), TrainerConfig(**SMALL))
+        else:
+            net, report = run_lifelong(small_stream(),
+                                       TrainerConfig(**SMALL, freeze_scope=scope))
+        assert len(report.accuracy_matrix) == 3
+        # old neurons drift only where they train: not under pss_only,
+        # and the baseline never splits
+        assert (sum(report.split_counts) > 0) == (scope in ("hybrid", "full_truncated"))
+        for layer in net.layers:
+            assert layer.overlay is None
+            arrays = {k for k, v in vars(layer).items() if isinstance(v, np.ndarray)}
+            assert arrays == {"weights", "bias"}
 
 
 class TestEvaluateBoundary:
