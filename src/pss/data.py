@@ -185,18 +185,27 @@ def synthetic_digits(n_train, n_test, seed, n_classes=10, pixels=784):
 
 @dataclass
 class TaskDataset:
-    """Binary training or test set for one one-vs-rest task."""
+    """Binary training or test set for one one-vs-rest task.
+
+    ``rows``, when given, holds each example's index in the images it
+    was drawn from; for a test set those are multiclass pool rows.
+    """
 
     x: np.ndarray
     y: np.ndarray
     task: int
     positive_class: int
+    rows: np.ndarray = None
 
     def __post_init__(self):
         self.x = np.ascontiguousarray(self.x, dtype=np.float64)
         self.y = np.ascontiguousarray(self.y, dtype=np.float64)
         if self.x.ndim != 2 or self.y.shape != (len(self.x),):
             raise DataFormatError("task data must be (n, d) with n labels")
+        if self.rows is not None:
+            self.rows = np.asarray(self.rows)
+            if self.rows.dtype.kind not in "iu" or self.rows.shape != (len(self.x),):
+                raise DataFormatError("rows must be one integer index per example")
         if len(self.y) and not np.all((self.y == 0.0) | (self.y == 1.0)):
             raise DataFormatError("task labels must be 0 or 1")
 
@@ -220,6 +229,12 @@ class TaskStream:
     pool_x: np.ndarray
     pool_y: np.ndarray
 
+    def __post_init__(self):
+        for task in self.tasks:
+            rows = task.test.rows
+            if rows is None or np.any((rows < 0) | (rows >= len(self.pool_x))):
+                raise DataFormatError(f"task {task.index}: test rows must index the pool")
+
     def __len__(self):
         return len(self.tasks)
 
@@ -240,7 +255,8 @@ def _binary_set(images, labels, cls, rng, task, cap=None):
     idx = np.concatenate([pos, neg])
     y = np.concatenate([np.ones(len(pos)), np.zeros(n_neg)])
     order = rng.permutation(len(idx))
-    return TaskDataset(images[idx[order]], y[order], task, cls)
+    rows = idx[order]
+    return TaskDataset(images[rows], y[order], task, cls, rows)
 
 
 def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
@@ -253,8 +269,9 @@ def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
     a cap is given) and its negatives as many images sampled from the
     other classes. Binary test sets are balanced the same way and come
     from the multiclass pool, which is the first ``test_count`` images
-    of ``test``. All sampling comes from one seed and is reproducible
-    byte for byte. Data lacking a task's class raises ``DataFormatError``;
+    of ``test``; each test set's ``rows`` are its images' pool rows, so
+    one forward pass over the pool scores every task. All sampling
+    comes from one seed and is reproducible byte for byte. Data lacking a task's class raises ``DataFormatError``;
     a pool too small to hold one raises ``ValueError`` (raise ``test_count``).
     """
     if n_tasks < 1:

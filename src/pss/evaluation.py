@@ -3,7 +3,9 @@
 The central record is the lower-triangular accuracy matrix: row ``t``
 holds the binary test accuracy of every task ``j <= t`` measured right
 after task ``t`` finished training. Average accuracy, forgetting and
-the multiclass trace all derive from it.
+the multiclass trace all derive from it. The scorers take logits, so
+a boundary forwards the multiclass pool once and reads every task's
+binary accuracy and the multiclass accuracy from those logits.
 
 Reports serialize to JSON with sorted keys and no timing information,
 so two runs from the same seed produce byte-identical files.
@@ -23,26 +25,22 @@ def binary_predictions(logits):
     return (np.asarray(logits) >= 0.0).astype(np.float64)
 
 
-def task_accuracy(net, task_data, output_index=None):
-    """Accuracy of one task's output node on its binary test set."""
-    if output_index is None:
-        output_index = task_data.task
-    logits = net.predict(task_data.x)[:, output_index]
-    return float(np.mean(binary_predictions(logits) == task_data.y))
+def task_accuracy(logits, labels):
+    """Accuracy of one output node's ``logits`` on a binary test set."""
+    return float(np.mean(binary_predictions(logits) == labels))
 
 
-def multiclass_accuracy(net, pool_x, pool_y):
+def multiclass_accuracy(logits, labels):
     """Argmax over all existing output logits against true class labels.
 
     No task identity is given at test time: the highest logit wins.
     Classes whose output node does not exist yet can never be predicted
     and simply count as errors, so mid-stream values are pessimistic.
     """
-    if net.n_outputs == 0:
+    if logits.shape[1] == 0:
         raise ValueError("network has no output nodes yet")
-    logits = net.predict(pool_x)
     preds = np.argmax(logits, axis=1)
-    return float(np.mean(preds == np.asarray(pool_y)))
+    return float(np.mean(preds == np.asarray(labels)))
 
 
 def average_accuracy(matrix, boundary=-1):

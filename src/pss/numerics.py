@@ -187,21 +187,26 @@ class MaskedLayer:
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise NonFiniteError("layer parameters contain NaN/Inf")
 
-    def affine(self, x, start=0):
-        """Compute ``x @ weights.T + bias`` for rows ``start:``, one matmul
-        per run.
+    def affine(self, x, start=0, stop=None):
+        """Compute ``x @ weights.T + bias`` for rows ``start:stop`` (to the
+        last row when ``stop`` is None), one matmul per run.
 
         Each run's rows are multiplied by the input columns they see
         only, so its results are unaffected by rows or columns appended
-        after it.
+        after it, and ``x`` may stop after the columns that the computed
+        runs see.
         """
-        if x.ndim != 2 or x.shape[1] != self.fan_in:
+        stop = self.fan_out if stop is None else stop
+        if x.ndim != 2 or x.shape[1] > self.fan_in:
             raise DimensionError(
                 f"input shape {x.shape} incompatible with fan_in {self.fan_in}")
-        z = np.empty((x.shape[0], self.fan_out - start))
+        z = np.empty((x.shape[0], stop - start))
         for r0, r1, c1 in self.runs:
-            r0 = max(r0, start)
+            r0, r1 = max(r0, start), min(r1, stop)
             if r0 < r1:
+                if c1 > x.shape[1]:
+                    raise DimensionError(
+                        f"rows {r0}:{r1} see {c1} input columns, input has {x.shape[1]}")
                 z[:, r0 - start:r1 - start] = \
                     x[:, :c1] @ self.weights[r0:r1, :c1].T + self.bias[r0:r1]
         return z

@@ -44,6 +44,7 @@ from .numerics import (
     LayerGrads,
     MaskedLayer,
     MaskError,
+    NonFiniteError,
     forward,
     he_normal,
     leaky_relu,
@@ -251,12 +252,22 @@ class PlasticNetwork:
         ``len(x) * sum(train_from) * 8`` bytes: at most 22.7 MB in
         ``pss train --preset synthetic --train-size 20000`` (the last
         task, 4000 images, 437 + 262 + 9 frozen rows).
+
+        Only those rows are computed: each layer's frozen runs, which end
+        at its ``train_from``, read the frozen rows of the layer below in
+        the same matmuls as ``forward``, so the values are bit-identical
+        to the matching columns of a full pass.
         """
         if not any(layer.train_from for layer in self.layers):
             return None
-        post = forward(self.layers, x).post
-        # copies, so the full activations are freed
-        return [a[:, :layer.train_from].copy() for a, layer in zip(post, self.layers)]
+        cache = []
+        for i, layer in enumerate(self.layers):
+            z = layer.affine(x, stop=layer.train_from)
+            if not np.all(np.isfinite(z)):
+                raise NonFiniteError(f"non-finite pre-activation at layer {i}")
+            x = layer.activation.apply(z)
+            cache.append(x)
+        return cache
 
     # -- task boundaries ---------------------------------------------------
 

@@ -24,6 +24,10 @@ cache, and backward and SGD touch the trainable rows only. A splitting
 round that splits reverts frozen rows, so the cache is rebuilt after
 it.
 
+At each task boundary the multiclass pool is forwarded once; every
+task's binary test set is a set of pool rows, so its accuracy and the
+multiclass accuracy are read from the same logits.
+
 The baseline runner trains the same architecture with splitting
 disabled and everything trainable, which is plain multi-head
 fine-tuning and forgets accordingly.
@@ -194,10 +198,16 @@ def train_task(net, task_data, config, task_index=None):
 
 
 def evaluate_boundary(net, stream, upto):
-    """Binary accuracy of every task trained so far, plus multiclass."""
-    row = [task_accuracy(net, stream.tasks[j].test, j) for j in range(upto + 1)]
-    mc = multiclass_accuracy(net, stream.pool_x, stream.pool_y)
-    return row, mc
+    """Binary accuracy of every task trained so far, plus multiclass.
+
+    Both come from one forward pass over the multiclass pool: each
+    task's test set is a set of pool rows (``TaskDataset.rows``), scored
+    on those rows' logits at the task's output node.
+    """
+    logits = net.predict(stream.pool_x)
+    row = [task_accuracy(logits[task.test.rows, j], task.test.y)
+           for j, task in enumerate(stream.tasks[:upto + 1])]
+    return row, multiclass_accuracy(logits, stream.pool_y)
 
 
 def run_lifelong(stream, config, mode="pss"):

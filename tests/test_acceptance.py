@@ -45,7 +45,8 @@ from pss.trainer import (
 
 
 def blob_stream(seed=0, train_per_task=300, test_per_task=200):
-    """Three 2-D Gaussian blob classes as a one-vs-rest task stream."""
+    """Three 2-D Gaussian blob classes as a one-vs-rest task stream;
+    each set records its rows, as ``build_task_stream`` does."""
     rng = np.random.default_rng(seed)
     centers = np.array([[3.0, 0.0], [-1.5, 2.6], [-1.5, -2.6]])
 
@@ -63,7 +64,7 @@ def blob_stream(seed=0, train_per_task=300, test_per_task=200):
             idx = np.concatenate([pos, neg])
             lab = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
             order = rng.permutation(len(idx))
-            return TaskDataset(x[idx[order]], lab[order], t, t)
+            return TaskDataset(x[idx[order]], lab[order], t, t, idx[order])
         tx, ty = draw(train_per_task)
         tasks.append(Task(index=t, positive_class=t,
                           train=binary(train_per_task, tx, ty),

@@ -12,6 +12,9 @@ from pss.data import (
     MNIST_FILES,
     DataFormatError,
     ImageDataset,
+    Task,
+    TaskDataset,
+    TaskStream,
     build_task_stream,
     find_mnist,
     load_idx,
@@ -212,6 +215,26 @@ class TestTaskStream:
             assert ta.train.x.tobytes() == tb.train.x.tobytes()
             assert ta.train.y.tobytes() == tb.train.y.tobytes()
         assert a.tasks[0].train.x.tobytes() != c.tasks[0].train.x.tobytes()
+
+    def test_test_sets_record_their_pool_rows(self):
+        stream = self.make_stream(test_count=200)
+        for t, task in enumerate(stream):
+            rows = task.test.rows
+            assert rows.dtype.kind == "i" and rows.shape == (len(task.test),)
+            assert stream.pool_x[rows].tobytes() == task.test.x.tobytes()
+            np.testing.assert_array_equal(stream.pool_y[rows] == t, task.test.y == 1.0)
+
+    @pytest.mark.parametrize("rows", [np.arange(3), np.arange(5),
+                                      np.arange(4.0), np.zeros(4, dtype=bool)])
+    def test_rows_must_be_one_integer_per_example(self, rows):
+        with pytest.raises(DataFormatError, match="rows"):
+            TaskDataset(np.zeros((4, 2)), np.zeros(4), 0, 0, rows)
+
+    @pytest.mark.parametrize("rows", [None, [0, 1, -1], [0, 1, 3]])
+    def test_stream_rejects_test_rows_outside_the_pool(self, rows):
+        test = TaskDataset(np.zeros((3, 2)), np.zeros(3), 0, 0, rows)
+        with pytest.raises(DataFormatError, match="pool"):
+            TaskStream([Task(0, 0, test, test)], np.zeros((3, 2)), np.zeros(3))
 
     def test_missing_class_rejected(self):
         train, test = synthetic_digits(60, 30, seed=4)

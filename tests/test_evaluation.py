@@ -43,8 +43,9 @@ class TestTaskAccuracy:
         data = TaskDataset(x, np.array([1.0, 0.0, 0.0, 0.0]), task=0,
                            positive_class=0)
         # logits for output 0 are the first feature: predictions 1,0,1,0
-        assert task_accuracy(net, data) == 0.75
-        assert task_accuracy(net, data, output_index=0) == 0.75
+        logits = net.predict(data.x)
+        assert task_accuracy(logits[:, data.task], data.y) == 0.75
+        assert task_accuracy(logits[:, 0], data.y) == 0.75
 
 
 class TestMulticlassAccuracy:
@@ -55,17 +56,17 @@ class TestMulticlassAccuracy:
                          [1.0, 0.0, 5.0],
                          [9.0, 0.0, 0.0]])
         y = np.array([0, 1, 2, 1])
-        assert multiclass_accuracy(net, pool, y) == 0.75
+        assert multiclass_accuracy(net.predict(pool), y) == 0.75
 
     def test_missing_output_counts_as_error(self):
         net = passthrough_net(d=3, n_outputs=2)
         pool = np.array([[0.0, 0.0, 9.0]])   # true class 2 cannot be predicted
-        assert multiclass_accuracy(net, pool, np.array([2])) == 0.0
+        assert multiclass_accuracy(net.predict(pool), np.array([2])) == 0.0
 
     def test_no_outputs_rejected(self):
         net = PlasticNetwork.new(3, [2], np.random.default_rng(0))
         with pytest.raises(ValueError):
-            multiclass_accuracy(net, np.zeros((1, 3)), np.array([0]))
+            multiclass_accuracy(net.predict(np.zeros((1, 3))), np.array([0]))
 
 
 class TestMatrixMetrics:

@@ -182,6 +182,21 @@ class TestMaskedLayer:
         with pytest.raises(DimensionError):
             layer.affine(np.ones((4, 5)))
 
+    def test_row_stop_reads_only_the_columns_its_runs_see(self):
+        rng = np.random.default_rng(10)
+        w = rng.standard_normal((9, 10))
+        w[:4, 3:] = 0.0
+        b = rng.standard_normal(9)
+        layer = MaskedLayer(w, b, runs=[(0, 4, 3), (4, 9, 10)])
+        x = rng.standard_normal((7, 10))
+        z = layer.affine(x[:, :3], stop=4)
+        assert z.tobytes() == np.ascontiguousarray(layer.affine(x)[:, :4]).tobytes()
+        assert layer.affine(x[:, :3], stop=0).shape == (7, 0)
+        # an in-range run whose prefix is wider than the input
+        for stop in (5, None):
+            with pytest.raises(DimensionError, match="see 10 input columns"):
+                layer.affine(x[:, :3], stop=stop)
+
 
 class TestForward:
     def test_identity_passthrough(self):

@@ -19,10 +19,13 @@ import pytest
 from pss import trainer
 from pss.data import TaskDataset
 from pss.numerics import (
+    IDENTITY,
     LayerGrads,
+    MaskedLayer,
     backward_truncated,
     forward,
     init_velocity,
+    leaky_relu,
     sgd_step,
 )
 from pss.plasticity import PlasticNetwork
@@ -197,6 +200,59 @@ class TestFrozenCache:
         assert [z.shape[1] for z in trace.pre] == [0, 0, 1]
         for got, want in zip(trace.post, forward(net.layers, data.x[idx]).post):
             assert_close(got, want)
+
+    @staticmethod
+    def assert_frozen_columns_of_forward(net, x, monkeypatch):
+        """The cache is byte for byte the frozen columns of a full pass,
+        and no row at or after a layer's ``train_from`` is computed."""
+        computed = []
+        affine = MaskedLayer.affine
+
+        def spy(layer, x, start=0, stop=None):
+            z = affine(layer, x, start, stop)
+            computed.append((start, z.shape[1]))
+            return z
+
+        monkeypatch.setattr(MaskedLayer, "affine", spy)
+        cache = net.frozen_activations(x)
+        monkeypatch.setattr(MaskedLayer, "affine", affine)
+        assert computed == [(0, layer.train_from) for layer in net.layers]
+        post = forward(net.layers, x).post
+        for c, a, layer in zip(cache, post, net.layers):
+            assert c.shape == (len(x), layer.train_from)
+            assert c.tobytes() == np.ascontiguousarray(a[:, :layer.train_from]).tobytes()
+
+    def test_cache_is_bitwise_after_generations_of_hybrid_growth(self, monkeypatch):
+        net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
+        config = TrainerConfig(**CONFIG)
+        tasks = odd_tasks(n_tasks=4)
+        for t, data in enumerate(tasks):
+            train_task(net, data, config, t)
+            if t:  # the task split, so it ended under pss_only
+                assert min(layer.train_from for layer in net.layers) > 0
+                for x in (data.x, tasks[0].x[:1]):
+                    self.assert_frozen_columns_of_forward(net, x, monkeypatch)
+        assert [max(g) for g in net.hidden_gens] == [3, 3]
+
+    def test_cache_with_an_empty_frozen_block(self, monkeypatch):
+        """Layer 1 holds only the current generation, so it caches no row
+        and output 0, which sees none of its columns, is its bias alone."""
+        rng = np.random.default_rng(2)
+        w_out = rng.standard_normal((2, 3))
+        w_out[0] = 0.0
+        layers = [MaskedLayer(rng.standard_normal((4, N_FEATURES)), rng.standard_normal(4),
+                              activation=leaky_relu()),
+                  MaskedLayer(rng.standard_normal((3, 4)), rng.standard_normal(3),
+                              activation=leaky_relu()),
+                  MaskedLayer(w_out, rng.standard_normal(2), activation=IDENTITY)]
+        net = PlasticNetwork(layers, [[0, 0, 1, 1], [1, 1, 1]], [0, 1], task=1,
+                             freeze_scope="pss_only")
+        assert net.check_masks() == []
+        assert [layer.train_from for layer in layers] == [2, 0, 1]
+        assert layers[2].runs == [(0, 1, 0), (1, 2, 3)]
+        x = rng.standard_normal((9, N_FEATURES))
+        self.assert_frozen_columns_of_forward(net, x, monkeypatch)
+        assert np.all(net.frozen_activations(x)[2] == layers[2].bias[0])
 
     def test_nothing_frozen_means_no_cache(self):
         net, data = self.drifted_task()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pss import trainer
 from pss.data import build_task_stream, synthetic_digits
 from pss.numerics import MaskedLayer
 from pss.plasticity import PlasticNetwork
@@ -225,6 +226,28 @@ class TestNoDenseViews:
 
 
 class TestEvaluateBoundary:
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_one_pool_forward_equals_per_task_forwards(self, baseline, monkeypatch):
+        """At every boundary, the accuracies read from one pool forward
+        equal a per-task ``predict`` on each test set plus a pool argmax."""
+        checked = []
+
+        def compare(net, stream, upto):
+            row, mc = evaluate_boundary(net, stream, upto)
+            want = [float(np.mean((net.predict(task.test.x)[:, j] >= 0.0) == task.test.y))
+                    for j, task in enumerate(stream.tasks[:upto + 1])]
+            want_mc = float(np.mean(np.argmax(net.predict(stream.pool_x), axis=1)
+                                    == stream.pool_y))
+            assert row == want and mc == want_mc
+            checked.append(upto)
+            return row, mc
+
+        monkeypatch.setattr(trainer, "evaluate_boundary", compare)
+        run = run_baseline_finetune if baseline else run_lifelong
+        _, report = run(small_stream(n_tasks=4), TrainerConfig(**SMALL))
+        assert checked == [0, 1, 2, 3]
+        assert (sum(report.split_counts) > 0) == (not baseline)
+
     def test_row_lengths(self):
         stream = small_stream(n_tasks=2)
         net, _ = run_lifelong(stream, TrainerConfig(**SMALL))
