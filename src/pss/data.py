@@ -5,7 +5,8 @@ class, in ascending class order. Each task's training set pairs every
 image of the task's class with an equal number of sampled images of
 other classes; each task's binary test set is carved the same way out
 of a fixed multiclass evaluation pool (the first ``test_count`` test
-images). Pixel values arrive as uint8 and are scaled by 1/255 into
+images). A task set holds rows, not images, so every image is stored
+once. Pixel values arrive as uint8 and are scaled by 1/255 into
 float64; the "variation" transform then adds unclipped unit Gaussian
 noise per pixel.
 """
@@ -55,10 +56,6 @@ class ImageDataset:
 
     def __len__(self):
         return len(self.images)
-
-    def subset(self, indices):
-        return ImageDataset(self.images[indices], self.labels[indices],
-                            self.name, self.noised)
 
 
 def _open_maybe_gzip(path):
@@ -148,7 +145,8 @@ def make_variation(dataset, seed):
     if dataset.noised:
         raise DataFormatError(f"{dataset.name} already carries variation noise")
     rng = np.random.default_rng(seed)
-    noisy = dataset.images + rng.normal(0.0, 1.0, size=dataset.images.shape)
+    noisy = rng.normal(0.0, 1.0, size=dataset.images.shape)
+    noisy += dataset.images
     return ImageDataset(noisy, dataset.labels.copy(),
                         f"{dataset.name}-variation", noised=True)
 
@@ -169,13 +167,14 @@ def synthetic_digits(n_train, n_test, seed, n_classes=10, pixels=784):
 
     def draw(count, rng, tag):
         per = count // n_classes
-        xs, ys = [], []
+        x = np.empty((per * n_classes, pixels))
         for c in range(n_classes):
-            jitter = rng.normal(0.0, 0.3, size=(per, pixels))
-            xs.append(np.clip(templates[c] + jitter, 0.0, 1.0))
-            ys.append(np.full(per, c, dtype=np.int64))
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
+            # rng.normal(0.0, 0.3) is 0.0 + 0.3 * standard_normal: same bits
+            block = rng.standard_normal(out=x[c * per:(c + 1) * per])
+            block *= 0.3
+            block += templates[c]
+            np.clip(block, 0.0, 1.0, out=block)
+        y = np.repeat(np.arange(n_classes, dtype=np.int64), per)
         order = rng.permutation(len(x))
         return ImageDataset(x[order], y[order], tag)
 
@@ -187,30 +186,38 @@ def synthetic_digits(n_train, n_test, seed, n_classes=10, pixels=784):
 class TaskDataset:
     """Binary training or test set for one one-vs-rest task.
 
-    ``rows``, when given, holds each example's index in the images it
-    was drawn from; for a test set those are multiclass pool rows.
+    ``source`` is the whole image array the examples are drawn from
+    (the training images, or the multiclass pool for a test set), not
+    the examples: those are ``x = source[rows]``, gathered on demand.
     """
 
-    x: np.ndarray
+    source: np.ndarray
+    rows: np.ndarray
     y: np.ndarray
     task: int
     positive_class: int
-    rows: np.ndarray = None
 
     def __post_init__(self):
-        self.x = np.ascontiguousarray(self.x, dtype=np.float64)
+        self.source = np.asarray(self.source)
+        self.rows = np.asarray(self.rows)
         self.y = np.ascontiguousarray(self.y, dtype=np.float64)
-        if self.x.ndim != 2 or self.y.shape != (len(self.x),):
-            raise DataFormatError("task data must be (n, d) with n labels")
-        if self.rows is not None:
-            self.rows = np.asarray(self.rows)
-            if self.rows.dtype.kind not in "iu" or self.rows.shape != (len(self.x),):
-                raise DataFormatError("rows must be one integer index per example")
+        if self.source.ndim != 2 or self.source.dtype != np.float64 \
+                or self.rows.dtype.kind not in "iu" \
+                or self.y.ndim != 1 or self.rows.shape != self.y.shape:
+            raise DataFormatError(
+                "task data must be (n, d) float64 images and rows, one per label")
+        if np.any((self.rows < 0) | (self.rows >= len(self.source))):
+            raise DataFormatError(
+                f"task {self.task}: rows must index the {len(self.source)} source images")
         if len(self.y) and not np.all((self.y == 0.0) | (self.y == 1.0)):
             raise DataFormatError("task labels must be 0 or 1")
 
+    @property
+    def x(self):
+        return self.source[self.rows]
+
     def __len__(self):
-        return len(self.x)
+        return len(self.rows)
 
 
 @dataclass
@@ -231,8 +238,7 @@ class TaskStream:
 
     def __post_init__(self):
         for task in self.tasks:
-            rows = task.test.rows
-            if rows is None or np.any((rows < 0) | (rows >= len(self.pool_x))):
+            if task.test.source is not self.pool_x:
                 raise DataFormatError(f"task {task.index}: test rows must index the pool")
 
     def __len__(self):
@@ -255,8 +261,7 @@ def _binary_set(images, labels, cls, rng, task, cap=None):
     idx = np.concatenate([pos, neg])
     y = np.concatenate([np.ones(len(pos)), np.zeros(n_neg)])
     order = rng.permutation(len(idx))
-    rows = idx[order]
-    return TaskDataset(images[rows], y[order], task, cls, rows)
+    return TaskDataset(images, idx[order], y[order], task, cls)
 
 
 def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
@@ -268,7 +273,7 @@ def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
     capped so positives + negatives stay within ``per_task_train`` when
     a cap is given) and its negatives as many images sampled from the
     other classes. Binary test sets are balanced the same way and come
-    from the multiclass pool, which is the first ``test_count`` images
+    from the multiclass pool, a view of the first ``test_count`` images
     of ``test``; each test set's ``rows`` are its images' pool rows, so
     one forward pass over the pool scores every task. All sampling
     comes from one seed and is reproducible byte for byte. Data lacking a task's class raises ``DataFormatError``;
@@ -276,13 +281,13 @@ def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
     """
     if n_tasks < 1:
         raise ValueError("need at least one task")
-    pool = test.subset(np.arange(min(test_count, len(test))))
-    for data, fault, what in (
-            (train, DataFormatError, "training data"),
-            (test, DataFormatError, "test data"),
-            (pool, ValueError,
-             f"a multiclass pool of {len(pool)} test images (test_count)")):
-        present = set(np.unique(data.labels).tolist())
+    pool_x, pool_y = (a[:max(test_count, 0)] for a in (test.images, test.labels))
+    for labels, fault, what in (
+            (train.labels, DataFormatError, "training data"),
+            (test.labels, DataFormatError, "test data"),
+            (pool_y, ValueError,
+             f"a multiclass pool of {len(pool_y)} test images (test_count)")):
+        present = set(np.unique(labels).tolist())
         missing = [c for c in range(n_tasks) if c not in present]
         if missing:
             raise fault(f"{what} lacks classes {missing}")
@@ -291,9 +296,9 @@ def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
     for t, child in enumerate(ss.spawn(n_tasks)):
         rng = np.random.default_rng(child)
         tr = _binary_set(train.images, train.labels, t, rng, t, cap=per_task_train)
-        te = _binary_set(pool.images, pool.labels, t, rng, t)
+        te = _binary_set(pool_x, pool_y, t, rng, t)
         tasks.append(Task(index=t, positive_class=t, train=tr, test=te))
-    return TaskStream(tasks=tasks, pool_x=pool.images, pool_y=pool.labels)
+    return TaskStream(tasks=tasks, pool_x=pool_x, pool_y=pool_y)
 
 
 def find_mnist(data_dir=None):

@@ -22,7 +22,9 @@ task's training set (``PlasticNetwork.frozen_activations``) and clears
 the frozen rows' velocity; each step takes the batch's rows of that
 cache, and backward and SGD touch the trainable rows only. A splitting
 round that splits reverts frozen rows, so the cache is rebuilt after
-it.
+it; under ``hybrid`` only the switching round splits (frozen drift stays
+put, thresholds only grow). Batches, and the images a cache is built
+from, are gathered from the shared training images.
 
 At each task boundary the multiclass pool is forwarded once; every
 task's binary test set is a set of pool rows, so its accuracy and the
@@ -126,12 +128,14 @@ def _initial_scope(config):
         else config.freeze_scope
 
 
-def _frozen_cache(net, x, velocity):
+def _frozen_cache(net, task_data, velocity):
     """Cache the rows that cannot train and clear their velocity."""
     for layer, v in zip(net.layers, velocity):
         v.weights[:layer.train_from] = 0.0
         v.bias[:layer.train_from] = 0.0
-    return net.frozen_activations(x)
+    if not any(layer.train_from for layer in net.layers):
+        return None
+    return net.frozen_activations(task_data.x)
 
 
 def train_task(net, task_data, config, task_index=None):
@@ -148,7 +152,7 @@ def train_task(net, task_data, config, task_index=None):
         frozen = net.freeze_small_weights(config.magnitude_freeze_threshold)
         log.debug("task %d: %d small weights frozen", task_index, frozen)
     velocity = init_velocity(net.layers)
-    cache = _frozen_cache(net, task_data.x, velocity)
+    cache = _frozen_cache(net, task_data, velocity)
     out_index = net.current_output_index()
     shuffle_rng = rng_for(config.seed, 1, task_index)
     n = len(task_data)
@@ -161,7 +165,7 @@ def train_task(net, task_data, config, task_index=None):
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            xb, yb = task_data.x[idx], task_data.y[idx]
+            xb, yb = task_data.source[task_data.rows[idx]], task_data.y[idx]
             trace = net.trace(xb, None if cache is None else [c[idx] for c in cache])
             loss_sum += selected_bce(trace.output, [out_index], yb) * len(idx)
             grads = backward_truncated(net.layers, trace, yb, [out_index])
@@ -181,7 +185,7 @@ def train_task(net, task_data, config, task_index=None):
                     velocity[tag.layer].bias[tag.index] = 0.0
                 if config.freeze_scope == "hybrid":
                     net.set_structural_freeze("pss_only")
-                cache = _frozen_cache(net, task_data.x, velocity)
+                cache = _frozen_cache(net, task_data, velocity)
                 log.info("task %d epoch %d: %d splits, %d fillers",
                          task_index, epoch, round_report.total_splits,
                          round_report.total_fillers)
@@ -215,7 +219,7 @@ def run_lifelong(stream, config, mode="pss"):
     config.validate()
     if not len(stream):
         raise ValueError("empty task stream")
-    n_features = stream.tasks[0].train.x.shape[1]
+    n_features = stream.tasks[0].train.source.shape[1]
     net = PlasticNetwork.new(n_features, list(config.hidden_sizes),
                              rng_for(config.seed, 0), config.leaky_slope)
     report = RunReport(mode=mode, seed=config.seed, config=config.to_dict())

@@ -46,7 +46,8 @@ from pss.trainer import (
 
 def blob_stream(seed=0, train_per_task=300, test_per_task=200):
     """Three 2-D Gaussian blob classes as a one-vs-rest task stream;
-    each set records its rows, as ``build_task_stream`` does."""
+    each set is rows of the images it was drawn from, as in
+    ``build_task_stream``."""
     rng = np.random.default_rng(seed)
     centers = np.array([[3.0, 0.0], [-1.5, 2.6], [-1.5, -2.6]])
 
@@ -64,7 +65,7 @@ def blob_stream(seed=0, train_per_task=300, test_per_task=200):
             idx = np.concatenate([pos, neg])
             lab = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
             order = rng.permutation(len(idx))
-            return TaskDataset(x[idx[order]], lab[order], t, t, idx[order])
+            return TaskDataset(x, idx[order], lab[order], t, t)
         tx, ty = draw(train_per_task)
         tasks.append(Task(index=t, positive_class=t,
                           train=binary(train_per_task, tx, ty),

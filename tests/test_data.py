@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,13 @@ class TestVariation:
         assert a.images.tobytes() == b.images.tobytes()
         assert a.images.tobytes() != c.images.tobytes()
 
+    def test_noise_added_in_place_matches_images_plus_noise(self):
+        rng = np.random.default_rng(6)
+        base = ImageDataset(rng.random((50, 784)), rng.integers(0, 10, 50), "base")
+        want = base.images + np.random.default_rng(11).normal(
+            0.0, 1.0, size=base.images.shape)
+        assert make_variation(base, seed=11).images.tobytes() == want.tobytes()
+
     def test_double_noising_rejected(self):
         base = ImageDataset(np.zeros((2, 4)), np.zeros(2, dtype=int), "b")
         with pytest.raises(DataFormatError):
@@ -228,19 +236,79 @@ class TestTaskStream:
                                       np.arange(4.0), np.zeros(4, dtype=bool)])
     def test_rows_must_be_one_integer_per_example(self, rows):
         with pytest.raises(DataFormatError, match="rows"):
-            TaskDataset(np.zeros((4, 2)), np.zeros(4), 0, 0, rows)
+            TaskDataset(np.zeros((6, 2)), rows, np.zeros(4), 0, 0)
 
     @pytest.mark.parametrize("rows", [None, [0, 1, -1], [0, 1, 3]])
     def test_stream_rejects_test_rows_outside_the_pool(self, rows):
-        test = TaskDataset(np.zeros((3, 2)), np.zeros(3), 0, 0, rows)
+        # a test set's source is the pool, so its own check catches them
+        with pytest.raises(DataFormatError, match="rows"):
+            TaskDataset(np.zeros((3, 2)), rows, np.zeros(3), 0, 0)
+
+    def test_gathered_images_with_rows_are_rejected(self):
+        """Rows index the source images; handing over the gathered
+        examples instead fails at construction, in either call form."""
+        images = np.arange(20.0).reshape(10, 2)
+        rows = np.array([9, 2, 7])
+        with pytest.raises(DataFormatError, match="source"):
+            TaskDataset(images[rows], rows, np.ones(3), 0, 0)
+        with pytest.raises(DataFormatError, match="rows"):
+            TaskDataset(images[rows], np.ones(3), 0, 0, rows)
+        with pytest.raises(TypeError):
+            TaskDataset(x=images[rows], y=np.ones(3), task=0, positive_class=0, rows=rows)
+        assert TaskDataset(images, rows, np.ones(3), 0, 0).x.tobytes() \
+            == images[rows].tobytes()
+
+    def test_source_is_never_converted(self):
+        """A converted source would be one corpus copy per task set."""
+        with pytest.raises(DataFormatError, match="float64"):
+            TaskDataset(np.zeros((3, 2), dtype=np.float32), [0, 1, 2], np.zeros(3), 0, 0)
+        images = np.zeros((3, 2))
+        assert TaskDataset(images, [0, 1, 2], np.zeros(3), 0, 0).source is images
+
+    def test_stream_requires_test_sets_on_the_pool(self):
+        pool = np.zeros((3, 2))
+        test = TaskDataset(pool.copy(), [0, 1, 2], np.zeros(3), 0, 0)
         with pytest.raises(DataFormatError, match="pool"):
-            TaskStream([Task(0, 0, test, test)], np.zeros((3, 2)), np.zeros(3))
+            TaskStream([Task(0, 0, test, test)], pool, np.zeros(3))
 
     def test_missing_class_rejected(self):
         train, test = synthetic_digits(60, 30, seed=4)
         train.labels[train.labels == 9] = 0
         with pytest.raises(DataFormatError, match="classes"):
             build_task_stream(train, test, n_tasks=10, seed=0)
+
+
+def traced_peak(fn, *args, **kw):
+    """``fn(*args, **kw)`` and the peak bytes traced while it ran; numpy
+    reports its array buffers to ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kw)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEachImageHeldOnce:
+    def test_task_sets_are_rows_of_the_corpus(self):
+        train, test = synthetic_digits(600, 300, seed=4)
+        stream = build_task_stream(train, test, n_tasks=10, seed=0, test_count=200)
+        assert np.shares_memory(stream.pool_x, test.images)
+        for task in stream:
+            assert np.shares_memory(task.train.source, train.images)
+            assert task.test.source is stream.pool_x
+
+    def test_stream_allocates_under_a_tenth_of_the_corpus(self):
+        train, test = synthetic_digits(2000, 500, seed=4)
+        corpus = train.images.nbytes + test.images.nbytes
+        build_task_stream(train, test, n_tasks=10, seed=0)  # numpy's lazy imports
+        stream, peak = traced_peak(build_task_stream, train, test, n_tasks=10,
+                                   seed=0, test_count=500)
+        assert len(stream) == 10 and peak < 0.1 * corpus
+
+    def test_synthetic_digits_holds_at_most_one_spare_corpus(self):
+        (train, test), peak = traced_peak(synthetic_digits, 2000, 500, seed=4)
+        assert peak <= 2.2 * (train.images.nbytes + test.images.nbytes)
 
 
 class TestContainer:

@@ -125,7 +125,7 @@ def checked_steps(monkeypatch):
 def odd_tasks(n_tasks=3, n=33):
     """Tasks of 33 images: with batch size 8 each epoch ends on one image."""
     rng = np.random.default_rng(11)
-    return [TaskDataset(rng.standard_normal((n, N_FEATURES)),
+    return [TaskDataset(rng.standard_normal((n, N_FEATURES)), np.arange(n),
                         rng.integers(0, 2, size=n).astype(float), t, t)
             for t in range(n_tasks)]
 

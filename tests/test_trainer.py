@@ -72,7 +72,7 @@ class TestTrainTaskAgainstManualLoop:
 
         from pss.data import TaskDataset
         net = PlasticNetwork.new(4, [6], rng_for(cfg.seed, 0), cfg.leaky_slope)
-        train_task(net, TaskDataset(x, y, 0, 0), cfg, 0)
+        train_task(net, TaskDataset(x, np.arange(50), y, 0, 0), cfg, 0)
 
         # rebuild the same starting point, then update it by hand
         ref = PlasticNetwork.new(4, [6], rng_for(cfg.seed, 0), cfg.leaky_slope)
@@ -198,6 +198,29 @@ class TestHybridScope:
         l0 = net.hidden_layers[0]
         gen0 = [i for i, g in enumerate(net.hidden_gens[0]) if g == 0]
         assert np.all(l0.train_mask[gen0] == 0.0)
+
+    def test_one_round_splits_and_one_cache_is_built_per_task(self, monkeypatch):
+        """After the switch old neurons are frozen, so their drift stays
+        put while the threshold only grows: no later round can split, and
+        the frozen-row cache is built once per task."""
+        built = []
+        frozen_activations = PlasticNetwork.frozen_activations
+
+        def spy(net, x):
+            cache = frozen_activations(net, x)
+            if cache is not None:
+                built.append(net.task)
+            return cache
+
+        monkeypatch.setattr(PlasticNetwork, "frozen_activations", spy)
+        cfg = TrainerConfig(**dict(SMALL, epochs_per_task=4))
+        net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+        for task in small_stream(n_tasks=4):
+            report = train_task(net, task.train, cfg, task.index)
+            rounds = sum(1 for s in report.splits_per_epoch if s)
+            assert rounds == (task.index > 0)
+            assert built.count(task.index) == rounds
+        assert len(built) == 3
 
 
 class TestNoDenseViews:
