@@ -26,23 +26,20 @@ def write_container(path, magic, meta, arrays):
     """Write ``arrays`` (an ordered name -> ndarray dict) under ``magic``."""
     if len(magic) != 8:
         raise ContainerError("magic must be exactly 8 bytes")
-    entries = []
-    blobs = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    for arr in arrays.values():
         if arr.dtype.name not in ALLOWED_DTYPES:
             raise ContainerError(f"dtype {arr.dtype.name} not allowed in container")
-        entries.append({"name": name, "dtype": arr.dtype.name,
-                        "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+    entries = [{"name": name, "dtype": arr.dtype.name, "shape": list(arr.shape)}
+               for name, arr in arrays.items()]
     header = json.dumps({"meta": meta, "arrays": entries},
                         sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(magic)
         f.write(HEADER_STRUCT.pack(len(header)))
         f.write(header)
-        for blob in blobs:
-            f.write(blob)
+        for arr in arrays.values():
+            f.write(arr.reshape(-1).view(np.uint8))
 
 
 def _entry(entry):
@@ -89,8 +86,9 @@ def read_container(path, magic):
                 raise ContainerError(f"truncated array {name!r}")
             remaining -= size
             try:
-                arrays[name] = np.frombuffer(
-                    f.read(size), dtype=dtype).reshape(shape).copy()
+                arrays[name] = arr = np.empty(shape, dtype)
             except ValueError as e:  # a zero-size shape numpy cannot hold
                 raise ContainerError(f"array {name!r}: {e}") from e
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != size:
+                raise ContainerError(f"truncated array {name!r}")
         return header["meta"], arrays

@@ -151,14 +151,27 @@ def make_variation(dataset, seed):
                         f"{dataset.name}-variation", noised=True)
 
 
+def _permute_rows(x, order):
+    """``x[:] = x[order]`` bit for bit, cycle by cycle with one spare row."""
+    order = order.tolist()
+    for start in range(len(order)):
+        if order[start] == start:
+            continue
+        j, spare = start, x[start].copy()
+        while order[j] != start:
+            x[j] = x[order[j]]
+            order[j], j = j, order[j]  # row j is placed; go to its source
+        x[j], order[j] = spare, j
+
+
 def synthetic_digits(n_train, n_test, seed, n_classes=10, pixels=784):
     """Stand-in corpus with the texture of scaled digit images.
 
     Each class gets a fixed random template in [0, 1]; samples are the
     template plus Gaussian jitter, clipped back into [0, 1]. Classes are
-    exactly balanced (counts are rounded down to a multiple of
-    ``n_classes``). Useful wherever real scans are unavailable but the
-    pipeline and learning dynamics still need exercising.
+    exactly balanced (counts are rounded down to a multiple of ``n_classes``)
+    and shuffled in place. Useful wherever real scans are unavailable
+    but the pipeline and learning dynamics still need exercising.
     """
     ss = np.random.SeedSequence(seed)
     template_rng, train_rng, test_rng = [np.random.default_rng(c)
@@ -176,7 +189,8 @@ def synthetic_digits(n_train, n_test, seed, n_classes=10, pixels=784):
             np.clip(block, 0.0, 1.0, out=block)
         y = np.repeat(np.arange(n_classes, dtype=np.int64), per)
         order = rng.permutation(len(x))
-        return ImageDataset(x[order], y[order], tag)
+        _permute_rows(x, order)
+        return ImageDataset(x, y[order], tag)
 
     return (draw(n_train, train_rng, "synthetic-train"),
             draw(n_test, test_rng, "synthetic-test"))

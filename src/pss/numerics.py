@@ -80,9 +80,13 @@ class Activation:
             raise ValueError(f"unknown activation kind {self.kind!r}")
 
     def apply(self, z):
-        if self.kind == "identity":
-            return z
-        return np.where(z > 0, z, self.slope * z)
+        return z if self.kind == "identity" else np.where(z > 0, z, self.slope * z)
+
+    def apply_in_place(self, z):
+        """``apply(z)`` written over ``z``, bit for bit."""
+        if self.kind != "identity":
+            np.multiply(z, self.slope, out=z, where=z <= 0)
+        return z
 
     def derivative(self, z):
         if self.kind == "identity":
@@ -194,7 +198,7 @@ class MaskedLayer:
         Each run's rows are multiplied by the input columns they see
         only, so its results are unaffected by rows or columns appended
         after it, and ``x`` may stop after the columns that the computed
-        runs see.
+        runs see. Each run is computed in place in its block of the result.
         """
         stop = self.fan_out if stop is None else stop
         if x.ndim != 2 or x.shape[1] > self.fan_in:
@@ -207,8 +211,9 @@ class MaskedLayer:
                 if c1 > x.shape[1]:
                     raise DimensionError(
                         f"rows {r0}:{r1} see {c1} input columns, input has {x.shape[1]}")
-                z[:, r0 - start:r1 - start] = \
-                    x[:, :c1] @ self.weights[r0:r1, :c1].T + self.bias[r0:r1]
+                block = z[:, r0 - start:r1 - start]
+                np.matmul(x[:, :c1], self.weights[r0:r1, :c1].T, out=block)
+                block += self.bias[r0:r1]
         return z
 
 
@@ -238,12 +243,7 @@ def forward(layers, batch, cached=None):
     for this batch. Those rows are taken as given and only the rows
     after them are computed.
     """
-    x = _as_float_matrix(batch, "batch")
-    if layers and x.shape[1] != layers[0].fan_in:
-        raise DimensionError(
-            f"batch has {x.shape[1]} features, first layer expects {layers[0].fan_in}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError("batch contains NaN/Inf")
+    x = inputs = _checked_batch(layers, batch)
     pre, post = [], []
     for i, layer in enumerate(layers):
         start = 0 if cached is None else cached[i].shape[1]
@@ -256,8 +256,29 @@ def forward(layers, batch, cached=None):
         pre.append(z)
         post.append(a)
         x = a
-    return ForwardTrace(inputs=np.ascontiguousarray(batch, dtype=np.float64),
-                        pre=pre, post=post)
+    return ForwardTrace(inputs=inputs, pre=pre, post=post)
+
+
+def post_activations(layers, x, stops):
+    """Yield layer by layer the post-activations of rows ``:stops[i]`` over ``x``,
+    as ``forward`` computes and checks them but in place; drops ``x`` after layer 0."""
+    x = _checked_batch(layers, x)
+    for i, (layer, stop) in enumerate(zip(layers, stops)):
+        z = layer.affine(x, stop=stop)
+        if not np.all(np.isfinite(z)):
+            raise NonFiniteError(f"non-finite pre-activation at layer {i}")
+        x = layer.activation.apply_in_place(z)
+        yield x
+
+
+def _checked_batch(layers, batch):
+    x = _as_float_matrix(batch, "batch")
+    if layers and x.shape[1] != layers[0].fan_in:
+        raise DimensionError(
+            f"batch has {x.shape[1]} features, first layer expects {layers[0].fan_in}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("batch contains NaN/Inf")
+    return x
 
 
 def bce_loss(logits, labels):

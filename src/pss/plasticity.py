@@ -44,10 +44,10 @@ from .numerics import (
     LayerGrads,
     MaskedLayer,
     MaskError,
-    NonFiniteError,
     forward,
     he_normal,
     leaky_relu,
+    post_activations,
     run_mask,
 )
 
@@ -234,8 +234,9 @@ class PlasticNetwork:
         return gens.index(self.task) if self.task in gens else None
 
     def predict(self, x):
-        """Logits for every output node, shape (n, n_outputs)."""
-        return forward(self.layers, x).output
+        """Logits for every output node, shape (n, n_outputs): ``forward``'s
+        output and checks, holding no pre-activation."""
+        return list(post_activations(self.layers, x, [None] * len(self.layers)))[-1]
 
     def trace(self, x, cached=None):
         """Forward trace of ``x``; ``cached`` holds the rows of
@@ -256,18 +257,14 @@ class PlasticNetwork:
         Only those rows are computed: each layer's frozen runs, which end
         at its ``train_from``, read the frozen rows of the layer below in
         the same matmuls as ``forward``, so the values are bit-identical
-        to the matching columns of a full pass.
+        to the matching columns of a full pass. Past layer 0 the build holds
+        the cache only (and ``x`` if the caller keeps it).
         """
         if not any(layer.train_from for layer in self.layers):
             return None
-        cache = []
-        for i, layer in enumerate(self.layers):
-            z = layer.affine(x, stop=layer.train_from)
-            if not np.all(np.isfinite(z)):
-                raise NonFiniteError(f"non-finite pre-activation at layer {i}")
-            x = layer.activation.apply(z)
-            cache.append(x)
-        return cache
+        cache = post_activations(self.layers, x, [l.train_from for l in self.layers])
+        del x  # the pass holds the only reference left
+        return list(cache)
 
     # -- task boundaries ---------------------------------------------------
 

@@ -19,6 +19,7 @@ from pss.numerics import (
     init_velocity,
     leaky_relu,
     pad_velocity,
+    run_mask,
     selected_bce,
     sgd_step,
     sigmoid,
@@ -177,6 +178,21 @@ class TestMaskedLayer:
         z_big = big.affine(x1)
         assert np.ascontiguousarray(z_big[:, :7]).tobytes() == z_small.tobytes()
 
+    @pytest.mark.parametrize("m", [1, 64, 4000])
+    def test_affine_writes_each_run_as_its_own_product_plus_bias(self, m):
+        """Bit for bit the per-run ``x[:, :c1] @ W[r0:r1, :c1].T + b[r0:r1]``,
+        for whole layers and for row windows over several generations."""
+        rng = np.random.default_rng(m)
+        runs = [(0, 37, 20), (37, 38, 20), (38, 60, 33), (60, 61, 0), (61, 70, 40)]
+        w = rng.standard_normal((70, 40)) * run_mask(runs, (70, 40))
+        layer = MaskedLayer(w, rng.standard_normal(70), runs=runs)
+        x = rng.standard_normal((m, 40))
+        want = np.concatenate([x[:, :c1] @ w[r0:r1, :c1].T + layer.bias[r0:r1]
+                               for r0, r1, c1 in runs], axis=1)
+        for start, stop in ((0, None), (0, 38), (37, 61), (61, 70)):
+            got = layer.affine(x[:, :33] if stop == 38 else x, start, stop)
+            assert got.tobytes() == np.ascontiguousarray(want[:, start:stop]).tobytes()
+
     def test_rejects_wrong_input_width(self):
         layer = MaskedLayer(np.ones((2, 3)), np.zeros(2))
         with pytest.raises(DimensionError):
@@ -209,6 +225,14 @@ class TestForward:
         layer = MaskedLayer(np.eye(2), np.zeros(2), activation=leaky_relu(0.01))
         out = forward([layer], np.array([[-1.0, 4.0]])).output
         np.testing.assert_allclose(out, [[-0.01, 4.0]], rtol=1e-15)
+
+    @pytest.mark.parametrize("activation", [leaky_relu(0.01), leaky_relu(0.3), IDENTITY])
+    def test_in_place_activation_is_apply(self, activation):
+        z = np.random.default_rng(4).standard_normal((50, 9))
+        z[0, :4] = [0.0, -0.0, 1e-310, -1e-310]
+        want = activation.apply(z.copy())
+        got = activation.apply_in_place(z)
+        assert got is z and got.tobytes() == want.tobytes()
 
     def test_unknown_activation_kind_rejected(self):
         with pytest.raises(ValueError, match="tanh"):

@@ -1,11 +1,21 @@
 """Unit tests for drift detection, splitting and generation isolation."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
+from test_data import traced_peak
 
-from pss.numerics import LayerGrads, MaskedLayer, backward_truncated, sgd_step
+from pss.numerics import (
+    DimensionError,
+    LayerGrads,
+    MaskedLayer,
+    NonFiniteError,
+    backward_truncated,
+    forward,
+    sgd_step,
+)
 from pss.plasticity import (
     DriftSchedule,
     PlasticNetwork,
@@ -429,6 +439,42 @@ class TestDerivedStructure:
         for layer in net.layers:
             ref = layer.activation.apply(ref @ layer.weights.T + layer.bias)
         np.testing.assert_allclose(net.predict(x), ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scope", ["full_truncated", "pss_only"])
+    @pytest.mark.parametrize("n", [1, 8, 300])
+    def test_predict_is_forward_output_bitwise(self, scope, n):
+        net = self.split_net(scope)
+        x = np.random.default_rng(n).standard_normal((n, net.n_features))
+        assert net.predict(x).tobytes() == forward(net.layers, x).output.tobytes()
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[np.nan, 0.0, 1.0]]), NonFiniteError),
+        (np.zeros(3), DimensionError),
+        (np.zeros((2, 4)), DimensionError)])
+    def test_predict_rejects_what_forward_rejects(self, bad, error):
+        net = self.split_net("pss_only")
+        with pytest.raises(error) as want:
+            forward(net.layers, bad)
+        with pytest.raises(error, match=re.escape(str(want.value))):
+            net.predict(bad)
+
+    def test_predict_rejects_a_non_finite_pre_activation(self):
+        net = self.split_net("pss_only")
+        net.layers[1].bias[0] = np.inf
+        with pytest.raises(NonFiniteError, match="layer 1"):
+            net.predict(np.zeros((2, 3)))
+
+    def test_predict_holds_no_pre_activation(self):
+        """Peak memory is about the post-activations, not ``forward``'s
+        pre- and post-activations of every layer."""
+        net = PlasticNetwork.new(20, [300, 200], np.random.default_rng(1))
+        for task in range(3):
+            net.grow_output(task)
+        x = np.random.default_rng(2).standard_normal((2000, 20))
+        net.predict(x[:5])  # lazy imports
+        logits, peak = traced_peak(net.predict, x)
+        assert peak <= 1.1 * 8 * len(x) * sum(l.fan_out for l in net.layers)
+        assert logits.tobytes() == forward(net.layers, x).output.tobytes()
 
     def test_one_run_per_generation_sees_its_prefix(self):
         net = self.split_net("pss_only")

@@ -12,9 +12,11 @@ change by a bit.
 """
 
 import copy
+import weakref
 
 import numpy as np
 import pytest
+from test_data import traced_peak
 
 from pss import trainer
 from pss.data import TaskDataset
@@ -283,3 +285,38 @@ class TestFrozenCache:
             covered, velocity = check_step(net.layers, trace, data.y[idx], [1],
                                            grads, velocity, data.x[:4])
             assert covered["open"][0] > 0
+
+    def test_build_frees_the_task_images_after_layer_0(self, monkeypatch):
+        """The trainer gathers the task's images for the build only; the
+        pass holds the one reference and drops it once layer 0 is done."""
+        net, data = self.drifted_task()
+        images, alive = [], []
+        affine = MaskedLayer.affine
+
+        def spy(layer, x, start=0, stop=None):
+            if images:
+                alive.append(images[0]() is not None)
+            else:
+                images.append(weakref.ref(x))
+            return affine(layer, x, start, stop)
+
+        monkeypatch.setattr(MaskedLayer, "affine", spy)
+        cache = trainer._frozen_cache(net, data, init_velocity(net.layers))
+        assert len(cache) == 3 and alive == [False, False]
+
+    def test_build_peaks_at_images_layer_0_block_and_cache(self):
+        """No per-run product, bias sum or activation temporary is held
+        next to the block being built."""
+        net = PlasticNetwork.new(16, [200, 20], rng_for(5, 0))
+        net.grow_output(0)
+        net.grow_output(1)
+        net.set_structural_freeze("pss_only")
+        assert [layer.train_from for layer in net.layers] == [200, 20, 1]
+        rows = np.random.default_rng(1).permutation(3000)
+        source = np.random.default_rng(2).standard_normal((3000, 16))
+        net.frozen_activations(source[:5])  # lazy imports
+        cache, peak = traced_peak(lambda: net.frozen_activations(source[rows]))
+        held = source.nbytes + cache[0].nbytes + sum(c.nbytes for c in cache)
+        assert peak <= 1.1 * held
+        for c, a in zip(cache, forward(net.layers, source[rows]).post):
+            assert c.tobytes() == np.ascontiguousarray(a[:, :c.shape[1]]).tobytes()
