@@ -230,6 +230,14 @@ def cmd_inspect(args):
 
 
 def cmd_gradcheck(args):
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1")
+    if not (np.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError("--tolerance must be finite and positive")
+    for flag, prob in (("--zero-prob", args.zero_prob),
+                       ("--freeze-prob", args.freeze_prob)):
+        if not 0.0 <= prob < 1.0:  # true for NaN too
+            raise ValueError(f"{flag} must be in [0, 1)")
     worst = 0.0
     failed = 0
     for seed in range(args.seeds):

@@ -55,8 +55,9 @@ def _entry(entry):
 def read_container(path, magic):
     """Read a container written by ``write_container``; returns (meta, arrays).
 
-    Every header fault, and any length that runs past the end of the
-    file, raises ``ContainerError``.
+    Every header fault, an array named twice, any length that runs past
+    the end of the file and any byte after the last array raise
+    ``ContainerError``.
     """
     with open(path, "rb") as f:
         got = f.read(8)
@@ -81,6 +82,8 @@ def read_container(path, magic):
         arrays = {}
         for entry in header["arrays"]:
             name, dtype, shape = _entry(entry)
+            if name in arrays:
+                raise ContainerError(f"array {name!r} named twice")
             size = math.prod(shape) * np.dtype(dtype).itemsize
             if size > remaining:
                 raise ContainerError(f"truncated array {name!r}")
@@ -91,4 +94,6 @@ def read_container(path, magic):
                 raise ContainerError(f"array {name!r}: {e}") from e
             if f.readinto(arr.reshape(-1).view(np.uint8)) != size:
                 raise ContainerError(f"truncated array {name!r}")
+        if remaining:
+            raise ContainerError(f"{remaining} bytes after the last array")
         return header["meta"], arrays

@@ -290,8 +290,9 @@ def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
     from the multiclass pool, a view of the first ``test_count`` images
     of ``test``; each test set's ``rows`` are its images' pool rows, so
     one forward pass over the pool scores every task. All sampling
-    comes from one seed and is reproducible byte for byte. Data lacking a task's class raises ``DataFormatError``;
-    a pool too small to hold one raises ``ValueError`` (raise ``test_count``).
+    comes from one seed and is reproducible byte for byte. Data lacking
+    a task's class raises ``DataFormatError``; a pool too small to hold
+    one raises ``ValueError`` (raise ``test_count``).
     """
     if n_tasks < 1:
         raise ValueError("need at least one task")

@@ -235,36 +235,41 @@ class PlasticNetwork:
 
     def predict(self, x):
         """Logits for every output node, shape (n, n_outputs): ``forward``'s
-        output and checks, holding no pre-activation."""
-        return list(post_activations(self.layers, x, [None] * len(self.layers)))[-1]
+        output and checks, computed one block of images at a time
+        (``row_blocks``), so the pass holds the logits and one block of two
+        layers, and no pre-activation (see ``post_activations``)."""
+        return post_activations(self.layers, x, None, [None] * len(self.layers),
+                                last_only=True)[-1]
 
     def trace(self, x, cached=None):
         """Forward trace of ``x``; ``cached`` holds the rows of
         ``frozen_activations`` that belong to ``x``."""
         return forward(self.layers, x, cached)
 
-    def frozen_activations(self, x):
-        """Post-activations over ``x`` of every layer's rows before its
-        ``train_from``, or None when every layer trains from row 0.
+    def frozen_activations(self, source, rows):
+        """Post-activations over the images ``source[rows]`` of every layer's
+        rows before its ``train_from``, or None when every layer trains
+        from row 0.
 
         Under ``pss_only`` those rows are frozen and, by the edge rule,
         depend only on frozen rows below, so these values hold until a
         split reverts a frozen row. The cache takes
-        ``len(x) * sum(train_from) * 8`` bytes: at most 22.7 MB in
+        ``len(rows) * sum(train_from) * 8`` bytes: at most 22.7 MB in
         ``pss train --preset synthetic --train-size 20000`` (the last
         task, 4000 images, 437 + 262 + 9 frozen rows).
 
         Only those rows are computed: each layer's frozen runs, which end
         at its ``train_from``, read the frozen rows of the layer below in
-        the same matmuls as ``forward``, so the values are bit-identical
-        to the matching columns of a full pass. Past layer 0 the build holds
-        the cache only (and ``x`` if the caller keeps it).
+        the same matmuls as ``forward``. The images are gathered and
+        forwarded one block at a time (``row_blocks``), each layer's block
+        written straight into the cache, so a cached row is bit-identical
+        to the matching column of ``forward`` over its block, and the
+        build holds the cache plus one block of images.
         """
         if not any(layer.train_from for layer in self.layers):
             return None
-        cache = post_activations(self.layers, x, [l.train_from for l in self.layers])
-        del x  # the pass holds the only reference left
-        return list(cache)
+        return post_activations(self.layers, source, rows,
+                                [l.train_from for l in self.layers])
 
     # -- task boundaries ---------------------------------------------------
 

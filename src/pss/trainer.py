@@ -23,8 +23,8 @@ the frozen rows' velocity; each step takes the batch's rows of that
 cache, and backward and SGD touch the trainable rows only. A splitting
 round that splits reverts frozen rows, so the cache is rebuilt after
 it; under ``hybrid`` only the switching round splits (frozen drift stays
-put, thresholds only grow). Batches, and the images a cache is built
-from, are gathered from the shared training images.
+put, thresholds only grow). Batches, and each block of images a cache
+is built from, are gathered from the shared training images.
 
 At each task boundary the multiclass pool is forwarded once; every
 task's binary test set is a set of pool rows, so its accuracy and the
@@ -135,7 +135,7 @@ def _frozen_cache(net, task_data, velocity):
         v.bias[:layer.train_from] = 0.0
     if not any(layer.train_from for layer in net.layers):
         return None
-    return net.frozen_activations(task_data.x)
+    return net.frozen_activations(task_data.source, task_data.rows)
 
 
 def train_task(net, task_data, config, task_index=None):

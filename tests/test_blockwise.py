@@ -1,0 +1,148 @@
+"""The block-wise pass behind ``predict`` and the frozen-row cache.
+
+``numerics.post_activations`` forwards many images one ``row_blocks``
+block at a time, so its arithmetic is ``forward`` over each block of
+rows in turn. Both its callers must match that byte for byte, keep
+earlier tasks' logits bit-identical under ``pss_only``, and hold one
+block, never the whole batch, next to their results.
+"""
+
+import numpy as np
+import pytest
+from test_data import traced_peak
+
+from pss import trainer
+from pss.data import TaskDataset
+from pss.numerics import BLOCK_ROWS, MaskedLayer, forward, init_velocity, row_blocks
+from pss.plasticity import PlasticNetwork
+from pss.trainer import TrainerConfig, rng_for, train_task
+
+N_FEATURES = 16
+CONFIG = dict(hidden_sizes=(24, 12), sigma=1e-6, delta=0.0, batch_size=64,
+              epochs_per_task=2, seed=3)
+
+
+def forward_by_block(layers, x):
+    """``forward``'s post-activations of every layer over ``x``, computed
+    one ``row_blocks`` block at a time: the arithmetic of the block-wise pass."""
+    posts = [forward(layers, x[block]).post for block in row_blocks(len(x))]
+    return [np.concatenate(layer_posts) for layer_posts in zip(*posts)]
+
+
+@pytest.mark.parametrize("n, sizes", [
+    (0, [0]), (1, [1]), (2 * BLOCK_ROWS - 1, [2 * BLOCK_ROWS - 1]),
+    (2 * BLOCK_ROWS, [BLOCK_ROWS, BLOCK_ROWS]),
+    (5 * BLOCK_ROWS + 3, [BLOCK_ROWS] * 4 + [BLOCK_ROWS + 3])])
+def test_blocks_tile_the_rows_the_last_taking_the_rest(n, sizes):
+    blocks = row_blocks(n)
+    assert [b.stop - b.start for b in blocks] == sizes
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+
+def tasks(n_tasks, n=2 * BLOCK_ROWS + 1, seed=8):
+    """Binary tasks of ``n`` rows each, drawn from one shared source."""
+    rng = np.random.default_rng(seed)
+    source = rng.standard_normal((n_tasks * n, N_FEATURES))
+    return [TaskDataset(source, rng.permutation(len(source))[:n],
+                        rng.integers(0, 2, size=n).astype(float), t, t)
+            for t in range(n_tasks)]
+
+
+@pytest.fixture(scope="module")
+def grown():
+    """A network grown over three hybrid tasks, left under ``pss_only``
+    with frozen rows in every layer, and the source of its tasks."""
+    data = tasks(3)
+    net = PlasticNetwork.new(N_FEATURES, [24, 12], rng_for(3, 0))
+    for t, task in enumerate(data):
+        train_task(net, task, TrainerConfig(**CONFIG), t)
+    assert net.freeze_scope == "pss_only"
+    assert all(layer.train_from for layer in net.layers)
+    assert net.hidden_sizes() != [24, 12]
+    return net, data[0].source
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_predict_and_cache_are_forward_by_block_bitwise(grown, n):
+    net, source = grown
+    rows = np.random.default_rng(n).permutation(len(source))[:n]
+    x = source[rows]
+    want = forward_by_block(net.layers, x)
+    assert net.predict(x).tobytes() == want[-1].tobytes()
+    cache = net.frozen_activations(source, rows)
+    for c, a, layer in zip(cache, want, net.layers):
+        assert c.shape == (n, layer.train_from)
+        assert c.tobytes() == np.ascontiguousarray(a[:, :layer.train_from]).tobytes()
+    # within rounding of a single pass over the whole batch
+    whole = forward(net.layers, x).post
+    np.testing.assert_allclose(net.predict(x), whole[-1], rtol=1e-12, atol=0)
+    for c, a in zip(cache, whole):
+        np.testing.assert_allclose(c, a[:, :c.shape[1]], rtol=1e-12, atol=0)
+
+
+def test_old_logits_stay_bit_identical_on_a_multi_block_probe():
+    """Two hybrid tasks grow the network; under ``pss_only`` the later
+    tasks leave every earlier head's logits unchanged to the bit."""
+    data = tasks(4)
+    probe = np.random.default_rng(1).standard_normal((2 * BLOCK_ROWS + 1, N_FEATURES))
+    net = PlasticNetwork.new(N_FEATURES, [24, 12], rng_for(3, 0))
+    for t in (0, 1):
+        train_task(net, data[t], TrainerConfig(**CONFIG), t)
+    assert net.hidden_sizes() != [24, 12]
+    before = net.predict(probe)
+    for t in (2, 3):
+        train_task(net, data[t], TrainerConfig(**CONFIG, freeze_scope="pss_only"), t)
+        after = net.predict(probe)
+        assert after[:, :t].tobytes() == np.ascontiguousarray(before[:, :t]).tobytes()
+        before = after
+
+
+def test_cache_build_sees_one_block_of_images_at_a_time(grown, monkeypatch):
+    """The trainer's build gathers ``source[rows]`` one block at a time,
+    never ``2 * BLOCK_ROWS`` images or more."""
+    net, source = grown
+    data = TaskDataset(source, np.arange(len(source))[::-1][:2 * BLOCK_ROWS + 1],
+                       np.zeros(2 * BLOCK_ROWS + 1), 0, 0)
+    seen = []
+    affine = MaskedLayer.affine
+
+    def spy(layer, x, start=0, stop=None, out=None):
+        if layer is net.layers[0]:
+            seen.append(x.copy())
+        return affine(layer, x, start, stop, out)
+
+    monkeypatch.setattr(MaskedLayer, "affine", spy)
+    cache = trainer._frozen_cache(net, data, init_velocity(net.layers))
+    assert [len(x) for x in seen] == [BLOCK_ROWS, BLOCK_ROWS + 1]
+    assert np.concatenate(seen).tobytes() == data.x.tobytes()
+    assert len(cache[0]) == len(data)
+
+
+def test_cache_build_peaks_at_the_cache_plus_one_block():
+    """Each layer's block is written straight into the cache, so the
+    build holds the cache and one block of images, not all of them."""
+    net = PlasticNetwork.new(784, [400, 100], rng_for(5, 0))
+    net.grow_output(0)
+    net.grow_output(1)
+    net.set_structural_freeze("pss_only")
+    stops = [layer.train_from for layer in net.layers]
+    assert stops == [400, 100, 1]
+    source = np.random.default_rng(2).standard_normal((4 * BLOCK_ROWS, 784))
+    rows = np.random.default_rng(1).permutation(len(source))[:3 * BLOCK_ROWS]
+    net.frozen_activations(source, rows[:5])  # lazy imports
+    cache, peak = traced_peak(net.frozen_activations, source, rows)
+    block = 8 * BLOCK_ROWS * 784
+    assert peak <= 1.1 * (sum(c.nbytes for c in cache) + block)
+
+
+def test_predict_peaks_at_its_logits_plus_one_block_of_each_layer():
+    net = PlasticNetwork.new(20, [300, 200], np.random.default_rng(1))
+    for task in range(3):
+        net.grow_output(task)
+    x = np.random.default_rng(2).standard_normal((2000, 20))
+    net.predict(x[:5])  # lazy imports
+    logits, peak = traced_peak(net.predict, x)
+    largest = max(b.stop - b.start for b in row_blocks(len(x)))
+    block = 8 * largest * sum(layer.fan_out for layer in net.layers)
+    assert peak <= 1.1 * (logits.nbytes + block)

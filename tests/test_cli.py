@@ -177,6 +177,18 @@ class TestGradcheck:
         assert code == EXIT_NUMERIC
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "0"), ("--seeds", "-2"),
+        ("--tolerance", "nan"), ("--tolerance", "-1"), ("--tolerance", "0"),
+        ("--tolerance", "inf"),
+        ("--zero-prob", "2"), ("--zero-prob", "1"), ("--zero-prob", "-0.1"),
+        ("--freeze-prob", "nan"), ("--freeze-prob", "1")])
+    def test_bad_flag_is_config_error_before_any_check(self, flag, value, capsys):
+        code = main(["gradcheck", "--dims", "6,5,3", "--seeds", "1", flag, value])
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"configuration error: {flag}")
+
 
 class TestExportMetrics:
     def test_regenerates_csv(self, tmp_path, capsys):

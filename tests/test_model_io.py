@@ -179,3 +179,30 @@ class TestHostileModelFiles:
         assert main(["inspect", "--model", str(path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+    @staticmethod
+    def assert_refused(path, capsys):
+        with pytest.raises(ContainerError):
+            read_container(path, MODEL_MAGIC)
+        assert main(["inspect", "--model", str(path)]) == EXIT_DATA
+        assert main(["eval", "--model", str(path), "--preset", "synthetic",
+                     "--train-size", "240", "--test-size", "120", "--tasks", "2",
+                     "--test-count", "120"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_bytes_after_the_last_array_are_data_error(self, saved, tmp_path, capsys):
+        path = tmp_path / "model.pssnet"
+        path.write_bytes(saved + b"\0")
+        self.assert_refused(path, capsys)
+
+    def test_array_named_twice_is_data_error(self, saved, tmp_path, capsys):
+        """A second copy of the last array, header entry and bytes, would
+        otherwise load, the later copy silently replacing the first."""
+        path = tmp_path / "model.pssnet"
+        path.write_bytes(saved)
+        _, arrays = read_container(path, MODEL_MAGIC)
+        last = arrays[list(arrays)[-1]]
+        rewrite_header(path, lambda h: h["arrays"].append(dict(h["arrays"][-1])))
+        path.write_bytes(path.read_bytes() + last.tobytes())
+        self.assert_refused(path, capsys)

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from test_blockwise import forward_by_block
 from test_data import traced_peak
 
 from pss.numerics import (
@@ -474,7 +475,9 @@ class TestDerivedStructure:
         net.predict(x[:5])  # lazy imports
         logits, peak = traced_peak(net.predict, x)
         assert peak <= 1.1 * 8 * len(x) * sum(l.fan_out for l in net.layers)
-        assert logits.tobytes() == forward(net.layers, x).output.tobytes()
+        assert logits.tobytes() == forward_by_block(net.layers, x)[-1].tobytes()
+        np.testing.assert_allclose(logits, forward(net.layers, x).output,
+                                   rtol=1e-12, atol=0)
 
     def test_one_run_per_generation_sees_its_prefix(self):
         net = self.split_net("pss_only")

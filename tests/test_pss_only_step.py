@@ -16,6 +16,7 @@ import weakref
 
 import numpy as np
 import pytest
+from test_blockwise import forward_by_block
 from test_data import traced_peak
 
 from pss import trainer
@@ -190,7 +191,7 @@ class TestFrozenCache:
 
     def test_cache_is_the_frozen_rows_of_a_full_forward(self):
         net, data = self.drifted_task()
-        cache = net.frozen_activations(data.x)
+        cache = net.frozen_activations(data.source, data.rows)
         assert [c.shape[1] for c in cache] == [12, 8, 1]
         post = forward(net.layers, data.x).post
         for c, a, layer in zip(cache, post, net.layers):
@@ -210,13 +211,13 @@ class TestFrozenCache:
         computed = []
         affine = MaskedLayer.affine
 
-        def spy(layer, x, start=0, stop=None):
-            z = affine(layer, x, start, stop)
+        def spy(layer, x, start=0, stop=None, out=None):
+            z = affine(layer, x, start, stop, out)
             computed.append((start, z.shape[1]))
             return z
 
         monkeypatch.setattr(MaskedLayer, "affine", spy)
-        cache = net.frozen_activations(x)
+        cache = net.frozen_activations(x, np.arange(len(x)))
         monkeypatch.setattr(MaskedLayer, "affine", affine)
         assert computed == [(0, layer.train_from) for layer in net.layers]
         post = forward(net.layers, x).post
@@ -254,23 +255,24 @@ class TestFrozenCache:
         assert layers[2].runs == [(0, 1, 0), (1, 2, 3)]
         x = rng.standard_normal((9, N_FEATURES))
         self.assert_frozen_columns_of_forward(net, x, monkeypatch)
-        assert np.all(net.frozen_activations(x)[2] == layers[2].bias[0])
+        cache = net.frozen_activations(x, np.arange(len(x)))
+        assert np.all(cache[2] == layers[2].bias[0])
 
     def test_nothing_frozen_means_no_cache(self):
         net, data = self.drifted_task()
         net.set_structural_freeze("full_truncated")
-        assert net.frozen_activations(data.x) is None
+        assert net.frozen_activations(data.source, data.rows) is None
 
     def test_cache_rebuilt_after_split(self):
         """A split reverts frozen rows, so a cache built before it is
         stale; the rebuilt one matches a fresh forward and the steps
         after it match the dense reference."""
         net, data = self.drifted_task()
-        stale = net.frozen_activations(data.x)
+        stale = net.frozen_activations(data.source, data.rows)
         assert net.splitting_round(0).total_splits
         assert [l.train_from for l in net.layers] == [12, 8, 1]
         assert net.hidden_layers[0].fan_out > 12
-        fresh = net.frozen_activations(data.x)
+        fresh = net.frozen_activations(data.source, data.rows)
         assert any(not np.array_equal(s, f) for s, f in zip(stale, fresh))
         post = forward(net.layers, data.x).post
         for c, a, layer in zip(fresh, post, net.layers):
@@ -293,12 +295,12 @@ class TestFrozenCache:
         images, alive = [], []
         affine = MaskedLayer.affine
 
-        def spy(layer, x, start=0, stop=None):
+        def spy(layer, x, start=0, stop=None, out=None):
             if images:
                 alive.append(images[0]() is not None)
             else:
                 images.append(weakref.ref(x))
-            return affine(layer, x, start, stop)
+            return affine(layer, x, start, stop, out)
 
         monkeypatch.setattr(MaskedLayer, "affine", spy)
         cache = trainer._frozen_cache(net, data, init_velocity(net.layers))
@@ -314,9 +316,12 @@ class TestFrozenCache:
         assert [layer.train_from for layer in net.layers] == [200, 20, 1]
         rows = np.random.default_rng(1).permutation(3000)
         source = np.random.default_rng(2).standard_normal((3000, 16))
-        net.frozen_activations(source[:5])  # lazy imports
-        cache, peak = traced_peak(lambda: net.frozen_activations(source[rows]))
+        net.frozen_activations(source, rows[:5])  # lazy imports
+        cache, peak = traced_peak(net.frozen_activations, source, rows)
         held = source.nbytes + cache[0].nbytes + sum(c.nbytes for c in cache)
         assert peak <= 1.1 * held
-        for c, a in zip(cache, forward(net.layers, source[rows]).post):
+        x = source[rows]
+        for c, a, whole in zip(cache, forward_by_block(net.layers, x),
+                               forward(net.layers, x).post):
             assert c.tobytes() == np.ascontiguousarray(a[:, :c.shape[1]]).tobytes()
+            np.testing.assert_allclose(c, whole[:, :c.shape[1]], rtol=1e-12, atol=0)

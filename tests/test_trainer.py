@@ -206,8 +206,8 @@ class TestHybridScope:
         built = []
         frozen_activations = PlasticNetwork.frozen_activations
 
-        def spy(net, x):
-            cache = frozen_activations(net, x)
+        def spy(net, source, rows):
+            cache = frozen_activations(net, source, rows)
             if cache is not None:
                 built.append(net.task)
             return cache
