@@ -11,8 +11,6 @@ and raises ``ContainerError`` on any fault. Mid-task state (snapshot,
 drift schedule, momentum) is not stored: ``train_task`` rebuilds it.
 """
 
-import math
-
 import numpy as np
 
 from .container import ContainerError, read_container, write_container
@@ -66,8 +64,6 @@ def _layer(i, w, b, tags, act):
     try:
         if w.ndim != 2 or len(w) != len(tags):
             raise ValueError(f"{len(tags)} tags for weights of shape {w.shape}")
-        if not math.isfinite(act["slope"]):
-            raise ValueError("activation slope is not finite")
         return MaskedLayer(w, b, activation=Activation(act["kind"], act["slope"]))
     except (TypeError, KeyError, ValueError, OverflowError, FloatingPointError) as e:
         raise ContainerError(f"layer {i}: {e!r}") from e

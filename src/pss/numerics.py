@@ -20,6 +20,10 @@ network, which keeps the floating-point summation order stable when
 rows or columns are appended. This is what makes outputs of untouched
 subnetworks reproducible to the bit after the network has grown.
 
+One pass, ``post_activations``, serves the training step (``forward``),
+``predict`` and the frozen-row cache. It keeps no pre-activation: with a
+slope in [0, 1], backward reads the derivative off the post-activation.
+
 Every row before ``train_from`` is frozen, and by the edge rule sees
 only input columns before the ``train_from`` of the layer below. A
 training step computes only the rows from ``train_from`` on.
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_LEAKY_SLOPE = 0.01
+ACTIVATION_ROWS = 64  # rows per step of ``Activation.apply_in_place``, its one temporary
 
 
 class DimensionError(ValueError):
@@ -78,20 +83,26 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
-
-    def apply(self, z):
-        return z if self.kind == "identity" else np.where(z > 0, z, self.slope * z)
+        # also rejects NaN; apply_in_place and derivative rely on the range
+        if not 0.0 <= self.slope <= 1.0:
+            raise ValueError(f"activation slope {self.slope!r} is outside [0, 1]")
 
     def apply_in_place(self, z):
-        """``apply(z)`` written over ``z``, bit for bit."""
+        """Activate ``z`` in place, bit for bit ``np.where(z > 0, z, slope * z)``:
+        with 0 <= slope <= 1, ``slope * z`` is the larger of the two exactly
+        where ``z <= 0`` (and equal to ``z`` where they tie)."""
         if self.kind != "identity":
-            np.multiply(z, self.slope, out=z, where=z <= 0)
+            for r in range(0, len(z), ACTIVATION_ROWS):
+                rows = z[r:r + ACTIVATION_ROWS]
+                np.maximum(rows, rows * self.slope, out=rows)
         return z
 
-    def derivative(self, z):
+    def derivative(self, a):
+        """The derivative at the pre-activations whose activations are ``a``:
+        with slope >= 0, ``a > 0`` exactly where the pre-activation is."""
         if self.kind == "identity":
-            return np.ones_like(z)
-        return np.where(z > 0, 1.0, self.slope)
+            return np.ones_like(a)
+        return np.where(a > 0, 1.0, self.slope)
 
 
 IDENTITY = Activation("identity", slope=1.0)
@@ -220,12 +231,10 @@ class MaskedLayer:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer activations for one mini-batch: ``post[i]`` holds every
-    row of layer ``i``, ``pre[i]`` only the rows the pass computed (the
-    trailing ones, all of them unless a cache supplied the rest)."""
+    """Per-layer post-activations for one mini-batch: ``post[i]`` holds
+    every row of layer ``i``, cached or computed."""
 
     inputs: np.ndarray
-    pre: list
     post: list
 
     @property
@@ -237,27 +246,18 @@ class ForwardTrace:
 
 
 def forward(layers, batch, cached=None):
-    """Run ``batch`` through ``layers`` and record the trace.
+    """Run ``batch`` through ``layers`` and record the trace: the training
+    step's ``post_activations``.
 
     ``cached``, when given, holds one array per layer: the
     post-activations of the layer's first ``cached[i].shape[1]`` rows
-    for this batch. Those rows are taken as given and only the rows
-    after them are computed.
+    for this batch. Those rows are copied into the trace and only the
+    rows after them are computed. A batch of fewer than
+    ``2 * BLOCK_ROWS`` rows is one block; a larger one is forwarded
+    block by block (``row_blocks``).
     """
-    x = inputs = _checked_batch(layers, batch)
-    pre, post = [], []
-    for i, layer in enumerate(layers):
-        start = 0 if cached is None else cached[i].shape[1]
-        z = layer.affine(x, start)
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteError(f"non-finite pre-activation at layer {i}")
-        a = layer.activation.apply(z)
-        if start:
-            a = np.concatenate([cached[i], a], axis=1)
-        pre.append(z)
-        post.append(a)
-        x = a
-    return ForwardTrace(inputs=inputs, pre=pre, post=post)
+    inputs = _as_float_matrix(batch, "batch")
+    return ForwardTrace(inputs=inputs, post=post_activations(layers, inputs, cached=cached))
 
 
 # Images per block of ``post_activations``; the last block takes the rest.
@@ -276,40 +276,42 @@ def row_blocks(n):
     return [slice(a, a + BLOCK_ROWS) for a in range(0, last, BLOCK_ROWS)] + [slice(last, n)]
 
 
-def post_activations(layers, source, rows, stops, last_only=False):
-    """Post-activations of rows ``:stops[i]`` (all rows for None) of every
-    layer ``i`` over the images ``source[rows]`` (all of ``source``, in
-    order, when ``rows`` is None), or of the last layer only when
-    ``last_only``.
+def post_activations(layers, source, rows=None, stops=None, cached=None, last_only=False):
+    """Post-activations of rows ``:stops[i]`` (all rows when ``stops`` or
+    its entry is None) of every layer ``i`` over the images
+    ``source[rows]`` (all of ``source``, in order, when ``rows`` is None),
+    or of the last layer only when ``last_only``. A layer's first
+    ``cached[i].shape[1]`` columns, when ``cached`` is given, are copied
+    from it and only the columns after them are computed.
 
     The images are gathered and forwarded one ``row_blocks`` block at a
-    time, with ``forward``'s arithmetic and checks, and each kept layer's
-    block is computed and activated in place in its rows of the result.
-    So the pass holds its results and one block of images and of two
-    layers, never all the images or all of a layer.
+    time, and each kept layer's block is computed and activated in place
+    in its rows of the result. So the pass holds its results and one
+    block of images and of two layers, never all the images or all of a
+    layer.
     """
     n = len(source) if rows is None else len(rows)
+    stops = stops or [None] * len(layers)
     out = [None if last_only and i < len(layers) - 1
            else np.empty((n, layer.fan_out if stop is None else stop))
            for i, (layer, stop) in enumerate(zip(layers, stops))]
     for block in row_blocks(n):
-        x = _checked_batch(layers, source[block] if rows is None else source[rows[block]])
+        x = _as_float_matrix(source[block] if rows is None else source[rows[block]], "batch")
+        if layers and x.shape[1] != layers[0].fan_in:
+            raise DimensionError(
+                f"batch has {x.shape[1]} features, first layer expects {layers[0].fan_in}")
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteError("batch contains NaN/Inf")
         for i, (layer, stop, o) in enumerate(zip(layers, stops, out)):
-            z = layer.affine(x, stop=stop, out=None if o is None else o[block])
+            start = 0 if cached is None else cached[i].shape[1]
+            if start:
+                o[block, :start] = cached[i][block]
+            z = layer.affine(x, start, stop, out=None if o is None else o[block, start:])
             if not np.all(np.isfinite(z)):
                 raise NonFiniteError(f"non-finite pre-activation at layer {i}")
-            x = layer.activation.apply_in_place(z)
+            layer.activation.apply_in_place(z)
+            x = z if o is None else o[block]
     return out
-
-
-def _checked_batch(layers, batch):
-    x = _as_float_matrix(batch, "batch")
-    if layers and x.shape[1] != layers[0].fan_in:
-        raise DimensionError(
-            f"batch has {x.shape[1]} features, first layer expects {layers[0].fan_in}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError("batch contains NaN/Inf")
-    return x
 
 
 def bce_loss(logits, labels):
@@ -349,14 +351,6 @@ def _check_selection(selected_outputs, out_dim):
     return sel
 
 
-def _open_delta(d_post, layer, z):
-    """``d_post * activation'`` for the rows from ``layer.train_from`` on,
-    where ``z`` holds (at least) those rows' pre-activations, last."""
-    k = layer.fan_out - layer.train_from
-    # z[:, -k:] would be all of z when k == 0
-    return d_post * layer.activation.derivative(z[:, z.shape[1] - k:])
-
-
 def backward_truncated(layers, trace, targets, selected_outputs):
     """Gradients of the truncated mean BCE loss for every layer.
 
@@ -375,7 +369,7 @@ def backward_truncated(layers, trace, targets, selected_outputs):
     ``targets`` is ``(n, k)`` with columns aligned to the selection
     order, or ``(n,)`` when a single output is selected.
     """
-    if len(trace.pre) != len(layers):
+    if len(trace.post) != len(layers):
         raise DimensionError("trace layer count does not match layers")
     out = trace.output
     n, out_dim = out.shape
@@ -395,7 +389,7 @@ def backward_truncated(layers, trace, targets, selected_outputs):
 
     grads = [None] * len(layers)
     top = layers[-1]
-    delta = _open_delta(d_post[:, top.train_from:], top, trace.pre[-1])
+    delta = d_post[:, top.train_from:] * top.activation.derivative(out[:, top.train_from:])
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         o = layer.train_from
@@ -410,8 +404,8 @@ def backward_truncated(layers, trace, targets, selected_outputs):
         grads[i] = LayerGrads(d_w, d_b)
         if i > 0:
             below = layers[i - 1]
-            delta = _open_delta(delta @ layer.weights[o:, below.train_from:],
-                                below, trace.pre[i - 1])
+            delta = delta @ layer.weights[o:, below.train_from:]
+            delta *= below.activation.derivative(trace.post[i - 1][:, below.train_from:])
     return grads
 
 

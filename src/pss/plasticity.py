@@ -234,12 +234,10 @@ class PlasticNetwork:
         return gens.index(self.task) if self.task in gens else None
 
     def predict(self, x):
-        """Logits for every output node, shape (n, n_outputs): ``forward``'s
-        output and checks, computed one block of images at a time
-        (``row_blocks``), so the pass holds the logits and one block of two
-        layers, and no pre-activation (see ``post_activations``)."""
-        return post_activations(self.layers, x, None, [None] * len(self.layers),
-                                last_only=True)[-1]
+        """Logits for every output node, shape (n, n_outputs), computed one
+        block of images at a time (``row_blocks``), so the pass holds the
+        logits and one block of two layers (see ``post_activations``)."""
+        return post_activations(self.layers, x, last_only=True)[-1]
 
     def trace(self, x, cached=None):
         """Forward trace of ``x``; ``cached`` holds the rows of

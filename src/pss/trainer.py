@@ -45,6 +45,7 @@ from .evaluation import RunReport, multiclass_accuracy, task_accuracy
 from .numerics import (
     backward_truncated,
     init_velocity,
+    leaky_relu,
     pad_velocity,
     selected_bce,
     sgd_step,
@@ -100,6 +101,7 @@ class TrainerConfig:
             raise ValueError("split_init must be 'drifted' or 'reverted'")
         if self.magnitude_freeze_threshold < 0:
             raise ValueError("magnitude_freeze_threshold must be >= 0")
+        leaky_relu(self.leaky_slope)  # raises ValueError outside [0, 1]
         return self
 
     def to_dict(self):
@@ -133,8 +135,6 @@ def _frozen_cache(net, task_data, velocity):
     for layer, v in zip(net.layers, velocity):
         v.weights[:layer.train_from] = 0.0
         v.bias[:layer.train_from] = 0.0
-    if not any(layer.train_from for layer in net.layers):
-        return None
     return net.frozen_activations(task_data.source, task_data.rows)
 
 

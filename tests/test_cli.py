@@ -1,12 +1,15 @@
 """Unit tests for the command line interface."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from pss import cli
 from pss.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, RunConfig, main
 from pss.data import save_idx
+from pss.trainer import TrainerConfig
 
 STREAM = ["--preset", "synthetic", "--train-size", "240", "--test-size", "120",
           "--tasks", "3", "--test-count", "120"]
@@ -75,6 +78,18 @@ class TestTrain:
         code = main(["train", *FAST, "--out", str(tmp_path / "x"), *flags])
         assert code == EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
+
+    def test_leaky_slope_outside_unit_interval_is_config_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        """No flag sets the slope; a config that carries a bad one exits 2
+        before any data is built."""
+        monkeypatch.setattr(cli, "TrainerConfig",
+                            functools.partial(TrainerConfig, leaky_slope=2.0))
+        monkeypatch.setattr(RunConfig, "build_stream",
+                            lambda self: pytest.fail("data built before validation"))
+        code = main(["train", *FAST, "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert "outside [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--tasks", "0"], ["--tasks", "11"], ["--train-size", "0"],

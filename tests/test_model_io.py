@@ -66,6 +66,9 @@ HOSTILE = {
     "unknown activation": lambda h: h["meta"]["activations"][0].__setitem__(
         "kind", "tanh"),
     "schema 1": lambda h: h["meta"].__setitem__("schema", 1),
+    "slope 2": lambda h: h["meta"]["activations"][0].__setitem__("slope", 2.0),
+    "slope -1": lambda h: h["meta"]["activations"][0].__setitem__("slope", -1.0),
+    "slope NaN": lambda h: h["meta"]["activations"][0].__setitem__("slope", float("nan")),
 }
 # Cases the container reader itself must reject, before any model check.
 CONTAINER_FAULTS = ("missing arrays", "negative shape", "non-integer shape")

@@ -26,6 +26,13 @@ from pss.numerics import (
 )
 
 
+def where_activation(z, activation):
+    """Test-local reference: ``np.where`` form of the activation."""
+    if activation.kind == "identity":
+        return z.copy()
+    return np.where(z > 0, z, activation.slope * z)
+
+
 def finite_diff_grads(layers, x, y, sel, step=1e-6):
     """Test-local central-difference gradients of the truncated loss.
 
@@ -230,9 +237,37 @@ class TestForward:
     def test_in_place_activation_is_apply(self, activation):
         z = np.random.default_rng(4).standard_normal((50, 9))
         z[0, :4] = [0.0, -0.0, 1e-310, -1e-310]
-        want = activation.apply(z.copy())
+        want = where_activation(z, activation)
         got = activation.apply_in_place(z)
         assert got is z and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 64, 65, 769])
+    def test_in_place_activation_and_derivative_are_where_at_chunk_edges(self, slope, n):
+        """Bitwise ``np.where`` on signed zeros, denormals and the largest
+        floats, over row counts at the edges of the activation's chunks;
+        the derivative read off the post-activation is the one read off
+        the pre-activation."""
+        activation = leaky_relu(slope)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        big = np.finfo(np.float64).max
+        special = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, big, -big]
+        z = np.random.default_rng(n).standard_normal((n, 11))
+        z.reshape(-1)[np.arange(0, z.size, 3)] = np.resize(special, len(range(0, z.size, 3)))
+        want = np.where(z > 0, z, slope * z)
+        want_derivative = np.where(z > 0, 1.0, slope)
+        a = activation.apply_in_place(z.copy())
+        assert a.tobytes() == want.tobytes()
+        assert activation.derivative(a).tobytes() == want_derivative.tobytes()
+        # a column view, as the training step activates the computed rows
+        wide = np.concatenate([np.ones((n, 3)), z], axis=1)
+        activation.apply_in_place(wide[:, 3:])
+        assert np.ascontiguousarray(wide[:, 3:]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slope", [-1.0, -1e-300, 1.0000000000000002, 2.0, np.nan, np.inf])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match="outside"):
+            leaky_relu(slope)
 
     def test_unknown_activation_kind_rejected(self):
         with pytest.raises(ValueError, match="tanh"):
@@ -246,7 +281,8 @@ class TestForward:
             MaskedLayer(rng.standard_normal((2, 4)), rng.standard_normal(2)),
         ]
         trace = forward(layers, rng.standard_normal((5, 3)))
-        assert len(trace.pre) == 2 and len(trace.post) == 2
+        assert len(trace.post) == 2
+        assert [a.shape for a in trace.post] == [(5, 4), (5, 2)]
         assert trace.output.shape == (5, 2)
         np.testing.assert_array_equal(trace.layer_input(1), trace.post[0])
 

@@ -42,6 +42,13 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(hidden_sizes=()).validate()
 
+    @pytest.mark.parametrize("slope", [2.0, -1.0, float("nan")])
+    def test_leaky_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            TrainerConfig(leaky_slope=slope).validate()
+        TrainerConfig(leaky_slope=0.0).validate()
+        TrainerConfig(leaky_slope=1.0).validate()
+
     def test_to_dict_is_json_safe(self):
         import json
         json.dumps(TrainerConfig().to_dict())
