@@ -5,6 +5,10 @@ re-scores a saved model, ``inspect`` dumps a model's structure,
 ``gradcheck`` verifies the backprop implementation numerically, and
 ``export-metrics`` turns a saved JSON report into CSV.
 
+Each ``train`` and ``eval`` flag sets the ``TrainerConfig`` or
+``RunConfig`` field its ``dest`` names; an absent flag sets nothing, so
+the field keeps the default its dataclass declares.
+
 Exit codes: 0 success, 2 bad configuration, 3 data problems
 (missing or malformed files), 4 numerical failures.
 """
@@ -14,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .data import (
 from .evaluation import RunReport, export
 from .model_io import load_model, save_model
 from .numerics import NonFiniteError, gradcheck
+from .plasticity import SPLIT_INITS
 from .trainer import (
     SCOPE_CHOICES,
     TrainerConfig,
@@ -45,6 +50,7 @@ EXIT_NUMERIC = 4
 
 PRESET_CHOICES = ("mnist", "mnist-variation", "synthetic")
 N_CLASSES = 10  # every preset is a ten-class digit corpus
+TRAINER_FIELDS = {f.name for f in fields(TrainerConfig)}
 
 
 def _scalar_or_tuple(text):
@@ -82,29 +88,13 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args):
+        """Build the configs from the flags given, matched by field name."""
+        given = vars(args)
         trainer = None
         if args.command == "train":
-            trainer = TrainerConfig(
-                hidden_sizes=args.hidden_sizes,
-                learning_rate=args.lr,
-                momentum=args.momentum,
-                batch_size=args.batch_size,
-                epochs_per_task=args.epochs,
-                sigma=args.sigma,
-                delta=args.delta,
-                freeze_scope=args.scope,
-                split_init=args.split_init,
-                magnitude_freeze_threshold=args.magnitude_freeze,
-                seed=args.seed,
-            ).validate()
-        return cls(preset=args.preset, data_dir=args.data_dir,
-                   out_dir=getattr(args, "out", "runs/latest"),
-                   seed=args.seed, n_tasks=args.tasks,
-                   test_count=args.test_count,
-                   per_task_train=args.per_task_train,
-                   train_size=args.train_size, test_size=args.test_size,
-                   baseline=getattr(args, "baseline", False),
-                   model_path=getattr(args, "save_model", None),
+            trainer = TrainerConfig(**{k: v for k, v in given.items()
+                                       if k in TRAINER_FIELDS}).validate()
+        return cls(**{k: v for k, v in given.items() if k in RUN_FIELDS},
                    trainer=trainer).validate()
 
     def validate(self):
@@ -113,7 +103,8 @@ class RunConfig:
             raise ValueError(f"--tasks must be 1..{N_CLASSES}, one per digit class")
         for flag, value, least in (("--train-size", self.train_size, N_CLASSES),
                                    ("--test-size", self.test_size, N_CLASSES),
-                                   ("--test-count", self.test_count, 1)):
+                                   ("--test-count", self.test_count, 1),
+                                   ("--seed", self.seed, 0)):
             if value < least:
                 raise ValueError(f"{flag} must be at least {least}")
         if self.per_task_train is not None and self.per_task_train < 2:
@@ -142,37 +133,39 @@ class RunConfig:
                                  test_count=self.test_count)
 
 
+RUN_FIELDS = {f.name for f in fields(RunConfig)} - {"trainer"}
+
+
 def _add_stream_flags(p):
-    p.add_argument("--preset", choices=PRESET_CHOICES, default="synthetic",
+    p.add_argument("--preset", choices=PRESET_CHOICES,
                    help="data source (mnist presets need IDX files, see --data-dir)")
-    p.add_argument("--data-dir", default=None,
+    p.add_argument("--data-dir",
                    help=f"directory with IDX files (default: ${DATA_DIR_ENV})")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tasks", type=int, default=10)
-    p.add_argument("--test-count", type=int, default=2000,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tasks", type=int, dest="n_tasks")
+    p.add_argument("--test-count", type=int,
                    help="multiclass pool size, taken from the test set head")
-    p.add_argument("--per-task-train", type=int, default=None,
+    p.add_argument("--per-task-train", type=int,
                    help="cap on each task's training set size")
-    p.add_argument("--train-size", type=int, default=2000,
+    p.add_argument("--train-size", type=int,
                    help="synthetic preset: training corpus size")
-    p.add_argument("--test-size", type=int, default=1000,
+    p.add_argument("--test-size", type=int,
                    help="synthetic preset: test corpus size")
 
 
 def _add_trainer_flags(p):
-    p.add_argument("--hidden-sizes", type=_int_tuple, default=(312, 128))
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--sigma", type=_scalar_or_tuple, default=(0.3, 0.25),
+    p.add_argument("--hidden-sizes", type=_int_tuple)
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--epochs", type=int, dest="epochs_per_task")
+    p.add_argument("--sigma", type=_scalar_or_tuple,
                    help="drift threshold, scalar or one value per hidden layer")
-    p.add_argument("--delta", type=_scalar_or_tuple, default=(0.0015, 0.25),
+    p.add_argument("--delta", type=_scalar_or_tuple,
                    help="per-epoch threshold escalation")
-    p.add_argument("--scope", choices=SCOPE_CHOICES, default="hybrid")
-    p.add_argument("--split-init", choices=("drifted", "reverted"),
-                   default="drifted")
-    p.add_argument("--magnitude-freeze", type=float, default=0.0,
+    p.add_argument("--scope", choices=SCOPE_CHOICES, dest="freeze_scope")
+    p.add_argument("--split-init", choices=SPLIT_INITS)
+    p.add_argument("--magnitude-freeze", type=float, dest="magnitude_freeze_threshold",
                    help="freeze weights below this magnitude at task start")
 
 
@@ -277,16 +270,18 @@ def build_parser():
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a lifelong task stream")
+    p = sub.add_parser("train", help="train a lifelong task stream",
+                       argument_default=argparse.SUPPRESS)
     _add_stream_flags(p)
     _add_trainer_flags(p)
-    p.add_argument("--out", default="runs/latest", help="report directory")
+    p.add_argument("--out", dest="out_dir", help="report directory")
     p.add_argument("--baseline", action="store_true",
                    help="disable splitting and freezing (fine-tune baseline)")
-    p.add_argument("--save-model", default=None, help="write the model here")
+    p.add_argument("--save-model", dest="model_path", help="write the model here")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a saved model on a task stream")
+    p = sub.add_parser("eval", help="score a saved model on a task stream",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--model", required=True)
     _add_stream_flags(p)
     p.set_defaults(func=cmd_eval)

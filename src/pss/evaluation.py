@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -114,25 +114,12 @@ class RunReport:
     def to_dict(self):
         per_task, mean = forgetting(self.accuracy_matrix) \
             if self.accuracy_matrix else ([], 0.0)
-        return {
-            "schema": self.schema,
-            "mode": self.mode,
-            "seed": self.seed,
-            "config": self.config,
-            "accuracy_matrix": self.accuracy_matrix,
-            "multiclass": self.multiclass,
-            "hidden_sizes": self.hidden_sizes,
-            "parameter_counts": self.parameter_counts,
-            "split_counts": self.split_counts,
-            "filler_counts": self.filler_counts,
-            "epoch_losses": self.epoch_losses,
-            "derived": {
-                "final_average_accuracy": average_accuracy(self.accuracy_matrix)
-                if self.accuracy_matrix else None,
-                "per_task_forgetting": per_task,
-                "mean_forgetting": mean,
-            },
-        }
+        return {**asdict(self), "derived": {
+            "final_average_accuracy": average_accuracy(self.accuracy_matrix)
+            if self.accuracy_matrix else None,
+            "per_task_forgetting": per_task,
+            "mean_forgetting": mean,
+        }}
 
     @classmethod
     def from_dict(cls, d):

@@ -1,14 +1,15 @@
 """Saving and loading networks at task boundaries.
 
 A model file (schema 2) is a binary container holding each layer's
-weights ``w{i}`` and bias ``b{i}``, the generation tags, task index,
-freeze scope, activations and generator state, so a run resumed from a
-boundary continues bit-for-bit like an uninterrupted one. Structure is
-derived from the tags, not stored; schema-1 files, which stored masks,
-are rejected. ``load_model`` checks the metadata and the tags against
-the weight shapes before deriving anything, then audits the network,
-and raises ``ContainerError`` on any fault. Mid-task state (snapshot,
-drift schedule, momentum) is not stored: ``train_task`` rebuilds it.
+float64 weights ``w{i}`` and bias ``b{i}``, the generation tags, task
+index, freeze scope, activations and generator state, so a run resumed
+from a boundary continues bit-for-bit like an uninterrupted one.
+Structure is derived from the tags, not stored; schema-1 files, which
+stored masks, are rejected. ``load_model`` checks the metadata and the
+tags against the weight shapes before deriving anything, then audits
+the network, and raises ``ContainerError`` on any fault. Mid-task state
+(snapshot, drift schedule, momentum) is not stored: ``train_task``
+rebuilds it.
 """
 
 import numpy as np
@@ -62,6 +63,8 @@ def _tag_lists(meta):
 def _layer(i, w, b, tags, act):
     """Layer ``i`` from its arrays, checked against its tags."""
     try:
+        if w.dtype != np.float64 or b.dtype != np.float64:
+            raise ValueError(f"arrays of {w.dtype} and {b.dtype}, not float64")
         if w.ndim != 2 or len(w) != len(tags):
             raise ValueError(f"{len(tags)} tags for weights of shape {w.shape}")
         return MaskedLayer(w, b, activation=Activation(act["kind"], act["slope"]))

@@ -99,6 +99,8 @@ class DriftSchedule:
             raise DimensionError(
                 f"{name} must be a scalar or one value per hidden layer "
                 f"({n_layers}), got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
         if np.any(arr < 0):
             raise ValueError(f"{name} must be non-negative")
         return arr
@@ -148,6 +150,7 @@ def generation_runs(gens):
 
 
 FREEZE_SCOPES = ("full_truncated", "pss_only")
+SPLIT_INITS = ("drifted", "reverted")  # where a split's copy starts
 
 
 class PlasticNetwork:
@@ -353,7 +356,7 @@ class PlasticNetwork:
         weights and bias back. Each neuron may split at most once per
         task, and only neurons that existed at the snapshot may split.
         """
-        if split_init not in ("drifted", "reverted"):
+        if split_init not in SPLIT_INITS:
             raise ValueError(f"unknown split_init {split_init!r}")
         if self.snapshot is None:
             raise ValueError("no snapshot; call take_snapshot at task start")

@@ -50,7 +50,7 @@ from .numerics import (
     selected_bce,
     sgd_step,
 )
-from .plasticity import FREEZE_SCOPES, PlasticNetwork
+from .plasticity import FREEZE_SCOPES, SPLIT_INITS, DriftSchedule, PlasticNetwork
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +86,9 @@ class TrainerConfig:
     def validate(self):
         if not self.hidden_sizes or any(int(h) < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be non-empty positive ints")
-        for name in ("learning_rate", "sigma", "delta", "magnitude_freeze_threshold"):
+        # sigma, delta: finite, non-negative, a scalar or one per hidden layer
+        DriftSchedule(self.sigma, self.delta, len(self.hidden_sizes))
+        for name in ("learning_rate", "magnitude_freeze_threshold"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0:
@@ -97,8 +99,8 @@ class TrainerConfig:
             raise ValueError("batch_size and epochs_per_task must be >= 1")
         if self.freeze_scope not in SCOPE_CHOICES:
             raise ValueError(f"freeze_scope must be one of {SCOPE_CHOICES}")
-        if self.split_init not in ("drifted", "reverted"):
-            raise ValueError("split_init must be 'drifted' or 'reverted'")
+        if self.split_init not in SPLIT_INITS:
+            raise ValueError(f"split_init must be one of {SPLIT_INITS}")
         if self.magnitude_freeze_threshold < 0:
             raise ValueError("magnitude_freeze_threshold must be >= 0")
         leaky_relu(self.leaky_slope)  # raises ValueError outside [0, 1]

@@ -79,6 +79,21 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("baseline", [[], ["--baseline"]], ids=["pss", "baseline"])
+    @pytest.mark.parametrize("flags", [
+        ["--sigma", "-1"], ["--sigma", "0.1,0.2,0.3"], ["--delta", "-0.5"]],
+        ids=" ".join)
+    def test_bad_drift_flag_is_config_error(self, flags, baseline, tmp_path, capsys,
+                                            monkeypatch):
+        """A negative or wrongly shaped sigma or delta exits 2 before any
+        data is built, with or without --baseline."""
+        monkeypatch.setattr(RunConfig, "build_stream",
+                            lambda self: pytest.fail("data built before validation"))
+        code = main(["train", *FAST, "--out", str(tmp_path / "x"), *flags, *baseline])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and flags[0][2:] in err
+
     def test_leaky_slope_outside_unit_interval_is_config_error(self, tmp_path, capsys,
                                                                monkeypatch):
         """No flag sets the slope; a config that carries a bad one exits 2
@@ -95,7 +110,7 @@ class TestTrain:
         ["--tasks", "0"], ["--tasks", "11"], ["--train-size", "0"],
         ["--train-size", "9"], ["--test-size", "0"], ["--test-count", "0"],
         ["--per-task-train", "0"], ["--per-task-train", "-5"],
-        ["--per-task-train", "1"]], ids=" ".join)
+        ["--per-task-train", "1"], ["--seed", "-1"]], ids=" ".join)
     @pytest.mark.parametrize("verb", ["train", "eval"])
     def test_bad_stream_flag_is_config_error(self, verb, flags, tmp_path, capsys,
                                              monkeypatch):
@@ -138,6 +153,18 @@ class TestTrain:
         code = main(["train", "--preset", "mnist", "--out", str(tmp_path)])
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+
+class TestDefaults:
+    """An absent flag takes the default its config dataclass declares."""
+
+    def test_train_without_flags_is_the_library_default(self):
+        args = cli.build_parser().parse_args(["train"])
+        assert RunConfig.from_args(args) == RunConfig(trainer=TrainerConfig())
+
+    def test_eval_without_stream_flags_is_the_library_default(self):
+        args = cli.build_parser().parse_args(["eval", "--model", "m"])
+        assert RunConfig.from_args(args) == RunConfig()
 
 
 class TestModelVerbs:

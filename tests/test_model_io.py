@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pss.cli import EXIT_DATA, main
-from pss.container import ContainerError, read_container
+from pss.container import ContainerError, read_container, write_container
 from pss.data import build_task_stream, synthetic_digits
 from pss.model_io import MODEL_MAGIC, load_model, save_model
 from pss.plasticity import PlasticNetwork
@@ -47,6 +47,21 @@ def weight_at_structural_zero(path, layer):
 STRUCTURAL_ZERO = {
     "weight at structural zero": 1,
     "old output sees newer neuron": 2,
+}
+
+
+def recast_array(path, name, dtype):
+    """Rewrite array ``name`` of a saved model as small whole numbers of
+    ``dtype``, a type the container allows but a model file must not hold."""
+    meta, arrays = read_container(path, MODEL_MAGIC)
+    arrays[name] = np.rint(np.abs(arrays[name]) * 10).astype(dtype)
+    write_container(path, MODEL_MAGIC, meta, arrays)
+
+
+# Arrays of a container dtype other than float64.
+WRONG_DTYPE = {
+    "int64 weights": ("w0", np.int64),
+    "uint8 bias": ("b1", np.uint8),
 }
 
 
@@ -166,12 +181,15 @@ class TestHostileModelFiles:
         save_model(path, net)
         return path.read_bytes()
 
-    @pytest.mark.parametrize("case", sorted(HOSTILE) + sorted(STRUCTURAL_ZERO))
+    @pytest.mark.parametrize(
+        "case", sorted(HOSTILE) + sorted(STRUCTURAL_ZERO) + sorted(WRONG_DTYPE))
     def test_inspect_refuses_with_data_error(self, case, saved, tmp_path, capsys):
         path = tmp_path / "model.pssnet"
         path.write_bytes(saved)
         if case in HOSTILE:
             rewrite_header(path, HOSTILE[case])
+        elif case in WRONG_DTYPE:
+            recast_array(path, *WRONG_DTYPE[case])
         else:
             weight_at_structural_zero(path, STRUCTURAL_ZERO[case])
         if case in CONTAINER_FAULTS:

@@ -69,6 +69,15 @@ class TestDriftSchedule:
         with pytest.raises(ValueError):
             DriftSchedule(-0.5, 0.1, 2)
 
+    @pytest.mark.parametrize("sigma, delta", [
+        (float("nan"), 0.0), (float("inf"), 0.0), (0.3, float("nan")),
+        ([0.3, float("-inf")], 0.1)],
+        ids=["nan sigma", "inf sigma", "nan delta", "-inf in sigma list"])
+    def test_rejects_non_finite(self, sigma, delta):
+        """A NaN threshold would never be exceeded, silently disabling splits."""
+        with pytest.raises(ValueError, match="must be finite"):
+            DriftSchedule(sigma, delta, 2)
+
 
 class TestGenerationRuns:
     def test_basic_runs(self):

@@ -41,6 +41,10 @@ class TestTrainerConfig:
             TrainerConfig(split_init="fresh").validate()
         with pytest.raises(ValueError):
             TrainerConfig(hidden_sizes=()).validate()
+        with pytest.raises(ValueError):
+            TrainerConfig(sigma=(0.3, 0.25, 0.2)).validate()
+        with pytest.raises(ValueError):
+            TrainerConfig(delta=-0.5).validate()
 
     @pytest.mark.parametrize("slope", [2.0, -1.0, float("nan")])
     def test_leaky_slope_outside_unit_interval_rejected(self, slope):
