@@ -7,7 +7,8 @@ re-scores a saved model, ``inspect`` dumps a model's structure,
 
 Each ``train`` and ``eval`` flag sets the ``TrainerConfig`` or
 ``RunConfig`` field its ``dest`` names; an absent flag sets nothing, so
-the field keeps the default its dataclass declares.
+the field keeps the default its dataclass declares, and ``--help``
+shows that default.
 
 Exit codes: 0 success, 2 bad configuration, 3 data problems
 (missing or malformed files), 4 numerical failures.
@@ -69,6 +70,16 @@ def _int_tuple(text):
         raise argparse.ArgumentTypeError(f"not an int list: {text!r}")
 
 
+def _check_out_dir(flag, path):
+    """Refuse a directory that cannot be made: the path, or the last part
+    of it that exists, is not a directory."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ValueError(f"{flag} {path}: {head} is not a directory")
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs, resolved from flags (``trainer``: train only)."""
@@ -98,7 +109,8 @@ class RunConfig:
                    trainer=trainer).validate()
 
     def validate(self):
-        """Reject stream flags no corpus can satisfy, before any data is built."""
+        """Reject stream flags no corpus can satisfy, and output paths that
+        ``train`` cannot use, before any data is built."""
         if not 1 <= self.n_tasks <= N_CLASSES:
             raise ValueError(f"--tasks must be 1..{N_CLASSES}, one per digit class")
         for flag, value, least in (("--train-size", self.train_size, N_CLASSES),
@@ -110,6 +122,12 @@ class RunConfig:
         if self.per_task_train is not None and self.per_task_train < 2:
             raise ValueError("--per-task-train must be at least 2 "
                              "(one positive and one negative image)")
+        if self.trainer is not None:
+            _check_out_dir("--out", self.out_dir)
+            if self.model_path and (os.path.isdir(self.model_path) or not os.path.isdir(
+                    os.path.dirname(os.path.abspath(self.model_path)))):
+                raise ValueError(f"--save-model {self.model_path} must name a file "
+                                 "in an existing directory")
         return self
 
     def load_corpus(self):
@@ -134,15 +152,32 @@ class RunConfig:
 
 
 RUN_FIELDS = {f.name for f in fields(RunConfig)} - {"trainer"}
+FIELD_DEFAULTS = {f.name: f.default for cls in (TrainerConfig, RunConfig)
+                  for f in fields(cls)}
+
+
+def _flag_text(value):
+    """``value`` written the way its flag takes it: tuples comma-joined."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+class _FieldDefaultsFormatter(argparse.HelpFormatter):
+    """Ends each flag's help with the default of the config field it sets."""
+
+    def _get_help_string(self, action):
+        if action.dest not in FIELD_DEFAULTS:
+            return action.help
+        return f"{action.help} (default: {_flag_text(FIELD_DEFAULTS[action.dest])})"
 
 
 def _add_stream_flags(p):
     p.add_argument("--preset", choices=PRESET_CHOICES,
                    help="data source (mnist presets need IDX files, see --data-dir)")
     p.add_argument("--data-dir",
-                   help=f"directory with IDX files (default: ${DATA_DIR_ENV})")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tasks", type=int, dest="n_tasks")
+                   help=f"directory with IDX files; if None, ${DATA_DIR_ENV}")
+    p.add_argument("--seed", type=int, help="seed of the data and the run")
+    p.add_argument("--tasks", type=int, dest="n_tasks",
+                   help="number of tasks, one digit class each")
     p.add_argument("--test-count", type=int,
                    help="multiclass pool size, taken from the test set head")
     p.add_argument("--per-task-train", type=int,
@@ -154,17 +189,19 @@ def _add_stream_flags(p):
 
 
 def _add_trainer_flags(p):
-    p.add_argument("--hidden-sizes", type=_int_tuple)
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int, dest="epochs_per_task")
+    p.add_argument("--hidden-sizes", type=_int_tuple, help="units per hidden layer")
+    p.add_argument("--lr", type=float, dest="learning_rate", help="SGD learning rate")
+    p.add_argument("--momentum", type=float, help="SGD momentum")
+    p.add_argument("--batch-size", type=int, help="images per training step")
+    p.add_argument("--epochs", type=int, dest="epochs_per_task", help="epochs per task")
     p.add_argument("--sigma", type=_scalar_or_tuple,
                    help="drift threshold, scalar or one value per hidden layer")
     p.add_argument("--delta", type=_scalar_or_tuple,
                    help="per-epoch threshold escalation")
-    p.add_argument("--scope", choices=SCOPE_CHOICES, dest="freeze_scope")
-    p.add_argument("--split-init", choices=SPLIT_INITS)
+    p.add_argument("--scope", choices=SCOPE_CHOICES, dest="freeze_scope",
+                   help="which weights train")
+    p.add_argument("--split-init", choices=SPLIT_INITS,
+                   help="weights a split neuron's copy starts from")
     p.add_argument("--magnitude-freeze", type=float, dest="magnitude_freeze_threshold",
                    help="freeze weights below this magnitude at task start")
 
@@ -249,6 +286,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_export_metrics(args):
+    if args.out:
+        _check_out_dir("--out", args.out)
     try:
         with open(args.report, "r", encoding="utf-8") as f:
             report = RunReport.from_json(f.read())
@@ -271,7 +310,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a lifelong task stream",
-                       argument_default=argparse.SUPPRESS)
+                       argument_default=argparse.SUPPRESS,
+                       formatter_class=_FieldDefaultsFormatter)
     _add_stream_flags(p)
     _add_trainer_flags(p)
     p.add_argument("--out", dest="out_dir", help="report directory")
@@ -281,7 +321,8 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a saved model on a task stream",
-                       argument_default=argparse.SUPPRESS)
+                       argument_default=argparse.SUPPRESS,
+                       formatter_class=_FieldDefaultsFormatter)
     p.add_argument("--model", required=True)
     _add_stream_flags(p)
     p.set_defaults(func=cmd_eval)
@@ -312,7 +353,8 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (DataFormatError, ContainerError, FileNotFoundError) as e:
+    except (DataFormatError, ContainerError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NonFiniteError as e:

@@ -21,8 +21,11 @@ rows or columns are appended. This is what makes outputs of untouched
 subnetworks reproducible to the bit after the network has grown.
 
 One pass, ``post_activations``, serves the training step (``forward``),
-``predict`` and the frozen-row cache. It keeps no pre-activation: with a
-slope in [0, 1], backward reads the derivative off the post-activation.
+``predict`` and the frozen-row cache. It makes one matmul per run, and
+one bias add, one finiteness check and one activation per layer, so its
+per-call cost grows with the layers, not with the runs. It keeps no
+pre-activation: with a slope in [0, 1], backward reads the derivative
+off the post-activation.
 
 Every row before ``train_from`` is frozen, and by the edge rule sees
 only input columns before the ``train_from`` of the layer below. A
@@ -204,13 +207,17 @@ class MaskedLayer:
 
     def affine(self, x, start=0, stop=None, out=None):
         """Compute ``x @ weights.T + bias`` for rows ``start:stop`` (to the
-        last row when ``stop`` is None), one matmul per run.
+        last row when ``stop`` is None): one matmul per run, then one
+        bias add over all the rows.
 
         Each run's rows are multiplied by the input columns they see
         only, so its results are unaffected by rows or columns appended
         after it, and ``x`` may stop after the columns that the computed
-        runs see. Each run is computed in place in its block of the
-        result, which is ``out`` when given (shaped ``(len(x), stop - start)``).
+        runs see. Each run's product is written in place in its block of
+        the result, which is ``out`` when given (shaped
+        ``(len(x), stop - start)``). The bias is added to the finished
+        products, so every entry is still its run's product plus its
+        bias, rounded once.
         """
         stop = self.fan_out if stop is None else stop
         if x.ndim != 2 or x.shape[1] > self.fan_in:
@@ -223,9 +230,9 @@ class MaskedLayer:
                 if c1 > x.shape[1]:
                     raise DimensionError(
                         f"rows {r0}:{r1} see {c1} input columns, input has {x.shape[1]}")
-                block = z[:, r0 - start:r1 - start]
-                np.matmul(x[:, :c1], self.weights[r0:r1, :c1].T, out=block)
-                block += self.bias[r0:r1]
+                np.matmul(x[:, :c1], self.weights[r0:r1, :c1].T,
+                          out=z[:, r0 - start:r1 - start])
+        z += self.bias[start:stop]
         return z
 
 
@@ -300,14 +307,14 @@ def post_activations(layers, source, rows=None, stops=None, cached=None, last_on
         if layers and x.shape[1] != layers[0].fan_in:
             raise DimensionError(
                 f"batch has {x.shape[1]} features, first layer expects {layers[0].fan_in}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NonFiniteError("batch contains NaN/Inf")
         for i, (layer, stop, o) in enumerate(zip(layers, stops, out)):
             start = 0 if cached is None else cached[i].shape[1]
             if start:
                 o[block, :start] = cached[i][block]
             z = layer.affine(x, start, stop, out=None if o is None else o[block, start:])
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise NonFiniteError(f"non-finite pre-activation at layer {i}")
             layer.activation.apply_in_place(z)
             x = z if o is None else o[block]
@@ -462,7 +469,7 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
         w += layer.weights[o:]
         b = v_b * -learning_rate
         b += layer.bias[o:]
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise NonFiniteError("non-finite parameter after SGD update")
         staged.append((o, v_w, v_b, w, b))
     for layer, v, (o, v_w, v_b, w, b) in zip(layers, velocity, staged):

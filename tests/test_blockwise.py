@@ -81,6 +81,36 @@ def test_predict_and_cache_are_forward_by_block_bitwise(grown, n):
         np.testing.assert_allclose(c, a[:, :c.shape[1]], rtol=1e-12, atol=0)
 
 
+def predict_run_by_run(layers, x):
+    """Logits by the per-layer loop that adds each run's bias right after
+    its matmul, then activates: the one-image arithmetic ``predict`` keeps."""
+    for layer in layers:
+        z = np.empty((len(x), layer.fan_out))
+        for r0, r1, c1 in layer.runs:
+            block = z[:, r0:r1]
+            np.matmul(x[:, :c1], layer.weights[r0:r1, :c1].T, out=block)
+            block += layer.bias[r0:r1]
+        x = z if layer.activation.kind == "identity" else \
+            np.where(z > 0, z, layer.activation.slope * z)
+    return x
+
+
+@pytest.mark.parametrize("scope", ["hybrid", "full_truncated"])
+def test_one_image_predict_is_the_run_by_run_loop_bitwise(grown, scope):
+    """Under ``pss_only`` (hybrid, grown) and under ``full_truncated``,
+    a split network's one-image logits match the run-by-run loop."""
+    net, source = grown
+    if scope == "full_truncated":
+        net = PlasticNetwork.new(N_FEATURES, [24, 12], rng_for(3, 0))
+        for t, task in enumerate(tasks(3)):
+            train_task(net, task, TrainerConfig(**CONFIG, freeze_scope=scope), t)
+        assert net.freeze_scope == scope and net.hidden_sizes() != [24, 12]
+    assert all(len(layer.runs) > 1 for layer in net.layers)
+    for i in range(0, len(source), 97):
+        x = source[i:i + 1]
+        assert net.predict(x).tobytes() == predict_run_by_run(net.layers, x).tobytes()
+
+
 def test_old_logits_stay_bit_identical_on_a_multi_block_probe():
     """Two hybrid tasks grow the network; under ``pss_only`` the later
     tasks leave every earlier head's logits unchanged to the bit."""

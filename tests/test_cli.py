@@ -1,5 +1,7 @@
 """Unit tests for the command line interface."""
 
+import argparse
+import dataclasses
 import functools
 import json
 
@@ -155,6 +157,48 @@ class TestTrain:
         assert "data error" in capsys.readouterr().err
 
 
+class TestUnusablePaths:
+    """An output path that cannot be used exits 2 before any data is built;
+    an input path that is a directory, or under a file, exits 3, as a
+    missing one does."""
+
+    @pytest.mark.parametrize("flag, path", [
+        ("--out", "file"), ("--out", "file/sub"),
+        ("--save-model", "."), ("--save-model", "missing/m.pssnet"),
+        ("--save-model", "file/m.pssnet")])
+    def test_train_output_is_config_error_before_any_data(self, flag, path, tmp_path,
+                                                          capsys, monkeypatch):
+        monkeypatch.setattr(RunConfig, "build_stream",
+                            lambda self: pytest.fail("data built before validation"))
+        (tmp_path / "file").write_text("kept")
+        code = main(["train", *FAST, "--out", str(tmp_path / "x"), flag, str(tmp_path / path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and flag in err
+        assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("path", ["file", "file/sub"])
+    def test_export_metrics_out_under_a_file_is_config_error(self, path, tmp_path, capsys):
+        _, out = run_train(tmp_path)
+        (tmp_path / "file").write_text("kept")
+        capsys.readouterr()
+        code = main(["export-metrics", "--report", str(out / "report.json"),
+                     "--out", str(tmp_path / path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: --out")
+        assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("path", [".", "file/x"])
+    @pytest.mark.parametrize("argv", [["export-metrics", "--report"],
+                                      ["inspect", "--model"],
+                                      ["eval", *STREAM, "--model"]], ids=" ".join)
+    def test_input_directory_is_data_error(self, argv, path, tmp_path, capsys):
+        (tmp_path / "file").write_text("kept")
+        assert main([*argv, str(tmp_path / path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+
 class TestDefaults:
     """An absent flag takes the default its config dataclass declares."""
 
@@ -165,6 +209,32 @@ class TestDefaults:
     def test_eval_without_stream_flags_is_the_library_default(self):
         args = cli.build_parser().parse_args(["eval", "--model", "m"])
         assert RunConfig.from_args(args) == RunConfig()
+
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    def test_help_shows_each_config_default(self, verb):
+        """Every flag that sets a config field ends its help with that
+        field's default, written the way the flag takes it."""
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[verb]
+        entries = {}  # first option string -> its help entry
+        for line in sub.format_help().split("\noptions:\n")[1].splitlines():
+            if line.startswith("  -"):
+                opt = line.split()[0].rstrip(",")
+                entries[opt] = ""
+            entries[opt] += line
+        entries = {opt: " ".join(text.split()) for opt, text in entries.items()}
+        defaults = {f.name: f.default for cls in (RunConfig, TrainerConfig)
+                    for f in dataclasses.fields(cls)}
+        shown = [a for a in sub._actions if a.dest in defaults]
+        assert len(shown) == (21 if verb == "train" else 8)
+        for action in shown:
+            default = defaults[action.dest]
+            text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+            entry = entries[action.option_strings[0]]
+            assert entry.endswith(f"(default: {text})"), entry
+        if verb == "train":
+            assert entries["--sigma"].endswith("(default: 0.3,0.25)")
+            assert entries["--hidden-sizes"].endswith("(default: 312,128)")
 
 
 class TestModelVerbs:

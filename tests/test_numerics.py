@@ -188,7 +188,9 @@ class TestMaskedLayer:
     @pytest.mark.parametrize("m", [1, 64, 4000])
     def test_affine_writes_each_run_as_its_own_product_plus_bias(self, m):
         """Bit for bit the per-run ``x[:, :c1] @ W[r0:r1, :c1].T + b[r0:r1]``,
-        for whole layers and for row windows over several generations."""
+        for whole layers and for row windows over several generations, into
+        a new array and into a column window of a wider one (as
+        ``post_activations`` writes past a layer's cached columns)."""
         rng = np.random.default_rng(m)
         runs = [(0, 37, 20), (37, 38, 20), (38, 60, 33), (60, 61, 0), (61, 70, 40)]
         w = rng.standard_normal((70, 40)) * run_mask(runs, (70, 40))
@@ -197,8 +199,15 @@ class TestMaskedLayer:
         want = np.concatenate([x[:, :c1] @ w[r0:r1, :c1].T + layer.bias[r0:r1]
                                for r0, r1, c1 in runs], axis=1)
         for start, stop in ((0, None), (0, 38), (37, 61), (61, 70)):
-            got = layer.affine(x[:, :33] if stop == 38 else x, start, stop)
-            assert got.tobytes() == np.ascontiguousarray(want[:, start:stop]).tobytes()
+            xs = x[:, :33] if stop == 38 else x
+            expected = np.ascontiguousarray(want[:, start:stop]).tobytes()
+            assert layer.affine(xs, start, stop).tobytes() == expected
+            width = (stop or 70) - start
+            wide = np.full((m, 3 + width + 2), np.nan)
+            window = wide[:, 3:3 + width]
+            assert layer.affine(xs, start, stop, out=window) is window
+            assert np.ascontiguousarray(window).tobytes() == expected
+            assert np.isnan(wide[:, :3]).all() and np.isnan(wide[:, 3 + width:]).all()
 
     def test_rejects_wrong_input_width(self):
         layer = MaskedLayer(np.ones((2, 3)), np.zeros(2))
