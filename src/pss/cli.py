@@ -51,7 +51,7 @@ EXIT_NUMERIC = 4
 
 PRESET_CHOICES = ("mnist", "mnist-variation", "synthetic")
 N_CLASSES = 10  # every preset is a ten-class digit corpus
-TRAINER_FIELDS = {f.name for f in fields(TrainerConfig)}
+TRAINER_DEFAULTS = {f.name: f.default for f in fields(TrainerConfig)}
 
 
 def _scalar_or_tuple(text):
@@ -80,6 +80,10 @@ def _check_out_dir(flag, path):
         raise ValueError(f"{flag} {path}: {head} is not a directory")
 
 
+def _parent_dir(path):
+    return os.path.dirname(os.path.abspath(path))
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs, resolved from flags (``trainer``: train only)."""
@@ -104,8 +108,8 @@ class RunConfig:
         trainer = None
         if args.command == "train":
             trainer = TrainerConfig(**{k: v for k, v in given.items()
-                                       if k in TRAINER_FIELDS}).validate()
-        return cls(**{k: v for k, v in given.items() if k in RUN_FIELDS},
+                                       if k in TRAINER_DEFAULTS}).validate()
+        return cls(**{k: v for k, v in given.items() if k in RUN_DEFAULTS},
                    trainer=trainer).validate()
 
     def validate(self):
@@ -124,10 +128,10 @@ class RunConfig:
                              "(one positive and one negative image)")
         if self.trainer is not None:
             _check_out_dir("--out", self.out_dir)
-            if self.model_path and (os.path.isdir(self.model_path) or not os.path.isdir(
-                    os.path.dirname(os.path.abspath(self.model_path)))):
-                raise ValueError(f"--save-model {self.model_path} must name a file "
-                                 "in an existing directory")
+            if self.model_path:
+                if os.path.isdir(self.model_path):
+                    raise ValueError(f"--save-model {self.model_path} is a directory")
+                _check_out_dir("--save-model", _parent_dir(self.model_path))
         return self
 
     def load_corpus(self):
@@ -151,9 +155,7 @@ class RunConfig:
                                  test_count=self.test_count)
 
 
-RUN_FIELDS = {f.name for f in fields(RunConfig)} - {"trainer"}
-FIELD_DEFAULTS = {f.name: f.default for cls in (TrainerConfig, RunConfig)
-                  for f in fields(cls)}
+RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _flag_text(value):
@@ -165,9 +167,10 @@ class _FieldDefaultsFormatter(argparse.HelpFormatter):
     """Ends each flag's help with the default of the config field it sets."""
 
     def _get_help_string(self, action):
-        if action.dest not in FIELD_DEFAULTS:
-            return action.help
-        return f"{action.help} (default: {_flag_text(FIELD_DEFAULTS[action.dest])})"
+        for defaults in (TRAINER_DEFAULTS, RUN_DEFAULTS):
+            if action.dest in defaults:
+                return f"{action.help} (default: {_flag_text(defaults[action.dest])})"
+        return action.help
 
 
 def _add_stream_flags(p):
@@ -215,6 +218,7 @@ def cmd_train(args):
         net, report = run_lifelong(stream, cfg.trainer)
     json_path, csv_path = export(report, cfg.out_dir)
     if cfg.model_path:
+        os.makedirs(_parent_dir(cfg.model_path), exist_ok=True)
         save_model(cfg.model_path, net)
         print(f"model: {cfg.model_path}")
     print(f"report: {json_path}")

@@ -164,8 +164,8 @@ class TestUnusablePaths:
 
     @pytest.mark.parametrize("flag, path", [
         ("--out", "file"), ("--out", "file/sub"),
-        ("--save-model", "."), ("--save-model", "missing/m.pssnet"),
-        ("--save-model", "file/m.pssnet")])
+        ("--save-model", "."), ("--save-model", "file/m.pssnet"),
+        ("--save-model", "file/sub/m.pssnet")])
     def test_train_output_is_config_error_before_any_data(self, flag, path, tmp_path,
                                                           capsys, monkeypatch):
         monkeypatch.setattr(RunConfig, "build_stream",
@@ -176,6 +176,14 @@ class TestUnusablePaths:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and flag in err
         assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("model", ["run/m.pssnet", "models/m.pssnet"])
+    def test_save_model_makes_its_missing_directory(self, model, tmp_path):
+        """``--out D --save-model D/m.pssnet`` with D missing trains and saves,
+        as does a model under any other directory that does not exist yet."""
+        code, out = run_train(tmp_path, "--save-model", str(tmp_path / model))
+        assert code == EXIT_OK
+        assert (tmp_path / model).is_file() and (out / "report.json").is_file()
 
     @pytest.mark.parametrize("path", ["file", "file/sub"])
     def test_export_metrics_out_under_a_file_is_config_error(self, path, tmp_path, capsys):
