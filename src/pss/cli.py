@@ -40,6 +40,7 @@ from .trainer import (
     SCOPE_CHOICES,
     TrainerConfig,
     evaluate_boundary,
+    rng_for,
     run_baseline_finetune,
     run_lifelong,
 )
@@ -141,10 +142,8 @@ class RunConfig:
         else:
             train, test = load_mnist(self.data_dir)
         if self.preset == "mnist-variation":
-            noise = np.random.SeedSequence(entropy=self.seed, spawn_key=(2,))
-            train_noise, test_noise = noise.spawn(2)
-            train = make_variation(train, train_noise)
-            test = make_variation(test, test_noise)
+            train = make_variation(train, rng_for(self.seed, 2, 0))
+            test = make_variation(test, rng_for(self.seed, 2, 1))
         return train, test
 
     def build_stream(self):

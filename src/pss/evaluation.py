@@ -71,15 +71,20 @@ def _list_of(kind, v):
     return isinstance(v, list) and all(type(x) is kind for x in v)
 
 
+def _accuracies(v):
+    return _list_of(float, v) and all(0.0 <= x <= 1.0 for x in v)
+
+
 # What ``from_dict`` accepts for each field: the types ``to_dict`` writes,
-# and a lower-triangular accuracy matrix (row ``t`` covers tasks ``0..t``).
+# accuracies in [0, 1], and a lower-triangular accuracy matrix (row ``t``
+# covers tasks ``0..t``).
 REPORT_FIELDS = {
     "mode": lambda v: isinstance(v, str),
     "seed": lambda v: type(v) is int,
     "config": lambda v: isinstance(v, dict),
     "accuracy_matrix": lambda v: isinstance(v, list) and all(
-        _list_of(float, row) and len(row) == t + 1 for t, row in enumerate(v)),
-    "multiclass": lambda v: _list_of(float, v),
+        _accuracies(row) and len(row) == t + 1 for t, row in enumerate(v)),
+    "multiclass": _accuracies,
     "hidden_sizes": lambda v: isinstance(v, list) and all(_list_of(int, s) for s in v),
     "parameter_counts": lambda v: _list_of(int, v),
     "split_counts": lambda v: _list_of(int, v),
@@ -87,6 +92,10 @@ REPORT_FIELDS = {
     "epoch_losses": lambda v: isinstance(v, list) and all(_list_of(float, e) for e in v),
     "schema": lambda v: type(v) is int,
 }
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 @dataclass
@@ -137,7 +146,9 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        """Parse ``to_json`` output; ``NaN`` and ``Infinity``, which are not
+        JSON, raise ``ValueError``."""
+        return cls.from_dict(json.loads(text, parse_constant=_not_json))
 
     def csv_rows(self):
         """Long-format numeric view: kind, boundary, task, layer, epoch, value."""

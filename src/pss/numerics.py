@@ -73,19 +73,14 @@ def _softplus(z):
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
-ACTIVATION_KINDS = ("identity", "leaky_relu")
-
-
 @dataclass(frozen=True)
 class Activation:
-    """Elementwise activation, applied to a layer's pre-activations."""
+    """Leaky ReLU ``max(z, slope * z)``, applied to a layer's
+    pre-activations; a slope of 1 is the identity."""
 
-    kind: str  # one of ACTIVATION_KINDS
     slope: float = DEFAULT_LEAKY_SLOPE
 
     def __post_init__(self):
-        if self.kind not in ACTIVATION_KINDS:
-            raise ValueError(f"unknown activation kind {self.kind!r}")
         # also rejects NaN; apply_in_place and derivative rely on the range
         if not 0.0 <= self.slope <= 1.0:
             raise ValueError(f"activation slope {self.slope!r} is outside [0, 1]")
@@ -93,8 +88,9 @@ class Activation:
     def apply_in_place(self, z):
         """Activate ``z`` in place, bit for bit ``np.where(z > 0, z, slope * z)``:
         with 0 <= slope <= 1, ``slope * z`` is the larger of the two exactly
-        where ``z <= 0`` (and equal to ``z`` where they tie)."""
-        if self.kind != "identity":
+        where ``z <= 0`` (and equal to ``z`` where they tie). A slope of 1
+        leaves every finite ``z`` as it is, so it is skipped."""
+        if self.slope != 1.0:
             for r in range(0, len(z), ACTIVATION_ROWS):
                 rows = z[r:r + ACTIVATION_ROWS]
                 np.maximum(rows, rows * self.slope, out=rows)
@@ -103,16 +99,10 @@ class Activation:
     def derivative(self, a):
         """The derivative at the pre-activations whose activations are ``a``:
         with slope >= 0, ``a > 0`` exactly where the pre-activation is."""
-        if self.kind == "identity":
-            return np.ones_like(a)
         return np.where(a > 0, 1.0, self.slope)
 
 
-IDENTITY = Activation("identity", slope=1.0)
-
-
-def leaky_relu(slope=DEFAULT_LEAKY_SLOPE):
-    return Activation("leaky_relu", slope)
+IDENTITY = Activation(1.0)
 
 
 def he_normal(fan_out, fan_in, rng):
@@ -515,7 +505,7 @@ def _random_masked_net(dims, rng, zero_prob, freeze_prob):
         w = he_normal(fan_out, fan_in, rng) * keep
         b = rng.normal(0.0, 0.1, size=fan_out)
         b_train = (rng.random(fan_out) >= freeze_prob).astype(np.float64)
-        act = IDENTITY if i == len(dims) - 1 else leaky_relu()
+        act = IDENTITY if i == len(dims) - 1 else Activation()
         layers.append(MaskedLayer(w, b, overlay=LayerGrads(train, b_train),
                                   activation=act))
     return layers

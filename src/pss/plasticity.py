@@ -19,10 +19,11 @@ so information flows from old structure into new structure but never
 back, and earlier tasks' output logits stay unchanged to the last bit
 as long as the old generations themselves are frozen.
 
-The tags are the only stored structure. Because tags never decrease
-along a layer, each generation run of a layer's rows sees exactly a
-prefix of its input columns: one ``(r0, r1, c1)`` run per generation,
-and the rows that train are the trailing ones from ``train_from`` on.
+The hidden tags are the only stored structure; an output node's tag is
+its index. Because tags never decrease along a layer, each generation
+run of a layer's rows sees exactly a prefix of its input columns: one
+``(r0, r1, c1)`` run per generation, and the rows that train are the
+trailing ones from ``train_from`` on.
 ``PlasticNetwork.set_structural_freeze`` derives both, and the overlay
 of a magnitude freeze, from (tags, task, freeze scope, magnitude-freeze
 set); it runs after every change of structure, task or scope.
@@ -40,13 +41,13 @@ import numpy as np
 from .numerics import (
     DEFAULT_LEAKY_SLOPE,
     IDENTITY,
+    Activation,
     DimensionError,
     LayerGrads,
     MaskedLayer,
     MaskError,
     forward,
     he_normal,
-    leaky_relu,
     post_activations,
     run_mask,
 )
@@ -65,14 +66,12 @@ class NeuronTag:
 class Snapshot:
     """Hidden-layer weights and biases as they stood at task start."""
 
-    task: int
     weights: list
     biases: list
 
     @classmethod
     def of(cls, network):
-        return cls(task=network.task,
-                   weights=[l.weights.copy() for l in network.hidden_layers],
+        return cls(weights=[l.weights.copy() for l in network.hidden_layers],
                    biases=[l.bias.copy() for l in network.hidden_layers])
 
 
@@ -110,9 +109,6 @@ class DriftSchedule:
 
     def escalate(self):
         self.epochs_elapsed += 1
-
-    def reset(self):
-        self.epochs_elapsed = 0
 
 
 @dataclass
@@ -158,19 +154,21 @@ class PlasticNetwork:
 
     ``layers`` holds the hidden layers followed by one output layer.
     The output layer starts empty and gains one node per task via
-    ``grow_output``. The generation tags are the structural state;
-    the layers' runs, ``train_from`` and overlays are derived from them
-    (``set_structural_freeze``). The training loop drives the network
-    from outside.
+    ``grow_output``; node ``j`` belongs to task ``j``. The hidden
+    generation tags and the task are the structural state; the output
+    tags, the layers' runs, ``train_from`` and overlays are derived from
+    them (``set_structural_freeze``). The training loop drives the
+    network from outside.
     """
 
-    def __init__(self, layers, hidden_gens, output_gens, task=-1, rng=None,
+    def __init__(self, layers, hidden_gens, task=-1, rng=None,
                  freeze_scope="full_truncated"):
-        if len(layers) < 2:
-            raise DimensionError("need at least one hidden layer plus the output layer")
+        if len(layers) < 2 or len(hidden_gens) != len(layers) - 1 \
+                or layers[-1].fan_out != int(task) + 1:
+            raise DimensionError("need hidden layers, one tag list each, and an "
+                                 "output layer of one node per task so far")
         self.layers = layers
         self.hidden_gens = [list(int(g) for g in gs) for gs in hidden_gens]
-        self.output_gens = [int(g) for g in output_gens]
         self.task = int(task)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.snapshot = None
@@ -194,12 +192,12 @@ class PlasticNetwork:
         for h in hidden_sizes:
             h = int(h)
             layers.append(MaskedLayer(he_normal(h, fan_in, rng), np.zeros(h),
-                                      activation=leaky_relu(slope)))
+                                      activation=Activation(slope)))
             fan_in = h
         layers.append(MaskedLayer(np.zeros((0, fan_in)), np.zeros(0),
                                   activation=IDENTITY))
         gens = [[0] * int(h) for h in hidden_sizes]
-        return cls(layers, gens, [], task=-1, rng=rng)
+        return cls(layers, gens, task=-1, rng=rng)
 
     # -- views -------------------------------------------------------------
 
@@ -210,6 +208,11 @@ class PlasticNetwork:
     @property
     def output_layer(self):
         return self.layers[-1]
+
+    @property
+    def output_gens(self):
+        """Generation tag of each output node: its task."""
+        return list(range(self.task + 1))
 
     @property
     def n_hidden_layers(self):
@@ -230,11 +233,6 @@ class PlasticNetwork:
         """Structurally present weights plus biases."""
         return sum(sum((r1 - r0) * c1 for r0, r1, c1 in l.runs) + l.fan_out
                    for l in self.layers)
-
-    def current_output_index(self):
-        """Index of the output node belonging to the current task."""
-        gens = self.output_gens
-        return gens.index(self.task) if self.task in gens else None
 
     def predict(self, x):
         """Logits for every output node, shape (n, n_outputs), computed one
@@ -288,7 +286,6 @@ class PlasticNetwork:
         out = self.output_layer
         out.weights = np.vstack([out.weights, he_normal(1, out.fan_in, self.rng)])
         out.bias = np.concatenate([out.bias, [0.0]])
-        self.output_gens.append(task)
         self._split_done = [set() for _ in self.hidden_layers]
         self._small_frozen = None
         self.set_structural_freeze(self.freeze_scope)
@@ -501,12 +498,14 @@ class PlasticNetwork:
 
     def check_masks(self):
         """Audit every structural invariant; return violation strings:
-        output tags are ``0..task``, each layer has one non-decreasing tag
-        per unit and one input per unit of the layer below, and valid
-        parameters, runs and overlays (``MaskedLayer.validate``)."""
+        hidden tags lie in ``0..task`` (0 before the first task), each
+        layer has one non-decreasing tag per unit and one input per unit
+        of the layer below, and valid parameters, runs and overlays
+        (``MaskedLayer.validate``)."""
         problems = []
-        if self.output_gens != list(range(self.task + 1)):
-            problems.append(f"output tags {self.output_gens} are not 0..{self.task}")
+        newest = max(self.task, 0)
+        if not all(0 <= g <= newest for gens in self.hidden_gens for g in gens):
+            problems.append(f"hidden tags not all in 0..{newest}")
         names = [f"layer {i}" for i in range(self.n_hidden_layers)] + ["output layer"]
         tags = self.hidden_gens + [self.output_gens]
         for i, (name, layer, gens) in enumerate(zip(names, self.layers, tags)):

@@ -43,9 +43,9 @@ import numpy as np
 
 from .evaluation import RunReport, multiclass_accuracy, task_accuracy
 from .numerics import (
+    Activation,
     backward_truncated,
     init_velocity,
-    leaky_relu,
     pad_velocity,
     selected_bce,
     sgd_step,
@@ -103,7 +103,7 @@ class TrainerConfig:
             raise ValueError(f"split_init must be one of {SPLIT_INITS}")
         if self.magnitude_freeze_threshold < 0:
             raise ValueError("magnitude_freeze_threshold must be >= 0")
-        leaky_relu(self.leaky_slope)  # raises ValueError outside [0, 1]
+        Activation(self.leaky_slope)  # raises ValueError outside [0, 1]
         return self
 
     def to_dict(self):
@@ -155,7 +155,6 @@ def train_task(net, task_data, config, task_index=None):
         log.debug("task %d: %d small weights frozen", task_index, frozen)
     velocity = init_velocity(net.layers)
     cache = _frozen_cache(net, task_data, velocity)
-    out_index = net.current_output_index()
     shuffle_rng = rng_for(config.seed, 1, task_index)
     n = len(task_data)
     report = TaskReport(task=task_index)
@@ -169,8 +168,8 @@ def train_task(net, task_data, config, task_index=None):
             idx = order[start:start + config.batch_size]
             xb, yb = task_data.source[task_data.rows[idx]], task_data.y[idx]
             trace = net.trace(xb, None if cache is None else [c[idx] for c in cache])
-            loss_sum += selected_bce(trace.output, [out_index], yb) * len(idx)
-            grads = backward_truncated(net.layers, trace, yb, [out_index])
+            loss_sum += selected_bce(trace.output, [task_index], yb) * len(idx)
+            grads = backward_truncated(net.layers, trace, yb, [task_index])
             velocity = sgd_step(net.layers, grads, config.learning_rate,
                                 config.momentum, velocity)
         report.epoch_losses.append(loss_sum / n)

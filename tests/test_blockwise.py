@@ -90,8 +90,7 @@ def predict_run_by_run(layers, x):
             block = z[:, r0:r1]
             np.matmul(x[:, :c1], layer.weights[r0:r1, :c1].T, out=block)
             block += layer.bias[r0:r1]
-        x = z if layer.activation.kind == "identity" else \
-            np.where(z > 0, z, layer.activation.slope * z)
+        x = np.where(z > 0, z, layer.activation.slope * z)
     return x
 
 

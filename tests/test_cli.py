@@ -28,6 +28,10 @@ MALFORMED_REPORTS = {
     "ragged accuracy matrix": lambda r: r["accuracy_matrix"][1].pop(),
     "string multiclass": lambda r: r.__setitem__("multiclass", "abc"),
     "string hidden size": lambda r: r["hidden_sizes"][0].__setitem__(0, "10"),
+    "NaN accuracy": lambda r: r["accuracy_matrix"][0].__setitem__(0, float("nan")),
+    "Infinity epoch loss": lambda r: r["epoch_losses"][0].__setitem__(0, float("inf")),
+    "accuracy above 1": lambda r: r["accuracy_matrix"][1].__setitem__(0, 1.5),
+    "negative multiclass": lambda r: r["multiclass"].__setitem__(0, -0.25),
     "top-level list": b"[1, 2]",
     "not UTF-8": b"\xff\xfe{}",
     "deeply nested": b"[" * 100000 + b"]" * 100000,

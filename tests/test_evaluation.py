@@ -26,8 +26,7 @@ def passthrough_net(d=3, n_outputs=3):
     hidden = MaskedLayer(np.eye(d), np.zeros(d), activation=IDENTITY)
     out = MaskedLayer(np.eye(n_outputs, d), np.zeros(n_outputs),
                       activation=IDENTITY)
-    return PlasticNetwork([hidden, out], [[0] * d],
-                          list(range(n_outputs)), task=n_outputs - 1)
+    return PlasticNetwork([hidden, out], [[0] * d], task=n_outputs - 1)
 
 
 class TestBinaryPredictions:

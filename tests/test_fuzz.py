@@ -4,6 +4,8 @@ with the documented error, never with another exception."""
 import contextlib
 import gzip
 import io
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pss.cli import EXIT_DATA, EXIT_OK, main
+from pss.container import read_container
 from pss.data import DataFormatError, ImageDataset, load_idx, save_idx
-from pss.model_io import load_model, save_model
+from pss.model_io import MODEL_MAGIC, load_model, save_model
 from pss.plasticity import PlasticNetwork
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -25,6 +28,13 @@ def mutated(blob, edits, cut):
     for pos, byte in edits:
         out[pos] = byte
     return bytes(out[:cut])
+
+
+def canonical_header(path):
+    """The JSON header of a container file, parsed and dumped with sorted keys."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack(">Q", blob[8:16])
+    return json.dumps(json.loads(blob[16:16 + hlen]), sort_keys=True)
 
 
 def edits(blob_len):
@@ -73,7 +83,14 @@ def test_mutated_model_loads_audited_or_exits_3(model_file, data):
         code = main(["inspect", "--model", str(path)])
     assert code in (EXIT_OK, EXIT_DATA)
     if code == EXIT_OK:
-        assert load_model(path).check_masks() == []
+        net = load_model(path)
+        assert net.check_masks() == []
+        again = path.with_name("resaved.pssnet")
+        save_model(again, net)
+        assert canonical_header(again) == canonical_header(path)
+        arrays, resaved = (read_container(p, MODEL_MAGIC)[1] for p in (path, again))
+        assert {k: a.tobytes() for k, a in resaved.items()} == \
+            {k: a.tobytes() for k, a in arrays.items()}
     else:
         assert err.getvalue().startswith("data error:")
 

@@ -74,6 +74,7 @@ HOSTILE = {
     "unknown freeze_scope": lambda h: h["meta"].__setitem__("freeze_scope", "all"),
     "string tag": lambda h: h["meta"]["hidden_gens"][0].__setitem__(0, "0"),
     "short tag list": lambda h: h["meta"]["hidden_gens"][0].pop(),
+    "missing tag list": lambda h: h["meta"]["hidden_gens"].pop(),
     "tag newer than task": lambda h: h["meta"]["hidden_gens"][1].__setitem__(-1, 9),
     "task without output": lambda h: h["meta"].__setitem__("task", 5),
     "fan-in mismatch": lambda h: next(
@@ -84,6 +85,20 @@ HOSTILE = {
     "slope 2": lambda h: h["meta"]["activations"][0].__setitem__("slope", 2.0),
     "slope -1": lambda h: h["meta"]["activations"][0].__setitem__("slope", -1.0),
     "slope NaN": lambda h: h["meta"]["activations"][0].__setitem__("slope", float("nan")),
+    # the header must be exactly the rebuilt network's, types included
+    "identity hidden layer, slope 0.3": lambda h: h["meta"]["activations"][0].update(
+        kind="identity", slope=0.3),
+    "leaky output layer": lambda h: h["meta"]["activations"][-1].update(
+        kind="leaky_relu", slope=0.01),
+    "identity hidden layer": lambda h: h["meta"]["activations"][0].update(
+        kind="identity", slope=1.0),
+    "extra header key": lambda h: h["meta"].__setitem__("note", 1),
+    "output tag 2.0": lambda h: h["meta"]["output_gens"].__setitem__(-1, 2.0),
+    "output tag 1.0": lambda h: h["meta"]["output_gens"].__setitem__(-1, 1.0),
+    "n_layers 3.0": lambda h: h["meta"].__setitem__("n_layers", 3.0),
+    "task true": lambda h: h["meta"].__setitem__("task", True),
+    "task 10**12": lambda h: h["meta"].__setitem__("task", 10**12),
+    "slope true": lambda h: h["meta"]["activations"][0].__setitem__("slope", True),
 }
 # Cases the container reader itself must reject, before any model check.
 CONTAINER_FAULTS = ("missing arrays", "negative shape", "non-integer shape")

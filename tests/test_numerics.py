@@ -17,7 +17,6 @@ from pss.numerics import (
     gradcheck,
     he_normal,
     init_velocity,
-    leaky_relu,
     pad_velocity,
     run_mask,
     selected_bce,
@@ -28,8 +27,6 @@ from pss.numerics import (
 
 def where_activation(z, activation):
     """Test-local reference: ``np.where`` form of the activation."""
-    if activation.kind == "identity":
-        return z.copy()
     return np.where(z > 0, z, activation.slope * z)
 
 
@@ -238,11 +235,11 @@ class TestForward:
         np.testing.assert_array_equal(trace.output, x)
 
     def test_leaky_relu_applied(self):
-        layer = MaskedLayer(np.eye(2), np.zeros(2), activation=leaky_relu(0.01))
+        layer = MaskedLayer(np.eye(2), np.zeros(2), activation=Activation(0.01))
         out = forward([layer], np.array([[-1.0, 4.0]])).output
         np.testing.assert_allclose(out, [[-0.01, 4.0]], rtol=1e-15)
 
-    @pytest.mark.parametrize("activation", [leaky_relu(0.01), leaky_relu(0.3), IDENTITY])
+    @pytest.mark.parametrize("activation", [Activation(0.01), Activation(0.3), IDENTITY])
     def test_in_place_activation_is_apply(self, activation):
         z = np.random.default_rng(4).standard_normal((50, 9))
         z[0, :4] = [0.0, -0.0, 1e-310, -1e-310]
@@ -257,7 +254,7 @@ class TestForward:
         floats, over row counts at the edges of the activation's chunks;
         the derivative read off the post-activation is the one read off
         the pre-activation."""
-        activation = leaky_relu(slope)
+        activation = Activation(slope)
         tiny = np.finfo(np.float64).smallest_subnormal
         big = np.finfo(np.float64).max
         special = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, big, -big]
@@ -276,17 +273,13 @@ class TestForward:
     @pytest.mark.parametrize("slope", [-1.0, -1e-300, 1.0000000000000002, 2.0, np.nan, np.inf])
     def test_slope_outside_unit_interval_rejected(self, slope):
         with pytest.raises(ValueError, match="outside"):
-            leaky_relu(slope)
-
-    def test_unknown_activation_kind_rejected(self):
-        with pytest.raises(ValueError, match="tanh"):
-            Activation("tanh")
+            Activation(slope)
 
     def test_trace_records_every_layer(self):
         rng = np.random.default_rng(3)
         layers = [
             MaskedLayer(rng.standard_normal((4, 3)), rng.standard_normal(4),
-                        activation=leaky_relu()),
+                        activation=Activation()),
             MaskedLayer(rng.standard_normal((2, 4)), rng.standard_normal(2)),
         ]
         trace = forward(layers, rng.standard_normal((5, 3)))
@@ -340,7 +333,7 @@ class TestBackwardTruncated:
         keep1 = (rng.random((5, 4)) >= 0.3).astype(float)
         train1 = keep1 * (rng.random((5, 4)) >= 0.3)
         l1 = MaskedLayer(he_normal(5, 4, rng) * keep1, rng.standard_normal(5) * 0.1,
-                         overlay=LayerGrads(train1, np.ones(5)), activation=leaky_relu())
+                         overlay=LayerGrads(train1, np.ones(5)), activation=Activation())
         # output rows 0:2 see hidden units :3, row 2 sees all five
         runs2 = [(0, 2, 3), (2, 3, 5)]
         w2 = he_normal(3, 5, rng)
@@ -395,7 +388,7 @@ class TestBackwardTruncated:
         """Freezing stops updates to a weight, not signal through it."""
         rng = np.random.default_rng(11)
         l1 = MaskedLayer(rng.standard_normal((4, 3)), np.zeros(4),
-                         activation=leaky_relu())
+                         activation=Activation())
         l2 = MaskedLayer(rng.standard_normal((2, 4)), np.zeros(2),
                          overlay=LayerGrads(np.zeros((2, 4)), np.zeros(2)))
         x = rng.standard_normal((5, 3))

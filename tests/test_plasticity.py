@@ -52,7 +52,7 @@ class TestDriftSchedule:
         assert s.current(0) == 1.625
         s.escalate()
         assert s.current(1) == 2.25
-        s.reset()
+        s = DriftSchedule(1.0, 0.625, 2)
         for _ in range(3):
             s.escalate()
         assert s.current(0) == 1.0 + 3 * 0.625
@@ -331,7 +331,7 @@ class TestGrowOutput:
             net.grow_output(2)
         net.grow_output(1)
         assert net.output_gens == [0, 1]
-        assert net.current_output_index() == 1
+        assert net.task == 1
 
     def test_old_output_rows_keep_their_bits(self):
         net = fresh_net()
@@ -430,7 +430,7 @@ class TestDerivedStructure:
         rebuilt = PlasticNetwork(
             [MaskedLayer(l.weights.copy(), l.bias.copy(), activation=l.activation)
              for l in net.layers],
-            net.hidden_gens, net.output_gens, task=net.task, freeze_scope=scope)
+            net.hidden_gens, task=net.task, freeze_scope=scope)
         assert any((l.conn_mask == 0.0).any() for l in net.layers)
         for a, b in zip(net.layers, rebuilt.layers):
             for name in ("conn_mask", "train_mask"):
@@ -533,6 +533,11 @@ class TestCheckMasks:
         l1.runs = [(0, 3, 3)]
         assert net.check_masks() == ["layer 1: fan-in 3 for 4 units below"]
 
+    def test_detects_hidden_tag_newer_than_task(self):
+        net = open_task(fresh_net(), 0)
+        net.hidden_gens[1][-1] = 1
+        assert net.check_masks() == ["hidden tags not all in 0..0"]
+
     def test_detects_disordered_generations(self):
         net = open_task(fresh_net(), 0)
         net.hidden_gens[0][0] = 7
@@ -569,7 +574,7 @@ class TestBitExactness:
         # task 1: full training, then split everything that drifted
         net.grow_output(1)
         net.take_snapshot()
-        net.schedule.reset()
+        net.attach_schedule(1e-8, 0.0)
         net.set_structural_freeze("full_truncated")
         x1 = rng.standard_normal((40, 3)) + 1.0
         y1 = rng.integers(0, 2, size=40).astype(float)
@@ -585,7 +590,7 @@ class TestBitExactness:
         # task 2: old generations are frozen; only new structure moves
         net.grow_output(2)
         net.take_snapshot()
-        net.schedule.reset()
+        net.attach_schedule(1e-8, 0.0)
         net.set_structural_freeze("pss_only")
         x2 = rng.standard_normal((40, 3)) - 1.0
         y2 = rng.integers(0, 2, size=40).astype(float)

@@ -23,12 +23,12 @@ from pss import trainer
 from pss.data import TaskDataset
 from pss.numerics import (
     IDENTITY,
+    Activation,
     LayerGrads,
     MaskedLayer,
     backward_truncated,
     forward,
     init_velocity,
-    leaky_relu,
     sgd_step,
 )
 from pss.plasticity import PlasticNetwork
@@ -261,11 +261,11 @@ class TestFrozenCache:
         w_out = rng.standard_normal((2, 3))
         w_out[0] = 0.0
         layers = [MaskedLayer(rng.standard_normal((4, N_FEATURES)), rng.standard_normal(4),
-                              activation=leaky_relu()),
+                              activation=Activation()),
                   MaskedLayer(rng.standard_normal((3, 4)), rng.standard_normal(3),
-                              activation=leaky_relu()),
+                              activation=Activation()),
                   MaskedLayer(w_out, rng.standard_normal(2), activation=IDENTITY)]
-        net = PlasticNetwork(layers, [[0, 0, 1, 1], [1, 1, 1]], [0, 1], task=1,
+        net = PlasticNetwork(layers, [[0, 0, 1, 1], [1, 1, 1]], task=1,
                              freeze_scope="pss_only")
         assert net.check_masks() == []
         assert [layer.train_from for layer in layers] == [2, 0, 1]
