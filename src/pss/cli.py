@@ -233,6 +233,9 @@ def cmd_eval(args):
     cfg = RunConfig.from_args(args)
     net = load_model(args.model)
     stream = cfg.build_stream()
+    if net.n_features != stream.pool_x.shape[1]:
+        raise DataFormatError(f"model takes {net.n_features} input features, "
+                              f"the data has {stream.pool_x.shape[1]}")
     if net.n_outputs == 0:
         raise DataFormatError("model has no trained tasks to evaluate")
     upto = min(net.n_outputs, len(stream.tasks))

@@ -22,10 +22,22 @@ subnetworks reproducible to the bit after the network has grown.
 
 One pass, ``post_activations``, serves the training step (``forward``),
 ``predict`` and the frozen-row cache. It makes one matmul per run, and
-one bias add, one finiteness check and one activation per layer, so its
-per-call cost grows with the layers, not with the runs. It keeps no
-pre-activation: with a slope in [0, 1], backward reads the derivative
-off the post-activation.
+one bias add, one finiteness check and one activation per layer. It
+keeps no pre-activation: with a slope in [0, 1], backward reads the
+derivative off the post-activation.
+
+Each layer keeps the operands of its runs, its *run plan*: per run the
+rows ``r0:r1``, the prefix ``c1``, the weight view
+``weights[r0:r1, :c1].T`` and the index of the run's columns in the
+result. The plan is built by the first ``affine`` after ``weights`` or
+``runs`` is rebound (a full-layer SGD step, a grown row or column, a
+new structure) and dropped by the rebinding itself, so it never reads a
+replaced array or keeps one alive. In-place writes (a ``pss_only`` step,
+a split's revert) show through its views, and a copied or unpickled
+layer builds its own. So a call pays for its BLAS calls, one output
+slice per run and a slice of the input only for a run that sees part of
+it, not for rebuilding every run's operands: on one image through 10
+runs in each of 3 layers that is 30 matmuls and little else.
 
 Every row before ``train_from`` is frozen, and by the edge rule sees
 only input columns before the ``train_from`` of the layer below. A
@@ -90,10 +102,13 @@ class Activation:
         with 0 <= slope <= 1, ``slope * z`` is the larger of the two exactly
         where ``z <= 0`` (and equal to ``z`` where they tie). A slope of 1
         leaves every finite ``z`` as it is, so it is skipped."""
-        if self.slope != 1.0:
-            for r in range(0, len(z), ACTIVATION_ROWS):
-                rows = z[r:r + ACTIVATION_ROWS]
-                np.maximum(rows, rows * self.slope, out=rows)
+        if self.slope == 1.0:
+            return z
+        if len(z) <= ACTIVATION_ROWS:
+            return np.maximum(z, z * self.slope, out=z)
+        for r in range(0, len(z), ACTIVATION_ROWS):
+            rows = z[r:r + ACTIVATION_ROWS]
+            np.maximum(rows, rows * self.slope, out=rows)
         return z
 
     def derivative(self, a):
@@ -154,6 +169,18 @@ class MaskedLayer:
         self.train_from = 0
         self.validate()
 
+    def __setattr__(self, name, value):
+        # rebinding the weights or the runs drops the run plan (see the
+        # module docstring); ``affine`` builds the next one when it is needed
+        if name in ("weights", "runs"):
+            self.__dict__["_plan"] = None
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self):
+        # a deep copy of the plan would copy its views instead of viewing
+        # the copied weights, so a copy (or a pickle) builds its own plan
+        return {**self.__dict__, "_plan": None}
+
     @property
     def fan_out(self):
         return self.weights.shape[0]
@@ -208,21 +235,39 @@ class MaskedLayer:
         ``(len(x), stop - start)``). The bias is added to the finished
         products, so every entry is still its run's product plus its
         bias, rounded once.
+
+        The operands come from the layer's run plan, one
+        ``(r0, r1, c1, weights[r0:r1, :c1].T, columns of the result)`` per
+        non-empty run. A run wholly inside ``start:stop`` costs its matmul
+        and one output slice, and reads ``x`` unsliced when it sees every
+        column of it; a run that ``start`` or ``stop`` cuts is clipped to
+        its rows in range.
         """
-        stop = self.fan_out if stop is None else stop
-        if x.ndim != 2 or x.shape[1] > self.fan_in:
+        fan_out, fan_in = self.weights.shape
+        stop = fan_out if stop is None else stop
+        if x.ndim != 2 or x.shape[1] > fan_in:
             raise DimensionError(
-                f"input shape {x.shape} incompatible with fan_in {self.fan_in}")
-        z = np.empty((x.shape[0], stop - start)) if out is None else out
-        for r0, r1, c1 in self.runs:
-            r0, r1 = max(r0, start), min(r1, stop)
-            if r0 < r1:
-                if c1 > x.shape[1]:
-                    raise DimensionError(
-                        f"rows {r0}:{r1} see {c1} input columns, input has {x.shape[1]}")
-                np.matmul(x[:, :c1], self.weights[r0:r1, :c1].T,
-                          out=z[:, r0 - start:r1 - start])
-        z += self.bias[start:stop]
+                f"input shape {x.shape} incompatible with fan_in {fan_in}")
+        width = x.shape[1]
+        z = np.empty((len(x), stop - start)) if out is None else out
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = [(r0, r1, c1, self.weights[r0:r1, :c1].T, np.s_[:, r0:r1])
+                                 for r0, r1, c1 in self.runs if r0 < r1]
+        for r0, r1, c1, w_t, cols in plan:
+            if c1 > width and r0 < stop and start < r1:
+                raise DimensionError(
+                    f"rows {max(r0, start)}:{min(r1, stop)} see {c1} input columns, "
+                    f"input has {width}")
+            # ``out`` by position and ``...`` in the slice: with numpy 2.4 the
+            # keyword form costs each call ~0.5 us more, and ``:`` ~0.1 us
+            if start <= r0 and r1 <= stop:
+                np.matmul(x if c1 == width else x[..., :c1], w_t,
+                          z[cols] if start == 0 else z[:, r0 - start:r1 - start])
+            elif r0 < stop and start < r1:
+                a, b = max(r0, start), min(r1, stop)
+                np.matmul(x[:, :c1], w_t[:, a - r0:b - r0], z[:, a - start:b - start])
+        z += self.bias if start == 0 and stop == fan_out else self.bias[start:stop]
         return z
 
 
@@ -292,6 +337,11 @@ def post_activations(layers, source, rows=None, stops=None, cached=None, last_on
     out = [None if last_only and i < len(layers) - 1
            else np.empty((n, layer.fan_out if stop is None else stop))
            for i, (layer, stop) in enumerate(zip(layers, stops))]
+    # per layer, read once per call: index, layer, first computed unit,
+    # stop, result and activation
+    passes = [(i, layer, 0 if cached is None else cached[i].shape[1], stop, o,
+               layer.activation.apply_in_place)
+              for i, (layer, stop, o) in enumerate(zip(layers, stops, out))]
     for block in row_blocks(n):
         x = _as_float_matrix(source[block] if rows is None else source[rows[block]], "batch")
         if layers and x.shape[1] != layers[0].fan_in:
@@ -299,14 +349,13 @@ def post_activations(layers, source, rows=None, stops=None, cached=None, last_on
                 f"batch has {x.shape[1]} features, first layer expects {layers[0].fan_in}")
         if not np.isfinite(x).all():
             raise NonFiniteError("batch contains NaN/Inf")
-        for i, (layer, stop, o) in enumerate(zip(layers, stops, out)):
-            start = 0 if cached is None else cached[i].shape[1]
+        for i, layer, start, stop, o, activate in passes:
             if start:
                 o[block, :start] = cached[i][block]
             z = layer.affine(x, start, stop, out=None if o is None else o[block, start:])
             if not np.isfinite(z).all():
                 raise NonFiniteError(f"non-finite pre-activation at layer {i}")
-            layer.activation.apply_in_place(z)
+            activate(z)
             x = z if o is None else o[block]
     return out
 

@@ -7,13 +7,17 @@ earlier tasks' logits bit-identical under ``pss_only``, and hold one
 block, never the whole batch, next to their results.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from test_data import traced_peak
 
 from pss import trainer
 from pss.data import TaskDataset
-from pss.numerics import BLOCK_ROWS, MaskedLayer, forward, init_velocity, row_blocks
+from pss.model_io import load_model, save_model
+from pss.numerics import (BLOCK_ROWS, MaskedLayer, backward_truncated, forward,
+                          init_velocity, row_blocks, sgd_step)
 from pss.plasticity import PlasticNetwork
 from pss.trainer import TrainerConfig, rng_for, train_task
 
@@ -94,16 +98,39 @@ def predict_run_by_run(layers, x):
     return x
 
 
-@pytest.mark.parametrize("scope", ["hybrid", "full_truncated"])
-def test_one_image_predict_is_the_run_by_run_loop_bitwise(grown, scope):
-    """Under ``pss_only`` (hybrid, grown) and under ``full_truncated``,
-    a split network's one-image logits match the run-by-run loop."""
+@pytest.mark.parametrize("case", ["hybrid", "full_truncated", "reloaded",
+                                  "deep-copied and stepped", "grown and split"])
+def test_one_image_predict_is_the_run_by_run_loop_bitwise(grown, case, tmp_path):
+    """Under ``pss_only`` (hybrid, grown) and under ``full_truncated``, a
+    split network's one-image logits match the run-by-run loop; so do they
+    once each layer's run plan has been built and its operands then change:
+    a network reloaded from its model file, a deep copy whose copied
+    weights a ``pss_only`` step writes in place, and a network that opens
+    a task (new output row) and splits a neuron (new rows and columns)."""
     net, source = grown
-    if scope == "full_truncated":
+    net.predict(source[:1])  # every layer has built its run plan
+    if case == "full_truncated":
         net = PlasticNetwork.new(N_FEATURES, [24, 12], rng_for(3, 0))
         for t, task in enumerate(tasks(3)):
-            train_task(net, task, TrainerConfig(**CONFIG, freeze_scope=scope), t)
-        assert net.freeze_scope == scope and net.hidden_sizes() != [24, 12]
+            train_task(net, task, TrainerConfig(**CONFIG, freeze_scope=case), t)
+        assert net.freeze_scope == case and net.hidden_sizes() != [24, 12]
+    elif case == "reloaded":
+        save_model(tmp_path / "m.pssnet", net)
+        net = load_model(tmp_path / "m.pssnet")
+    elif case == "deep-copied and stepped":
+        net = copy.deepcopy(net)
+        assert all(layer.train_from for layer in net.layers)  # written in place
+        before = [layer.weights.copy() for layer in net.layers]
+        grads = backward_truncated(net.layers, net.trace(source[:8]), np.ones(8), [net.task])
+        sgd_step(net.layers, grads, 0.5, 0.0)
+        assert all((l.weights != w).any() for l, w in zip(net.layers, before))
+    elif case == "grown and split":
+        net = copy.deepcopy(net)
+        net.predict(source[:1])
+        net.grow_output(net.task + 1)
+        net.take_snapshot()
+        net.hidden_layers[0].weights[0] += 1.0
+        net.split_neuron(0, 0)
     assert all(len(layer.runs) > 1 for layer in net.layers)
     for i in range(0, len(source), 97):
         x = source[i:i + 1]

@@ -11,6 +11,8 @@ import pytest
 from pss import cli
 from pss.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, RunConfig, main
 from pss.data import save_idx
+from pss.model_io import save_model
+from pss.plasticity import PlasticNetwork
 from pss.trainer import TrainerConfig
 
 STREAM = ["--preset", "synthetic", "--train-size", "240", "--test-size", "120",
@@ -281,6 +283,15 @@ class TestModelVerbs:
     def test_eval_missing_model_is_data_error(self, tmp_path):
         assert main(["eval", "--model", str(tmp_path / "nope"), *STREAM]) \
             == EXIT_DATA
+
+    def test_eval_of_a_model_of_another_input_width_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "narrow.pssnet"
+        net = PlasticNetwork.new(5, [4, 3], np.random.default_rng(0))
+        net.grow_output(0)
+        save_model(model, net)
+        assert main(["eval", "--model", str(model), *STREAM]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "5 input features" in err and "has 784" in err
 
     def test_eval_rejects_trainer_flags(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 """Unit tests for the masked-layer numerics core."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,23 @@ class TestMaskedLayer:
             assert layer.affine(xs, start, stop, out=window) is window
             assert np.ascontiguousarray(window).tobytes() == expected
             assert np.isnan(wide[:, :3]).all() and np.isnan(wide[:, 3 + width:]).all()
+
+    def test_affine_follows_rebound_runs_and_in_place_writes(self):
+        """The run plan is rebuilt when ``runs`` is rebound, and sees
+        in-place writes to the weights."""
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal((5, 4))
+        w[:2, 3:] = 0.0
+        layer = MaskedLayer(w, rng.standard_normal(5))
+        x = rng.standard_normal((3, 4))
+        layer.affine(x)
+        layer.runs = [(0, 2, 3), (2, 5, 4)]
+        layer.validate()
+        want = x[:, :3] @ w[:2, :3].T + layer.bias[:2]
+        assert layer.affine(x[:, :3], stop=2).tobytes() == want.tobytes()
+        layer.weights[1, 0] += 1.0
+        want = x[:, :3] @ layer.weights[:2, :3].T + layer.bias[:2]
+        assert layer.affine(x[:, :3], stop=2).tobytes() == want.tobytes()
 
     def test_rejects_wrong_input_width(self):
         layer = MaskedLayer(np.ones((2, 3)), np.zeros(2))
@@ -468,6 +487,24 @@ class TestSgdStep:
         after = [(l.weights.tobytes(), l.bias.tobytes(), v.weights.tobytes(),
                   v.bias.tobytes()) for l, v in zip(layers, vel)]
         assert after == before
+
+    def test_a_replaced_weights_array_is_freed(self):
+        """A step of a whole layer rebinds its weights: the run plan that
+        ``affine`` built over the old array keeps it alive no longer, and
+        the next ``affine`` reads the new one."""
+        rng = np.random.default_rng(23)
+        runs = [(0, 2, 3), (2, 5, 4)]
+        conn = run_mask(runs, (5, 4))
+        layer = MaskedLayer(rng.standard_normal((5, 4)) * conn, rng.standard_normal(5), runs)
+        x = rng.standard_normal((3, 4))
+        layer.affine(x)
+        old = weakref.ref(layer.weights)
+        g = LayerGrads(rng.standard_normal((5, 4)) * conn, rng.standard_normal(5))
+        sgd_step([layer], [g], 0.1, 0.9)
+        assert old() is None
+        want = np.concatenate([x[:, :c1] @ layer.weights[r0:r1, :c1].T + layer.bias[r0:r1]
+                               for r0, r1, c1 in runs], axis=1)
+        assert layer.affine(x).tobytes() == want.tobytes()
 
     def test_pad_velocity_preserves_old_entries(self):
         layer_small = MaskedLayer(np.ones((2, 2)), np.zeros(2))

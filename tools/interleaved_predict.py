@@ -10,7 +10,9 @@ first alternates from image to image and from round to round. A round is
 one pass over the pool and gives one p90 per side.
 
 Before timing, every one-image result and the batched pool result must be
-byte-equal between the two trees.
+byte-equal between the two trees; otherwise the script names the first
+request that differs and exits 1. A ``--rounds`` below 1 or a
+``--requests`` outside 1..1000 exits 2.
 
 usage:
     git archive BASE src/pss | tar -x -C BASE_DIR
@@ -57,8 +59,12 @@ def main(argv=None):
     parser.add_argument("model", help="a saved model both trees can read")
     parser.add_argument("--rounds", type=int, default=12)
     parser.add_argument("--requests", type=int, default=1000, help="pool size, at most 1000")
-    parser.add_argument("--json", help="write the per-round p90s here")
+    parser.add_argument("--json", help="write the per-round p90s and p99s here")
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    if not 1 <= args.requests <= 1000:
+        parser.error("--requests must be in 1..1000")
 
     nets = {"base": import_base(args.base).load_model(args.model),
             "this": model_io.load_model(args.model)}
@@ -66,11 +72,16 @@ def main(argv=None):
     pool = np.ascontiguousarray(test.images[:args.requests])
     for i in range(len(pool)):
         x = pool[i:i + 1]
-        assert nets["base"].predict(x).tobytes() == nets["this"].predict(x).tobytes(), i
-    assert nets["base"].predict(pool).tobytes() == nets["this"].predict(pool).tobytes()
+        if nets["base"].predict(x).tobytes() != nets["this"].predict(x).tobytes():
+            print(f"one-image request {i} differs between the trees", file=sys.stderr)
+            return 1
+    if nets["base"].predict(pool).tobytes() != nets["this"].predict(pool).tobytes():
+        print("the batched pool differs between the trees", file=sys.stderr)
+        return 1
     print(f"bytes equal on {len(pool)} one-image requests and the batched pool")
 
     p90 = {"base": [], "this": []}
+    p99 = {"base": [], "this": []}
     for r in range(args.rounds):
         times = {"base": [], "this": []}
         for i in range(len(pool)):
@@ -81,6 +92,7 @@ def main(argv=None):
                 times[side].append(time.perf_counter() - t0)
         for side, ts in times.items():
             p90[side].append(float(np.percentile(ts, 90)) * 1e3)
+            p99[side].append(float(np.percentile(ts, 99)) * 1e3)
         print(f"round {r}: p90 base {p90['base'][-1]:.4f} ms, this {p90['this'][-1]:.4f} ms")
 
     median = {side: float(np.median(v)) for side, v in p90.items()}
@@ -92,7 +104,7 @@ def main(argv=None):
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump({"rounds": args.rounds, "requests_per_round": len(pool),
-                       "p90_ms": p90, "median_p90_ms": median,
+                       "p90_ms": p90, "p99_ms": p99, "median_p90_ms": median,
                        "this_faster_in": f"{wins} of {args.rounds}",
                        "base_p90_iqr_ms": float(q3 - q1)}, f, indent=1)
     return 0
