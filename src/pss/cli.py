@@ -15,6 +15,9 @@ Exit codes: 0 success, 2 bad configuration, 3 data problems
 """
 
 import argparse
+import contextlib
+import ctypes
+import glob
 import json
 import logging
 import os
@@ -44,6 +47,8 @@ from .trainer import (
     run_baseline_finetune,
     run_lifelong,
 )
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -352,23 +357,48 @@ def build_parser():
     return parser
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread, then restore its count:
+    a product rounds differently on two threads, and the report bytes
+    should not depend on the machine's thread count."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        log.warning("numpy's OpenBLAS thread control not found; BLAS threads left as set")
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
-    try:
-        return args.func(args)
-    except (DataFormatError, ContainerError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except NonFiniteError as e:
-        print(f"numerical error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    with one_blas_thread():
+        try:
+            return args.func(args)
+        except (DataFormatError, ContainerError, FileNotFoundError, IsADirectoryError,
+                NotADirectoryError) as e:
+            print(f"data error: {e}", file=sys.stderr)
+            return EXIT_DATA
+        except NonFiniteError as e:
+            print(f"numerical error: {e}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except ValueError as e:
+            print(f"configuration error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

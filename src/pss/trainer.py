@@ -1,10 +1,11 @@
 """Sequential task training with drift-triggered splitting.
 
-One task's lifecycle: open its output node, snapshot the hidden
-weights, train with minibatch SGD whose loss gradient enters only at
-that output, then at every epoch end run a splitting round and escalate
-the drift threshold. The freeze scope decides how much of the old
-network may move:
+A task trains in steps: ``open_task`` opens its output node, snapshots
+the hidden weights and returns a ``TaskRun``; its ``step`` trains a
+minibatch, the loss gradient entering only at that output; ``end_epoch``
+runs a splitting round (appended and reverted neurons restart at zero
+velocity) and escalates the drift threshold; ``close`` returns the
+report. The freeze scope decides how much of the old network may move:
 
 ``hybrid`` (default)
     everything trains until the first split of the task, then only the
@@ -17,7 +18,7 @@ network may move:
 
 Under ``pss_only`` (from task start, or from the hybrid switch on) a
 step computes only the current generation's rows. On entering the
-scope the trainer caches every frozen row's post-activation over the
+scope the run caches every frozen row's post-activation over the
 task's training set (``PlasticNetwork.frozen_activations``) and clears
 the frozen rows' velocity; each step takes the batch's rows of that
 cache, and backward and SGD touch the trainable rows only. A splitting
@@ -25,10 +26,6 @@ round that splits reverts frozen rows, so the cache is rebuilt after
 it; under ``hybrid`` only the switching round splits (frozen drift stays
 put, thresholds only grow). Batches, and each block of images a cache
 is built from, are gathered from the shared training images.
-
-At each task boundary the multiclass pool is forwarded once; every
-task's binary test set is a set of pool rows, so its accuracy and the
-multiclass accuracy are read from the same logits.
 
 The baseline runner trains the same architecture with splitting
 disabled and everything trainable, which is plain multi-head
@@ -127,79 +124,92 @@ class TaskReport:
     parameter_count_after: int = 0
 
 
-def _initial_scope(config):
-    return "full_truncated" if config.freeze_scope == "hybrid" \
-        else config.freeze_scope
+class TaskRun:
+    """One open task: its velocity, frozen-row cache, shuffle generator and report."""
+
+    def __init__(self, net, task_data, config, index):
+        config.validate()
+        self.net, self.data, self.config, self.index = net, task_data, config, index
+        self.started, self.epoch, self.loss_sum = time.perf_counter(), 0, 0.0
+        net.grow_output(index)
+        net.take_snapshot()
+        net.attach_schedule(config.sigma, config.delta)
+        net.set_structural_freeze(
+            "full_truncated" if config.freeze_scope == "hybrid" else config.freeze_scope)
+        if config.magnitude_freeze_threshold > 0:
+            log.debug("task %d: %d small weights frozen", index,
+                      net.freeze_small_weights(config.magnitude_freeze_threshold))
+        self.velocity = init_velocity(net.layers)
+        self._cache_frozen_rows()
+        self.shuffle_rng, self.report = rng_for(config.seed, 1, index), TaskReport(task=index)
+
+    def _cache_frozen_rows(self):
+        """Cache the rows that cannot train and clear their velocity."""
+        for layer, v in zip(self.net.layers, self.velocity):
+            v.weights[:layer.train_from] = v.bias[:layer.train_from] = 0.0
+        self.cache = self.net.frozen_activations(self.data.source, self.data.rows)
+
+    def step(self, idx):
+        """Train on the task's rows ``idx``, keeping the step's ``trace`` and
+        ``grads``; returns the batch loss."""
+        xb, yb, sel = self.data.source[self.data.rows[idx]], self.data.y[idx], [self.index]
+        self.trace = self.net.trace(xb, self.cache and [c[idx] for c in self.cache])
+        loss = selected_bce(self.trace.output, sel, yb)
+        self.loss_sum += loss * len(idx)
+        self.grads = backward_truncated(self.net.layers, self.trace, yb, sel)
+        self.velocity = sgd_step(self.net.layers, self.grads, self.config.learning_rate,
+                                 self.config.momentum, self.velocity)
+        return loss
+
+    def end_epoch(self):
+        """Record the epoch loss, run the splitting round (from task 1 on,
+        unless splitting is off), escalate the thresholds; returns the
+        round's ``SplitReport`` or None. After a split, velocity is 0 in the
+        rows and columns of appended neurons and the rows of split originals."""
+        net, config, report = self.net, self.config, self.report
+        report.epoch_losses.append(self.loss_sum / len(self.data))
+        self.loss_sum = 0.0
+        round_report = net.splitting_round(self.epoch, config.split_init) \
+            if config.splitting_enabled and self.index > 0 else None
+        report.splits_per_epoch.append(round_report.total_splits if round_report else 0)
+        if round_report and round_report.total_splits:
+            report.split_count += round_report.total_splits
+            report.filler_count += round_report.total_fillers
+            self.velocity = pad_velocity(self.velocity, net.layers)
+            for tag in round_report.splits:
+                v = self.velocity[tag.layer]
+                v.weights[tag.index] = v.bias[tag.index] = 0.0
+            if config.freeze_scope == "hybrid":
+                net.set_structural_freeze("pss_only")
+            self._cache_frozen_rows()  # the split reverted frozen rows
+            log.info("task %d epoch %d: %d splits, %d fillers", self.index, self.epoch,
+                     round_report.total_splits, round_report.total_fillers)
+        net.schedule.escalate()
+        self.epoch += 1
+        return round_report
+
+    def close(self):
+        report, net = self.report, self.net
+        report.hidden_sizes_after, report.parameter_count_after = \
+            net.hidden_sizes(), net.parameter_count()
+        log.info("task %d done in %.2fs: sizes %s, final loss %.4f",
+                 self.index, time.perf_counter() - self.started,
+                 report.hidden_sizes_after, report.epoch_losses[-1])
+        return report
 
 
-def _frozen_cache(net, task_data, velocity):
-    """Cache the rows that cannot train and clear their velocity."""
-    for layer, v in zip(net.layers, velocity):
-        v.weights[:layer.train_from] = 0.0
-        v.bias[:layer.train_from] = 0.0
-    return net.frozen_activations(task_data.source, task_data.rows)
+open_task = TaskRun  # open_task(net, task_data, config, index) opens the task
 
 
 def train_task(net, task_data, config, task_index=None):
     """Train one binary task end to end on an already-built network."""
-    config.validate()
-    if task_index is None:
-        task_index = net.task + 1
-    started = time.perf_counter()
-    net.grow_output(task_index)
-    net.take_snapshot()
-    net.attach_schedule(config.sigma, config.delta)
-    net.set_structural_freeze(_initial_scope(config))
-    if config.magnitude_freeze_threshold > 0:
-        frozen = net.freeze_small_weights(config.magnitude_freeze_threshold)
-        log.debug("task %d: %d small weights frozen", task_index, frozen)
-    velocity = init_velocity(net.layers)
-    cache = _frozen_cache(net, task_data, velocity)
-    shuffle_rng = rng_for(config.seed, 1, task_index)
-    n = len(task_data)
-    report = TaskReport(task=task_index)
-
-    rounds_active = config.splitting_enabled and task_index > 0
-
-    for epoch in range(config.epochs_per_task):
-        order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = task_data.source[task_data.rows[idx]], task_data.y[idx]
-            trace = net.trace(xb, None if cache is None else [c[idx] for c in cache])
-            loss_sum += selected_bce(trace.output, [task_index], yb) * len(idx)
-            grads = backward_truncated(net.layers, trace, yb, [task_index])
-            velocity = sgd_step(net.layers, grads, config.learning_rate,
-                                config.momentum, velocity)
-        report.epoch_losses.append(loss_sum / n)
-
-        if rounds_active:
-            round_report = net.splitting_round(epoch, config.split_init)
-            report.splits_per_epoch.append(round_report.total_splits)
-            if round_report.total_splits:
-                report.split_count += round_report.total_splits
-                report.filler_count += round_report.total_fillers
-                velocity = pad_velocity(velocity, net.layers)
-                for tag in round_report.splits:
-                    velocity[tag.layer].weights[tag.index, :] = 0.0
-                    velocity[tag.layer].bias[tag.index] = 0.0
-                if config.freeze_scope == "hybrid":
-                    net.set_structural_freeze("pss_only")
-                cache = _frozen_cache(net, task_data, velocity)
-                log.info("task %d epoch %d: %d splits, %d fillers",
-                         task_index, epoch, round_report.total_splits,
-                         round_report.total_fillers)
-        else:
-            report.splits_per_epoch.append(0)
-        net.schedule.escalate()
-
-    report.hidden_sizes_after = net.hidden_sizes()
-    report.parameter_count_after = net.parameter_count()
-    log.info("task %d done in %.2fs: sizes %s, final loss %.4f",
-             task_index, time.perf_counter() - started,
-             report.hidden_sizes_after, report.epoch_losses[-1])
-    return report
+    run = open_task(net, task_data, config, net.task + 1 if task_index is None else task_index)
+    for _ in range(config.epochs_per_task):
+        order = run.shuffle_rng.permutation(len(task_data))
+        for start in range(0, len(order), config.batch_size):
+            run.step(order[start:start + config.batch_size])
+        run.end_epoch()
+    return run.close()
 
 
 def evaluate_boundary(net, stream, upto):

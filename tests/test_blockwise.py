@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 from test_data import traced_peak
 
-from pss import trainer
 from pss.data import TaskDataset
 from pss.model_io import load_model, save_model
-from pss.numerics import (BLOCK_ROWS, MaskedLayer, backward_truncated, forward,
-                          init_velocity, row_blocks, sgd_step)
+from pss.numerics import (BLOCK_ROWS, MaskedLayer, backward_truncated, forward, row_blocks,
+                          sgd_step)
 from pss.plasticity import PlasticNetwork
-from pss.trainer import TrainerConfig, rng_for, train_task
+from pss.trainer import TrainerConfig, open_task, rng_for, train_task
 
 N_FEATURES = 16
 CONFIG = dict(hidden_sizes=(24, 12), sigma=1e-6, delta=0.0, batch_size=64,
@@ -155,8 +154,8 @@ def test_old_logits_stay_bit_identical_on_a_multi_block_probe():
 
 
 def test_cache_build_sees_one_block_of_images_at_a_time(grown, monkeypatch):
-    """The trainer's build gathers ``source[rows]`` one block at a time,
-    never ``2 * BLOCK_ROWS`` images or more."""
+    """The build when a task opens gathers ``source[rows]`` one block at a
+    time, never ``2 * BLOCK_ROWS`` images or more."""
     net, source = grown
     data = TaskDataset(source, np.arange(len(source))[::-1][:2 * BLOCK_ROWS + 1],
                        np.zeros(2 * BLOCK_ROWS + 1), 0, 0)
@@ -169,7 +168,7 @@ def test_cache_build_sees_one_block_of_images_at_a_time(grown, monkeypatch):
         return affine(layer, x, start, stop, out)
 
     monkeypatch.setattr(MaskedLayer, "affine", spy)
-    cache = trainer._frozen_cache(net, data, init_velocity(net.layers))
+    cache = open_task(net, data, TrainerConfig(**CONFIG, freeze_scope="pss_only"), 3).cache
     assert [len(x) for x in seen] == [BLOCK_ROWS, BLOCK_ROWS + 1]
     assert np.concatenate(seen).tobytes() == data.x.tobytes()
     assert len(cache[0]) == len(data)

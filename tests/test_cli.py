@@ -1,13 +1,20 @@
 """Unit tests for the command line interface."""
 
 import argparse
+import ctypes
 import dataclasses
 import functools
+import glob
 import json
+import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pss
 from pss import cli
 from pss.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, RunConfig, main
 from pss.data import save_idx
@@ -365,3 +372,50 @@ class TestExportMetrics:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
         assert not (tmp_path / "csv").exists()
+
+
+class TestBlasThreads:
+    """Each command runs BLAS on one thread, so the report bytes do not
+    depend on the thread count the environment asks for."""
+
+    @staticmethod
+    def threads():
+        """The getter of numpy's bundled OpenBLAS thread count, or a skip
+        where numpy has no such build."""
+        libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                      "numpy.libs", "libscipy_openblas64_*.so"))
+        if not libs:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get
+
+    def test_pin_sets_one_thread_and_restores_the_count(self):
+        get = self.threads()
+        before = get()
+        with cli.one_blas_thread():
+            assert get() == 1
+        assert get() == before
+
+    def test_missing_thread_control_warns_once_and_goes_on(self, monkeypatch, caplog):
+        monkeypatch.setattr(cli.glob, "glob", lambda pattern: [])
+        ran = []
+        with caplog.at_level(logging.WARNING, logger="pss.cli"):
+            with cli.one_blas_thread():
+                ran.append(True)
+        assert ran == [True]
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+
+    def test_default_report_is_the_same_at_one_and_two_threads(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pss.__file__)))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from pss.cli import main; sys.exit(main())",
+                 "train", "--preset", "synthetic", "--out", str(out)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            assert done.returncode == EXIT_OK, done.stderr
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]

@@ -8,19 +8,20 @@ forward is the ``np.where`` leaky ReLU of ``x @ (W * M).T + b``, the
 pre-activations kept; backward is dense, with the truncated BCE loss
 and the derivative taken from the pre-activations; every row trains
 under ``full_truncated``, the rows with ``gen == task`` under
-``pss_only``, and the overlay freezes inside them.
+``pss_only``, and the overlay freezes inside them. The reference keeps
+its own velocity: zero at task start, carried from step to step, and
+after a round that splits zero for the appended neurons and in the rows
+of each split original. The tests drive each task's run step by step.
 """
-
-import copy
 
 import numpy as np
 import pytest
+from test_trainer import epoch_batches
 
-from pss import trainer
 from pss.data import TaskDataset
-from pss.numerics import BLOCK_ROWS, sgd_step
+from pss.numerics import BLOCK_ROWS
 from pss.plasticity import PlasticNetwork
-from pss.trainer import TrainerConfig, rng_for, train_task
+from pss.trainer import TrainerConfig, open_task, rng_for
 
 RTOL = 1e-12
 N_FEATURES = 6
@@ -55,7 +56,8 @@ def oracle_forward(net, x):
 
 
 def oracle_step(net, x, y, velocity, learning_rate, momentum):
-    """Logits, gradients and the parameters and velocity after one SGD step."""
+    """Logits, gradients and the parameters and velocity after one SGD step;
+    ``velocity`` is the reference's own, one ``(weights, bias)`` per layer."""
     pre, post = oracle_forward(net, x)
     out = net.output_gens.index(net.task)
     d_post = np.zeros_like(post[-1])
@@ -71,51 +73,58 @@ def oracle_step(net, x, y, velocity, learning_rate, momentum):
             keep_w, keep_b = keep_w * layer.overlay.weights, keep_b * layer.overlay.bias
         grads[i] = ((delta.T @ (x if i == 0 else post[i - 1])) * keep_w,
                     delta.sum(axis=0) * keep_b)
-        v_w = (momentum * velocity[i].weights + grads[i][0]) * keep_w
-        v_b = (momentum * velocity[i].bias + grads[i][1]) * keep_b
+        v_w = (momentum * velocity[i][0] + grads[i][0]) * keep_w
+        v_b = (momentum * velocity[i][1] + grads[i][1]) * keep_b
         params[i] = (layer.weights - learning_rate * v_w, layer.bias - learning_rate * v_b,
                      v_w, v_b)
         d_post = delta @ (layer.weights * m)
     return post[-1], grads, params
 
 
-@pytest.fixture
-def replayed(monkeypatch):
-    """Replay every trainer step through the reference; record each step's
-    first trainable rows (off the gradients' shapes) and if an overlay was set."""
-    steps, last = [], {}
-    trace = PlasticNetwork.trace
+def velocity_after_split(net, velocity, split):
+    """The reference's velocity after a round that split: zero in the rows
+    and columns of the appended neurons and in the rows of each split
+    original, which went back to its snapshot."""
+    grown = []
+    for layer, (v_w, v_b) in zip(net.layers, velocity):
+        w, b = np.zeros_like(layer.weights), np.zeros_like(layer.bias)
+        w[:v_w.shape[0], :v_w.shape[1]], b[:len(v_b)] = v_w, v_b
+        grown.append((w, b))
+    for tag in split.splits:
+        w, b = grown[tag.layer]
+        w[tag.index], b[tag.index] = 0.0, 0.0
+    return grown
 
-    def traced(net, x, cached=None):
-        last["net"], last["trace"] = net, trace(net, x, cached)
-        return last["trace"]
 
-    def backward(layers, trace, targets, sel):
-        last["y"] = targets
-        return trainer_backward(layers, trace, targets, sel)
-
-    def step(layers, grads, learning_rate, momentum, velocity):
-        net, engine_trace = last["net"], last["trace"]
-        logits, want_grads, want = oracle_step(
-            net, engine_trace.inputs, last["y"], copy.deepcopy(velocity), learning_rate, momentum)
-        assert_close(engine_trace.output, logits)
-        offsets = [l.fan_out - len(g.bias) for l, g in zip(layers, grads)]
-        for g, (w, b), o in zip(grads, want_grads, offsets):
-            assert not w[:o].any() and not b[:o].any()
-            assert_close(g.weights, w[o:])
-            assert_close(g.bias, b[o:])
-        velocity = sgd_step(layers, grads, learning_rate, momentum, velocity)
-        for layer, v, (w, b, v_w, v_b) in zip(layers, velocity, want):
-            for got, expected in ((layer.weights, w), (layer.bias, b),
-                                  (v.weights, v_w), (v.bias, v_b)):
-                assert_close(got, expected)
-        steps.append((offsets, any(l.overlay is not None for l in layers)))
-        return velocity
-
-    trainer_backward = trainer.backward_truncated
-    monkeypatch.setattr(PlasticNetwork, "trace", traced)
-    monkeypatch.setattr(trainer, "backward_truncated", backward)
-    monkeypatch.setattr(trainer, "sgd_step", step)
+def replay_task(net, data, config, index):
+    """Train task ``index`` by driving its run, every step replayed through
+    the reference, whose velocity starts at zero and is carried from step
+    to step. Returns each step's first trainable rows (off the gradients'
+    shapes) and if an overlay was set."""
+    run, steps = open_task(net, data, config, index), []
+    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
+    for _ in range(config.epochs_per_task):
+        for idx in epoch_batches(run):
+            logits, want_grads, want = oracle_step(
+                net, data.source[data.rows[idx]], data.y[idx], velocity,
+                config.learning_rate, config.momentum)
+            run.step(idx)
+            assert_close(run.trace.output, logits)
+            offsets = [l.fan_out - len(g.bias) for l, g in zip(net.layers, run.grads)]
+            for g, (w, b), o in zip(run.grads, want_grads, offsets):
+                assert not w[:o].any() and not b[:o].any()
+                assert_close(g.weights, w[o:])
+                assert_close(g.bias, b[o:])
+            for layer, v, (w, b, v_w, v_b) in zip(net.layers, run.velocity, want):
+                for got, expected in ((layer.weights, w), (layer.bias, b),
+                                      (v.weights, v_w), (v.bias, v_b)):
+                    assert_close(got, expected)
+            velocity = [(v_w, v_b) for _, _, v_w, v_b in want]
+            steps.append((offsets, any(l.overlay is not None for l in net.layers)))
+        split = run.end_epoch()
+        if split is not None and split.total_splits:
+            velocity = velocity_after_split(net, velocity, split)
+    run.close()
     return steps
 
 
@@ -132,14 +141,15 @@ def tasks(n_tasks=3, n=33):
 
 @pytest.mark.parametrize("scope, freeze", [
     ("hybrid", 0.0), ("pss_only", 0.0), ("full_truncated", 0.3)])
-def test_every_step_and_predict_match_the_dense_reference(replayed, scope, freeze):
+def test_every_step_and_predict_match_the_dense_reference(scope, freeze):
     config = TrainerConfig(hidden_sizes=(12, 8), sigma=1e-6, delta=0.0, batch_size=8,
                            epochs_per_task=3, seed=5, freeze_scope=scope,
                            magnitude_freeze_threshold=freeze)
     net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
     probe = np.random.default_rng(4).standard_normal((2 * BLOCK_ROWS + 1, N_FEATURES))
+    replayed = []
     for t, data in enumerate(tasks()):
-        train_task(net, data, config, t)
+        replayed += replay_task(net, data, config, t)
         assert_close(net.predict(probe), oracle_forward(net, probe)[1][-1])
     assert len(replayed) == 3 * 3 * 5
     restricted = [offsets for offsets, _ in replayed if any(offsets)]

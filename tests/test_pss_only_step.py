@@ -8,18 +8,18 @@ an overlay instead), which runs the dense ``forward``,
 ``backward_truncated`` and ``sgd_step`` with the mask arithmetic.
 Activations, gradients, parameters and velocity must agree to 1e-12
 relative, and frozen parameters and earlier tasks' logits must not
-change by a bit.
+change by a bit. The trainer's steps are reached by driving each task's
+run, not by patching the trainer.
 """
 
 import copy
 import weakref
 
 import numpy as np
-import pytest
 from test_blockwise import forward_by_block
 from test_data import traced_peak
+from test_trainer import epoch_batches
 
-from pss import trainer
 from pss.data import TaskDataset
 from pss.numerics import (
     IDENTITY,
@@ -32,7 +32,7 @@ from pss.numerics import (
     sgd_step,
 )
 from pss.plasticity import PlasticNetwork
-from pss.trainer import TrainerConfig, rng_for, train_task
+from pss.trainer import TrainerConfig, open_task, rng_for, train_task
 
 RTOL = 1e-12
 N_FEATURES = 6
@@ -59,14 +59,19 @@ def dense_copy(layers):
     return dense
 
 
-def check_step(layers, trace, targets, sel, grads, velocity, probe,
+def check_step(layers, velocity, take_step, targets, sel, probe,
                learning_rate=0.05, momentum=0.9):
-    """Take one restricted step with ``grads`` and replay it densely.
-    Returns what the step covered (without the computed widths, which
-    the trace does not record) and the new velocity."""
+    """Take one restricted step, ``take_step()`` returning its trace,
+    gradients and new velocity, and replay it densely from the layers and
+    velocity before it. Returns what the step covered (without the
+    computed widths, which the trace does not record) and the new velocity."""
     offsets = [layer.train_from for layer in layers]
     dense = dense_copy(layers)
     dense_velocity = copy.deepcopy(velocity)
+    frozen = [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
+              for l, o in zip(layers, offsets)]
+    old_logits = forward(layers, probe).output[:, :offsets[-1]].tobytes()
+    trace, grads, velocity = take_step()
     dense_trace = forward(dense, trace.inputs)
     for a, dense_a in zip(trace.post, dense_trace.post):
         assert_close(a, dense_a)
@@ -76,11 +81,7 @@ def check_step(layers, trace, targets, sel, grads, velocity, probe,
         assert_close(g.weights, dg.weights[o:])
         assert_close(g.bias, dg.bias[o:])
 
-    frozen = [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
-              for l, o in zip(layers, offsets)]
-    old_logits = forward(layers, probe).output[:, :offsets[-1]].tobytes()
     sgd_step(dense, dense_grads, learning_rate, momentum, dense_velocity)
-    velocity = sgd_step(layers, grads, learning_rate, momentum, velocity)
     for layer, d, v, dv in zip(layers, dense, velocity, dense_velocity):
         assert_close(layer.weights, d.weights)
         assert_close(layer.bias, d.bias)
@@ -97,40 +98,6 @@ def check_step(layers, trace, targets, sel, grads, velocity, probe,
     }, velocity
 
 
-@pytest.fixture
-def checked_steps(monkeypatch):
-    """Check every step the trainer takes with some ``train_from`` > 0
-    against the dense reference, and record what it covered."""
-    steps = []
-    last = {}
-    probe = np.random.default_rng(3).standard_normal((5, N_FEATURES))
-    trace = PlasticNetwork.trace
-
-    def traced(net, x, cached=None):
-        # each layer computes the rows past its cached ones
-        last["computed"] = [l.fan_out - (0 if cached is None else c.shape[1])
-                            for l, c in zip(net.layers, cached or [None] * len(net.layers))]
-        return trace(net, x, cached)
-
-    def backward(layers, trace, targets, sel):
-        last.update(trace=trace, targets=targets, sel=sel)
-        return backward_truncated(layers, trace, targets, sel)
-
-    def step(layers, grads, learning_rate, momentum, velocity):
-        if not any(layer.train_from for layer in layers):
-            return sgd_step(layers, grads, learning_rate, momentum, velocity)
-        covered, velocity = check_step(
-            layers, last["trace"], last["targets"], last["sel"], grads,
-            velocity, probe, learning_rate, momentum)
-        steps.append({**covered, "computed": last["computed"]})
-        return velocity
-
-    monkeypatch.setattr(PlasticNetwork, "trace", traced)
-    monkeypatch.setattr(trainer, "backward_truncated", backward)
-    monkeypatch.setattr(trainer, "sgd_step", step)
-    return steps
-
-
 def odd_tasks(n_tasks=3, n=33):
     """Tasks of 33 images: with batch size 8 each epoch ends on one image."""
     rng = np.random.default_rng(11)
@@ -140,12 +107,34 @@ def odd_tasks(n_tasks=3, n=33):
 
 
 def train_all(config):
+    """Train every task by driving its run. Each step with some
+    ``train_from`` > 0 is checked against the dense reference; returns
+    what those steps covered and computed."""
     net = PlasticNetwork.new(N_FEATURES, list(config.hidden_sizes),
                              rng_for(config.seed, 0), config.leaky_slope)
+    probe = np.random.default_rng(3).standard_normal((5, N_FEATURES))
+    steps = []
     for t, data in enumerate(odd_tasks()):
-        train_task(net, data, config, t)
+        run = open_task(net, data, config, t)
+        for _ in range(config.epochs_per_task):
+            for idx in epoch_batches(run):
+                if not any(layer.train_from for layer in net.layers):
+                    run.step(idx)
+                    continue
+                # each layer computes the rows past its cached ones
+                computed = [l.fan_out - c.shape[1] for l, c in zip(net.layers, run.cache)]
+
+                def take_step():
+                    run.step(idx)
+                    return run.trace, run.grads, run.velocity
+
+                covered, _ = check_step(net.layers, run.velocity, take_step, data.y[idx],
+                                        [t], probe, config.learning_rate, config.momentum)
+                steps.append({**covered, "computed": computed})
+            run.end_epoch()
+        run.close()
     assert net.check_masks() == []
-    return net
+    return steps
 
 
 CONFIG = dict(hidden_sizes=(12, 8), sigma=1e-6, delta=0.0, batch_size=8,
@@ -153,27 +142,26 @@ CONFIG = dict(hidden_sizes=(12, 8), sigma=1e-6, delta=0.0, batch_size=8,
 
 
 class TestTrainerSteps:
-    def test_pss_only_from_task_start(self, checked_steps):
+    def test_pss_only_from_task_start(self):
         """No hidden row can train: only the output row is computed."""
-        train_all(TrainerConfig(**CONFIG, freeze_scope="pss_only"))
+        checked_steps = train_all(TrainerConfig(**CONFIG, freeze_scope="pss_only"))
         # tasks 1 and 2, four full batches and one single image per epoch
         assert len(checked_steps) == 2 * 3 * 5
         assert all(s["open"] == s["computed"] == [0, 0, 1] for s in checked_steps)
         assert any(s["batch"] == 1 for s in checked_steps)
 
-    def test_hybrid_after_split_with_magnitude_freeze(self, checked_steps):
+    def test_hybrid_after_split_with_magnitude_freeze(self):
         """The cache is built after the first split; small weights of the
         output row stay frozen inside the trainable rows."""
-        train_all(TrainerConfig(**CONFIG, magnitude_freeze_threshold=0.3))
+        checked_steps = train_all(TrainerConfig(**CONFIG, magnitude_freeze_threshold=0.3))
         assert checked_steps
         assert all(s["open"] == s["computed"] for s in checked_steps)
         assert all(min(s["open"][:-1]) > 0 for s in checked_steps)
         assert any(s["frozen_in_open"] for s in checked_steps)
         assert any(s["batch"] == 1 for s in checked_steps)
 
-    def test_full_truncated_takes_no_restricted_step(self, checked_steps):
-        train_all(TrainerConfig(**CONFIG, freeze_scope="full_truncated"))
-        assert checked_steps == []
+    def test_full_truncated_takes_no_restricted_step(self):
+        assert train_all(TrainerConfig(**CONFIG, freeze_scope="full_truncated")) == []
 
 
 class TestFrozenCache:
@@ -299,16 +287,22 @@ class TestFrozenCache:
         # gemm, gemv, then a full trace (no cache) of the same network
         for idx, cached in ((np.arange(8), True), (np.array([5]), True),
                             (np.arange(8, 16), False)):
-            trace = net.trace(data.x[idx], [c[idx] for c in fresh] if cached else None)
-            grads = backward_truncated(net.layers, trace, data.y[idx], [1])
-            covered, velocity = check_step(net.layers, trace, data.y[idx], [1],
-                                           grads, velocity, data.x[:4])
+            def take_step():
+                trace = net.trace(data.x[idx], [c[idx] for c in fresh] if cached else None)
+                grads = backward_truncated(net.layers, trace, data.y[idx], [1])
+                return trace, grads, sgd_step(net.layers, grads, 0.05, 0.9, velocity)
+
+            covered, velocity = check_step(net.layers, velocity, take_step, data.y[idx], [1],
+                                           data.x[:4])
             assert covered["open"][0] > 0
 
     def test_build_frees_the_task_images_after_layer_0(self, monkeypatch):
-        """The trainer gathers the task's images for the build only; the
-        pass holds the one reference and drops it once layer 0 is done."""
-        net, data = self.drifted_task()
+        """Opening a task gathers its images for the build only; the pass
+        holds the one reference and drops it once layer 0 is done."""
+        config = TrainerConfig(**CONFIG, freeze_scope="pss_only")
+        net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
+        data = odd_tasks()
+        train_task(net, data[0], config, 0)
         images, alive = [], []
         affine = MaskedLayer.affine
 
@@ -320,8 +314,8 @@ class TestFrozenCache:
             return affine(layer, x, start, stop, out)
 
         monkeypatch.setattr(MaskedLayer, "affine", spy)
-        cache = trainer._frozen_cache(net, data, init_velocity(net.layers))
-        assert len(cache) == 3 and alive == [False, False]
+        run = open_task(net, data[1], config, 1)
+        assert len(run.cache) == 3 and alive == [False, False]
 
     def test_build_peaks_at_images_layer_0_block_and_cache(self):
         """No per-run product, bias sum or activation temporary is held

@@ -10,6 +10,7 @@ from pss.plasticity import PlasticNetwork
 from pss.trainer import (
     TrainerConfig,
     evaluate_boundary,
+    open_task,
     rng_for,
     run_baseline_finetune,
     run_lifelong,
@@ -210,28 +211,64 @@ class TestHybridScope:
         gen0 = [i for i, g in enumerate(net.hidden_gens[0]) if g == 0]
         assert np.all(l0.train_mask[gen0] == 0.0)
 
-    def test_one_round_splits_and_one_cache_is_built_per_task(self, monkeypatch):
+    def test_one_round_splits_and_one_cache_is_built_per_task(self):
         """After the switch old neurons are frozen, so their drift stays
         put while the threshold only grows: no later round can split, and
         the frozen-row cache is built once per task."""
-        built = []
-        frozen_activations = PlasticNetwork.frozen_activations
-
-        def spy(net, source, rows):
-            cache = frozen_activations(net, source, rows)
-            if cache is not None:
-                built.append(net.task)
-            return cache
-
-        monkeypatch.setattr(PlasticNetwork, "frozen_activations", spy)
         cfg = TrainerConfig(**dict(SMALL, epochs_per_task=4))
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+        built = []
         for task in small_stream(n_tasks=4):
-            report = train_task(net, task.train, cfg, task.index)
-            rounds = sum(1 for s in report.splits_per_epoch if s)
+            run = open_task(net, task.train, cfg, task.index)
+            _, results, caches = drive(run)
+            rounds = sum(1 for r in results if r is not None and r.total_splits)
             assert rounds == (task.index > 0)
+            built += [task.index] * len({id(c) for c in caches if c is not None})
             assert built.count(task.index) == rounds
         assert len(built) == 3
+
+
+def epoch_batches(run):
+    """The row indices of one epoch's minibatches of an open task, drawn
+    as ``train_task`` draws them."""
+    order, size = run.shuffle_rng.permutation(len(run.data)), run.config.batch_size
+    return [order[start:start + size] for start in range(0, len(order), size)]
+
+
+def drive(run):
+    """Run every epoch of an open task as ``train_task`` does; returns the
+    batch losses and lengths, the ``end_epoch`` results, and the run's
+    cache after opening and after each epoch."""
+    batches, rounds, caches = [], [], [run.cache]
+    for _ in range(run.config.epochs_per_task):
+        batches.append([(run.step(idx), len(idx)) for idx in epoch_batches(run)])
+        rounds.append(run.end_epoch())
+        caches.append(run.cache)
+    return batches, rounds, caches
+
+
+class TestTaskSteps:
+    @pytest.mark.parametrize("scope", ["hybrid", "full_truncated"])
+    def test_steps_driven_by_hand_are_train_task(self, scope):
+        """The epoch loss is the sum of batch loss times batch length over
+        n, each round's split count is its ``SplitReport``'s, and the
+        report and weights equal those of ``train_task`` bit for bit."""
+        cfg = TrainerConfig(**SMALL, freeze_scope=scope)
+        nets = [PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+                for _ in range(2)]
+        for task in small_stream():
+            want = train_task(nets[0], task.train, cfg, task.index)
+            run = open_task(nets[1], task.train, cfg, task.index)
+            batches, rounds, _ = drive(run)
+            got = run.close()
+            assert got == want
+            assert got.epoch_losses == [sum(loss * n for loss, n in epoch) / len(task.train)
+                                        for epoch in batches]
+            assert got.splits_per_epoch == [r.total_splits if r else 0 for r in rounds]
+            assert (rounds[0] is None) == (task.index == 0)
+        for a, b in zip(nets[0].layers, nets[1].layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
 
 
 class TestNoDenseViews:
