@@ -386,7 +386,9 @@ def main(argv=None):
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
-    with one_blas_thread():
+    # overflow surfaces as a NonFiniteError from the explicit finiteness
+    # checks, so numpy's own warning would only repeat it on stderr
+    with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         try:
             return args.func(args)
         except (DataFormatError, ContainerError, FileNotFoundError, IsADirectoryError,

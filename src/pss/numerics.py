@@ -70,14 +70,12 @@ class MaskError(ValueError):
 
 
 def sigmoid(z):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: with ``e = exp(-|z|)``, which
+    cannot overflow, ``1 / (1 + e)`` where ``z >= 0`` and ``e / (1 + e)``
+    elsewhere."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softplus(z):
@@ -238,10 +236,11 @@ class MaskedLayer:
 
         The operands come from the layer's run plan, one
         ``(r0, r1, c1, weights[r0:r1, :c1].T, columns of the result)`` per
-        non-empty run. A run wholly inside ``start:stop`` costs its matmul
-        and one output slice, and reads ``x`` unsliced when it sees every
-        column of it; a run that ``start`` or ``stop`` cuts is clipped to
-        its rows in range.
+        non-empty run. A run costs its matmul and one output slice, and
+        reads ``x`` unsliced when it sees every column of it. ``start`` and
+        ``stop`` must fall on run boundaries, as a layer's ``train_from``
+        and the stops of ``post_activations`` do: a window that cuts a run
+        raises ``DimensionError``.
         """
         fan_out, fan_in = self.weights.shape
         stop = fan_out if stop is None else stop
@@ -255,18 +254,16 @@ class MaskedLayer:
             plan = self._plan = [(r0, r1, c1, self.weights[r0:r1, :c1].T, np.s_[:, r0:r1])
                                  for r0, r1, c1 in self.runs if r0 < r1]
         for r0, r1, c1, w_t, cols in plan:
-            if c1 > width and r0 < stop and start < r1:
-                raise DimensionError(
-                    f"rows {max(r0, start)}:{min(r1, stop)} see {c1} input columns, "
-                    f"input has {width}")
-            # ``out`` by position and ``...`` in the slice: with numpy 2.4 the
-            # keyword form costs each call ~0.5 us more, and ``:`` ~0.1 us
             if start <= r0 and r1 <= stop:
+                if c1 > width:
+                    raise DimensionError(
+                        f"rows {r0}:{r1} see {c1} input columns, input has {width}")
+                # ``out`` by position and ``...`` in the slice: with numpy 2.4 the
+                # keyword form costs each call ~0.5 us more, and ``:`` ~0.1 us
                 np.matmul(x if c1 == width else x[..., :c1], w_t,
                           z[cols] if start == 0 else z[:, r0 - start:r1 - start])
             elif r0 < stop and start < r1:
-                a, b = max(r0, start), min(r1, stop)
-                np.matmul(x[:, :c1], w_t[:, a - r0:b - r0], z[:, a - start:b - start])
+                raise DimensionError(f"rows {start}:{stop} cut the run of rows {r0}:{r1}")
         z += self.bias if start == 0 and stop == fan_out else self.bias[start:stop]
         return z
 
@@ -360,23 +357,6 @@ def post_activations(layers, source, rows=None, stops=None, cached=None, last_on
     return out
 
 
-def bce_loss(logits, labels):
-    """Mean binary cross-entropy of ``sigmoid(logits)`` against 0/1 labels.
-
-    Uses the log-sum form ``softplus(z) - z * y`` so the result is finite
-    for any finite logit.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if z.shape != y.shape:
-        raise DimensionError(f"logits shape {z.shape} != labels shape {y.shape}")
-    if z.size == 0:
-        raise DimensionError("empty logits")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be exactly 0 or 1")
-    return float(np.mean(_softplus(z) - z * y))
-
-
 @dataclass
 class LayerGrads:
     """Arrays shaped like one layer's parameters: gradients, velocity or overlay."""
@@ -385,7 +365,9 @@ class LayerGrads:
     bias: np.ndarray
 
 
-def _check_selection(selected_outputs, out_dim):
+def _selection(selected_outputs, targets, n, out_dim):
+    """The selected output columns and their ``(n, k)`` 0/1 targets, which
+    may be given as ``(n,)`` when a single output is selected."""
     sel = [int(s) for s in selected_outputs]
     if not sel:
         raise ValueError("selected_outputs must be non-empty")
@@ -394,7 +376,17 @@ def _check_selection(selected_outputs, out_dim):
     for s in sel:
         if not 0 <= s < out_dim:
             raise IndexError(f"output index {s} out of range [0, {out_dim})")
-    return sel
+    y = np.asarray(targets, dtype=np.float64)
+    if y.ndim == 1:
+        y = y[:, None]
+    if y.shape != (n, len(sel)):
+        raise DimensionError(
+            f"targets shape {y.shape} does not match batch {n} x selection {len(sel)}")
+    if not n:
+        raise DimensionError("empty batch")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("targets must be exactly 0 or 1")
+    return sel, y
 
 
 def backward_truncated(layers, trace, targets, selected_outputs):
@@ -418,20 +410,11 @@ def backward_truncated(layers, trace, targets, selected_outputs):
     if len(trace.post) != len(layers):
         raise DimensionError("trace layer count does not match layers")
     out = trace.output
-    n, out_dim = out.shape
-    sel = _check_selection(selected_outputs, out_dim)
-    y = np.asarray(targets, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape != (n, len(sel)):
-        raise DimensionError(
-            f"targets shape {y.shape} does not match batch {n} x selection {len(sel)}")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("targets must be exactly 0 or 1")
+    sel, y = _selection(selected_outputs, targets, *out.shape)
 
     # dL/da at the selected outputs; everything else stays exactly zero.
     d_post = np.zeros_like(out)
-    d_post[:, sel] = (sigmoid(out[:, sel]) - y) / (n * len(sel))
+    d_post[:, sel] = (sigmoid(out[:, sel]) - y) / y.size
 
     grads = [None] * len(layers)
     top = layers[-1]
@@ -521,12 +504,12 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
 
 
 def selected_bce(trace_output, selected_outputs, targets):
-    """The truncated loss that ``backward_truncated`` differentiates."""
-    sel = _check_selection(selected_outputs, trace_output.shape[1])
-    y = np.asarray(targets, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
-    return bce_loss(trace_output[:, sel], y)
+    """The truncated loss that ``backward_truncated`` differentiates: the
+    mean of ``softplus(z) - z * y``, finite for any finite logit, over the
+    selected columns ``z`` of ``trace_output``."""
+    sel, y = _selection(selected_outputs, targets, *trace_output.shape)
+    z = trace_output[:, sel]
+    return float(np.mean(_softplus(z) - z * y))
 
 
 @dataclass

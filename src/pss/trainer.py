@@ -1,11 +1,12 @@
 """Sequential task training with drift-triggered splitting.
 
 A task trains in steps: ``open_task`` opens its output node, snapshots
-the hidden weights and returns a ``TaskRun``; its ``step`` trains a
-minibatch, the loss gradient entering only at that output; ``end_epoch``
-runs a splitting round (appended and reverted neurons restart at zero
-velocity) and escalates the drift threshold; ``close`` returns the
-report. The freeze scope decides how much of the old network may move:
+the hidden weights and returns a ``TaskRun``; its ``batches`` cut an
+epoch into minibatches and its ``step`` trains one, the loss gradient
+entering only at that output; ``end_epoch`` runs a splitting round
+(appended and reverted neurons restart at zero velocity) and escalates
+the drift threshold; ``close`` returns the report. The freeze scope
+decides how much of the old network may move:
 
 ``hybrid`` (default)
     everything trains until the first split of the task, then only the
@@ -149,6 +150,12 @@ class TaskRun:
             v.weights[:layer.train_from] = v.bias[:layer.train_from] = 0.0
         self.cache = self.net.frozen_activations(self.data.source, self.data.rows)
 
+    def batches(self):
+        """One epoch's minibatches: the task's row indices in the next
+        shuffle order, cut into ``batch_size`` slices."""
+        order, size = self.shuffle_rng.permutation(len(self.data)), self.config.batch_size
+        return [order[start:start + size] for start in range(0, len(order), size)]
+
     def step(self, idx):
         """Train on the task's rows ``idx``, keeping the step's ``trace`` and
         ``grads``; returns the batch loss."""
@@ -205,9 +212,8 @@ def train_task(net, task_data, config, task_index=None):
     """Train one binary task end to end on an already-built network."""
     run = open_task(net, task_data, config, net.task + 1 if task_index is None else task_index)
     for _ in range(config.epochs_per_task):
-        order = run.shuffle_rng.permutation(len(task_data))
-        for start in range(0, len(order), config.batch_size):
-            run.step(order[start:start + config.batch_size])
+        for idx in run.batches():
+            run.step(idx)
         run.end_epoch()
     return run.close()
 

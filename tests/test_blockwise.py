@@ -8,6 +8,7 @@ block, never the whole batch, next to their results.
 """
 
 import copy
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from test_data import traced_peak
 
 from pss.data import TaskDataset
 from pss.model_io import load_model, save_model
-from pss.numerics import (BLOCK_ROWS, MaskedLayer, backward_truncated, forward, row_blocks,
-                          sgd_step)
+from pss.numerics import (BLOCK_ROWS, MaskedLayer, backward_truncated, forward,
+                          post_activations, row_blocks, sgd_step)
 from pss.plasticity import PlasticNetwork
 from pss.trainer import TrainerConfig, open_task, rng_for, train_task
 
@@ -134,6 +135,37 @@ def test_one_image_predict_is_the_run_by_run_loop_bitwise(grown, case, tmp_path)
     for i in range(0, len(source), 97):
         x = source[i:i + 1]
         assert net.predict(x).tobytes() == predict_run_by_run(net.layers, x).tobytes()
+
+
+# per task, the trainer flags of each network of the generation-prefix test
+PREFIX_RUNS = {
+    "pss_only": [{}, {}, {"freeze_scope": "pss_only"}, {"freeze_scope": "pss_only"}],
+    "full_truncated": [{"freeze_scope": "full_truncated"}] * 3,
+    "magnitude freeze": [{"magnitude_freeze_threshold": 0.05}] * 3,
+}
+
+
+@pytest.mark.parametrize("case", ["hybrid", *PREFIX_RUNS])
+def test_head_k_is_the_pass_over_generations_up_to_k(grown, case):
+    """Head ``k`` reads only the units of generations ``<= k``: forwarding
+    each hidden layer's units up to the last of generation ``k``, and the
+    outputs ``:k + 1``, gives the first ``k + 1`` logits of ``predict``
+    byte for byte, at one image and at a batch of several blocks. This
+    holds under every freeze scope (``pss_only`` after two hybrid tasks
+    have grown the network, since it never splits) and under a magnitude
+    freeze."""
+    net, source = grown
+    if case != "hybrid":
+        net = PlasticNetwork.new(N_FEATURES, [24, 12], rng_for(3, 0))
+        for t, (task, flags) in enumerate(zip(tasks(4), PREFIX_RUNS[case])):
+            train_task(net, task, TrainerConfig(**CONFIG, **flags), t)
+    assert all(len(set(gens)) > 1 for gens in net.hidden_gens)
+    for x in (source[:1], source[:2 * BLOCK_ROWS + 1]):
+        logits = net.predict(x)
+        for k in range(net.task + 1):
+            stops = [bisect_right(gens, k) for gens in net.hidden_gens] + [k + 1]
+            head = post_activations(net.layers, x, stops=stops, last_only=True)[-1]
+            assert head.tobytes() == np.ascontiguousarray(logits[:, :k + 1]).tobytes()
 
 
 def test_old_logits_stay_bit_identical_on_a_multi_block_probe():

@@ -162,6 +162,20 @@ class TestTrain:
             main(["train", *FAST, "--sigma", "abc"])
         assert exc.value.code == 2
 
+    def test_divergence_is_one_line_on_stderr(self, tmp_path):
+        """A run whose weights overflow exits 4 with the numerical error as
+        the only line on stderr; numpy's overflow warning is not printed."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pss.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from pss.cli import main; sys.exit(main())",
+             "train", "--preset", "synthetic", "--train-size", "200", "--test-size", "100",
+             "--tasks", "2", "--lr", "100", "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True)
+        assert done.returncode == EXIT_NUMERIC
+        assert done.stderr.splitlines() == [
+            "numerical error: non-finite pre-activation at layer 1"]
+
     def test_mnist_preset_without_data_is_data_error(self, tmp_path,
                                                      monkeypatch, capsys):
         monkeypatch.delenv("PSS_DATA_DIR", raising=False)

@@ -16,7 +16,6 @@ of each split original. The tests drive each task's run step by step.
 
 import numpy as np
 import pytest
-from test_trainer import epoch_batches
 
 from pss.data import TaskDataset
 from pss.numerics import BLOCK_ROWS
@@ -104,7 +103,7 @@ def replay_task(net, data, config, index):
     run, steps = open_task(net, data, config, index), []
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
     for _ in range(config.epochs_per_task):
-        for idx in epoch_batches(run):
+        for idx in run.batches():
             logits, want_grads, want = oracle_step(
                 net, data.source[data.rows[idx]], data.y[idx], velocity,
                 config.learning_rate, config.momentum)

@@ -14,7 +14,6 @@ from pss.numerics import (
     MaskError,
     NonFiniteError,
     backward_truncated,
-    bce_loss,
     forward,
     gradcheck,
     he_normal,
@@ -75,28 +74,56 @@ class TestSigmoid:
         z = np.linspace(-30, 30, 101)
         np.testing.assert_allclose(sigmoid(z) + sigmoid(-z), np.ones_like(z), rtol=1e-14)
 
+    def test_one_exponential_is_the_two_branch_form_bitwise(self):
+        """``sigmoid`` equals, byte for byte, the form that takes
+        ``exp(-z)`` where ``z >= 0`` and ``exp(z)`` elsewhere."""
+        def two_branch(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
 
-class TestBceLoss:
+        tiny = np.finfo(np.float64).tiny
+        edges = np.array([0.0, np.inf, tiny, tiny / 2, 5e-324, 709.8, 745.2, 1e308])
+        normals = np.random.default_rng(0).standard_normal(10 ** 6)
+        z = np.concatenate([edges, -edges] + [normals * s for s in (1e-3, 0.1, 1, 30, 800)])
+        with np.errstate(under="ignore"):
+            assert sigmoid(z).tobytes() == two_branch(z).tobytes()
+
+
+class TestSelectedBce:
     def test_frozen_reference_value(self):
         # mean(softplus(2) - 2, softplus(-1)) computed at 50 decimal digits
-        got = bce_loss(np.array([2.0, -1.0]), np.array([1.0, 0.0]))
+        got = selected_bce(np.array([[2.0, -1.0]]), [0, 1], np.array([[1.0, 0.0]]))
         assert got == pytest.approx(0.22009484928059767, rel=1e-15)
 
     def test_perfect_confident_prediction_is_near_zero(self):
-        z = np.array([40.0, -40.0])
+        z = np.array([[40.0], [-40.0]])
         y = np.array([1.0, 0.0])
-        assert bce_loss(z, y) < 1e-15
+        assert selected_bce(z, [0], y) < 1e-15
 
     def test_large_logits_finite(self):
-        assert np.isfinite(bce_loss(np.array([1e6, -1e6]), np.array([0.0, 1.0])))
+        assert np.isfinite(selected_bce(np.array([[1e6, -1e6]]), [0, 1],
+                                        np.array([[0.0, 1.0]])))
 
     def test_rejects_soft_labels(self):
         with pytest.raises(ValueError):
-            bce_loss(np.array([0.0]), np.array([0.5]))
+            selected_bce(np.array([[0.0]]), [0], np.array([0.5]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            bce_loss(np.zeros(3), np.zeros(2))
+            selected_bce(np.zeros((3, 1)), [0], np.zeros(2))
+
+    def test_reads_only_the_selected_columns(self):
+        z = np.array([[2.0, 9.0, -1.0], [-3.0, 7.0, 0.5]])
+        y = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert selected_bce(z, [2, 0], y) == selected_bce(z[:, [2, 0]], [0, 1], y)
+
+    def test_rejects_an_empty_batch(self):
+        with pytest.raises(DimensionError):
+            selected_bce(np.zeros((0, 2)), [1], np.zeros(0))
 
 
 class TestMaskedLayer:
@@ -189,7 +216,8 @@ class TestMaskedLayer:
         """Bit for bit the per-run ``x[:, :c1] @ W[r0:r1, :c1].T + b[r0:r1]``,
         for whole layers and for row windows over several generations, into
         a new array and into a column window of a wider one (as
-        ``post_activations`` writes past a layer's cached columns)."""
+        ``post_activations`` writes past a layer's cached columns); a
+        window that cuts a run is refused."""
         rng = np.random.default_rng(m)
         runs = [(0, 37, 20), (37, 38, 20), (38, 60, 33), (60, 61, 0), (61, 70, 40)]
         w = rng.standard_normal((70, 40)) * run_mask(runs, (70, 40))
@@ -207,6 +235,10 @@ class TestMaskedLayer:
             assert layer.affine(xs, start, stop, out=window) is window
             assert np.ascontiguousarray(window).tobytes() == expected
             assert np.isnan(wide[:, :3]).all() and np.isnan(wide[:, 3 + width:]).all()
+        # a window must fall on run boundaries
+        for start, stop in ((0, 20), (20, 70), (38, 65)):
+            with pytest.raises(DimensionError, match="cut the run"):
+                layer.affine(x, start, stop)
 
     def test_affine_follows_rebound_runs_and_in_place_writes(self):
         """The run plan is rebuilt when ``runs`` is rebound, and sees
@@ -241,9 +273,12 @@ class TestMaskedLayer:
         assert z.tobytes() == np.ascontiguousarray(layer.affine(x)[:, :4]).tobytes()
         assert layer.affine(x[:, :3], stop=0).shape == (7, 0)
         # an in-range run whose prefix is wider than the input
-        for stop in (5, None):
+        for stop in (9, None):
             with pytest.raises(DimensionError, match="see 10 input columns"):
                 layer.affine(x[:, :3], stop=stop)
+        # a stop inside that run cuts it
+        with pytest.raises(DimensionError, match="cut the run"):
+            layer.affine(x[:, :3], stop=5)
 
 
 class TestForward:

@@ -18,7 +18,6 @@ import weakref
 import numpy as np
 from test_blockwise import forward_by_block
 from test_data import traced_peak
-from test_trainer import epoch_batches
 
 from pss.data import TaskDataset
 from pss.numerics import (
@@ -117,7 +116,7 @@ def train_all(config):
     for t, data in enumerate(odd_tasks()):
         run = open_task(net, data, config, t)
         for _ in range(config.epochs_per_task):
-            for idx in epoch_batches(run):
+            for idx in run.batches():
                 if not any(layer.train_from for layer in net.layers):
                     run.step(idx)
                     continue

@@ -228,26 +228,34 @@ class TestHybridScope:
         assert len(built) == 3
 
 
-def epoch_batches(run):
-    """The row indices of one epoch's minibatches of an open task, drawn
-    as ``train_task`` draws them."""
-    order, size = run.shuffle_rng.permutation(len(run.data)), run.config.batch_size
-    return [order[start:start + size] for start in range(0, len(order), size)]
-
-
 def drive(run):
     """Run every epoch of an open task as ``train_task`` does; returns the
     batch losses and lengths, the ``end_epoch`` results, and the run's
     cache after opening and after each epoch."""
     batches, rounds, caches = [], [], [run.cache]
     for _ in range(run.config.epochs_per_task):
-        batches.append([(run.step(idx), len(idx)) for idx in epoch_batches(run)])
+        batches.append([(run.step(idx), len(idx)) for idx in run.batches()])
         rounds.append(run.end_epoch())
         caches.append(run.cache)
     return batches, rounds, caches
 
 
 class TestTaskSteps:
+    def test_batches_cut_one_shuffle_of_the_rows(self):
+        """An epoch's batches are ``batch_size`` slices of one permutation
+        of the task's rows, the last taking the rest; each epoch draws a
+        new order."""
+        cfg = TrainerConfig(**SMALL)
+        task = small_stream(n_tasks=1).tasks[0]
+        run = open_task(PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0)),
+                        task.train, cfg, 0)
+        want = rng_for(cfg.seed, 1, 0)
+        for _ in range(2):
+            batches = run.batches()
+            assert [len(b) for b in batches[:-1]] == [cfg.batch_size] * (len(batches) - 1)
+            assert 0 < len(batches[-1]) <= cfg.batch_size
+            assert np.concatenate(batches).tolist() == want.permutation(len(task.train)).tolist()
+
     @pytest.mark.parametrize("scope", ["hybrid", "full_truncated"])
     def test_steps_driven_by_hand_are_train_task(self, scope):
         """The epoch loss is the sum of batch loss times batch length over
