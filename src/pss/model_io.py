@@ -8,7 +8,7 @@ rebuilds the network from the arrays, the hidden slopes and tags, the
 task, the scope and the generator state, audits it, and refuses
 (``ContainerError``) a file whose header is not exactly the rebuilt
 network's. Schema-1 files, which stored masks, are rejected. Mid-task
-state (snapshot, drift schedule, momentum) is not stored.
+state (snapshot, epoch, momentum) is not stored.
 """
 
 import json

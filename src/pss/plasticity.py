@@ -28,9 +28,10 @@ trailing ones from ``train_from`` on.
 of a magnitude freeze, from (tags, task, freeze scope, magnitude-freeze
 set); it runs after every change of structure, task or scope.
 
-Thresholds escalate as a task ages: the effective threshold for layer
-``l`` after ``e`` completed epochs is ``sigma[l] + e * delta[l]``, so
-early drift splits readily while late drift has to be large.
+Thresholds grow as a task ages: the threshold for layer ``l`` after
+``e`` completed epochs is ``sigma[l] + e * delta[l]``
+(``drift_thresholds``), so early drift splits readily while late drift
+has to be large.
 """
 
 from bisect import bisect_left, bisect_right
@@ -75,22 +76,13 @@ class Snapshot:
                    biases=[l.bias.copy() for l in network.hidden_layers])
 
 
-class DriftSchedule:
-    """Per-layer split threshold that grows with epochs into the task.
-
-    ``current(l)`` is always computed as ``sigma[l] + epochs_elapsed *
-    delta[l]`` from the stored integers, never by repeated addition, so
-    the threshold for a given epoch is the same no matter how the
-    schedule got there.
-    """
-
-    def __init__(self, sigma, delta, n_layers):
-        self.sigma = self._spread(sigma, n_layers, "sigma")
-        self.delta = self._spread(delta, n_layers, "delta")
-        self.epochs_elapsed = 0
-
-    @staticmethod
-    def _spread(value, n_layers, name):
+def drift_thresholds(sigma, delta, n_layers, epoch):
+    """Per-layer split threshold ``epoch`` completed epochs into a task:
+    ``sigma[l] + epoch * delta[l]``, computed from the epoch rather than
+    by repeated addition. ``sigma`` and ``delta`` are each a scalar or
+    one finite, non-negative value per hidden layer."""
+    spread = []
+    for value, name in ((sigma, "sigma"), (delta, "delta")):
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim == 0:
             arr = np.full(n_layers, float(arr))
@@ -102,13 +94,9 @@ class DriftSchedule:
             raise ValueError(f"{name} must be finite")
         if np.any(arr < 0):
             raise ValueError(f"{name} must be non-negative")
-        return arr
-
-    def current(self, layer):
-        return float(self.sigma[layer] + self.epochs_elapsed * self.delta[layer])
-
-    def escalate(self):
-        self.epochs_elapsed += 1
+        spread.append(arr)
+    sigma, delta = spread
+    return [float(sigma[l] + epoch * delta[l]) for l in range(n_layers)]
 
 
 @dataclass
@@ -172,7 +160,6 @@ class PlasticNetwork:
         self.task = int(task)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.snapshot = None
-        self.schedule = None
         self._split_done = [set() for _ in self.hidden_layers]
         self._small_frozen = None
         self.set_structural_freeze(freeze_scope)
@@ -289,6 +276,7 @@ class PlasticNetwork:
         self._split_done = [set() for _ in self.hidden_layers]
         self._small_frozen = None
         self.set_structural_freeze(self.freeze_scope)
+        self.take_snapshot()
         return self.n_outputs - 1
 
     def take_snapshot(self):
@@ -306,7 +294,7 @@ class PlasticNetwork:
         structural zeros for old neurons, so they contribute nothing.
         """
         if self.snapshot is None:
-            raise ValueError("no snapshot; call take_snapshot at task start")
+            raise ValueError("no snapshot; grow_output opens a task and takes one")
         layer = self.hidden_layers[layer_index]
         snap_w = self.snapshot.weights[layer_index]
         snap_b = self.snapshot.biases[layer_index]
@@ -356,7 +344,7 @@ class PlasticNetwork:
         if split_init not in SPLIT_INITS:
             raise ValueError(f"unknown split_init {split_init!r}")
         if self.snapshot is None:
-            raise ValueError("no snapshot; call take_snapshot at task start")
+            raise ValueError("no snapshot; grow_output opens a task and takes one")
         snap_w = self.snapshot.weights[layer_index]
         snap_b = self.snapshot.biases[layer_index]
         if not 0 <= neuron_index < snap_w.shape[0]:
@@ -405,18 +393,16 @@ class PlasticNetwork:
                 added.append(NeuronTag(l, idx, self.task))
         return added
 
-    def splitting_round(self, epoch, split_init="drifted"):
+    def splitting_round(self, epoch, sigma, delta, split_init="drifted"):
         """Measure drift everywhere, split what exceeds the threshold.
 
-        Thresholds come from the schedule state at call time; the
-        comparison is strict, so drift exactly at the threshold does not
-        split. If anything split, every hidden layer is topped up with
-        a support filler; each appended neuron has already derived the
-        layers' structure again.
+        The thresholds are ``drift_thresholds`` at ``epoch``, the epoch
+        the report records; the comparison is strict, so drift exactly
+        at the threshold does not split. If anything split, every hidden
+        layer is topped up with a support filler; each appended neuron
+        has already derived the layers' structure again.
         """
-        if self.schedule is None:
-            raise ValueError("no drift schedule; call attach_schedule first")
-        thresholds = [self.schedule.current(l) for l in range(self.n_hidden_layers)]
+        thresholds = drift_thresholds(sigma, delta, self.n_hidden_layers, epoch)
         report = SplitReport(task=self.task, epoch=epoch, thresholds=thresholds)
         drifts = [self.semantic_drift(l) for l in range(self.n_hidden_layers)]
         for l in range(self.n_hidden_layers):
@@ -429,12 +415,6 @@ class PlasticNetwork:
         if report.total_splits:
             report.fillers = self.ensure_support_path()
         return report
-
-    # -- schedule ------------------------------------------------------------
-
-    def attach_schedule(self, sigma, delta):
-        self.schedule = DriftSchedule(sigma, delta, self.n_hidden_layers)
-        return self.schedule
 
     # -- freezing ------------------------------------------------------------
 

@@ -1,12 +1,12 @@
 """Sequential task training with drift-triggered splitting.
 
-A task trains in steps: ``open_task`` opens its output node, snapshots
-the hidden weights and returns a ``TaskRun``; its ``batches`` cut an
-epoch into minibatches and its ``step`` trains one, the loss gradient
-entering only at that output; ``end_epoch`` runs a splitting round
-(appended and reverted neurons restart at zero velocity) and escalates
-the drift threshold; ``close`` returns the report. The freeze scope
-decides how much of the old network may move:
+A task trains in steps: ``open_task`` opens its output node, which
+snapshots the hidden weights, and returns a ``TaskRun``; its ``batches``
+cut an epoch into minibatches and its ``step`` trains one, the loss
+gradient entering only at that output; ``end_epoch`` runs a splitting
+round at the thresholds of the epoch just ended (appended and reverted
+neurons restart at zero velocity); ``close`` returns the report. The
+freeze scope decides how much of the old network may move:
 
 ``hybrid`` (default)
     everything trains until the first split of the task, then only the
@@ -48,7 +48,7 @@ from .numerics import (
     selected_bce,
     sgd_step,
 )
-from .plasticity import FREEZE_SCOPES, SPLIT_INITS, DriftSchedule, PlasticNetwork
+from .plasticity import FREEZE_SCOPES, SPLIT_INITS, PlasticNetwork, drift_thresholds
 
 log = logging.getLogger(__name__)
 
@@ -85,7 +85,7 @@ class TrainerConfig:
         if not self.hidden_sizes or any(int(h) < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be non-empty positive ints")
         # sigma, delta: finite, non-negative, a scalar or one per hidden layer
-        DriftSchedule(self.sigma, self.delta, len(self.hidden_sizes))
+        drift_thresholds(self.sigma, self.delta, len(self.hidden_sizes), 0)
         for name in ("learning_rate", "magnitude_freeze_threshold"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
@@ -133,8 +133,6 @@ class TaskRun:
         self.net, self.data, self.config, self.index = net, task_data, config, index
         self.started, self.epoch, self.loss_sum = time.perf_counter(), 0, 0.0
         net.grow_output(index)
-        net.take_snapshot()
-        net.attach_schedule(config.sigma, config.delta)
         net.set_structural_freeze(
             "full_truncated" if config.freeze_scope == "hybrid" else config.freeze_scope)
         if config.magnitude_freeze_threshold > 0:
@@ -169,14 +167,15 @@ class TaskRun:
         return loss
 
     def end_epoch(self):
-        """Record the epoch loss, run the splitting round (from task 1 on,
-        unless splitting is off), escalate the thresholds; returns the
+        """Record the epoch loss, run the splitting round at this epoch's
+        thresholds (from task 1 on, unless splitting is off); returns the
         round's ``SplitReport`` or None. After a split, velocity is 0 in the
         rows and columns of appended neurons and the rows of split originals."""
         net, config, report = self.net, self.config, self.report
         report.epoch_losses.append(self.loss_sum / len(self.data))
         self.loss_sum = 0.0
-        round_report = net.splitting_round(self.epoch, config.split_init) \
+        round_report = net.splitting_round(self.epoch, config.sigma, config.delta,
+                                           config.split_init) \
             if config.splitting_enabled and self.index > 0 else None
         report.splits_per_epoch.append(round_report.total_splits if round_report else 0)
         if round_report and round_report.total_splits:
@@ -191,7 +190,6 @@ class TaskRun:
             self._cache_frozen_rows()  # the split reverted frozen rows
             log.info("task %d epoch %d: %d splits, %d fillers", self.index, self.epoch,
                      round_report.total_splits, round_report.total_fillers)
-        net.schedule.escalate()
         self.epoch += 1
         return round_report
 
@@ -208,9 +206,9 @@ class TaskRun:
 open_task = TaskRun  # open_task(net, task_data, config, index) opens the task
 
 
-def train_task(net, task_data, config, task_index=None):
+def train_task(net, task_data, config, task_index):
     """Train one binary task end to end on an already-built network."""
-    run = open_task(net, task_data, config, net.task + 1 if task_index is None else task_index)
+    run = open_task(net, task_data, config, task_index)
     for _ in range(config.epochs_per_task):
         for idx in run.batches():
             run.step(idx)

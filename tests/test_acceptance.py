@@ -9,6 +9,7 @@ or skip, as noted per test.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,12 +162,13 @@ class TestCriterion3StructuralFuzz:
         velocity = None
         ops_done = 0
         violations = []
+        epoch, sigma, delta = 0, None, None  # of the open task
 
         def do_grow():
+            nonlocal epoch, sigma, delta
             net.grow_output(net.task + 1)
-            net.take_snapshot()
-            net.attach_schedule(float(rng.uniform(0.01, 2.0)),
-                                float(rng.uniform(0.0, 0.5)))
+            epoch, sigma = 0, float(rng.uniform(0.01, 2.0))
+            delta = float(rng.uniform(0.0, 0.5))
 
         def do_split():
             if sum(net.hidden_sizes()) > 250 or net.snapshot is None:
@@ -186,7 +188,8 @@ class TestCriterion3StructuralFuzz:
             if rows and sum(net.hidden_sizes()) <= 250:
                 i = int(rng.integers(rows))
                 net.hidden_layers[l].weights[i, 0] += float(rng.uniform(-2, 2))
-            net.splitting_round(epoch=int(rng.integers(5)))
+            rng.integers(5)  # an unused draw that keeps the seeded op sequence fixed
+            net.splitting_round(epoch, sigma, delta)
 
         def do_filler():
             net.ensure_support_path()
@@ -213,12 +216,12 @@ class TestCriterion3StructuralFuzz:
             net.set_structural_freeze(
                 "pss_only" if rng.random() < 0.5 else "full_truncated")
 
-        def do_escalate():
-            if net.schedule is not None:
-                net.schedule.escalate()
+        def do_end_epoch():
+            nonlocal epoch
+            epoch += 1
 
         ops = [do_grow, do_split, do_round, do_filler, do_train,
-               do_freeze_small, do_scope, do_escalate]
+               do_freeze_small, do_scope, do_end_epoch]
         weights = np.array([0.08, 0.2, 0.12, 0.05, 0.35, 0.05, 0.1, 0.05])
         do_grow()
         violations.extend(net.check_masks())
@@ -252,21 +255,18 @@ class TestCriterion4ThresholdSchedule:
 
     @pytest.mark.parametrize("sigma,delta,epochs,root", GRID)
     def test_no_split_at_equality_split_above(self, sigma, delta, epochs, root):
-        """Drift exactly at the escalated threshold never splits; any
+        """Drift exactly at the epoch's threshold never splits; any
         drift above it does. The grid covers flat and escalating
         schedules at several epochs."""
         def prepared():
             net = PlasticNetwork.new(3, [4, 3], np.random.default_rng(0))
             net.grow_output(0)
             net.grow_output(1)
-            net.attach_schedule(sigma, delta)
             # zero the probed row so snapshot deltas are exact binaries,
             # making drift == threshold representable without rounding
             net.hidden_layers[0].weights[1, :] = 0.0
             net.hidden_layers[0].bias[1] = 0.0
             net.take_snapshot()
-            for _ in range(epochs):
-                net.schedule.escalate()
             return net
 
         threshold = sigma + epochs * delta
@@ -274,14 +274,14 @@ class TestCriterion4ThresholdSchedule:
 
         net = prepared()
         net.hidden_layers[0].weights[1, 0] += root     # drift == threshold
-        report = net.splitting_round(epoch=epochs)
+        report = net.splitting_round(epoch=epochs, sigma=sigma, delta=delta)
         assert report.total_splits == 0, \
             f"split at equality: drift {root*root} vs threshold {threshold}"
 
         net = prepared()
         net.hidden_layers[0].weights[1, 0] += root
         net.hidden_layers[0].bias[1] += 0.5            # now strictly above
-        report = net.splitting_round(epoch=epochs)
+        report = net.splitting_round(epoch=epochs, sigma=sigma, delta=delta)
         assert [t.index for t in report.splits] == [1]
         assert report.drifts == [root * root + 0.25]
         print(f"ACCEPTANCE 4: PASS sigma={sigma} delta={delta} "
@@ -373,15 +373,14 @@ class TestCriterion7Determinism:
             _, report = run_lifelong(stream, cfg)
             json_path, _ = export(report, tmp_path / name)
             paths.append(json_path)
-        blob_a = open(paths[0], "rb").read()
-        blob_b = open(paths[1], "rb").read()
+        blob_a, blob_b = (Path(p).read_bytes() for p in paths)
         assert blob_a == blob_b, "same-seed reports differ"
         cfg_other = TrainerConfig(hidden_sizes=(12, 8), sigma=(0.01, 0.01),
                                   delta=(0.1, 0.1), batch_size=32,
                                   epochs_per_task=2, seed=4).validate()
         _, other = run_lifelong(stream, cfg_other)
         json_path, _ = export(other, tmp_path / "c")
-        assert open(json_path, "rb").read() != blob_a
+        assert Path(json_path).read_bytes() != blob_a
         print(f"ACCEPTANCE 7: PASS {len(blob_a)} bytes byte-identical "
               f"across runs; different seed differs")
 

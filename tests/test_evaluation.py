@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,6 @@ class TestRunReport:
 
     def test_export_writes_both_files(self, tmp_path):
         json_path, csv_path = export(sample_report(), tmp_path / "out")
-        text = open(json_path).read()
+        text = Path(json_path).read_text()
         assert RunReport.from_json(text).mode == "pss"
-        assert open(csv_path).read().startswith("kind,boundary,task,layer,epoch")
+        assert Path(csv_path).read_text().startswith("kind,boundary,task,layer,epoch")

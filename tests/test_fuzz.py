@@ -129,7 +129,6 @@ def model_file(tmp_path_factory):
     net = PlasticNetwork.new(5, [4, 3], np.random.default_rng(0))
     net.grow_output(0)
     net.grow_output(1)
-    net.take_snapshot()
     net.hidden_layers[0].weights[0] += 1.0
     net.split_neuron(0, 0)
     net.ensure_support_path()

@@ -18,8 +18,8 @@ from pss.numerics import (
     sgd_step,
 )
 from pss.plasticity import (
-    DriftSchedule,
     PlasticNetwork,
+    drift_thresholds,
     generation_runs,
 )
 
@@ -28,10 +28,8 @@ def fresh_net(n_features=3, hidden=(4, 3), seed=0):
     return PlasticNetwork.new(n_features, list(hidden), np.random.default_rng(seed))
 
 
-def open_task(net, task, sigma=1.0, delta=0.0):
+def open_task(net, task):
     net.grow_output(task)
-    net.attach_schedule(sigma, delta)
-    net.take_snapshot()
     return net
 
 
@@ -44,30 +42,25 @@ def train_steps(net, x, y, out_index, steps=20, lr=0.05, momentum=0.9):
     return vel
 
 
-class TestDriftSchedule:
+class TestDriftThresholds:
     def test_threshold_is_computed_not_accumulated(self):
-        s = DriftSchedule(1.0, 0.625, 2)
-        assert s.current(0) == 1.0
-        s.escalate()
-        assert s.current(0) == 1.625
-        s.escalate()
-        assert s.current(1) == 2.25
-        s = DriftSchedule(1.0, 0.625, 2)
-        for _ in range(3):
-            s.escalate()
-        assert s.current(0) == 1.0 + 3 * 0.625
+        assert drift_thresholds(1.0, 0.625, 2, 0) == [1.0, 1.0]
+        assert drift_thresholds(1.0, 0.625, 2, 1)[0] == 1.625
+        assert drift_thresholds(1.0, 0.625, 2, 2)[1] == 2.25
+        assert drift_thresholds(1.0, 0.625, 2, 3)[0] == 1.0 + 3 * 0.625
 
     def test_per_layer_values(self):
-        s = DriftSchedule([0.5, 2.0], [0.25, 0.0], 2)
-        s.escalate()
-        assert s.current(0) == 0.75
-        assert s.current(1) == 2.0
+        assert drift_thresholds([0.5, 2.0], [0.25, 0.0], 2, 1) == [0.75, 2.0]
 
     def test_rejects_bad_shapes_and_signs(self):
-        with pytest.raises(Exception):
-            DriftSchedule([1.0, 2.0, 3.0], 0.1, 2)
-        with pytest.raises(ValueError):
-            DriftSchedule(-0.5, 0.1, 2)
+        with pytest.raises(DimensionError):
+            drift_thresholds([1.0, 2.0, 3.0], 0.1, 2, 0)
+        with pytest.raises(DimensionError):
+            drift_thresholds(0.3, [[0.1, 0.1]], 2, 0)
+        with pytest.raises(ValueError, match="sigma must be non-negative"):
+            drift_thresholds(-0.5, 0.1, 2, 0)
+        with pytest.raises(ValueError, match="delta must be non-negative"):
+            drift_thresholds(0.5, [0.1, -0.1], 2, 0)
 
     @pytest.mark.parametrize("sigma, delta", [
         (float("nan"), 0.0), (float("inf"), 0.0), (0.3, float("nan")),
@@ -76,7 +69,7 @@ class TestDriftSchedule:
     def test_rejects_non_finite(self, sigma, delta):
         """A NaN threshold would never be exceeded, silently disabling splits."""
         with pytest.raises(ValueError, match="must be finite"):
-            DriftSchedule(sigma, delta, 2)
+            drift_thresholds(sigma, delta, 2, 0)
 
 
 class TestGenerationRuns:
@@ -108,14 +101,12 @@ class TestSemanticDrift:
 
     def test_requires_snapshot(self):
         net = fresh_net()
-        net.grow_output(0)
         with pytest.raises(ValueError):
             net.semantic_drift(0)
 
     def test_new_neurons_report_zero(self):
         net = open_task(fresh_net(), 0)
         net.grow_output(1)
-        net.take_snapshot()
         net.hidden_layers[0].weights[0, 0] += 2.0
         net.split_neuron(0, 0)
         d = net.semantic_drift(0)
@@ -130,7 +121,6 @@ class TestSplitNeuron:
     def setup_net(self):
         net = open_task(fresh_net(), 0)
         net.grow_output(1)
-        net.take_snapshot()
         return net
 
     def test_revert_restores_snapshot_bits(self):
@@ -221,10 +211,8 @@ class TestSplitNeuron:
             net.split_neuron(0, 0)                     # once per task
         with pytest.raises(ValueError):
             net.split_neuron(0, 99)
-        fresh = fresh_net()
-        fresh.grow_output(0)
         with pytest.raises(ValueError):
-            fresh.split_neuron(0, 0)                   # no snapshot yet
+            fresh_net().split_neuron(0, 0)             # no snapshot yet
         with pytest.raises(ValueError):
             net.split_neuron(0, 1, split_init="clone")
 
@@ -233,7 +221,6 @@ class TestSplitNeuron:
         net.hidden_layers[0].weights[0] += 1.0
         net.split_neuron(0, 0)
         net.grow_output(2)
-        net.take_snapshot()
         net.hidden_layers[0].weights[0] += 1.0
         old_tag, new_tag = net.split_neuron(0, 0)
         assert new_tag.generation == 2
@@ -243,7 +230,6 @@ class TestSupportPath:
     def test_fillers_complete_the_path(self):
         net = open_task(fresh_net(hidden=(4, 3, 3)), 0)
         net.grow_output(1)
-        net.take_snapshot()
         net.hidden_layers[0].weights[0] += 1.0
         net.split_neuron(0, 0)
         added = net.ensure_support_path()
@@ -257,7 +243,6 @@ class TestSupportPath:
     def test_filler_feeds_current_output_only(self):
         net = open_task(fresh_net(), 0)
         net.grow_output(1)
-        net.take_snapshot()
         added = net.ensure_support_path()  # no split yet, still adds per layer
         tag = [t for t in added if t.layer == 1][0]
         out = net.output_layer
@@ -266,61 +251,58 @@ class TestSupportPath:
 
 
 class TestSplittingRound:
-    def prepared(self, sigma=1.0, delta=0.625):
-        net = open_task(fresh_net(), 0, sigma=0.5)
+    def prepared(self):
+        net = open_task(fresh_net(), 0)
         net.grow_output(1)
-        net.attach_schedule(sigma, delta)
-        net.take_snapshot()
         return net
 
     def test_strict_threshold_no_split_at_equality(self):
-        net = self.prepared(sigma=1.0)
+        net = self.prepared()
         net.hidden_layers[0].weights[0, 0] += 1.0    # drift exactly 1.0
         net.hidden_layers[0].weights[1, 0] += 1.5    # drift 2.25
-        report = net.splitting_round(epoch=0)
+        report = net.splitting_round(epoch=0, sigma=1.0, delta=0.625)
         assert [t.index for t in report.splits] == [1]
         assert report.drifts == [2.25]
         assert report.thresholds == [1.0, 1.0]
 
     def test_escalation_raises_the_bar(self):
-        net = self.prepared(sigma=1.0, delta=0.625)
-        net.schedule.escalate()
-        net.schedule.escalate()                      # threshold now 2.25
+        net = self.prepared()
         net.hidden_layers[0].weights[0, 0] += 1.5    # drift 2.25: equality, keep
         net.hidden_layers[0].weights[1, 0] += 2.0    # drift 4.0: split
-        report = net.splitting_round(epoch=2)
+        report = net.splitting_round(epoch=2, sigma=1.0, delta=0.625)
         assert [t.index for t in report.splits] == [1]
-        assert report.thresholds == [2.25, 2.25]
+        assert report.epoch == 2
+        assert report.thresholds == [2.25, 2.25]     # 1.0 + 2 * 0.625
 
     def test_quiet_round_adds_nothing(self):
         net = self.prepared()
         sizes = net.hidden_sizes()
-        report = net.splitting_round(epoch=0)
+        report = net.splitting_round(epoch=0, sigma=1.0, delta=0.625)
         assert report.total_splits == 0 and report.total_fillers == 0
         assert net.hidden_sizes() == sizes
 
     def test_fillers_only_where_no_split_happened(self):
-        net = self.prepared(sigma=0.5)
+        net = self.prepared()
         net.hidden_layers[0].weights[0, 0] += 1.0    # only layer 0 drifts
-        report = net.splitting_round(epoch=0)
+        report = net.splitting_round(epoch=0, sigma=0.5, delta=0.625)
         assert [t.index for t in report.splits] == [0]
         assert [t.layer for t in report.fillers] == [1]
         assert net.check_masks() == []
 
     def test_each_neuron_splits_at_most_once_per_task(self):
-        net = self.prepared(sigma=0.5)
+        net = self.prepared()
         net.hidden_layers[0].weights[0, 0] += 1.5
-        net.splitting_round(epoch=0)
+        net.splitting_round(epoch=0, sigma=0.5, delta=0.625)
         # the reverted original drifts again within the same task
         net.hidden_layers[0].weights[0, 0] += 1.5
-        report = net.splitting_round(epoch=0)
+        report = net.splitting_round(epoch=0, sigma=0.5, delta=0.625)
         assert report.total_splits == 0
 
-    def test_requires_schedule(self):
-        net = open_task(fresh_net(), 0)
-        net.schedule = None
-        with pytest.raises(ValueError):
-            net.splitting_round(epoch=0)
+    def test_requires_snapshot(self):
+        """A network with no task open has no snapshot to measure drift
+        against."""
+        with pytest.raises(ValueError, match="no snapshot"):
+            fresh_net().splitting_round(epoch=0, sigma=1.0, delta=0.0)
 
 
 class TestGrowOutput:
@@ -352,9 +334,8 @@ class TestGrowOutput:
 
 class TestFreezeScopes:
     def test_pss_only_trains_current_generation_only(self):
-        net = open_task(fresh_net(), 0, sigma=0.5)
+        net = open_task(fresh_net(), 0)
         net.grow_output(1)
-        net.take_snapshot()
         net.hidden_layers[0].weights[0] += 1.0
         net.split_neuron(0, 0)
         net.ensure_support_path()
@@ -414,13 +395,12 @@ class TestDerivedStructure:
 
     @staticmethod
     def split_net(scope):
-        net = open_task(fresh_net(hidden=(5, 4, 3)), 0, sigma=0.5)
+        net = open_task(fresh_net(hidden=(5, 4, 3)), 0)
         for task in (1, 2):
             net.grow_output(task)
-            net.take_snapshot()
             net.hidden_layers[0].weights[task] += 1.0
             net.hidden_layers[2].weights[0] += 1.0
-            assert net.splitting_round(epoch=0).total_splits == 2
+            assert net.splitting_round(epoch=0, sigma=0.5, delta=0.0).total_splits == 2
         net.set_structural_freeze(scope)
         return net
 
@@ -505,7 +485,6 @@ class TestCheckMasks:
     def test_detects_weight_at_masked_position(self):
         net = open_task(fresh_net(), 0)
         net.grow_output(1)
-        net.take_snapshot()
         net.hidden_layers[0].weights[0] += 1.0
         _, tag = net.split_neuron(0, 0)
         net.hidden_layers[1].weights[0, tag.index] = 0.5   # masked edge
@@ -515,7 +494,6 @@ class TestCheckMasks:
     def test_detects_generation_rule_breach(self):
         net = open_task(fresh_net(), 0)
         net.grow_output(1)
-        net.take_snapshot()
         net.hidden_layers[0].weights[0] += 1.0
         _, tag = net.split_neuron(0, 0)
         l1 = net.hidden_layers[1]
@@ -564,8 +542,6 @@ class TestBitExactness:
 
         # task 0: ordinary full training
         net.grow_output(0)
-        net.attach_schedule(1e-8, 0.0)
-        net.take_snapshot()
         net.set_structural_freeze("full_truncated")
         x0 = rng.standard_normal((40, 3))
         y0 = rng.integers(0, 2, size=40).astype(float)
@@ -573,13 +549,11 @@ class TestBitExactness:
 
         # task 1: full training, then split everything that drifted
         net.grow_output(1)
-        net.take_snapshot()
-        net.attach_schedule(1e-8, 0.0)
         net.set_structural_freeze("full_truncated")
         x1 = rng.standard_normal((40, 3)) + 1.0
         y1 = rng.integers(0, 2, size=40).astype(float)
         train_steps(net, x1, y1, 1, steps=30)
-        report = net.splitting_round(epoch=0)
+        report = net.splitting_round(epoch=0, sigma=1e-8, delta=0.0)
         assert report.total_splits > 0
         net.set_structural_freeze("pss_only")
         train_steps(net, x1, y1, 1, steps=30)
@@ -589,13 +563,11 @@ class TestBitExactness:
 
         # task 2: old generations are frozen; only new structure moves
         net.grow_output(2)
-        net.take_snapshot()
-        net.attach_schedule(1e-8, 0.0)
         net.set_structural_freeze("pss_only")
         x2 = rng.standard_normal((40, 3)) - 1.0
         y2 = rng.integers(0, 2, size=40).astype(float)
         train_steps(net, x2, y2, 2, steps=40)
-        assert net.splitting_round(epoch=0).total_splits == 0
+        assert net.splitting_round(epoch=0, sigma=1e-8, delta=0.0).total_splits == 0
         assert net.check_masks() == []
 
         after = net.predict(probe)[:, :2]
@@ -607,15 +579,11 @@ class TestBitExactness:
         net = PlasticNetwork.new(4, [6, 5], np.random.default_rng(1))
         probe = rng.standard_normal((9, 4))
         net.grow_output(0)
-        net.attach_schedule(1.0, 0.0)
-        net.take_snapshot()
         before = net.predict(probe).copy()
         net.grow_output(1)
-        net.take_snapshot()
         net.split_neuron(0, 1)                    # forced, drift not required
         net.ensure_support_path()
         net.grow_output(2)
-        net.take_snapshot()
         after = net.predict(probe)[:, :1]
         assert np.ascontiguousarray(after).tobytes() == before.tobytes()
 

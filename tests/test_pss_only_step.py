@@ -172,8 +172,6 @@ class TestFrozenCache:
         data = odd_tasks()
         train_task(net, data[0], config, 0)
         net.grow_output(1)
-        net.take_snapshot()
-        net.attach_schedule(1e-6, 0.0)
         velocity = None
         for _ in range(5):
             trace = net.trace(data[1].x)
@@ -273,7 +271,7 @@ class TestFrozenCache:
         after it match the dense reference."""
         net, data = self.drifted_task()
         stale = net.frozen_activations(data.source, data.rows)
-        assert net.splitting_round(0).total_splits
+        assert net.splitting_round(0, 1e-6, 0.0).total_splits
         assert [l.train_from for l in net.layers] == [12, 8, 1]
         assert net.hidden_layers[0].fan_out > 12
         fresh = net.frozen_activations(data.source, data.rows)

@@ -279,6 +279,40 @@ class TestTaskSteps:
             assert a.bias.tobytes() == b.bias.tobytes()
 
 
+class TestTaskOpening:
+    def test_opening_a_task_snapshots_the_trained_weights(self):
+        """Drift is measured from the boundary the task opened at, not
+        from the start of the task before it."""
+        cfg = TrainerConfig(**SMALL, freeze_scope="full_truncated")
+        net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+        train_task(net, small_stream(n_tasks=2).tasks[0].train, cfg, 0)
+        net.grow_output(1)
+        assert [float(net.semantic_drift(l).max()) for l in range(2)] == [0.0, 0.0]
+        for layer, w, b in zip(net.hidden_layers, net.snapshot.weights, net.snapshot.biases):
+            assert w.tobytes() == layer.weights.tobytes()
+            assert b.tobytes() == layer.bias.tobytes()
+
+    def test_each_round_uses_the_thresholds_of_its_epoch(self):
+        """Every round reports the epoch it ran after and the thresholds
+        ``sigma + epoch * delta`` of that epoch, bit for bit; the next task
+        starts again at ``sigma``."""
+        sigma, delta = (0.3, 0.25), (0.0015, 0.25)
+        cfg = TrainerConfig(**dict(SMALL, sigma=sigma, delta=delta, epochs_per_task=3),
+                            freeze_scope="full_truncated")
+        net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+        firsts = []
+        for task in small_stream(n_tasks=3):
+            _, rounds, _ = drive(open_task(net, task.train, cfg, task.index))
+            if task.index == 0:
+                assert rounds == [None] * 3
+                continue
+            for e, r in enumerate(rounds):
+                assert r.task == task.index and r.epoch == e
+                assert r.thresholds == [0.3 + e * 0.0015, 0.25 + e * 0.25]
+            firsts.append(rounds[0].thresholds)
+        assert firsts == [[0.3, 0.25], [0.3, 0.25]]
+
+
 class TestNoDenseViews:
     """Trainability is runs, ``train_from`` and an overlay; training never
     builds the dense ``conn_mask`` or ``train_mask`` views."""
