@@ -24,9 +24,12 @@ task's training set (``PlasticNetwork.frozen_activations``) and clears
 the frozen rows' velocity; each step takes the batch's rows of that
 cache, and backward and SGD touch the trainable rows only. A splitting
 round that splits reverts frozen rows, so the cache is rebuilt after
-it; under ``hybrid`` only the switching round splits (frozen drift stays
-put, thresholds only grow). Batches, and each block of images a cache
-is built from, are gathered from the shared training images.
+it. From task 1 on, in ``pss_only`` every snapshot row is frozen: its
+drift stays put while the threshold only grows, so no round can split
+again. The run therefore releases the snapshot before it builds the
+cache and runs no more rounds; under ``hybrid`` the switching round is
+the task's last. Batches, and each block of images a cache is built
+from, are gathered from the shared training images.
 
 The baseline runner trains the same architecture with splitting
 disabled and everything trainable, which is plain multi-head
@@ -138,12 +141,16 @@ class TaskRun:
         if config.magnitude_freeze_threshold > 0:
             log.debug("task %d: %d small weights frozen", index,
                       net.freeze_small_weights(config.magnitude_freeze_threshold))
-        self.velocity = init_velocity(net.layers)
+        self.velocity, self.trace, self.grads = init_velocity(net.layers), None, None
         self._cache_frozen_rows()
         self.shuffle_rng, self.report = rng_for(config.seed, 1, index), TaskReport(task=index)
 
     def _cache_frozen_rows(self):
-        """Cache the rows that cannot train and clear their velocity."""
+        """Cache the rows that cannot train and clear their velocity; from
+        task 1 on in ``pss_only``, first release the snapshot, which no
+        round reads again."""
+        if self.index > 0 and self.net.freeze_scope == "pss_only":
+            self.net.snapshot = None
         for layer, v in zip(self.net.layers, self.velocity):
             v.weights[:layer.train_from] = v.bias[:layer.train_from] = 0.0
         self.cache = self.net.frozen_activations(self.data.source, self.data.rows)
@@ -156,7 +163,7 @@ class TaskRun:
 
     def step(self, idx):
         """Train on the task's rows ``idx``, keeping the step's ``trace`` and
-        ``grads``; returns the batch loss."""
+        ``grads`` until the epoch ends; returns the batch loss."""
         xb, yb, sel = self.data.source[self.data.rows[idx]], self.data.y[idx], [self.index]
         self.trace = self.net.trace(xb, self.cache and [c[idx] for c in self.cache])
         loss = selected_bce(self.trace.output, sel, yb)
@@ -167,16 +174,17 @@ class TaskRun:
         return loss
 
     def end_epoch(self):
-        """Record the epoch loss, run the splitting round at this epoch's
-        thresholds (from task 1 on, unless splitting is off); returns the
+        """Record the epoch loss, drop the last step's ``trace`` and ``grads``
+        and run the splitting round at this epoch's thresholds, from task 1
+        on while the snapshot is held (unless splitting is off); returns the
         round's ``SplitReport`` or None. After a split, velocity is 0 in the
         rows and columns of appended neurons and the rows of split originals."""
         net, config, report = self.net, self.config, self.report
         report.epoch_losses.append(self.loss_sum / len(self.data))
-        self.loss_sum = 0.0
+        self.loss_sum, self.trace, self.grads = 0.0, None, None
+        splitting = config.splitting_enabled and self.index > 0 and net.snapshot is not None
         round_report = net.splitting_round(self.epoch, config.sigma, config.delta,
-                                           config.split_init) \
-            if config.splitting_enabled and self.index > 0 else None
+                                           config.split_init) if splitting else None
         report.splits_per_epoch.append(round_report.total_splits if round_report else 0)
         if round_report and round_report.total_splits:
             report.split_count += round_report.total_splits
@@ -197,9 +205,9 @@ class TaskRun:
         report, net = self.report, self.net
         report.hidden_sizes_after, report.parameter_count_after = \
             net.hidden_sizes(), net.parameter_count()
-        log.info("task %d done in %.2fs: sizes %s, final loss %.4f",
+        log.info("task %d done in %.2fs: sizes %s, epoch losses %s",
                  self.index, time.perf_counter() - self.started,
-                 report.hidden_sizes_after, report.epoch_losses[-1])
+                 report.hidden_sizes_after, [round(loss, 4) for loss in report.epoch_losses])
         return report
 
 

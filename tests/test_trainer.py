@@ -211,21 +211,56 @@ class TestHybridScope:
         gen0 = [i for i, g in enumerate(net.hidden_gens[0]) if g == 0]
         assert np.all(l0.train_mask[gen0] == 0.0)
 
-    def test_one_round_splits_and_one_cache_is_built_per_task(self):
+    def test_one_round_splits_and_one_cache_is_built_per_task(self, monkeypatch):
         """After the switch old neurons are frozen, so their drift stays
-        put while the threshold only grows: no later round can split, and
-        the frozen-row cache is built once per task."""
+        put while the threshold only grows: no later round can split, so
+        none runs, the snapshot is released before the frozen-row cache is
+        built, and the cache is built once per task. Under
+        ``full_truncated`` every epoch from task 1 on runs a round and the
+        snapshot is kept; under ``pss_only`` no round runs from task 1 on."""
+        builds, current = [], {}
+        frozen_activations = PlasticNetwork.frozen_activations
+
+        def spy(net, source, rows):
+            run = current.get("run")  # the task before, while a task opens
+            builds.append((net.freeze_scope, net.snapshot, run and run.trace,
+                           run and run.grads))
+            return frozen_activations(net, source, rows)
+
+        monkeypatch.setattr(PlasticNetwork, "frozen_activations", spy)
         cfg = TrainerConfig(**dict(SMALL, epochs_per_task=4))
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
         built = []
         for task in small_stream(n_tasks=4):
-            run = open_task(net, task.train, cfg, task.index)
+            current["run"] = run = open_task(net, task.train, cfg, task.index)
+            builds.clear()
             _, results, caches = drive(run)
             rounds = sum(1 for r in results if r is not None and r.total_splits)
             assert rounds == (task.index > 0)
             built += [task.index] * len({id(c) for c in caches if c is not None})
             assert built.count(task.index) == rounds
+            assert run.trace is None and run.grads is None
+            if task.index > 0:
+                switch = next(e for e, r in enumerate(results) if r and r.total_splits)
+                assert results[switch + 1:] == [None] * (len(results) - switch - 1)
+                assert net.snapshot is None
+                assert builds == [("pss_only", None, None, None)]
         assert len(built) == 3
+
+        for scope in ("full_truncated", "pss_only"):
+            cfg = TrainerConfig(**dict(SMALL, epochs_per_task=4), freeze_scope=scope)
+            net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+            for task in small_stream(n_tasks=3):
+                current["run"] = run = open_task(net, task.train, cfg, task.index)
+                snapshot = net.snapshot
+                _, results, _ = drive(run)
+                if task.index == 0:
+                    continue
+                if scope == "full_truncated":
+                    assert all(r is not None for r in results)
+                    assert net.snapshot is snapshot is not None
+                else:
+                    assert results == [None] * 4 and net.snapshot is None
 
 
 def drive(run):
@@ -277,6 +312,15 @@ class TestTaskSteps:
         for a, b in zip(nets[0].layers, nets[1].layers):
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
+
+
+    def test_a_task_closed_before_any_epoch_reports_no_losses(self):
+        cfg = TrainerConfig(**SMALL)
+        net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+        report = open_task(net, small_stream(n_tasks=1).tasks[0].train, cfg, 0).close()
+        assert report.epoch_losses == [] and report.splits_per_epoch == []
+        assert report.hidden_sizes_after == list(cfg.hidden_sizes)
+        assert report.parameter_count_after == net.parameter_count()
 
 
 class TestTaskOpening:
