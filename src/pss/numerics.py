@@ -5,10 +5,12 @@ trainable row. The structure is a list of row runs ``(r0, r1, c1)``:
 rows ``r0:r1`` see the input columns ``:c1``, and every weight past that
 prefix is a structural zero (an edge that does not exist and stays
 exactly 0.0). Trainability is structure: the present weights and the
-biases of the rows from ``train_from`` on train. An optional 0/1
-overlay freezes positions inside them (a magnitude freeze, or the
-gradient checker's random masks). ``conn_mask`` and ``train_mask`` are
-dense views, built on demand and never read by training.
+biases of the rows from ``train_from`` on train. An optional bool set
+``frozen`` freezes weights inside them (a magnitude freeze, or the
+gradient checker's random masks), over the corner of the weights that
+existed when it was taken: growth only appends rows and columns.
+``conn_mask`` and ``train_mask`` are dense views, built on demand and
+never read by training.
 Backpropagation is derived by hand for the fixed affine + activation
 layer form and can be truncated so the loss gradient enters only at a
 chosen subset of output nodes.
@@ -66,7 +68,7 @@ class NonFiniteError(FloatingPointError):
 
 
 class MaskError(ValueError):
-    """A structural invariant is broken (runs, structural zeros, overlay)."""
+    """A structural invariant is broken (runs, structural zeros, frozen set)."""
 
 
 def sigmoid(z):
@@ -149,12 +151,12 @@ class MaskedLayer:
       the input columns (one run over the whole layer by default);
     * ``weights`` are exactly 0.0 past each run's prefix (a structurally
       absent edge holds no weight and never trains);
-    * ``overlay`` is None or a ``LayerGrads`` of 0/1 arrays shaped like
-      the weights and bias, 0.0 past each run's prefix; a 0.0 freezes
-      that weight or bias.
+    * ``frozen`` is None or a 2-D bool array no larger than the weights:
+      a True freezes the weight at that position of their top-left
+      corner.
     """
 
-    def __init__(self, weights, bias, runs=None, overlay=None, activation=IDENTITY):
+    def __init__(self, weights, bias, runs=None, frozen=None, activation=IDENTITY):
         self.weights = _as_float_matrix(weights, "weights")
         fan_out, fan_in = self.weights.shape
         self.bias = np.ascontiguousarray(bias, dtype=np.float64)
@@ -162,7 +164,7 @@ class MaskedLayer:
             raise DimensionError(
                 f"bias shape {self.bias.shape} does not match fan_out {fan_out}")
         self.runs = [(0, fan_out, fan_in)] if runs is None else list(runs)
-        self.overlay = overlay
+        self.frozen = frozen
         self.activation = activation
         self.train_from = 0
         self.validate()
@@ -194,19 +196,20 @@ class MaskedLayer:
 
     @property
     def train_mask(self):
-        """Dense 0/1 view of the weights that train (runs, ``train_from``, overlay)."""
+        """Dense 0/1 view of the weights that train (runs, ``train_from``, ``frozen``)."""
         mask = self.conn_mask
         mask[:self.train_from] = 0.0
-        return mask if self.overlay is None else mask * self.overlay.weights
+        _zero_frozen(mask, self.frozen, 0)
+        return mask
 
     def validate(self):
-        if self.overlay is not None:
-            for m, shape in ((self.overlay.weights, self.weights.shape),
-                             (self.overlay.bias, self.bias.shape)):
-                if m.shape != shape:
-                    raise DimensionError(f"overlay shape {m.shape} != {shape}")
-                if not np.all((m == 0.0) | (m == 1.0)):
-                    raise MaskError("overlay entries must be exactly 0 or 1")
+        frozen = self.frozen
+        if frozen is not None:
+            if not isinstance(frozen, np.ndarray) or frozen.dtype != bool or frozen.ndim != 2:
+                raise MaskError("frozen set must be a 2-D bool array")
+            if frozen.shape[0] > self.fan_out or frozen.shape[1] > self.fan_in:
+                raise DimensionError(
+                    f"frozen set {frozen.shape} exceeds weights {self.weights.shape}")
         ends = [0] + [r1 for _, r1, _ in self.runs]
         if [r0 for r0, _, _ in self.runs] != ends[:-1] or ends[-1] != self.fan_out \
                 or any(r1 < r0 or not 0 <= c1 <= self.fan_in for r0, r1, c1 in self.runs):
@@ -215,8 +218,6 @@ class MaskedLayer:
         for r0, r1, c1 in self.runs:
             if np.any(self.weights[r0:r1, c1:]):
                 raise MaskError("nonzero weight at a structurally masked position")
-            if self.overlay is not None and np.any(self.overlay.weights[r0:r1, c1:]):
-                raise MaskError("trainable weight at a structurally masked position")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise NonFiniteError("layer parameters contain NaN/Inf")
 
@@ -359,7 +360,7 @@ def post_activations(layers, source, rows=None, stops=None, cached=None, last_on
 
 @dataclass
 class LayerGrads:
-    """Arrays shaped like one layer's parameters: gradients, velocity or overlay."""
+    """Arrays shaped like one layer's parameters: gradients or velocity."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -396,7 +397,7 @@ def backward_truncated(layers, trace, targets, selected_outputs):
     final post-activations at ``selected_outputs`` only; gradient enters
     the network at exactly those output nodes. Returned gradients are
     exactly zero past each run's prefix (at every structural zero), and
-    wherever a layer's overlay, when it has one, is 0.
+    at every weight in a layer's ``frozen`` set.
 
     Gradients cover each layer's rows from ``train_from`` on only. The
     rows before it are frozen and, by the edge rule, see no input
@@ -427,15 +428,20 @@ def backward_truncated(layers, trace, targets, selected_outputs):
         for r0, r1, c1 in layer.runs:
             if r1 > o:
                 d_w[max(r0, o) - o:r1 - o, c1:] = 0.0
-        if layer.overlay is not None:
-            d_w *= layer.overlay.weights[o:]
-            d_b *= layer.overlay.bias[o:]
+        _zero_frozen(d_w, layer.frozen, o)
         grads[i] = LayerGrads(d_w, d_b)
         if i > 0:
             below = layers[i - 1]
             delta = delta @ layer.weights[o:, below.train_from:]
             delta *= below.activation.derivative(trace.post[i - 1][:, below.train_from:])
     return grads
+
+
+def _zero_frozen(a, frozen, o):
+    # zero ``a``, weight rows ``o:`` of a layer, where its ``frozen`` set holds
+    if frozen is not None:
+        rows = frozen[o:]
+        a[:len(rows), :rows.shape[1]] *= ~rows  # a multiply: masked stores are slower
 
 
 def init_velocity(layers):
@@ -464,8 +470,8 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
     Only each layer's rows from ``train_from`` on are read or written,
     velocity included, and ``grads`` hold exactly those rows, zero past
     every run's prefix (as ``backward_truncated`` returns them), so
-    structural zeros stay 0.0. Where a layer's overlay is 0, weights do
-    not move and velocity is forced to exactly 0, so a freshly frozen
+    structural zeros stay 0.0. A weight in a layer's ``frozen`` set does
+    not move and its velocity is forced to exactly 0, so a freshly frozen
     weight carries no residual momentum. Every new velocity and
     parameter is computed and checked before any is stored, so a
     ``NonFiniteError`` leaves layers and velocity as they were.
@@ -483,9 +489,7 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
         v_w += g.weights
         v_b = v.bias[o:] * momentum
         v_b += g.bias
-        if layer.overlay is not None:
-            v_w *= layer.overlay.weights[o:]
-            v_b *= layer.overlay.bias[o:]
+        _zero_frozen(v_w, layer.frozen, o)
         # w + (-lr * v) rounds exactly as w - lr * v, with one temporary less
         w = v_w * -learning_rate
         w += layer.weights[o:]
@@ -531,15 +535,13 @@ def _random_masked_net(dims, rng, zero_prob, freeze_prob):
     layers = []
     for i in range(1, len(dims)):
         fan_in, fan_out = dims[i - 1], dims[i]
-        # random structural zeros: zero weights that never train
-        keep = (rng.random((fan_out, fan_in)) >= zero_prob).astype(np.float64)
-        train = keep * (rng.random((fan_out, fan_in)) >= freeze_prob)
-        w = he_normal(fan_out, fan_in, rng) * keep
+        # random zeros, frozen so that they never train, and random frozen weights
+        zero = rng.random((fan_out, fan_in)) < zero_prob
+        frozen = zero | (rng.random((fan_out, fan_in)) < freeze_prob)
+        w = he_normal(fan_out, fan_in, rng) * ~zero
         b = rng.normal(0.0, 0.1, size=fan_out)
-        b_train = (rng.random(fan_out) >= freeze_prob).astype(np.float64)
         act = IDENTITY if i == len(dims) - 1 else Activation()
-        layers.append(MaskedLayer(w, b, overlay=LayerGrads(train, b_train),
-                                  activation=act))
+        layers.append(MaskedLayer(w, b, frozen=frozen, activation=act))
     return layers
 
 
@@ -574,14 +576,14 @@ def gradcheck(layer_dims, seed=0, batch=3, zero_prob=0.0, freeze_prob=0.0,
     max_rel = 0.0
     checked = frozen_checked = frozen_nonzero = 0
     for layer, g in zip(layers, grads):
-        for arr, garr, mask in (
-                (layer.weights, g.weights, layer.overlay.weights),
-                (layer.bias, g.bias, layer.overlay.bias)):
+        for arr, garr, frozen in (
+                (layer.weights, g.weights, layer.frozen),
+                (layer.bias, g.bias, np.zeros(layer.fan_out, dtype=bool))):
             flat = arr.reshape(-1)
             gflat = garr.reshape(-1)
-            mflat = mask.reshape(-1)
+            fflat = frozen.reshape(-1)
             for j in range(flat.size):
-                if mflat[j] == 0.0:
+                if fflat[j]:
                     frozen_checked += 1
                     if gflat[j] != 0.0:
                         frozen_nonzero += 1

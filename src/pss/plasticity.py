@@ -24,9 +24,10 @@ its index. Because tags never decrease along a layer, each generation
 run of a layer's rows sees exactly a prefix of its input columns: one
 ``(r0, r1, c1)`` run per generation, and the rows that train are the
 trailing ones from ``train_from`` on.
-``PlasticNetwork.set_structural_freeze`` derives both, and the overlay
-of a magnitude freeze, from (tags, task, freeze scope, magnitude-freeze
-set); it runs after every change of structure, task or scope.
+``PlasticNetwork.set_structural_freeze`` derives both from (tags, task,
+freeze scope); it runs after every change of structure, task or scope.
+A magnitude freeze (``freeze_small_weights``) is stored once, as each
+layer's ``frozen`` set, and growth leaves it as it is.
 
 Thresholds grow as a task ages: the threshold for layer ``l`` after
 ``e`` completed epochs is ``sigma[l] + e * delta[l]``
@@ -44,13 +45,11 @@ from .numerics import (
     IDENTITY,
     Activation,
     DimensionError,
-    LayerGrads,
     MaskedLayer,
     MaskError,
     forward,
     he_normal,
     post_activations,
-    run_mask,
 )
 
 
@@ -144,8 +143,8 @@ class PlasticNetwork:
     The output layer starts empty and gains one node per task via
     ``grow_output``; node ``j`` belongs to task ``j``. The hidden
     generation tags and the task are the structural state; the output
-    tags, the layers' runs, ``train_from`` and overlays are derived from
-    them (``set_structural_freeze``). The training loop drives the
+    tags and the layers' runs and ``train_from`` are derived from them
+    (``set_structural_freeze``). The training loop drives the
     network from outside.
     """
 
@@ -161,7 +160,6 @@ class PlasticNetwork:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.snapshot = None
         self._split_done = [set() for _ in self.hidden_layers]
-        self._small_frozen = None
         self.set_structural_freeze(freeze_scope)
 
     # -- construction ----------------------------------------------------
@@ -274,7 +272,8 @@ class PlasticNetwork:
         out.weights = np.vstack([out.weights, he_normal(1, out.fan_in, self.rng)])
         out.bias = np.concatenate([out.bias, [0.0]])
         self._split_done = [set() for _ in self.hidden_layers]
-        self._small_frozen = None
+        for layer in self.layers:
+            layer.frozen = None
         self.set_structural_freeze(self.freeze_scope)
         self.take_snapshot()
         return self.n_outputs - 1
@@ -419,7 +418,7 @@ class PlasticNetwork:
     # -- freezing ------------------------------------------------------------
 
     def set_structural_freeze(self, scope):
-        """Enter ``scope``; derive each layer's runs, ``train_from`` and overlay.
+        """Enter ``scope``; derive each layer's runs and ``train_from``.
 
         The only writer of them; it runs after every change of
         structure, task or scope. Each layer gets one
@@ -438,9 +437,8 @@ class PlasticNetwork:
 
         Each layer's ``train_from`` is its first trainable row: the start
         of the current generation's run under ``pss_only`` (``fan_out``
-        when there is none), 0 under ``full_truncated``. The overlay,
-        the only dense array built here, freezes magnitude-frozen
-        positions (``freeze_small_weights``) and is None without them.
+        when there is none), 0 under ``full_truncated``. A layer's
+        ``frozen`` set is left as it is.
         """
         if scope not in FREEZE_SCOPES:
             raise ValueError(f"unknown freeze scope {scope!r}")
@@ -450,29 +448,24 @@ class PlasticNetwork:
             layer.runs = [(r0, r1, bisect_right(tags[i - 1], gens[r0])
                            if i else layer.fan_in) for r0, r1 in generation_runs(gens)]
             layer.train_from = bisect_left(gens, self.task) if scope == "pss_only" else 0
-            layer.overlay = None
-            if self._small_frozen is not None:
-                small = self._small_frozen[i]
-                keep = run_mask(layer.runs, layer.weights.shape)
-                keep[:small.shape[0], :small.shape[1]][small] = 0.0
-                layer.overlay = LayerGrads(keep, np.ones(layer.fan_out))
 
     def freeze_small_weights(self, threshold):
         """Freeze weights with ``|w| < threshold`` for the rest of the task.
 
-        Applies to weight matrices only, never biases. The frozen set is
-        captured now and survives scope rebuilds; positions created
-        after the capture are unaffected. A threshold of 0 freezes
-        nothing, because the comparison is strict.
+        Applies to present weights only, never biases or structural
+        zeros. Each layer's ``frozen`` set is captured now, over the
+        weights as they stand, and survives scope rebuilds and growth;
+        positions created after the capture are unaffected, and
+        ``grow_output`` clears it. A threshold of 0 freezes nothing,
+        because the comparison is strict. Returns how many weights froze.
         """
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
-        self._small_frozen = [
-            (np.abs(layer.weights) < threshold)
-            & (run_mask(layer.runs, layer.weights.shape) == 1.0)
-            for layer in self.layers]
-        self.set_structural_freeze(self.freeze_scope)
-        return sum(int(m.sum()) for m in self._small_frozen)
+        for layer in self.layers:
+            layer.frozen = np.abs(layer.weights) < threshold
+            for r0, r1, c1 in layer.runs:
+                layer.frozen[r0:r1, c1:] = False
+        return sum(int(layer.frozen.sum()) for layer in self.layers)
 
     # -- invariants ------------------------------------------------------------
 
@@ -480,7 +473,7 @@ class PlasticNetwork:
         """Audit every structural invariant; return violation strings:
         hidden tags lie in ``0..task`` (0 before the first task), each
         layer has one non-decreasing tag per unit and one input per unit
-        of the layer below, and valid parameters, runs and overlays
+        of the layer below, and valid parameters, runs and frozen sets
         (``MaskedLayer.validate``)."""
         problems = []
         newest = max(self.task, 0)

@@ -157,9 +157,10 @@ class TestTrain:
         assert code == EXIT_DATA
         assert "test data lacks classes [2]" in capsys.readouterr().err
 
-    def test_bad_sigma_text_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("flag", [["--sigma", "abc"], ["--hidden-sizes", "3,x"]])
+    def test_bad_sigma_text_is_usage_error(self, flag, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(["train", *FAST, "--sigma", "abc"])
+            main(["train", *FAST, *flag])
         assert exc.value.code == 2
 
     def test_divergence_is_one_line_on_stderr(self, tmp_path):

@@ -86,6 +86,28 @@ class TestIdxRoundTrip:
             save_idx(tmp_path / "i", tmp_path / "l",
                      np.zeros((3, 4, 4)), np.zeros(3, dtype=np.uint8))
 
+    def test_flat_images_round_trip(self, tmp_path):
+        rng = np.random.default_rng(2)
+        images = rng.integers(0, 256, size=(5, 784), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=5, dtype=np.uint8)
+        save_idx(tmp_path / "i", tmp_path / "l", images, labels)
+        ds = load_idx(tmp_path / "i", tmp_path / "l")
+        np.testing.assert_array_equal(ds.images, images / 255.0)
+        np.testing.assert_array_equal(ds.labels, labels)
+
+    def test_save_rejects_non_square_flat_images(self, tmp_path):
+        with pytest.raises(DataFormatError, match="square pixel count"):
+            save_idx(tmp_path / "i", tmp_path / "l",
+                     np.zeros((3, 783), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
+
+    @pytest.mark.parametrize("images,labels,message", [
+        (np.zeros(4), np.zeros(4), "images must be"),
+        (np.zeros((4, 9)), np.zeros(3), "one label per image"),
+    ])
+    def test_dataset_rejects_bad_shapes(self, images, labels, message):
+        with pytest.raises(DataFormatError, match=message):
+            ImageDataset(images, labels, "bad")
+
 
 def gzip_cut_in_half(path):
     blob = gzip.compress(path.read_bytes())
@@ -287,6 +309,11 @@ class TestTaskStream:
         train.labels[train.labels == 9] = 0
         with pytest.raises(DataFormatError, match="classes"):
             build_task_stream(train, test, n_tasks=10, seed=0)
+
+    def test_one_class_corpus_has_no_negatives(self):
+        one = ImageDataset(np.zeros((4, 9)), np.zeros(4), "one class")
+        with pytest.raises(DataFormatError, match="class 0: no negative examples"):
+            build_task_stream(one, one, n_tasks=1)
 
 
 def traced_peak(fn, *args, **kw):

@@ -1,6 +1,6 @@
 """Every trainer step against an independent dense reference.
 
-The reference reads only the weights, the overlay, the tags, the task
+The reference reads only the weights, the frozen set, the tags, the task
 and the freeze scope, never the runs or ``train_from`` the engine
 derives, and applies the paper's rule directly: layer ``i > 0`` has the
 mask ``M[v, u] = gen(u) <= gen(v)`` (layer 0 sees every feature);
@@ -8,10 +8,11 @@ forward is the ``np.where`` leaky ReLU of ``x @ (W * M).T + b``, the
 pre-activations kept; backward is dense, with the truncated BCE loss
 and the derivative taken from the pre-activations; every row trains
 under ``full_truncated``, the rows with ``gen == task`` under
-``pss_only``, and the overlay freezes inside them. The reference keeps
-its own velocity: zero at task start, carried from step to step, and
-after a round that splits zero for the appended neurons and in the rows
-of each split original. The tests drive each task's run step by step.
+``pss_only``, and the frozen set freezes weights inside them. The
+reference keeps its own velocity: zero at task start, carried from step
+to step, and after a round that splits zero for the appended neurons
+and in the rows of each split original. The tests drive each task's run
+step by step.
 """
 
 import numpy as np
@@ -68,8 +69,9 @@ def oracle_step(net, x, y, velocity, learning_rate, momentum):
         rows = np.ones(layer.fan_out) if net.freeze_scope == "full_truncated" \
             else (np.asarray(tags[i]) == net.task).astype(float)
         keep_w, keep_b = m * rows[:, None], rows
-        if layer.overlay is not None:
-            keep_w, keep_b = keep_w * layer.overlay.weights, keep_b * layer.overlay.bias
+        if layer.frozen is not None:
+            k = layer.frozen.shape
+            keep_w[:k[0], :k[1]] *= ~layer.frozen
         grads[i] = ((delta.T @ (x if i == 0 else post[i - 1])) * keep_w,
                     delta.sum(axis=0) * keep_b)
         v_w = (momentum * velocity[i][0] + grads[i][0]) * keep_w
@@ -99,7 +101,7 @@ def replay_task(net, data, config, index):
     """Train task ``index`` by driving its run, every step replayed through
     the reference, whose velocity starts at zero and is carried from step
     to step. Returns each step's first trainable rows (off the gradients'
-    shapes) and if an overlay was set."""
+    shapes) and if a frozen set was held."""
     run, steps = open_task(net, data, config, index), []
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
     for _ in range(config.epochs_per_task):
@@ -119,7 +121,7 @@ def replay_task(net, data, config, index):
                                       (v.weights, v_w), (v.bias, v_b)):
                     assert_close(got, expected)
             velocity = [(v_w, v_b) for _, _, v_w, v_b in want]
-            steps.append((offsets, any(l.overlay is not None for l in net.layers)))
+            steps.append((offsets, any(l.frozen is not None for l in net.layers)))
         split = run.end_epoch()
         if split is not None and split.total_splits:
             velocity = velocity_after_split(net, velocity, split)
@@ -153,7 +155,7 @@ def test_every_step_and_predict_match_the_dense_reference(scope, freeze):
     assert len(replayed) == 3 * 3 * 5
     restricted = [offsets for offsets, _ in replayed if any(offsets)]
     if scope == "full_truncated":
-        assert not restricted and all(overlay for _, overlay in replayed)
+        assert not restricted and all(frozen for _, frozen in replayed)
     else:
         assert restricted and all(min(o[:-1]) > 0 for o in restricted[-5:])
     assert (net.hidden_sizes() == [12, 8]) == (scope == "pss_only")  # nothing old drifts

@@ -65,6 +65,23 @@ WRONG_DTYPE = {
 }
 
 
+def set_first(path, name, value):
+    """Set the first entry of array ``name`` of a saved model to ``value``."""
+    meta, arrays = read_container(path, MODEL_MAGIC)
+    arrays[name].flat[0] = value
+    write_container(path, MODEL_MAGIC, meta, arrays)
+
+
+# Parameters no layer may hold.
+NON_FINITE = {
+    "NaN weight": ("w0", np.nan),
+    "Inf bias": ("b1", np.inf),
+}
+
+# Files cut inside the header length, by their remaining byte count.
+CUT = {f"cut to {n} bytes": n for n in (8, 12, 15)}
+
+
 # Each edit turns a valid model file into one ``pss inspect`` must refuse.
 HOSTILE = {
     "missing n_layers": lambda h: h["meta"].pop("n_layers"),
@@ -77,6 +94,7 @@ HOSTILE = {
     "missing tag list": lambda h: h["meta"]["hidden_gens"].pop(),
     "tag newer than task": lambda h: h["meta"]["hidden_gens"][1].__setitem__(-1, 9),
     "task without output": lambda h: h["meta"].__setitem__("task", 5),
+    "renamed array": lambda h: h["arrays"][0].__setitem__("name", "x0"),
     "fan-in mismatch": lambda h: next(
         a for a in h["arrays"] if a["name"] == "w1")["shape"].__setitem__(1, 3),
     "unknown activation": lambda h: h["meta"]["activations"][0].__setitem__(
@@ -101,7 +119,11 @@ HOSTILE = {
     "slope true": lambda h: h["meta"]["activations"][0].__setitem__("slope", True),
 }
 # Cases the container reader itself must reject, before any model check.
-CONTAINER_FAULTS = ("missing arrays", "negative shape", "non-integer shape")
+CONTAINER_FAULTS = ("missing arrays", "negative shape", "non-integer shape", *CUT)
+# What the refusal names, where one check alone refuses the file.
+REASONS = {"NaN weight": "NaN/Inf", "Inf bias": "NaN/Inf",
+           "renamed array": "expected arrays",
+           **dict.fromkeys(CUT, "truncated container header length")}
 
 
 class TestSaveLoad:
@@ -117,7 +139,7 @@ class TestSaveLoad:
             assert np.array_equal(a.conn_mask, b.conn_mask)
             assert np.array_equal(a.train_mask, b.train_mask)
             assert a.train_from == b.train_from           # which biases train
-            assert a.overlay is None and b.overlay is None
+            assert a.frozen is None and b.frozen is None
             assert a.activation == b.activation
         assert back.hidden_gens == net.hidden_gens
         assert back.output_gens == net.output_gens
@@ -197,7 +219,8 @@ class TestHostileModelFiles:
         return path.read_bytes()
 
     @pytest.mark.parametrize(
-        "case", sorted(HOSTILE) + sorted(STRUCTURAL_ZERO) + sorted(WRONG_DTYPE))
+        "case", sorted(HOSTILE) + sorted(STRUCTURAL_ZERO) + sorted(WRONG_DTYPE)
+        + sorted(NON_FINITE) + sorted(CUT))
     def test_inspect_refuses_with_data_error(self, case, saved, tmp_path, capsys):
         path = tmp_path / "model.pssnet"
         path.write_bytes(saved)
@@ -205,6 +228,10 @@ class TestHostileModelFiles:
             rewrite_header(path, HOSTILE[case])
         elif case in WRONG_DTYPE:
             recast_array(path, *WRONG_DTYPE[case])
+        elif case in NON_FINITE:
+            set_first(path, *NON_FINITE[case])
+        elif case in CUT:
+            path.write_bytes(saved[:CUT[case]])
         else:
             weight_at_structural_zero(path, STRUCTURAL_ZERO[case])
         if case in CONTAINER_FAULTS:
@@ -215,6 +242,7 @@ class TestHostileModelFiles:
         assert main(["inspect", "--model", str(path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+        assert REASONS.get(case, "") in err
 
     @staticmethod
     def assert_refused(path, capsys):

@@ -137,33 +137,34 @@ class TestMaskedLayer:
         # weight present where the edge is structurally absent
         with pytest.raises(MaskError, match="nonzero weight"):
             MaskedLayer(np.array([[1.0, 3.0], [0.0, 2.0]]), np.zeros(2), runs)
-        # trainable where no edge exists
-        with pytest.raises(MaskError, match="trainable weight"):
-            MaskedLayer(w, np.zeros(2), runs, LayerGrads(np.ones((2, 2)), np.ones(2)))
-        with pytest.raises(MaskError, match="exactly 0 or 1"):
-            MaskedLayer(w, np.zeros(2), runs,
-                        LayerGrads(layer.conn_mask * 0.5, np.ones(2)))
-        with pytest.raises(MaskError, match="exactly 0 or 1"):
-            MaskedLayer(w, np.zeros(2), runs, LayerGrads(layer.conn_mask, np.full(2, 2.0)))
+        # a frozen set is a 2-D bool array within the weights' shape
+        for bad in (layer.conn_mask, np.ones(2, dtype=bool), [[True]]):
+            with pytest.raises(MaskError, match="2-D bool"):
+                MaskedLayer(w, np.zeros(2), runs, bad)
         with pytest.raises(DimensionError):
             MaskedLayer(w, np.zeros(3), runs)
-        with pytest.raises(DimensionError, match="overlay shape"):
-            MaskedLayer(w, np.zeros(2), runs, LayerGrads(np.ones((2, 1)), np.ones(2)))
-        with pytest.raises(DimensionError, match="overlay shape"):
-            MaskedLayer(w, np.zeros(2), runs, LayerGrads(layer.conn_mask, np.ones(3)))
+        for shape in ((3, 2), (2, 3)):
+            with pytest.raises(DimensionError, match="frozen set"):
+                MaskedLayer(w, np.zeros(2), runs, np.zeros(shape, dtype=bool))
+        # a frozen set over a structural zero, or a corner of the weights, is valid
+        MaskedLayer(w, np.zeros(2), runs, np.ones((2, 2), dtype=bool))
+        MaskedLayer(w, np.zeros(2), runs, np.ones((2, 1), dtype=bool))
         # runs must tile the rows in order, each within the fan-in
         for bad in ([(0, 1, 1)], [(0, 1, 1), (0, 2, 2)], [(0, 2, 3)],
                     [(0, 1, 1), (2, 2, 2)]):
             with pytest.raises(MaskError, match="run"):
                 MaskedLayer(w, np.zeros(2), bad)
-        # nothing before the first trainable row trains, overlay or not
+        # nothing before the first trainable row trains, frozen set or not
         layer.train_from = 1
         layer.validate()
         np.testing.assert_array_equal(layer.train_mask, [[0.0, 0.0], [1.0, 1.0]])
-        layer.overlay = LayerGrads(layer.conn_mask, np.ones(2))
+        layer.frozen = np.zeros((2, 2), dtype=bool)
         layer.validate()
         np.testing.assert_array_equal(layer.train_mask, [[0.0, 0.0], [1.0, 1.0]])
-        layer.overlay.weights[1, 0] = 0.0
+        layer.frozen[1, 0] = True
+        np.testing.assert_array_equal(layer.train_mask, [[0.0, 0.0], [0.0, 1.0]])
+        # a frozen corner leaves the weights past it trainable
+        layer.frozen = np.ones((2, 1), dtype=bool)
         np.testing.assert_array_equal(layer.train_mask, [[0.0, 0.0], [0.0, 1.0]])
         # the views are derived, not stored
         with pytest.raises(AttributeError):
@@ -387,7 +388,7 @@ class TestBackwardTruncated:
         keep1 = (rng.random((5, 4)) >= 0.3).astype(float)
         train1 = keep1 * (rng.random((5, 4)) >= 0.3)
         l1 = MaskedLayer(he_normal(5, 4, rng) * keep1, rng.standard_normal(5) * 0.1,
-                         overlay=LayerGrads(train1, np.ones(5)), activation=Activation())
+                         frozen=train1 == 0.0, activation=Activation())
         # output rows 0:2 see hidden units :3, row 2 sees all five
         runs2 = [(0, 2, 3), (2, 3, 5)]
         w2 = he_normal(3, 5, rng)
@@ -399,7 +400,7 @@ class TestBackwardTruncated:
         sel = [0, 2]
         grads = backward_truncated(layers, forward(layers, x), y, sel)
         fd = finite_diff_grads(layers, x, y, sel)
-        assert np.all(l1.overlay.bias == 1.0) and l2.overlay is None  # every bias trains
+        assert l2.frozen is None  # every bias trains: a frozen set holds weights only
         for layer, g, (fw, fb) in zip(layers, grads, fd):
             np.testing.assert_allclose(g.weights, fw * layer.train_mask, atol=2e-9)
             np.testing.assert_allclose(g.bias, fb, atol=2e-9)
@@ -409,15 +410,19 @@ class TestBackwardTruncated:
 
     def test_frozen_positions_get_exact_zero(self):
         rng = np.random.default_rng(5)
-        train = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        frozen = np.array([[False, True, False], [True, True, True], [False, False, True]])
         layer = MaskedLayer(rng.standard_normal((3, 3)), rng.standard_normal(3),
-                            overlay=LayerGrads(train, np.array([1.0, 0.0, 1.0])))
+                            frozen=frozen)
         x = rng.standard_normal((4, 3))
-        g = backward_truncated([layer], forward([layer], x),
-                               rng.integers(0, 2, size=(4, 3)).astype(float),
-                               [0, 1, 2])[0]
-        assert np.all(g.weights[train == 0.0] == 0.0)
-        assert g.bias[1] == 0.0
+        y = rng.integers(0, 2, size=(4, 3)).astype(float)
+        g = backward_truncated([layer], forward([layer], x), y, [0, 1, 2])[0]
+        assert np.all(g.weights[frozen] == 0.0) and np.all(g.weights[~frozen] != 0.0)
+        assert np.all(g.bias != 0.0)  # a bias is never frozen
+        # a corner covers its own positions, from train_from on
+        layer.frozen, layer.train_from = frozen[:2, :2], 1
+        g = backward_truncated([layer], forward([layer], x), y, [0, 1, 2])[0]
+        assert np.all(g.weights[0, :2] == 0.0) and np.all(g.weights[0, 2] != 0.0)
+        assert np.all(g.weights[1] != 0.0)
 
     def test_trainable_rows_zero_past_each_prefix(self):
         """With ``train_from`` inside a run, the returned rows are the
@@ -444,7 +449,7 @@ class TestBackwardTruncated:
         l1 = MaskedLayer(rng.standard_normal((4, 3)), np.zeros(4),
                          activation=Activation())
         l2 = MaskedLayer(rng.standard_normal((2, 4)), np.zeros(2),
-                         overlay=LayerGrads(np.zeros((2, 4)), np.zeros(2)))
+                         frozen=np.ones((2, 4), dtype=bool))
         x = rng.standard_normal((5, 3))
         y = rng.integers(0, 2, size=(5, 2)).astype(float)
         grads = backward_truncated([l1, l2], forward([l1, l2], x), y, [0, 1])
@@ -478,19 +483,17 @@ class TestSgdStep:
 
     def test_frozen_weight_and_velocity_stay_zero(self):
         rng = np.random.default_rng(13)
-        train = np.zeros((3, 3))
-        train[0, 0] = 1.0
+        frozen = np.ones((3, 3), dtype=bool)
+        frozen[0, 0] = False
         w = rng.standard_normal((3, 3))
-        layer = MaskedLayer(w.copy(), np.zeros(3),
-                            overlay=LayerGrads(train, np.zeros(3)))
+        layer = MaskedLayer(w.copy(), np.zeros(3), frozen=frozen)
         vel = init_velocity([layer])
         vel[0].weights[:] = rng.standard_normal((3, 3))  # stale momentum
         g = LayerGrads(rng.standard_normal((3, 3)), rng.standard_normal(3))
         sgd_step([layer], [g], 0.05, 0.9, vel)
-        frozen = train == 0.0
         np.testing.assert_array_equal(layer.weights[frozen], w[frozen])
         assert np.all(vel[0].weights[frozen] == 0.0)
-        assert np.all(vel[0].bias == 0.0)
+        assert np.array_equal(vel[0].bias, g.bias)  # biases train
         assert layer.weights[0, 0] != w[0, 0]
 
     def test_structural_zeros_survive_updates(self):

@@ -10,7 +10,6 @@ from test_data import traced_peak
 
 from pss.numerics import (
     DimensionError,
-    LayerGrads,
     MaskedLayer,
     NonFiniteError,
     backward_truncated,
@@ -341,9 +340,9 @@ class TestFreezeScopes:
         net.ensure_support_path()
         net.set_structural_freeze("pss_only")
         l0, l1 = net.hidden_layers
-        # a bias trains iff its row is from train_from on (no overlay)
+        # a bias trains iff its row is from train_from on (no frozen set)
         for l, gens in ((l0, net.hidden_gens[0]), (l1, net.hidden_gens[1])):
-            assert l.overlay is None
+            assert l.frozen is None
             for i, g in enumerate(gens):
                 if g == 1:
                     assert np.array_equal(l.train_mask[i], l.conn_mask[i])
@@ -352,7 +351,7 @@ class TestFreezeScopes:
                     assert np.all(l.train_mask[i] == 0.0)
                     assert i < l.train_from
         out = net.output_layer
-        assert out.overlay is None and out.train_from == 1
+        assert out.frozen is None and out.train_from == 1
         assert np.all(out.train_mask[0] == 0.0)
         assert np.all(out.train_mask[1] == 1.0)
 
@@ -362,7 +361,7 @@ class TestFreezeScopes:
         net.set_structural_freeze("full_truncated")
         for layer in net.layers:
             assert np.array_equal(layer.train_mask, layer.conn_mask)
-            assert layer.train_from == 0 and layer.overlay is None  # every bias trains
+            assert layer.train_from == 0 and layer.frozen is None  # every bias trains
 
     def test_unknown_scope_rejected(self):
         net = fresh_net()
@@ -371,16 +370,22 @@ class TestFreezeScopes:
 
     def test_magnitude_freeze_survives_scope_rebuild(self):
         net = open_task(fresh_net(), 0)
-        l0 = net.hidden_layers[0]
+        l0, l1 = net.hidden_layers
         l0.weights[0, 0] = 0.001
         l0.weights[1, 1] = 5.0
         count = net.freeze_small_weights(0.01)
         assert count >= 1
         assert l0.train_mask[0, 0] == 0.0
         assert l0.train_mask[1, 1] == 1.0
+        _, tag = net.split_neuron(0, 2)        # a row of layer 0, a column of layer 1
         net.set_structural_freeze("full_truncated")
-        assert l0.train_mask[0, 0] == 0.0      # still frozen after rebuild
+        assert l0.train_mask[0, 0] == 0.0      # still frozen after growth and rebuild
         assert l0.train_mask[1, 1] == 1.0
+        assert np.all(l0.train_mask[tag.index] == 1.0)      # grown weights train
+        assert np.all(l1.train_mask[:, tag.index] == 1.0)
+        assert net.check_masks() == []
+        net.grow_output(1)
+        assert all(l.frozen is None for l in net.layers)    # a new task starts unfrozen
 
     def test_zero_threshold_freezes_nothing(self):
         net = open_task(fresh_net(), 0)
@@ -416,7 +421,7 @@ class TestDerivedStructure:
             for name in ("conn_mask", "train_mask"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
             assert a.train_from == b.train_from           # which biases train
-            assert a.overlay is None and b.overlay is None
+            assert a.frozen is None and b.frozen is None
         assert [l.runs for l in rebuilt.layers] == [l.runs for l in net.layers]
         assert rebuilt.check_masks() == []
 
@@ -491,18 +496,18 @@ class TestCheckMasks:
         assert net.check_masks() == [
             "layer 1: nonzero weight at a structurally masked position"]
 
-    def test_detects_generation_rule_breach(self):
+    def test_frozen_set_opens_no_edge(self):
         net = open_task(fresh_net(), 0)
         net.grow_output(1)
         net.hidden_layers[0].weights[0] += 1.0
         _, tag = net.split_neuron(0, 0)
         l1 = net.hidden_layers[1]
         assert l1.train_mask[0, tag.index] == 0.0           # no edge, so no training
-        keep = LayerGrads(l1.conn_mask, np.ones(l1.fan_out))
-        keep.weights[0, tag.index] = 1.0                    # forbidden edge opened
-        l1.overlay = keep
-        assert net.check_masks() == [
-            "layer 1: trainable weight at a structurally masked position"]
+        l1.frozen = np.zeros(l1.weights.shape, dtype=bool)  # nothing frozen
+        assert l1.train_mask[0, tag.index] == 0.0           # still no edge
+        assert net.check_masks() == []
+        l1.frozen = l1.conn_mask                            # 0/1 floats, not a bool set
+        assert net.check_masks() == ["layer 1: frozen set must be a 2-D bool array"]
 
     def test_detects_fan_in_mismatch(self):
         net = open_task(fresh_net(), 0)

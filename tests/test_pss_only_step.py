@@ -3,13 +3,15 @@
 Under ``pss_only`` a training step computes only each layer's rows from
 ``train_from`` on: frozen rows come from a cache, backward and SGD skip
 them. Here every such step is replayed on a dense copy of the network
-(every ``train_from`` set to 0, no cache, the rows before it frozen by
-an overlay instead), which runs the dense ``forward``,
-``backward_truncated`` and ``sgd_step`` with the mask arithmetic.
-Activations, gradients, parameters and velocity must agree to 1e-12
-relative, and frozen parameters and earlier tasks' logits must not
-change by a bit. The trainer's steps are reached by driving each task's
-run, not by patching the trainer.
+(every ``train_from`` set to 0, no cache, the weights of the rows before
+it in the layer's ``frozen`` set instead), which runs the dense
+``forward``, ``backward_truncated`` and ``sgd_step``. Activations,
+weights and their gradients and velocity must agree to 1e-12 relative,
+and so must biases and theirs from ``train_from`` on (a frozen set
+holds no bias, so the copy's earlier biases train); the engine's frozen
+parameters and earlier tasks' logits must not change by a bit. The
+trainer's steps are reached by driving each task's run, not by patching
+the trainer.
 """
 
 import copy
@@ -23,7 +25,6 @@ from pss.data import TaskDataset
 from pss.numerics import (
     IDENTITY,
     Activation,
-    LayerGrads,
     MaskedLayer,
     backward_truncated,
     forward,
@@ -45,15 +46,16 @@ def assert_close(got, want):
 
 
 def dense_copy(layers):
-    """Copies that train from row 0, with the rows before each
-    ``train_from`` frozen through the overlay (merged into a magnitude
-    overlay when there is one)."""
+    """Copies that train from row 0, with the weights of the rows before
+    each ``train_from`` added to the frozen set (to a magnitude freeze's
+    when there is one)."""
     dense = copy.deepcopy(layers)
     for layer in dense:
-        keep = layer.overlay or LayerGrads(layer.conn_mask, np.ones(layer.fan_out))
-        keep.weights[:layer.train_from] = 0.0
-        keep.bias[:layer.train_from] = 0.0
-        layer.overlay, layer.train_from = keep, 0
+        frozen = np.zeros(layer.weights.shape, dtype=bool)
+        if layer.frozen is not None:
+            frozen[:layer.frozen.shape[0], :layer.frozen.shape[1]] = layer.frozen
+        frozen[:layer.train_from] = True
+        layer.frozen, layer.train_from = frozen, 0
         layer.validate()
     return dense
 
@@ -76,16 +78,16 @@ def check_step(layers, velocity, take_step, targets, sel, probe,
         assert_close(a, dense_a)
     dense_grads = backward_truncated(dense, dense_trace, targets, sel)
     for g, dg, o in zip(grads, dense_grads, offsets):
-        assert not dg.weights[:o].any() and not dg.bias[:o].any()
+        assert not dg.weights[:o].any()
         assert_close(g.weights, dg.weights[o:])
         assert_close(g.bias, dg.bias[o:])
 
     sgd_step(dense, dense_grads, learning_rate, momentum, dense_velocity)
-    for layer, d, v, dv in zip(layers, dense, velocity, dense_velocity):
+    for layer, d, v, dv, o in zip(layers, dense, velocity, dense_velocity, offsets):
         assert_close(layer.weights, d.weights)
-        assert_close(layer.bias, d.bias)
+        assert_close(layer.bias[o:], d.bias[o:])
         assert_close(v.weights, dv.weights)
-        assert_close(v.bias, dv.bias)
+        assert_close(v.bias[o:], dv.bias[o:])
     assert frozen == [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
                       for l, o in zip(layers, offsets)]
     assert forward(layers, probe).output[:, :offsets[-1]].tobytes() == old_logits

@@ -358,7 +358,7 @@ class TestTaskOpening:
 
 
 class TestNoDenseViews:
-    """Trainability is runs, ``train_from`` and an overlay; training never
+    """Trainability is runs, ``train_from`` and a frozen set; training never
     builds the dense ``conn_mask`` or ``train_mask`` views."""
 
     @pytest.mark.parametrize("scope", ["hybrid", "pss_only", "full_truncated", "baseline"])
@@ -377,7 +377,7 @@ class TestNoDenseViews:
         # and the baseline never splits
         assert (sum(report.split_counts) > 0) == (scope in ("hybrid", "full_truncated"))
         for layer in net.layers:
-            assert layer.overlay is None
+            assert layer.frozen is None
             arrays = {k for k, v in vars(layer).items() if isinstance(v, np.ndarray)}
             assert arrays == {"weights", "bias"}
 
