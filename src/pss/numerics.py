@@ -45,8 +45,8 @@ Every row before ``train_from`` is frozen, and by the edge rule sees
 only input columns before the ``train_from`` of the layer below. A
 training step computes only the rows from ``train_from`` on.
 ``forward`` takes the frozen rows' post-activations from a cache when
-one is given, ``backward_truncated`` returns gradients for the
-trainable rows only, and ``sgd_step`` reads and writes only those rows.
+one is given; gradients and velocity (``LayerGrads``) both cover the
+trainable rows only, the only rows ``sgd_step`` reads and writes.
 With ``train_from`` 0 (the default, and every layer outside the
 ``pss_only`` scope) each of them does exactly the dense arithmetic.
 """
@@ -360,7 +360,7 @@ def post_activations(layers, source, rows=None, stops=None, cached=None, last_on
 
 @dataclass
 class LayerGrads:
-    """Arrays shaped like one layer's parameters: gradients or velocity."""
+    """Gradients or velocity, shaped like ``weights[train_from:]``, ``bias[train_from:]``."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -445,22 +445,18 @@ def _zero_frozen(a, frozen, o):
 
 
 def init_velocity(layers):
-    return [LayerGrads(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in layers]
+    """Zero velocity, shaped like each layer's gradients (``LayerGrads``)."""
+    return [LayerGrads(np.zeros_like(l.weights[l.train_from:]),
+                       np.zeros_like(l.bias[l.train_from:])) for l in layers]
 
 
 def pad_velocity(velocity, layers):
-    """Grow velocity arrays to match layers that gained units; new slots are 0."""
-    out = []
-    for v, layer in zip(velocity, layers):
-        if v.weights.shape == layer.weights.shape:
-            out.append(v)
-            continue
-        w = np.zeros_like(layer.weights)
+    """Velocity grown with layers that gained rows or columns at the end, 0
+    in the new slots; growth never moves ``train_from``."""
+    out = init_velocity(layers)
+    for v, grown in zip(velocity, out):
         m, k = v.weights.shape
-        w[:m, :k] = v.weights
-        b = np.zeros_like(layer.bias)
-        b[:m] = v.bias
-        out.append(LayerGrads(w, b))
+        grown.weights[:m, :k], grown.bias[:m] = v.weights, v.bias
     return out
 
 
@@ -468,12 +464,12 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
     """One SGD-with-momentum update of the trainable rows, all or nothing.
 
     Only each layer's rows from ``train_from`` on are read or written,
-    velocity included, and ``grads`` hold exactly those rows, zero past
-    every run's prefix (as ``backward_truncated`` returns them), so
-    structural zeros stay 0.0. A weight in a layer's ``frozen`` set does
-    not move and its velocity is forced to exactly 0, so a freshly frozen
-    weight carries no residual momentum. Every new velocity and
-    parameter is computed and checked before any is stored, so a
+    and ``grads`` and ``velocity`` have exactly their shape; ``grads``
+    are zero past every run's prefix (as ``backward_truncated`` returns
+    them), so structural zeros stay 0.0. A weight in a layer's ``frozen``
+    set does not move and its velocity is forced to exactly 0. Every
+    shape is checked, and every new velocity and parameter computed and
+    checked, before any is stored, so a ``DimensionError`` or
     ``NonFiniteError`` leaves layers and velocity as they were.
     """
     if velocity is None:
@@ -483,11 +479,12 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
     staged = []
     for layer, g, v in zip(layers, grads, velocity):
         o = layer.train_from
-        if g.weights.shape != layer.weights[o:].shape:
-            raise DimensionError("gradient shape does not match layer")
-        v_w = v.weights[o:] * momentum
+        rows = (layer.weights[o:].shape, layer.bias[o:].shape)
+        if not (g.weights.shape, g.bias.shape) == (v.weights.shape, v.bias.shape) == rows:
+            raise DimensionError(f"gradient or velocity not shaped like the rows {o}: of a layer")
+        v_w = v.weights * momentum
         v_w += g.weights
-        v_b = v.bias[o:] * momentum
+        v_b = v.bias * momentum
         v_b += g.bias
         _zero_frozen(v_w, layer.frozen, o)
         # w + (-lr * v) rounds exactly as w - lr * v, with one temporary less
@@ -499,11 +496,11 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
             raise NonFiniteError("non-finite parameter after SGD update")
         staged.append((o, v_w, v_b, w, b))
     for layer, v, (o, v_w, v_b, w, b) in zip(layers, velocity, staged):
-        # frozen rows stay put; a whole layer is rebound, saving a copy
-        if o:
-            v.weights[o:], v.bias[o:], layer.weights[o:], layer.bias[o:] = v_w, v_b, w, b
-        else:
-            v.weights, v.bias, layer.weights, layer.bias = v_w, v_b, w, b
+        v.weights, v.bias = v_w, v_b
+        if o:  # frozen rows stay put
+            layer.weights[o:], layer.bias[o:] = w, b
+        else:  # a whole layer is rebound, saving a copy
+            layer.weights, layer.bias = w, b
     return velocity
 
 

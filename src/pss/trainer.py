@@ -20,9 +20,9 @@ freeze scope decides how much of the old network may move:
 Under ``pss_only`` (from task start, or from the hybrid switch on) a
 step computes only the current generation's rows. On entering the
 scope the run caches every frozen row's post-activation over the
-task's training set (``PlasticNetwork.frozen_activations``) and clears
+task's training set (``PlasticNetwork.frozen_activations``) and drops
 the frozen rows' velocity; each step takes the batch's rows of that
-cache, and backward and SGD touch the trainable rows only. A splitting
+cache, and backward, velocity and SGD cover the trainable rows only. A splitting
 round that splits reverts frozen rows, so the cache is rebuilt after
 it. From task 1 on, in ``pss_only`` every snapshot row is frozen: its
 drift stays put while the threshold only grows, so no round can split
@@ -129,7 +129,7 @@ class TaskReport:
 
 
 class TaskRun:
-    """One open task: its velocity, frozen-row cache, shuffle generator and report."""
+    """One open task: trainable rows' velocity, frozen-row cache, shuffle generator, report."""
 
     def __init__(self, net, task_data, config, index):
         config.validate()
@@ -146,13 +146,15 @@ class TaskRun:
         self.shuffle_rng, self.report = rng_for(config.seed, 1, index), TaskReport(task=index)
 
     def _cache_frozen_rows(self):
-        """Cache the rows that cannot train and clear their velocity; from
+        """Cache the rows that cannot train and drop their velocity; from
         task 1 on in ``pss_only``, first release the snapshot, which no
         round reads again."""
         if self.index > 0 and self.net.freeze_scope == "pss_only":
             self.net.snapshot = None
         for layer, v in zip(self.net.layers, self.velocity):
-            v.weights[:layer.train_from] = v.bias[:layer.train_from] = 0.0
+            drop = len(v.bias) - layer.fan_out + layer.train_from  # 0 unless train_from rose
+            if drop:
+                v.weights, v.bias = v.weights[drop:].copy(), v.bias[drop:].copy()
         self.cache = self.net.frozen_activations(self.data.source, self.data.rows)
 
     def batches(self):

@@ -27,13 +27,7 @@ from pss.data import (
     synthetic_digits,
 )
 from pss.evaluation import export, forgetting
-from pss.numerics import (
-    backward_truncated,
-    gradcheck,
-    init_velocity,
-    pad_velocity,
-    sgd_step,
-)
+from pss.numerics import LayerGrads, backward_truncated, gradcheck, sgd_step
 from pss.plasticity import PlasticNetwork
 from pss.trainer import (
     TrainerConfig,
@@ -198,16 +192,25 @@ class TestCriterion3StructuralFuzz:
             nonlocal velocity
             if net.n_outputs == 0:
                 return
-            if velocity is None:
-                velocity = init_velocity(net.layers)
-            else:
-                velocity = pad_velocity(velocity, net.layers)
+            # the driver keeps a whole-layer velocity, grown with the layers
+            # (zero where new); sgd_step gets its rows from each train_from
+            # on, and the updated rows are copied back
+            grown = [LayerGrads(np.zeros_like(l.weights), np.zeros_like(l.bias))
+                     for l in net.layers]
+            for v, g in zip(velocity or [], grown):
+                m, k = v.weights.shape
+                g.weights[:m, :k], g.bias[:m] = v.weights, v.bias
+            velocity = grown
             x = rng.standard_normal((8, net.n_features))
             y = rng.integers(0, 2, size=8).astype(float)
             out = int(rng.integers(net.n_outputs))
             trace = net.trace(x)
             grads = backward_truncated(net.layers, trace, y, [out])
-            velocity = sgd_step(net.layers, grads, 0.05, 0.9, velocity)
+            rows = [LayerGrads(v.weights[l.train_from:], v.bias[l.train_from:])
+                    for v, l in zip(velocity, net.layers)]
+            sgd_step(net.layers, grads, 0.05, 0.9, rows)
+            for v, r, l in zip(velocity, rows, net.layers):
+                v.weights[l.train_from:], v.bias[l.train_from:] = r.weights, r.bias
 
         def do_freeze_small():
             net.freeze_small_weights(float(rng.uniform(0.0, 0.05)))

@@ -395,22 +395,29 @@ class TestBlasThreads:
 
     @staticmethod
     def threads():
-        """The getter of numpy's bundled OpenBLAS thread count, or a skip
-        where numpy has no such build."""
+        """The getter and setter of numpy's bundled OpenBLAS thread count,
+        or a skip where numpy has no such build."""
         libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                                       "numpy.libs", "libscipy_openblas64_*.so"))
         if not libs:
             pytest.skip("numpy has no bundled OpenBLAS")
-        get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+        lib = ctypes.CDLL(libs[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
         get.argtypes, get.restype = [], ctypes.c_int
-        return get
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
 
     def test_pin_sets_one_thread_and_restores_the_count(self):
-        get = self.threads()
+        get, set_ = self.threads()
         before = get()
-        with cli.one_blas_thread():
-            assert get() == 1
-        assert get() == before
+        set_(2)  # the suite itself runs on one thread (tests/conftest.py)
+        try:
+            with cli.one_blas_thread():
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_(before)
+        assert before == 1
 
     def test_missing_thread_control_warns_once_and_goes_on(self, monkeypatch, caplog):
         monkeypatch.setattr(cli.glob, "glob", lambda pattern: [])

@@ -9,10 +9,13 @@ pre-activations kept; backward is dense, with the truncated BCE loss
 and the derivative taken from the pre-activations; every row trains
 under ``full_truncated``, the rows with ``gen == task`` under
 ``pss_only``, and the frozen set freezes weights inside them. The
-reference keeps its own velocity: zero at task start, carried from step
-to step, and after a round that splits zero for the appended neurons
-and in the rows of each split original. The tests drive each task's run
-step by step.
+reference keeps its own whole-layer velocity: zero at task start,
+carried from step to step, and after a round that splits zero for the
+appended neurons and in the rows of each split original. The run keeps
+velocity for the rows from ``train_from`` on only, so those rows are
+compared, and after every ``pss_only`` step the reference's rows before
+``train_from`` must be exactly 0: dropping them loses nothing. The tests
+drive each task's run step by step.
 """
 
 import numpy as np
@@ -116,10 +119,12 @@ def replay_task(net, data, config, index):
                 assert not w[:o].any() and not b[:o].any()
                 assert_close(g.weights, w[o:])
                 assert_close(g.bias, b[o:])
-            for layer, v, (w, b, v_w, v_b) in zip(net.layers, run.velocity, want):
+            for layer, v, (w, b, v_w, v_b), o in zip(net.layers, run.velocity, want, offsets):
                 for got, expected in ((layer.weights, w), (layer.bias, b),
-                                      (v.weights, v_w), (v.bias, v_b)):
+                                      (v.weights, v_w[o:]), (v.bias, v_b[o:])):
                     assert_close(got, expected)
+                if net.freeze_scope == "pss_only":  # the rows the run dropped hold 0
+                    assert not v_w[:o].any() and not v_b[:o].any()
             velocity = [(v_w, v_b) for _, _, v_w, v_b in want]
             steps.append((offsets, any(l.frozen is not None for l in net.layers)))
         split = run.end_epoch()

@@ -544,6 +544,30 @@ class TestSgdStep:
                                for r0, r1, c1 in runs], axis=1)
         assert layer.affine(x).tobytes() == want.tobytes()
 
+    def test_velocity_of_another_shape_changes_nothing(self):
+        """Velocity covers the rows from ``train_from`` on, like the
+        gradients: a whole-layer velocity, or one a row short, is refused
+        before anything is stored."""
+        rng = np.random.default_rng(29)
+        layers = [MaskedLayer(rng.standard_normal((3, 4)), rng.standard_normal(3)),
+                  MaskedLayer(rng.standard_normal((2, 3)), rng.standard_normal(2))]
+        layers[1].train_from = 1
+        grads = [LayerGrads(rng.standard_normal(l.weights[l.train_from:].shape),
+                            rng.standard_normal(l.bias[l.train_from:].shape)) for l in layers]
+        whole = [LayerGrads(rng.standard_normal(l.weights.shape),
+                            rng.standard_normal(l.bias.shape)) for l in layers]
+        short_bias = init_velocity(layers)
+        short_bias[1].bias = short_bias[1].bias[1:]
+        for vel in (whole, short_bias):
+            before = [(l.weights.tobytes(), l.bias.tobytes(), v.weights.tobytes(),
+                       v.bias.tobytes()) for l, v in zip(layers, vel)]
+            with pytest.raises(DimensionError):
+                sgd_step(layers, grads, 0.1, 0.9, vel)
+            assert before == [(l.weights.tobytes(), l.bias.tobytes(), v.weights.tobytes(),
+                               v.bias.tobytes()) for l, v in zip(layers, vel)]
+        vel = sgd_step(layers, grads, 0.1, 0.9, init_velocity(layers))
+        assert [v.weights.shape for v in vel] == [(3, 4), (1, 3)]
+
     def test_pad_velocity_preserves_old_entries(self):
         layer_small = MaskedLayer(np.ones((2, 2)), np.zeros(2))
         vel = init_velocity([layer_small])
@@ -556,6 +580,20 @@ class TestSgdStep:
         assert np.all(out[0].weights[2:, :] == 0.0)
         assert np.all(out[0].weights[:, 2:] == 0.0)
         np.testing.assert_array_equal(out[0].bias, [4.0, 4.0, 0.0])
+
+    def test_pad_velocity_grows_the_trainable_rows(self):
+        """Rows appended after ``train_from`` extend the velocity, which
+        starts at that row; the rows before it get none."""
+        layer = MaskedLayer(np.ones((3, 2)), np.zeros(3))
+        layer.train_from = 2
+        vel = init_velocity([layer])
+        assert vel[0].weights.shape == (1, 2) and vel[0].bias.shape == (1,)
+        vel[0].weights[:], vel[0].bias[:] = 3.0, 4.0
+        grown = MaskedLayer(np.ones((5, 3)), np.zeros(5))
+        grown.train_from = 2
+        out = pad_velocity(vel, [grown])
+        np.testing.assert_array_equal(out[0].weights, [[3, 3, 0], [0, 0, 0], [0, 0, 0]])
+        np.testing.assert_array_equal(out[0].bias, [4, 0, 0])
 
 
 class TestGradcheck:

@@ -6,12 +6,14 @@ them. Here every such step is replayed on a dense copy of the network
 (every ``train_from`` set to 0, no cache, the weights of the rows before
 it in the layer's ``frozen`` set instead), which runs the dense
 ``forward``, ``backward_truncated`` and ``sgd_step``. Activations,
-weights and their gradients and velocity must agree to 1e-12 relative,
-and so must biases and theirs from ``train_from`` on (a frozen set
-holds no bias, so the copy's earlier biases train); the engine's frozen
-parameters and earlier tasks' logits must not change by a bit. The
-trainer's steps are reached by driving each task's run, not by patching
-the trainer.
+weights and their gradients must agree to 1e-12 relative, and so must
+biases and theirs from ``train_from`` on (a frozen set holds no bias,
+so the copy's earlier biases train). The engine's velocity covers the
+rows from ``train_from`` on; the copy's starts at 0 before them, must
+stay 0 there in the weights, and must agree after them. The engine's
+frozen parameters and earlier tasks' logits must not change by a bit.
+The trainer's steps are reached by driving each task's run, not by
+patching the trainer.
 """
 
 import copy
@@ -25,6 +27,7 @@ from pss.data import TaskDataset
 from pss.numerics import (
     IDENTITY,
     Activation,
+    LayerGrads,
     MaskedLayer,
     backward_truncated,
     forward,
@@ -68,7 +71,11 @@ def check_step(layers, velocity, take_step, targets, sel, probe,
     computed widths, which the trace does not record) and the new velocity."""
     offsets = [layer.train_from for layer in layers]
     dense = dense_copy(layers)
-    dense_velocity = copy.deepcopy(velocity)
+    # the velocity covers the rows from train_from on; the dense copy's
+    # earlier rows start at 0 (their weights are frozen there)
+    dense_velocity = [LayerGrads(np.vstack([np.zeros((o, l.fan_in)), v.weights]),
+                                 np.concatenate([np.zeros(o), v.bias]))
+                      for l, v, o in zip(layers, velocity, offsets)]
     frozen = [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
               for l, o in zip(layers, offsets)]
     old_logits = forward(layers, probe).output[:, :offsets[-1]].tobytes()
@@ -86,8 +93,9 @@ def check_step(layers, velocity, take_step, targets, sel, probe,
     for layer, d, v, dv, o in zip(layers, dense, velocity, dense_velocity, offsets):
         assert_close(layer.weights, d.weights)
         assert_close(layer.bias[o:], d.bias[o:])
-        assert_close(v.weights, dv.weights)
-        assert_close(v.bias[o:], dv.bias[o:])
+        assert not dv.weights[:o].any()
+        assert_close(v.weights, dv.weights[o:])
+        assert_close(v.bias, dv.bias[o:])
     assert frozen == [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
                       for l, o in zip(layers, offsets)]
     assert forward(layers, probe).output[:, :offsets[-1]].tobytes() == old_logits

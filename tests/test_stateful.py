@@ -1,0 +1,260 @@
+"""Random task lifecycles against the dense reference: a stateful property test.
+
+A hypothesis state machine drives ``TaskRun`` itself through random
+sequences of its rules: open the next task under a drawn scope, split
+initialisation and thresholds, with or without a magnitude freeze; take
+one to three steps on drawn batches; end an epoch, with every eligible
+drift kept away from its threshold; close a task after an epoch; and,
+between tasks, save and load the model and predict on
+``2 * BLOCK_ROWS + 1`` rows. It keeps what the engine should
+hold, derived from ``test_dense_oracle``'s reference: the parameters
+(each step's by the reference's dense arithmetic, a round's by the
+revert and copy rules, and only the entries a generator draws from the
+engine), the whole-layer reference velocity, the task's snapshot, and
+whether a round can run.
+
+After every rule it checks that the parameters, the logits of a few
+images and the velocity agree with the reference to 1e-12 relative, and
+that every velocity has its gradient's shape (the layer's rows from
+``train_from`` on) and ``check_masks()`` finds nothing. Each entry of a
+gradient or velocity is a sum that can cancel, so its error is taken
+relative to the sum of the absolute terms behind it
+(``gradient_scales``), and a parameter's relative to the layer's
+largest. A step under ``pss_only`` must also leave the frozen rows and
+the earlier heads' logits bit-identical, and the reference velocity 0
+in the rows the run dropped. A round must split exactly the neurons
+whose reference drift exceeds the threshold of its epoch. The last task
+is never closed, so no example ends with nothing left to train.
+"""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import assume, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from test_dense_oracle import (
+    N_FEATURES,
+    RTOL,
+    assert_close,
+    masks,
+    oracle_forward,
+    oracle_step,
+    tasks,
+    velocity_after_split,
+)
+
+from pss.model_io import load_model, save_model
+from pss.numerics import BLOCK_ROWS
+from pss.plasticity import SPLIT_INITS, PlasticNetwork
+from pss.trainer import SCOPE_CHOICES, TrainerConfig, open_task, rng_for
+
+N_TASKS = 3
+DATA = tasks(N_TASKS)
+PROBE = np.random.default_rng(4).standard_normal((2 * BLOCK_ROWS + 1, N_FEATURES))
+FEW = PROBE[:5]
+TIE = 1e-9  # an eligible drift this close to its threshold, relatively, is a tie
+
+
+def params_of(net):
+    return [(l.weights.copy(), l.bias.copy()) for l in net.layers]
+
+
+def gradient_scales(net, x, y):
+    """Per layer, the largest sum of absolute terms behind one entry of
+    its weight or bias gradient in the reference's backward pass. A
+    gradient is a sum that can cancel, so rounding leaves an error
+    relative to this scale, not to the gradient itself."""
+    pre, post = oracle_forward(net, x)
+    d = np.zeros_like(post[-1])
+    d[:, net.task] = np.abs(1.0 / (1.0 + np.exp(-post[-1][:, net.task])) - y) / len(x)
+    scales = []
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        d = d * np.where(pre[i] > 0, 1.0, layer.activation.slope)
+        inputs = x if i == 0 else post[i - 1]
+        scales.append(max(np.max(d.T @ np.abs(inputs), initial=0.0),
+                          np.max(d.sum(axis=0), initial=0.0)))
+        d = d @ np.abs(layer.weights * masks(net)[i])
+    return scales[::-1]
+
+
+def assert_within(got, want, scale):
+    """Equal shapes, and ``max|got - want| <= RTOL * scale``."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= RTOL * scale
+
+
+class TaskLifecycle(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
+        self.run = None
+        self.params = params_of(self.net)  # what the engine's parameters should be
+        self.velocity = None  # the reference's whole-layer velocity of the open task
+        self.rounds = False  # whether ``end_epoch`` runs a splitting round
+
+    @precondition(lambda self: self.run is None and self.net.task + 1 < N_TASKS)
+    @rule(scope=st.sampled_from(SCOPE_CHOICES), freeze=st.sampled_from([0.0, 0.3]),
+          split_init=st.sampled_from(SPLIT_INITS), sigma=st.sampled_from([1e-6, 0.05]),
+          delta=st.sampled_from([0.0, 0.01]))
+    def open_next_task(self, scope, freeze, split_init, sigma, delta):
+        t = self.net.task + 1
+        config = TrainerConfig(hidden_sizes=(12, 8), sigma=sigma, delta=delta, batch_size=8,
+                               seed=5, freeze_scope=scope, split_init=split_init,
+                               magnitude_freeze_threshold=freeze)
+        self.run = open_task(self.net, DATA[t], config, t)
+        # the new output row is drawn from the engine's generator, with a zero bias
+        out, (w, b) = self.net.output_layer, self.params[-1]
+        assert out.bias[-1] == 0.0
+        self.params[-1] = (np.vstack([w, out.weights[-1:]]), np.append(b, 0.0))
+        self.velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias))
+                         for l in self.net.layers]
+        self.velocity_scales = [0.0] * len(self.net.layers)  # see gradient_scales
+        self.snapshot = params_of(self.net)[:-1]
+        self.split_done = [set() for _ in self.snapshot]
+        self.rounds = t > 0 and scope != "pss_only"
+
+    @precondition(lambda self: self.run is not None)
+    @rule(batches=st.lists(st.lists(st.integers(0, len(DATA[0]) - 1), min_size=1,
+                                    max_size=8, unique=True), min_size=1, max_size=3))
+    def steps(self, batches):
+        for batch in batches:
+            self.step(np.array(batch))
+
+    def step(self, idx):
+        net, run = self.net, self.run
+        data, config = run.data, run.config
+        x, y = data.source[data.rows[idx]], data.y[idx]
+        logits, want_grads, want = oracle_step(
+            net, x, y, self.velocity, config.learning_rate, config.momentum)
+        scales = gradient_scales(net, x, y)
+        offsets = [l.train_from for l in net.layers]
+        frozen = [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
+                  for l, o in zip(net.layers, offsets)]
+        heads = net.predict(FEW)[:, :net.task].tobytes()
+        run.step(idx)
+        assert_close(run.trace.output, logits)
+        for g, (w, b), o, scale in zip(run.grads, want_grads, offsets, scales):
+            assert not w[:o].any() and not b[:o].any()
+            assert_within(g.weights, w[o:], scale)
+            assert_within(g.bias, b[o:], scale)
+        self.velocity_scales = [config.momentum * v + g
+                                for v, g in zip(self.velocity_scales, scales)]
+        self.params = [(w, b) for w, b, _, _ in want]
+        self.velocity = [(v_w, v_b) for _, _, v_w, v_b in want]
+        if net.freeze_scope == "pss_only":
+            assert frozen == [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
+                              for l, o in zip(net.layers, offsets)]
+            assert net.predict(FEW)[:, :net.task].tobytes() == heads
+            for (v_w, v_b), o in zip(self.velocity, offsets):
+                assert not v_w[:o].any() and not v_b[:o].any()
+
+    @precondition(lambda self: self.run is not None)
+    @rule()
+    def end_epoch(self):
+        net, run = self.net, self.run
+        config, epoch = run.config, run.epoch
+        threshold = config.sigma + epoch * config.delta
+        eligible = []
+        if self.rounds:
+            for l, ((sw, sb), layer) in enumerate(zip(self.snapshot, net.hidden_layers)):
+                m, k = sw.shape
+                drift = np.sum((layer.weights[:m, :k] - sw) ** 2, axis=1) \
+                    + (layer.bias[:m] - sb) ** 2
+                eligible += [(l, i, drift[i]) for i in range(m) if i not in self.split_done[l]]
+            assume(all(abs(d - threshold) > TIE * threshold for _, _, d in eligible))
+        splits = [(l, i, d) for l, i, d in eligible if d > threshold]
+        before = self.params
+        report = run.end_epoch()
+        if not self.rounds:
+            assert report is None
+            return
+        assert report.epoch == epoch and report.thresholds == [threshold] * 2
+        assert [(s.layer, s.index) for s in report.splits] == [(l, i) for l, i, _ in splits]
+        assert_close(np.array(report.drifts), np.array([d for _, _, d in splits]))
+        if not splits:
+            return
+        # old entries as they were, new rows and columns from the engine's
+        # generator; each original back at its snapshot; each copy, over the
+        # columns there were before the round, at the original's row then
+        # (drifted) or at its snapshot row (reverted)
+        after = []
+        for layer, (w, b) in zip(net.layers, before):
+            grown_w, grown_b = layer.weights.copy(), layer.bias.copy()
+            grown_w[:w.shape[0], :w.shape[1]], grown_b[:len(b)] = w, b
+            after.append((grown_w, grown_b))
+        for old, new in zip(report.splits, report.new_neurons):
+            (w, b), (sw, sb), (pw, pb) = after[old.layer], self.snapshot[old.layer], \
+                before[old.layer]
+            if config.split_init == "drifted":
+                w[new.index, :pw.shape[1]], b[new.index] = pw[old.index], pb[old.index]
+            else:
+                w[new.index, :pw.shape[1]] = 0.0
+                w[new.index, :sw.shape[1]], b[new.index] = sw[old.index], sb[old.index]
+            w[old.index] = 0.0
+            w[old.index, :sw.shape[1]], b[old.index] = sw[old.index], sb[old.index]
+            self.split_done[old.layer].add(old.index)
+        self.params = after
+        self.velocity = [(v.copy(), b.copy()) for v, b in
+                         velocity_after_split(net, self.velocity, report)]
+        if config.freeze_scope == "hybrid":
+            assert net.freeze_scope == "pss_only"
+            self.rounds = False
+
+    @precondition(lambda self: self.run is not None and self.run.epoch >= 1
+                  and self.net.task + 1 < N_TASKS)  # the last task stays open
+    @rule()
+    def close(self):
+        self.run.close()
+        self.run = None
+
+    @precondition(lambda self: self.run is None and self.net.task >= 0)
+    @rule()
+    def save_and_load(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "model.bin")
+            save_model(path, self.net)
+            loaded = load_model(path)
+        for a, b in zip(loaded.layers, self.net.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+        assert (loaded.hidden_gens, loaded.task, loaded.freeze_scope) == \
+            (self.net.hidden_gens, self.net.task, self.net.freeze_scope)
+        assert loaded.predict(FEW).tobytes() == self.net.predict(FEW).tobytes()
+        self.net = loaded
+
+    @precondition(lambda self: self.run is None and self.net.task >= 0)
+    @rule()
+    def predict(self):
+        assert_close(self.net.predict(PROBE), oracle_forward(self.net, PROBE)[1][-1])
+
+    @invariant()
+    def agrees_with_the_reference(self):
+        net = self.net
+        assert net.check_masks() == []
+        for layer, (w, b) in zip(net.layers, self.params):
+            scale = max(np.max(np.abs(w), initial=0.0), np.max(np.abs(b), initial=0.0))
+            assert_within(layer.weights, w, scale)
+            assert_within(layer.bias, b, scale)
+        if net.task >= 0:
+            assert_close(net.predict(FEW), oracle_forward(net, FEW)[1][-1])
+        if self.run is None:
+            return
+        for i, (layer, v, (v_w, v_b), scale) in enumerate(zip(
+                net.layers, self.run.velocity, self.velocity, self.velocity_scales)):
+            o = layer.train_from
+            assert (v.weights.shape, v.bias.shape) == \
+                (layer.weights[o:].shape, layer.bias[o:].shape)
+            if self.run.grads is not None:
+                g = self.run.grads[i]
+                assert (v.weights.shape, v.bias.shape) == (g.weights.shape, g.bias.shape)
+            assert_within(v.weights, v_w[o:], scale)
+            assert_within(v.bias, v_b[o:], scale)
+
+
+TaskLifecycle.TestCase.settings = settings(
+    derandomize=True, database=None, deadline=None, max_examples=40,
+    stateful_step_count=60)
+test_task_lifecycle = TaskLifecycle.TestCase

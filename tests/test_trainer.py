@@ -314,6 +314,27 @@ class TestTaskSteps:
             assert a.bias.tobytes() == b.bias.tobytes()
 
 
+    @pytest.mark.parametrize("scope", ["hybrid", "pss_only"])
+    def test_velocity_has_the_gradients_shapes_after_every_step(self, scope):
+        """Velocity covers the rows that train: after every step each
+        layer's velocity is shaped like its gradients, before and after the
+        hybrid switch and under ``pss_only`` from task start."""
+        cfg = TrainerConfig(**SMALL, freeze_scope=scope)
+        net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+        scopes = set()
+        for task in small_stream():
+            run = open_task(net, task.train, cfg, task.index)
+            for _ in range(cfg.epochs_per_task):
+                for idx in run.batches():
+                    run.step(idx)
+                    assert [(v.weights.shape, v.bias.shape) for v in run.velocity] == \
+                        [(g.weights.shape, g.bias.shape) for g in run.grads]
+                    scopes.add((net.freeze_scope, any(l.train_from for l in net.layers)))
+                run.end_epoch()
+            run.close()
+        assert ("pss_only", True) in scopes
+        assert (("full_truncated", False) in scopes) == (scope == "hybrid")
+
     def test_a_task_closed_before_any_epoch_reports_no_losses(self):
         cfg = TrainerConfig(**SMALL)
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
