@@ -10,8 +10,8 @@ Each ``train`` and ``eval`` flag sets the ``TrainerConfig`` or
 the field keeps the default its dataclass declares, and ``--help``
 shows that default.
 
-Exit codes: 0 success, 2 bad configuration, 3 data problems
-(missing or malformed files), 4 numerical failures.
+Exit codes: 0 success, 2 bad configuration (sizes too large to allocate
+too), 3 data problems (missing or malformed files), 4 numerical failures.
 """
 
 import argparse
@@ -398,8 +398,8 @@ def main(argv=None):
         except NonFiniteError as e:
             print(f"numerical error: {e}", file=sys.stderr)
             return EXIT_NUMERIC
-        except ValueError as e:
-            print(f"configuration error: {e}", file=sys.stderr)
+        except (ValueError, MemoryError) as e:  # a size flag may ask for too much memory
+            print(f"configuration error: {str(e) or 'out of memory'}", file=sys.stderr)
             return EXIT_CONFIG
 
 

@@ -209,7 +209,6 @@ class TaskDataset:
     rows: np.ndarray
     y: np.ndarray
     task: int
-    positive_class: int
 
     def __post_init__(self):
         self.source = np.asarray(self.source)
@@ -237,7 +236,6 @@ class TaskDataset:
 @dataclass
 class Task:
     index: int
-    positive_class: int
     train: TaskDataset
     test: TaskDataset
 
@@ -262,20 +260,20 @@ class TaskStream:
         return iter(self.tasks)
 
 
-def _binary_set(images, labels, cls, rng, task, cap=None):
-    pos = np.flatnonzero(labels == cls)
-    neg = np.flatnonzero(labels != cls)
+def _binary_set(images, labels, task, rng, cap=None):
+    pos = np.flatnonzero(labels == task)
+    neg = np.flatnonzero(labels != task)
     rng.shuffle(pos)
     if cap is not None:
         pos = pos[:max(1, min(len(pos), int(cap / 2.0)))]
     n_neg = min(len(pos), len(neg))
     if n_neg == 0:
-        raise DataFormatError(f"class {cls}: no negative examples")
+        raise DataFormatError(f"class {task}: no negative examples")
     neg = rng.choice(neg, size=n_neg, replace=False)
     idx = np.concatenate([pos, neg])
     y = np.concatenate([np.ones(len(pos)), np.zeros(n_neg)])
     order = rng.permutation(len(idx))
-    return TaskDataset(images, idx[order], y[order], task, cls)
+    return TaskDataset(images, idx[order], y[order], task)
 
 
 def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
@@ -310,9 +308,9 @@ def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
     tasks = []
     for t, child in enumerate(ss.spawn(n_tasks)):
         rng = np.random.default_rng(child)
-        tr = _binary_set(train.images, train.labels, t, rng, t, cap=per_task_train)
-        te = _binary_set(pool_x, pool_y, t, rng, t)
-        tasks.append(Task(index=t, positive_class=t, train=tr, test=te))
+        tr = _binary_set(train.images, train.labels, t, rng, cap=per_task_train)
+        te = _binary_set(pool_x, pool_y, t, rng)
+        tasks.append(Task(index=t, train=tr, test=te))
     return TaskStream(tasks=tasks, pool_x=pool_x, pool_y=pool_y)
 
 

@@ -60,10 +60,9 @@ def blob_stream(seed=0, train_per_task=300, test_per_task=200):
             idx = np.concatenate([pos, neg])
             lab = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
             order = rng.permutation(len(idx))
-            return TaskDataset(x, idx[order], lab[order], t, t)
+            return TaskDataset(x, idx[order], lab[order], t)
         tx, ty = draw(train_per_task)
-        tasks.append(Task(index=t, positive_class=t,
-                          train=binary(train_per_task, tx, ty),
+        tasks.append(Task(index=t, train=binary(train_per_task, tx, ty),
                           test=binary(test_per_task, pool_x, pool_y)))
     return TaskStream(tasks=tasks, pool_x=pool_x, pool_y=pool_y)
 

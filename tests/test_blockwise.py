@@ -49,7 +49,7 @@ def tasks(n_tasks, n=2 * BLOCK_ROWS + 1, seed=8):
     rng = np.random.default_rng(seed)
     source = rng.standard_normal((n_tasks * n, N_FEATURES))
     return [TaskDataset(source, rng.permutation(len(source))[:n],
-                        rng.integers(0, 2, size=n).astype(float), t, t)
+                        rng.integers(0, 2, size=n).astype(float), t)
             for t in range(n_tasks)]
 
 
@@ -189,7 +189,7 @@ def test_cache_build_sees_one_block_of_images_at_a_time(grown, monkeypatch):
     time, never ``2 * BLOCK_ROWS`` images or more."""
     net, source = grown
     data = TaskDataset(source, np.arange(len(source))[::-1][:2 * BLOCK_ROWS + 1],
-                       np.zeros(2 * BLOCK_ROWS + 1), 0, 0)
+                       np.zeros(2 * BLOCK_ROWS + 1), 0)
     seen = []
     affine = MaskedLayer.affine
 

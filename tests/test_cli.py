@@ -8,6 +8,7 @@ import glob
 import json
 import logging
 import os
+import resource
 import subprocess
 import sys
 
@@ -183,6 +184,30 @@ class TestTrain:
         code = main(["train", "--preset", "mnist", "--out", str(tmp_path)])
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--preset", "synthetic", "--hidden-sizes", "100000000,8"],
+    ["train", "--preset", "synthetic", "--train-size", "1000000000000"],
+    ["gradcheck", "--dims", "1000000000000,3"]], ids=" ".join)
+def test_oversized_flag_is_one_config_error_line(argv, tmp_path):
+    """A size no allocation can hold exits 2 with one stderr line, not a
+    traceback. The child caps its own address space at 4 GiB before it
+    starts, so the allocation fails at once and cannot fill memory."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pss.__file__)))
+    out = ["--out", str(tmp_path)] if argv[0] == "train" else []
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from pss.cli import main; sys.exit(main())",
+         *argv, *out],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap_address_space, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=120)
+    assert done.returncode == EXIT_CONFIG
+    [line] = done.stderr.splitlines()
+    assert line.startswith("configuration error: Unable to allocate")
 
 
 class TestUnusablePaths:

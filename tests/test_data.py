@@ -221,7 +221,7 @@ class TestTaskStream:
         stream = self.make_stream()
         assert len(stream) == 10
         for t, task in enumerate(stream):
-            assert task.index == t and task.positive_class == t
+            assert task.index == t
             assert task.train.y.sum() * 2 == len(task.train.y)
             assert task.test.y.sum() * 2 == len(task.test.y)
 
@@ -269,13 +269,13 @@ class TestTaskStream:
                                       np.arange(4.0), np.zeros(4, dtype=bool)])
     def test_rows_must_be_one_integer_per_example(self, rows):
         with pytest.raises(DataFormatError, match="rows"):
-            TaskDataset(np.zeros((6, 2)), rows, np.zeros(4), 0, 0)
+            TaskDataset(np.zeros((6, 2)), rows, np.zeros(4), 0)
 
     @pytest.mark.parametrize("rows", [None, [0, 1, -1], [0, 1, 3]])
     def test_stream_rejects_test_rows_outside_the_pool(self, rows):
         # a test set's source is the pool, so its own check catches them
         with pytest.raises(DataFormatError, match="rows"):
-            TaskDataset(np.zeros((3, 2)), rows, np.zeros(3), 0, 0)
+            TaskDataset(np.zeros((3, 2)), rows, np.zeros(3), 0)
 
     def test_gathered_images_with_rows_are_rejected(self):
         """Rows index the source images; handing over the gathered
@@ -283,26 +283,26 @@ class TestTaskStream:
         images = np.arange(20.0).reshape(10, 2)
         rows = np.array([9, 2, 7])
         with pytest.raises(DataFormatError, match="source"):
-            TaskDataset(images[rows], rows, np.ones(3), 0, 0)
+            TaskDataset(images[rows], rows, np.ones(3), 0)
         with pytest.raises(DataFormatError, match="rows"):
-            TaskDataset(images[rows], np.ones(3), 0, 0, rows)
+            TaskDataset(images[rows], np.ones(3), 0, rows)
         with pytest.raises(TypeError):
-            TaskDataset(x=images[rows], y=np.ones(3), task=0, positive_class=0, rows=rows)
-        assert TaskDataset(images, rows, np.ones(3), 0, 0).x.tobytes() \
+            TaskDataset(x=images[rows], y=np.ones(3), task=0, rows=rows)
+        assert TaskDataset(images, rows, np.ones(3), 0).x.tobytes() \
             == images[rows].tobytes()
 
     def test_source_is_never_converted(self):
         """A converted source would be one corpus copy per task set."""
         with pytest.raises(DataFormatError, match="float64"):
-            TaskDataset(np.zeros((3, 2), dtype=np.float32), [0, 1, 2], np.zeros(3), 0, 0)
+            TaskDataset(np.zeros((3, 2), dtype=np.float32), [0, 1, 2], np.zeros(3), 0)
         images = np.zeros((3, 2))
-        assert TaskDataset(images, [0, 1, 2], np.zeros(3), 0, 0).source is images
+        assert TaskDataset(images, [0, 1, 2], np.zeros(3), 0).source is images
 
     def test_stream_requires_test_sets_on_the_pool(self):
         pool = np.zeros((3, 2))
-        test = TaskDataset(pool.copy(), [0, 1, 2], np.zeros(3), 0, 0)
+        test = TaskDataset(pool.copy(), [0, 1, 2], np.zeros(3), 0)
         with pytest.raises(DataFormatError, match="pool"):
-            TaskStream([Task(0, 0, test, test)], pool, np.zeros(3))
+            TaskStream([Task(0, test, test)], pool, np.zeros(3))
 
     def test_missing_class_rejected(self):
         train, test = synthetic_digits(60, 30, seed=4)

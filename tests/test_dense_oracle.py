@@ -11,11 +11,23 @@ under ``full_truncated``, the rows with ``gen == task`` under
 ``pss_only``, and the frozen set freezes weights inside them. The
 reference keeps its own whole-layer velocity: zero at task start,
 carried from step to step, and after a round that splits zero for the
-appended neurons and in the rows of each split original. The run keeps
-velocity for the rows from ``train_from`` on only, so those rows are
-compared, and after every ``pss_only`` step the reference's rows before
-``train_from`` must be exactly 0: dropping them loses nothing. The tests
-drive each task's run step by step.
+appended neurons and in the rows of each split original.
+
+``check_step`` is the suite's one step check, and the state machine of
+``test_stateful`` and the cache tests of ``test_pss_only_step`` step
+through it too. It takes one step of a ``TaskRun`` and compares every
+layer's post-activations with the reference to ``RTOL`` of their
+largest entry, and the parameters to ``RTOL`` of the layer's largest
+parameter. Gradients and velocity are compared to ``RTOL`` of
+``gradient_scales``: each of their entries is a sum that can cancel, so
+its rounding error is bounded by the sum of the absolute terms behind
+it, not by the entry. The run keeps gradients and velocity for the rows
+from ``train_from`` on only, so those rows are compared. While some
+``train_from`` is above 0, the check also asserts that each layer's
+cache holds exactly its rows before ``train_from``, that those rows and
+the earlier heads do not change by a bit, and that the reference
+velocity is exactly 0 there: dropping those rows loses nothing. The
+tests here drive each task's run step by step.
 """
 
 import numpy as np
@@ -30,10 +42,15 @@ RTOL = 1e-12
 N_FEATURES = 6
 
 
-def assert_close(got, want):
+def assert_within(got, want, scale):
+    """Equal shapes, and ``max|got - want| <= RTOL * scale``."""
     assert got.shape == want.shape
-    scale = np.max(np.abs(want), initial=0.0)
     assert np.max(np.abs(got - want), initial=0.0) <= RTOL * scale
+
+
+def assert_close(got, want):
+    """Equal shapes, and ``max|got - want| <= RTOL * max|want|``."""
+    assert_within(got, want, np.max(np.abs(want), initial=0.0))
 
 
 def masks(net):
@@ -59,8 +76,9 @@ def oracle_forward(net, x):
 
 
 def oracle_step(net, x, y, velocity, learning_rate, momentum):
-    """Logits, gradients and the parameters and velocity after one SGD step;
-    ``velocity`` is the reference's own, one ``(weights, bias)`` per layer."""
+    """Every layer's post-activations, the gradients, and the parameters and
+    velocity after one SGD step; ``velocity`` is the reference's own, one
+    ``(weights, bias)`` per layer."""
     pre, post = oracle_forward(net, x)
     out = net.output_gens.index(net.task)
     d_post = np.zeros_like(post[-1])
@@ -82,7 +100,66 @@ def oracle_step(net, x, y, velocity, learning_rate, momentum):
         params[i] = (layer.weights - learning_rate * v_w, layer.bias - learning_rate * v_b,
                      v_w, v_b)
         d_post = delta @ (layer.weights * m)
-    return post[-1], grads, params
+    return post, grads, params
+
+
+def gradient_scales(net, x, y):
+    """Per layer, the largest sum of absolute terms behind one entry of
+    its weight or bias gradient in the reference's backward pass. A
+    gradient is a sum that can cancel, so rounding leaves an error
+    relative to this scale, not to the gradient itself."""
+    pre, post = oracle_forward(net, x)
+    d = np.zeros_like(post[-1])
+    d[:, net.task] = np.abs(1.0 / (1.0 + np.exp(-post[-1][:, net.task])) - y) / len(x)
+    scales = []
+    for i, layer, m in reversed(list(zip(range(len(pre)), net.layers, masks(net)))):
+        d = d * np.where(pre[i] > 0, 1.0, slope(net, layer))
+        inputs = x if i == 0 else post[i - 1]
+        scales.append(max(np.max(d.T @ np.abs(inputs), initial=0.0),
+                          np.max(d.sum(axis=0), initial=0.0)))
+        d = d @ np.abs(layer.weights * m)
+    return scales[::-1]
+
+
+def check_step(run, idx, velocity, scales):
+    """Take ``run``'s step on its rows ``idx`` and check it against
+    ``oracle_step`` from the reference's ``velocity``, whose entries are
+    within ``RTOL * scales[i]`` of the run's in layer ``i``. Returns the
+    reference's parameters, velocity and scales after the step."""
+    net, data, config = run.net, run.data, run.config
+    x, y = data.source[data.rows[idx]], data.y[idx]
+    post, want_grads, want = oracle_step(net, x, y, velocity, config.learning_rate,
+                                         config.momentum)
+    grad_scales = gradient_scales(net, x, y)
+    scales = [config.momentum * s + g for s, g in zip(scales, grad_scales)]
+    offsets = [l.train_from for l in net.layers]
+    restricted = any(offsets)
+    if restricted:
+        assert [c.shape[1] for c in run.cache] == offsets
+        frozen = [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
+                  for l, o in zip(net.layers, offsets)]
+        heads = net.predict(x)[:, :offsets[-1]].tobytes()
+    run.step(idx)
+    for got, expected in zip(run.trace.post, post):
+        assert_close(got, expected)
+    for layer, g, v, o, (g_w, g_b), (w, b, v_w, v_b), g_scale, v_scale in zip(
+            net.layers, run.grads, run.velocity, offsets, want_grads, want,
+            grad_scales, scales):
+        assert not g_w[:o].any() and not g_b[:o].any()
+        assert_within(g.weights, g_w[o:], g_scale)
+        assert_within(g.bias, g_b[o:], g_scale)
+        assert not v_w[:o].any() and not v_b[:o].any()  # the rows the run dropped hold 0
+        assert_within(v.weights, v_w[o:], v_scale)
+        assert_within(v.bias, v_b[o:], v_scale)
+        scale = max(np.max(np.abs(w), initial=0.0), np.max(np.abs(b), initial=0.0))
+        assert_within(layer.weights, w, scale)
+        assert_within(layer.bias, b, scale)
+    if restricted:
+        assert frozen == [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
+                          for l, o in zip(net.layers, offsets)]
+        assert net.predict(x)[:, :offsets[-1]].tobytes() == heads
+    return ([(w, b) for w, b, _, _ in want], [(v_w, v_b) for _, _, v_w, v_b in want],
+            scales)
 
 
 def velocity_after_split(net, velocity, split):
@@ -100,33 +177,29 @@ def velocity_after_split(net, velocity, split):
     return grown
 
 
+def frozen_in_open(layer):
+    """Whether the layer's frozen set holds a present weight in a row that trains."""
+    o = layer.train_from
+    return layer.frozen is not None and any(
+        layer.frozen[max(r0, o):r1, :c1].any() for r0, r1, c1 in layer.runs if r1 > o)
+
+
 def replay_task(net, data, config, index):
-    """Train task ``index`` by driving its run, every step replayed through
-    the reference, whose velocity starts at zero and is carried from step
-    to step. Returns each step's first trainable rows (off the gradients'
-    shapes) and if a frozen set was held."""
+    """Train task ``index`` by driving its run, every step through
+    ``check_step``, the reference's velocity zero at task start. Returns
+    per step its batch size, each layer's ``train_from`` and open rows,
+    and whether a frozen set was held and froze a weight in open rows."""
     run, steps = open_task(net, data, config, index), []
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
+    scales = [0.0] * len(net.layers)
     for _ in range(config.epochs_per_task):
         for idx in run.batches():
-            logits, want_grads, want = oracle_step(
-                net, data.source[data.rows[idx]], data.y[idx], velocity,
-                config.learning_rate, config.momentum)
-            run.step(idx)
-            assert_close(run.trace.output, logits)
-            offsets = [l.fan_out - len(g.bias) for l, g in zip(net.layers, run.grads)]
-            for g, (w, b), o in zip(run.grads, want_grads, offsets):
-                assert not w[:o].any() and not b[:o].any()
-                assert_close(g.weights, w[o:])
-                assert_close(g.bias, b[o:])
-            for layer, v, (w, b, v_w, v_b), o in zip(net.layers, run.velocity, want, offsets):
-                for got, expected in ((layer.weights, w), (layer.bias, b),
-                                      (v.weights, v_w[o:]), (v.bias, v_b[o:])):
-                    assert_close(got, expected)
-                if net.freeze_scope == "pss_only":  # the rows the run dropped hold 0
-                    assert not v_w[:o].any() and not v_b[:o].any()
-            velocity = [(v_w, v_b) for _, _, v_w, v_b in want]
-            steps.append((offsets, any(l.frozen is not None for l in net.layers)))
+            steps.append({"batch": len(idx),
+                          "train_from": [l.train_from for l in net.layers],
+                          "open": [l.fan_out - l.train_from for l in net.layers],
+                          "frozen": any(l.frozen is not None for l in net.layers),
+                          "frozen_in_open": any(map(frozen_in_open, net.layers))})
+            _, velocity, scales = check_step(run, idx, velocity, scales)
         split = run.end_epoch()
         if split is not None and split.total_splits:
             velocity = velocity_after_split(net, velocity, split)
@@ -136,31 +209,40 @@ def replay_task(net, data, config, index):
 
 def tasks(n_tasks=3, n=33):
     """Tasks of 33 images, every fourth one all zeros: at a zero bias its
-    pre-activations are exactly 0, where only ``z > 0`` gives the slope."""
+    pre-activations are exactly 0, where only ``z > 0`` gives the slope.
+    With batch size 8 each epoch ends on one image."""
     rng = np.random.default_rng(11)
     sources = [rng.standard_normal((n, N_FEATURES)) for _ in range(n_tasks)]
     for source in sources:
         source[::4] = 0.0
-    return [TaskDataset(source, np.arange(n), rng.integers(0, 2, size=n).astype(float), t, t)
+    return [TaskDataset(source, np.arange(n), rng.integers(0, 2, size=n).astype(float), t)
             for t, source in enumerate(sources)]
 
 
 @pytest.mark.parametrize("scope, freeze", [
-    ("hybrid", 0.0), ("pss_only", 0.0), ("full_truncated", 0.3)])
+    ("hybrid", 0.0), ("hybrid", 0.3), ("pss_only", 0.0), ("full_truncated", 0.3)])
 def test_every_step_and_predict_match_the_dense_reference(scope, freeze):
     config = TrainerConfig(hidden_sizes=(12, 8), sigma=1e-6, delta=0.0, batch_size=8,
                            epochs_per_task=3, seed=5, freeze_scope=scope,
                            magnitude_freeze_threshold=freeze)
     net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
     probe = np.random.default_rng(4).standard_normal((2 * BLOCK_ROWS + 1, N_FEATURES))
-    replayed = []
+    steps = []
     for t, data in enumerate(tasks()):
-        replayed += replay_task(net, data, config, t)
+        steps += replay_task(net, data, config, t)
+        assert net.check_masks() == []
         assert_close(net.predict(probe), oracle_forward(net, probe)[1][-1])
-    assert len(replayed) == 3 * 3 * 5
-    restricted = [offsets for offsets, _ in replayed if any(offsets)]
+    assert len(steps) == 3 * 3 * 5
+    restricted = [s for s in steps if any(s["train_from"])]
     if scope == "full_truncated":
-        assert not restricted and all(frozen for _, frozen in replayed)
+        assert not restricted and all(s["frozen"] for s in steps)
     else:
-        assert restricted and all(min(o[:-1]) > 0 for o in restricted[-5:])
+        assert restricted and all(min(s["train_from"][:-1]) > 0 for s in restricted)
+        assert any(s["batch"] == 1 for s in restricted)
+    if scope == "pss_only":  # tasks 1 and 2, where only the output row trains
+        assert len(restricted) == 2 * 3 * 5
+        assert all(s["open"] == [0, 0, 1] for s in restricted)
+    if scope == "hybrid":  # after the switch the new generation trains in every layer
+        assert all(min(s["open"]) > 0 for s in restricted)
+        assert any(s["frozen_in_open"] for s in restricted) == (freeze > 0)
     assert (net.hidden_sizes() == [12, 8]) == (scope == "pss_only")  # nothing old drifts

@@ -41,7 +41,7 @@ class TestTaskAccuracy:
         net = passthrough_net()
         x = np.array([[1.0, 0, 0], [-1.0, 0, 0], [2.0, 0, 0], [-2.0, 0, 0]])
         data = TaskDataset(x, np.arange(4), np.array([1.0, 0.0, 0.0, 0.0]),
-                           task=0, positive_class=0)
+                           task=0)
         # logits for output 0 are the first feature: predictions 1,0,1,0
         logits = net.predict(data.x)
         assert task_accuracy(logits[:, data.task], data.y) == 0.75

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from pss.data import TaskDataset
 from pss.numerics import (
     IDENTITY,
     Activation,
@@ -24,6 +25,8 @@ from pss.numerics import (
     sgd_step,
     sigmoid,
 )
+from pss.plasticity import PlasticNetwork
+from pss.trainer import TrainerConfig, rng_for, train_task
 
 
 def where_activation(z, activation):
@@ -382,31 +385,58 @@ class TestBackwardTruncated:
              0.3340938860840831 * 0.7 + (-0.2872212584058295) * -0.3],
             rtol=1e-13)
 
-    def test_matches_finite_differences_on_masked_net(self):
-        rng = np.random.default_rng(42)
+    @staticmethod
+    def masked_net(rng):
+        """Random structural zeros and frozen weights in layer 0; output rows
+        0:2 see hidden units :3, row 2 sees all five. Returns the layers, a
+        batch, its targets and the selected outputs."""
         # random structural zeros: zero weights that never train
         keep1 = (rng.random((5, 4)) >= 0.3).astype(float)
         train1 = keep1 * (rng.random((5, 4)) >= 0.3)
         l1 = MaskedLayer(he_normal(5, 4, rng) * keep1, rng.standard_normal(5) * 0.1,
                          frozen=train1 == 0.0, activation=Activation())
-        # output rows 0:2 see hidden units :3, row 2 sees all five
-        runs2 = [(0, 2, 3), (2, 3, 5)]
         w2 = he_normal(3, 5, rng)
         w2[:2, 3:] = 0.0
-        l2 = MaskedLayer(w2, rng.standard_normal(3) * 0.1, runs2)
-        layers = [l1, l2]
+        l2 = MaskedLayer(w2, rng.standard_normal(3) * 0.1, [(0, 2, 3), (2, 3, 5)])
         x = rng.standard_normal((6, 4))
-        y = rng.integers(0, 2, size=(6, 2)).astype(float)
-        sel = [0, 2]
+        return [l1, l2], x, rng.integers(0, 2, size=(6, 2)).astype(float), [0, 2]
+
+    @staticmethod
+    def grown_net(rng):
+        """A network the engine grew over two hybrid tasks: task 1's first
+        round split, so it ends under ``pss_only`` with every hidden
+        ``train_from`` above 0."""
+        net = PlasticNetwork.new(4, [6, 5], rng_for(7, 0))
+        config = TrainerConfig(hidden_sizes=(6, 5), sigma=1e-6, delta=0.0, batch_size=8,
+                               epochs_per_task=2, seed=7)
+        for t in range(2):
+            data = TaskDataset(rng.standard_normal((24, 4)), np.arange(24),
+                               rng.integers(0, 2, size=24).astype(float), t)
+            report = train_task(net, data, config, t)
+        assert report.split_count and net.freeze_scope == "pss_only"
+        assert all(layer.train_from for layer in net.hidden_layers)
+        x = rng.standard_normal((6, 4))
+        return net.layers, x, rng.integers(0, 2, size=6).astype(float), [1]
+
+    @pytest.mark.parametrize("build", ["masked_net", "grown_net"])
+    def test_matches_finite_differences_on_masked_net(self, build):
+        """The rows from ``train_from`` on are the finite differences where
+        a weight trains, and exactly 0 where it is frozen or absent (past
+        its run's prefix, where the loss does not depend on it); every
+        bias from ``train_from`` on trains: a frozen set holds weights only."""
+        layers, x, y, sel = getattr(self, build)(np.random.default_rng(42))
         grads = backward_truncated(layers, forward(layers, x), y, sel)
         fd = finite_diff_grads(layers, x, y, sel)
-        assert l2.frozen is None  # every bias trains: a frozen set holds weights only
         for layer, g, (fw, fb) in zip(layers, grads, fd):
-            np.testing.assert_allclose(g.weights, fw * layer.train_mask, atol=2e-9)
-            np.testing.assert_allclose(g.bias, fb, atol=2e-9)
-        assert np.all(fd[1][0][:2, 3:] == 0.0)      # no edge, no dependence
-        assert np.all(grads[1].weights[:2, 3:] == 0.0)
-        assert np.all(grads[0].weights[keep1 == 0.0] == 0.0)
+            o = layer.train_from
+            np.testing.assert_allclose(g.weights, (fw * layer.train_mask)[o:], atol=2e-9)
+            np.testing.assert_allclose(g.bias, fb[o:], atol=2e-9)
+            for r0, r1, c1 in layer.runs:  # no edge, no dependence
+                assert not fw[r0:r1, c1:].any()
+                assert not g.weights[max(r0 - o, 0):max(r1 - o, 0), c1:].any()
+            if layer.frozen is not None:
+                frozen = layer.frozen[o:]
+                assert not g.weights[:len(frozen), :frozen.shape[1]][frozen].any()
 
     def test_frozen_positions_get_exact_zero(self):
         rng = np.random.default_rng(5)

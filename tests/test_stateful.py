@@ -13,18 +13,17 @@ revert and copy rules, and only the entries a generator draws from the
 engine), the whole-layer reference velocity, the task's snapshot, and
 whether a round can run.
 
-After every rule it checks that the parameters, the logits of a few
-images and the velocity agree with the reference to 1e-12 relative, and
-that every velocity has its gradient's shape (the layer's rows from
-``train_from`` on) and ``check_masks()`` finds nothing. Each entry of a
-gradient or velocity is a sum that can cancel, so its error is taken
-relative to the sum of the absolute terms behind it
-(``gradient_scales``), and a parameter's relative to the layer's
-largest. A step under ``pss_only`` must also leave the frozen rows and
-the earlier heads' logits bit-identical, and the reference velocity 0
-in the rows the run dropped. A round must split exactly the neurons
-whose reference drift exceeds the threshold of its epoch. The last task
-is never closed, so no example ends with nothing left to train.
+Every step goes through ``test_dense_oracle.check_step``, which
+compares the step with the reference: activations, gradients,
+parameters and velocity, the frozen rows, the cache and the earlier
+heads. After every rule the state machine also checks that the
+parameters, the logits of a few images and the velocity agree with the
+reference to 1e-12 relative, by the rules of that check, and that every
+velocity has its gradient's shape (the layer's rows from ``train_from``
+on) and ``check_masks()`` finds nothing. A round must split exactly the
+neurons whose reference drift exceeds the threshold of its epoch. The
+last task is never closed, so no example ends with nothing left to
+train.
 """
 
 import os
@@ -36,11 +35,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 from test_dense_oracle import (
     N_FEATURES,
-    RTOL,
     assert_close,
-    masks,
+    assert_within,
+    check_step,
     oracle_forward,
-    oracle_step,
     tasks,
     velocity_after_split,
 )
@@ -59,31 +57,6 @@ TIE = 1e-9  # an eligible drift this close to its threshold, relatively, is a ti
 
 def params_of(net):
     return [(l.weights.copy(), l.bias.copy()) for l in net.layers]
-
-
-def gradient_scales(net, x, y):
-    """Per layer, the largest sum of absolute terms behind one entry of
-    its weight or bias gradient in the reference's backward pass. A
-    gradient is a sum that can cancel, so rounding leaves an error
-    relative to this scale, not to the gradient itself."""
-    pre, post = oracle_forward(net, x)
-    d = np.zeros_like(post[-1])
-    d[:, net.task] = np.abs(1.0 / (1.0 + np.exp(-post[-1][:, net.task])) - y) / len(x)
-    scales = []
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        d = d * np.where(pre[i] > 0, 1.0, layer.activation.slope)
-        inputs = x if i == 0 else post[i - 1]
-        scales.append(max(np.max(d.T @ np.abs(inputs), initial=0.0),
-                          np.max(d.sum(axis=0), initial=0.0)))
-        d = d @ np.abs(layer.weights * masks(net)[i])
-    return scales[::-1]
-
-
-def assert_within(got, want, scale):
-    """Equal shapes, and ``max|got - want| <= RTOL * scale``."""
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want), initial=0.0) <= RTOL * scale
 
 
 class TaskLifecycle(RuleBasedStateMachine):
@@ -111,7 +84,7 @@ class TaskLifecycle(RuleBasedStateMachine):
         self.params[-1] = (np.vstack([w, out.weights[-1:]]), np.append(b, 0.0))
         self.velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias))
                          for l in self.net.layers]
-        self.velocity_scales = [0.0] * len(self.net.layers)  # see gradient_scales
+        self.velocity_scales = [0.0] * len(self.net.layers)  # see check_step
         self.snapshot = params_of(self.net)[:-1]
         self.split_done = [set() for _ in self.snapshot]
         self.rounds = t > 0 and scope != "pss_only"
@@ -124,32 +97,8 @@ class TaskLifecycle(RuleBasedStateMachine):
             self.step(np.array(batch))
 
     def step(self, idx):
-        net, run = self.net, self.run
-        data, config = run.data, run.config
-        x, y = data.source[data.rows[idx]], data.y[idx]
-        logits, want_grads, want = oracle_step(
-            net, x, y, self.velocity, config.learning_rate, config.momentum)
-        scales = gradient_scales(net, x, y)
-        offsets = [l.train_from for l in net.layers]
-        frozen = [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
-                  for l, o in zip(net.layers, offsets)]
-        heads = net.predict(FEW)[:, :net.task].tobytes()
-        run.step(idx)
-        assert_close(run.trace.output, logits)
-        for g, (w, b), o, scale in zip(run.grads, want_grads, offsets, scales):
-            assert not w[:o].any() and not b[:o].any()
-            assert_within(g.weights, w[o:], scale)
-            assert_within(g.bias, b[o:], scale)
-        self.velocity_scales = [config.momentum * v + g
-                                for v, g in zip(self.velocity_scales, scales)]
-        self.params = [(w, b) for w, b, _, _ in want]
-        self.velocity = [(v_w, v_b) for _, _, v_w, v_b in want]
-        if net.freeze_scope == "pss_only":
-            assert frozen == [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
-                              for l, o in zip(net.layers, offsets)]
-            assert net.predict(FEW)[:, :net.task].tobytes() == heads
-            for (v_w, v_b), o in zip(self.velocity, offsets):
-                assert not v_w[:o].any() and not v_b[:o].any()
+        self.params, self.velocity, self.velocity_scales = check_step(
+            self.run, idx, self.velocity, self.velocity_scales)
 
     @precondition(lambda self: self.run is not None)
     @rule()

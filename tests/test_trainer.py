@@ -84,7 +84,7 @@ class TestTrainTaskAgainstManualLoop:
 
         from pss.data import TaskDataset
         net = PlasticNetwork.new(4, [6], rng_for(cfg.seed, 0), cfg.leaky_slope)
-        train_task(net, TaskDataset(x, np.arange(50), y, 0, 0), cfg, 0)
+        train_task(net, TaskDataset(x, np.arange(50), y, 0), cfg, 0)
 
         # rebuild the same starting point, then update it by hand
         ref = PlasticNetwork.new(4, [6], rng_for(cfg.seed, 0), cfg.leaky_slope)
