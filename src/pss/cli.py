@@ -29,6 +29,7 @@ import numpy as np
 from .container import ContainerError
 from .data import (
     DATA_DIR_ENV,
+    N_CLASSES,
     DataFormatError,
     build_task_stream,
     load_mnist,
@@ -56,7 +57,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 PRESET_CHOICES = ("mnist", "mnist-variation", "synthetic")
-N_CLASSES = 10  # every preset is a ten-class digit corpus
 TRAINER_DEFAULTS = {f.name: f.default for f in fields(TrainerConfig)}
 
 

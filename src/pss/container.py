@@ -3,8 +3,9 @@
 Layout: an 8-byte magic, an 8-byte big-endian header length, a UTF-8
 JSON header, then each array's C-order bytes back to back. The header
 records array names, dtypes and shapes plus a free-form ``meta`` dict.
-Only a small dtype whitelist is accepted so a hostile file cannot
-smuggle object arrays in.
+Every array is float64, the one dtype a model holds; any other is
+refused on write and on read, so a hostile file cannot smuggle in an
+object array.
 """
 
 import json
@@ -15,7 +16,7 @@ import struct
 import numpy as np
 
 HEADER_STRUCT = struct.Struct(">Q")
-ALLOWED_DTYPES = ("float64", "int64", "uint8")
+DTYPE = "float64"
 
 
 class ContainerError(ValueError):
@@ -27,9 +28,9 @@ def write_container(path, magic, meta, arrays):
     if len(magic) != 8:
         raise ContainerError("magic must be exactly 8 bytes")
     arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
-    for arr in arrays.values():
-        if arr.dtype.name not in ALLOWED_DTYPES:
-            raise ContainerError(f"dtype {arr.dtype.name} not allowed in container")
+    for name, arr in arrays.items():
+        if arr.dtype.name != DTYPE:
+            raise ContainerError(f"array {name!r} of dtype {arr.dtype.name}, not {DTYPE}")
     entries = [{"name": name, "dtype": arr.dtype.name, "shape": list(arr.shape)}
                for name, arr in arrays.items()]
     header = json.dumps({"meta": meta, "arrays": entries},
@@ -43,13 +44,13 @@ def write_container(path, magic, meta, arrays):
 
 
 def _entry(entry):
-    """``(name, dtype, shape)`` of one header array entry, validated."""
+    """``(name, shape)`` of one header array entry, validated."""
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str) \
-            or entry.get("dtype") not in ALLOWED_DTYPES \
+            or entry.get("dtype") != DTYPE \
             or not isinstance(entry.get("shape"), list) \
             or not all(type(s) is int and s >= 0 for s in entry["shape"]):
-        raise ContainerError(f"bad array entry {entry!r:.80}: need name, dtype, dims")
-    return entry["name"], entry["dtype"], tuple(entry["shape"])
+        raise ContainerError(f"bad array entry {entry!r:.80}: need name, dtype {DTYPE}, dims")
+    return entry["name"], tuple(entry["shape"])
 
 
 def read_container(path, magic):
@@ -81,15 +82,15 @@ def read_container(path, magic):
         remaining -= header_len
         arrays = {}
         for entry in header["arrays"]:
-            name, dtype, shape = _entry(entry)
+            name, shape = _entry(entry)
             if name in arrays:
                 raise ContainerError(f"array {name!r} named twice")
-            size = math.prod(shape) * np.dtype(dtype).itemsize
+            size = math.prod(shape) * np.dtype(DTYPE).itemsize
             if size > remaining:
                 raise ContainerError(f"truncated array {name!r}")
             remaining -= size
             try:
-                arrays[name] = arr = np.empty(shape, dtype)
+                arrays[name] = arr = np.empty(shape, DTYPE)
             except ValueError as e:  # a zero-size shape numpy cannot hold
                 raise ContainerError(f"array {name!r}: {e}") from e
             if f.readinto(arr.reshape(-1).view(np.uint8)) != size:

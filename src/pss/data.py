@@ -1,14 +1,15 @@
 """Image datasets, task streams and the IDX file format.
 
 A lifelong run consumes a stream of binary one-vs-rest tasks, one per
-class, in ascending class order. Each task's training set pairs every
-image of the task's class with an equal number of sampled images of
-other classes; each task's binary test set is carved the same way out
-of a fixed multiclass evaluation pool (the first ``test_count`` test
-images). A task set holds rows, not images, so every image is stored
-once. Pixel values arrive as uint8 and are scaled by 1/255 into
-float64; the "variation" transform then adds unclipped unit Gaussian
-noise per pixel.
+class, in ascending class order, so a task's index is its class and
+its position in the stream; no task or task set stores it. Each task's
+training set pairs every image of the task's class with an equal
+number of sampled images of other classes; each task's binary test set
+is carved the same way out of a fixed multiclass evaluation pool (the
+first ``test_count`` test images). A task set holds rows, not images,
+so every image is stored once. Pixel values arrive as uint8 and are
+scaled by 1/255 into float64; the "variation" transform then adds
+unclipped unit Gaussian noise per pixel.
 """
 
 import gzip
@@ -31,6 +32,8 @@ MNIST_FILES = {
 }
 
 DATA_DIR_ENV = "PSS_DATA_DIR"
+N_CLASSES = 10  # every corpus is ten digit classes
+PIXELS = 784  # a synthetic image is a flat 28x28 scan
 
 
 class DataFormatError(ValueError):
@@ -164,30 +167,30 @@ def _permute_rows(x, order):
         x[j], order[j] = spare, j
 
 
-def synthetic_digits(n_train, n_test, seed, n_classes=10, pixels=784):
+def synthetic_digits(n_train, n_test, seed):
     """Stand-in corpus with the texture of scaled digit images.
 
     Each class gets a fixed random template in [0, 1]; samples are the
     template plus Gaussian jitter, clipped back into [0, 1]. Classes are
-    exactly balanced (counts are rounded down to a multiple of ``n_classes``)
+    exactly balanced (counts are rounded down to a multiple of ``N_CLASSES``)
     and shuffled in place. Useful wherever real scans are unavailable
     but the pipeline and learning dynamics still need exercising.
     """
     ss = np.random.SeedSequence(seed)
     template_rng, train_rng, test_rng = [np.random.default_rng(c)
                                          for c in ss.spawn(3)]
-    templates = template_rng.uniform(0.0, 1.0, size=(n_classes, pixels))
+    templates = template_rng.uniform(0.0, 1.0, size=(N_CLASSES, PIXELS))
 
     def draw(count, rng, tag):
-        per = count // n_classes
-        x = np.empty((per * n_classes, pixels))
-        for c in range(n_classes):
+        per = count // N_CLASSES
+        x = np.empty((per * N_CLASSES, PIXELS))
+        for c in range(N_CLASSES):
             # rng.normal(0.0, 0.3) is 0.0 + 0.3 * standard_normal: same bits
             block = rng.standard_normal(out=x[c * per:(c + 1) * per])
             block *= 0.3
             block += templates[c]
             np.clip(block, 0.0, 1.0, out=block)
-        y = np.repeat(np.arange(n_classes, dtype=np.int64), per)
+        y = np.repeat(np.arange(N_CLASSES, dtype=np.int64), per)
         order = rng.permutation(len(x))
         _permute_rows(x, order)
         return ImageDataset(x, y[order], tag)
@@ -208,7 +211,6 @@ class TaskDataset:
     source: np.ndarray
     rows: np.ndarray
     y: np.ndarray
-    task: int
 
     def __post_init__(self):
         self.source = np.asarray(self.source)
@@ -221,7 +223,7 @@ class TaskDataset:
                 "task data must be (n, d) float64 images and rows, one per label")
         if np.any((self.rows < 0) | (self.rows >= len(self.source))):
             raise DataFormatError(
-                f"task {self.task}: rows must index the {len(self.source)} source images")
+                f"rows must index the {len(self.source)} source images")
         if len(self.y) and not np.all((self.y == 0.0) | (self.y == 1.0)):
             raise DataFormatError("task labels must be 0 or 1")
 
@@ -235,7 +237,6 @@ class TaskDataset:
 
 @dataclass
 class Task:
-    index: int
     train: TaskDataset
     test: TaskDataset
 
@@ -249,9 +250,9 @@ class TaskStream:
     pool_y: np.ndarray
 
     def __post_init__(self):
-        for task in self.tasks:
+        for t, task in enumerate(self.tasks):
             if task.test.source is not self.pool_x:
-                raise DataFormatError(f"task {task.index}: test rows must index the pool")
+                raise DataFormatError(f"task {t}: test rows must index the pool")
 
     def __len__(self):
         return len(self.tasks)
@@ -273,7 +274,7 @@ def _binary_set(images, labels, task, rng, cap=None):
     idx = np.concatenate([pos, neg])
     y = np.concatenate([np.ones(len(pos)), np.zeros(n_neg)])
     order = rng.permutation(len(idx))
-    return TaskDataset(images, idx[order], y[order], task)
+    return TaskDataset(images, idx[order], y[order])
 
 
 def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
@@ -310,7 +311,7 @@ def build_task_stream(train, test, n_tasks=10, seed=0, per_task_train=None,
         rng = np.random.default_rng(child)
         tr = _binary_set(train.images, train.labels, t, rng, cap=per_task_train)
         te = _binary_set(pool_x, pool_y, t, rng)
-        tasks.append(Task(index=t, train=tr, test=te))
+        tasks.append(Task(train=tr, test=te))
     return TaskStream(tasks=tasks, pool_x=pool_x, pool_y=pool_y)
 
 

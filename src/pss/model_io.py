@@ -58,9 +58,6 @@ def load_model(path):
     names = [f"{k}{i}" for i in range(n) for k in "wb"]
     if set(arrays) != set(names):
         raise ContainerError(f"expected arrays {names}, found {sorted(arrays)}")
-    dtypes = {a.dtype.name for a in arrays.values()}
-    if dtypes - {"float64"}:  # MaskedLayer would convert them silently
-        raise ContainerError(f"arrays of {sorted(dtypes)}, not float64 only")
     try:
         acts = [Activation(meta["activations"][i]["slope"]) for i in range(n - 1)]
         layers = [MaskedLayer(arrays[f"w{i}"], arrays[f"b{i}"], activation=act)

@@ -542,22 +542,22 @@ def _random_masked_net(dims, rng, zero_prob, freeze_prob):
     return layers
 
 
-def gradcheck(layer_dims, seed=0, batch=3, zero_prob=0.0, freeze_prob=0.0,
-              step=1e-5, tolerance=1e-5):
+def gradcheck(layer_dims, seed=0, zero_prob=0.0, freeze_prob=0.0, tolerance=1e-5):
     """Check ``backward_truncated`` against central finite differences.
 
     Builds one random masked network for ``layer_dims`` (first entry is
     the input width, last the output width), a random output selection
-    and random binary targets, then perturbs every parameter by
-    ``+-step``. Trainable positions are compared by relative error;
-    frozen or structurally absent positions must report an exactly zero
-    analytic gradient. The relative-error denominator is floored at 1e-4,
-    which turns the check into a tight absolute test for near-zero
-    gradients instead of an ill-conditioned ratio.
+    and random binary targets for three images, then perturbs every
+    parameter by ``+-1e-5``. Trainable positions are compared by
+    relative error; frozen or structurally absent positions must report
+    an exactly zero analytic gradient. The relative-error denominator is
+    floored at 1e-4, which turns the check into a tight absolute test for
+    near-zero gradients instead of an ill-conditioned ratio.
     """
     dims = [int(d) for d in layer_dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError("layer_dims needs >= 2 entries, all >= 1")
+    batch, step = 3, 1e-5
     rng = np.random.default_rng(seed)
     layers = _random_masked_net(dims, rng, zero_prob, freeze_prob)
     x = rng.standard_normal((batch, dims[0]))

@@ -257,17 +257,16 @@ class PlasticNetwork:
 
     # -- task boundaries ---------------------------------------------------
 
-    def grow_output(self, task):
-        """Open a new task: append its output node, advance the task index.
+    def grow_output(self):
+        """Open task ``task + 1``: append its output node and advance
+        ``task``, the one record of the open task; returns the new index.
 
         The node receives He-initialised weights from every hidden
         neuron of the last layer (all of them are of its generation or
         older) and a zero bias. A magnitude freeze of the previous task
         is dropped.
         """
-        if task != self.task + 1:
-            raise ValueError(f"tasks must be opened in order; next is {self.task + 1}")
-        self.task = task
+        self.task += 1
         out = self.output_layer
         out.weights = np.vstack([out.weights, he_normal(1, out.fan_in, self.rng)])
         out.bias = np.concatenate([out.bias, [0.0]])
@@ -276,7 +275,7 @@ class PlasticNetwork:
             layer.frozen = None
         self.set_structural_freeze(self.freeze_scope)
         self.take_snapshot()
-        return self.n_outputs - 1
+        return self.task
 
     def take_snapshot(self):
         """Record hidden weights as the reference for this task's drift."""

@@ -1,12 +1,14 @@
 """Sequential task training with drift-triggered splitting.
 
-A task trains in steps: ``open_task`` opens its output node, which
-snapshots the hidden weights, and returns a ``TaskRun``; its ``batches``
-cut an epoch into minibatches and its ``step`` trains one, the loss
-gradient entering only at that output; ``end_epoch`` runs a splitting
-round at the thresholds of the epoch just ended (appended and reverted
-neurons restart at zero velocity); ``close`` returns the report. The
-freeze scope decides how much of the old network may move:
+A task trains in steps: ``TaskRun(net, task_data, config)`` opens the
+network's next task (``grow_output`` appends its output node, snapshots
+the hidden weights and advances ``net.task``, the one record of the open
+task); its ``batches`` cut an epoch into minibatches and its ``step``
+trains one, the loss gradient entering only at that output;
+``end_epoch`` runs a splitting round at the thresholds of the epoch
+just ended (appended and reverted neurons restart at zero velocity);
+``close`` returns the report. The freeze scope decides how much of the
+old network may move:
 
 ``hybrid`` (default)
     everything trains until the first split of the task, then only the
@@ -129,27 +131,28 @@ class TaskReport:
 
 
 class TaskRun:
-    """One open task: trainable rows' velocity, frozen-row cache, shuffle generator, report."""
+    """The network's open task ``net.task``: trainable rows' velocity,
+    frozen-row cache, shuffle generator, report."""
 
-    def __init__(self, net, task_data, config, index):
+    def __init__(self, net, task_data, config):
         config.validate()
-        self.net, self.data, self.config, self.index = net, task_data, config, index
+        self.net, self.data, self.config = net, task_data, config
         self.started, self.epoch, self.loss_sum = time.perf_counter(), 0, 0.0
-        net.grow_output(index)
+        task = net.grow_output()
         net.set_structural_freeze(
             "full_truncated" if config.freeze_scope == "hybrid" else config.freeze_scope)
         if config.magnitude_freeze_threshold > 0:
-            log.debug("task %d: %d small weights frozen", index,
+            log.debug("task %d: %d small weights frozen", task,
                       net.freeze_small_weights(config.magnitude_freeze_threshold))
         self.velocity, self.trace, self.grads = init_velocity(net.layers), None, None
         self._cache_frozen_rows()
-        self.shuffle_rng, self.report = rng_for(config.seed, 1, index), TaskReport(task=index)
+        self.shuffle_rng, self.report = rng_for(config.seed, 1, task), TaskReport(task=task)
 
     def _cache_frozen_rows(self):
         """Cache the rows that cannot train and drop their velocity; from
         task 1 on in ``pss_only``, first release the snapshot, which no
         round reads again."""
-        if self.index > 0 and self.net.freeze_scope == "pss_only":
+        if self.net.task > 0 and self.net.freeze_scope == "pss_only":
             self.net.snapshot = None
         for layer, v in zip(self.net.layers, self.velocity):
             drop = len(v.bias) - layer.fan_out + layer.train_from  # 0 unless train_from rose
@@ -166,7 +169,7 @@ class TaskRun:
     def step(self, idx):
         """Train on the task's rows ``idx``, keeping the step's ``trace`` and
         ``grads`` until the epoch ends; returns the batch loss."""
-        xb, yb, sel = self.data.source[self.data.rows[idx]], self.data.y[idx], [self.index]
+        xb, yb, sel = self.data.source[self.data.rows[idx]], self.data.y[idx], [self.net.task]
         self.trace = self.net.trace(xb, self.cache and [c[idx] for c in self.cache])
         loss = selected_bce(self.trace.output, sel, yb)
         self.loss_sum += loss * len(idx)
@@ -184,7 +187,7 @@ class TaskRun:
         net, config, report = self.net, self.config, self.report
         report.epoch_losses.append(self.loss_sum / len(self.data))
         self.loss_sum, self.trace, self.grads = 0.0, None, None
-        splitting = config.splitting_enabled and self.index > 0 and net.snapshot is not None
+        splitting = config.splitting_enabled and net.task > 0 and net.snapshot is not None
         round_report = net.splitting_round(self.epoch, config.sigma, config.delta,
                                            config.split_init) if splitting else None
         report.splits_per_epoch.append(round_report.total_splits if round_report else 0)
@@ -198,7 +201,7 @@ class TaskRun:
             if config.freeze_scope == "hybrid":
                 net.set_structural_freeze("pss_only")
             self._cache_frozen_rows()  # the split reverted frozen rows
-            log.info("task %d epoch %d: %d splits, %d fillers", self.index, self.epoch,
+            log.info("task %d epoch %d: %d splits, %d fillers", net.task, self.epoch,
                      round_report.total_splits, round_report.total_fillers)
         self.epoch += 1
         return round_report
@@ -208,17 +211,14 @@ class TaskRun:
         report.hidden_sizes_after, report.parameter_count_after = \
             net.hidden_sizes(), net.parameter_count()
         log.info("task %d done in %.2fs: sizes %s, epoch losses %s",
-                 self.index, time.perf_counter() - self.started,
+                 net.task, time.perf_counter() - self.started,
                  report.hidden_sizes_after, [round(loss, 4) for loss in report.epoch_losses])
         return report
 
 
-open_task = TaskRun  # open_task(net, task_data, config, index) opens the task
-
-
-def train_task(net, task_data, config, task_index):
-    """Train one binary task end to end on an already-built network."""
-    run = open_task(net, task_data, config, task_index)
+def train_task(net, task_data, config):
+    """Train the network's next task end to end on ``task_data``."""
+    run = TaskRun(net, task_data, config)
     for _ in range(config.epochs_per_task):
         for idx in run.batches():
             run.step(idx)
@@ -249,12 +249,12 @@ def run_lifelong(stream, config, mode="pss"):
                              rng_for(config.seed, 0), config.leaky_slope)
     report = RunReport(mode=mode, seed=config.seed, config=config.to_dict())
     for task in stream:
-        task_report = train_task(net, task.train, config, task.index)
+        task_report = train_task(net, task.train, config)
         problems = net.check_masks()
         if problems:
             raise AssertionError(
-                f"mask invariants violated after task {task.index}: {problems}")
-        row, mc = evaluate_boundary(net, stream, task.index)
+                f"mask invariants violated after task {net.task}: {problems}")
+        row, mc = evaluate_boundary(net, stream, net.task)
         report.accuracy_matrix.append(row)
         report.multiclass.append(mc)
         report.hidden_sizes.append(task_report.hidden_sizes_after)

@@ -60,9 +60,9 @@ def blob_stream(seed=0, train_per_task=300, test_per_task=200):
             idx = np.concatenate([pos, neg])
             lab = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
             order = rng.permutation(len(idx))
-            return TaskDataset(x, idx[order], lab[order], t)
+            return TaskDataset(x, idx[order], lab[order])
         tx, ty = draw(train_per_task)
-        tasks.append(Task(index=t, train=binary(train_per_task, tx, ty),
+        tasks.append(Task(train=binary(train_per_task, tx, ty),
                           test=binary(test_per_task, pool_x, pool_y)))
     return TaskStream(tasks=tasks, pool_x=pool_x, pool_y=pool_y)
 
@@ -124,11 +124,11 @@ class TestCriterion2OldTaskExactness:
         probe = np.concatenate([stream.tasks[0].test.x, stream.tasks[1].test.x])
         matrix = []
         frozen = None
-        for task in stream:
-            train_task(net, task.train, cfg, task.index)
-            row, _ = evaluate_boundary(net, stream, task.index)
+        for t, task in enumerate(stream):
+            train_task(net, task.train, cfg)
+            row, _ = evaluate_boundary(net, stream, t)
             matrix.append(row)
-            if task.index == 1:
+            if t == 1:
                 frozen = net.predict(probe)[:, :2].copy()
         after = net.predict(probe)[:, :2]
         assert np.ascontiguousarray(after).tobytes() == \
@@ -159,7 +159,7 @@ class TestCriterion3StructuralFuzz:
 
         def do_grow():
             nonlocal epoch, sigma, delta
-            net.grow_output(net.task + 1)
+            net.grow_output()
             epoch, sigma = 0, float(rng.uniform(0.01, 2.0))
             delta = float(rng.uniform(0.0, 0.5))
 
@@ -262,8 +262,8 @@ class TestCriterion4ThresholdSchedule:
         schedules at several epochs."""
         def prepared():
             net = PlasticNetwork.new(3, [4, 3], np.random.default_rng(0))
-            net.grow_output(0)
-            net.grow_output(1)
+            net.grow_output()
+            net.grow_output()
             # zero the probed row so snapshot deltas are exact binaries,
             # making drift == threshold representable without rounding
             net.hidden_layers[0].weights[1, :] = 0.0

@@ -19,7 +19,7 @@ from pss.model_io import load_model, save_model
 from pss.numerics import (BLOCK_ROWS, MaskedLayer, backward_truncated, forward,
                           post_activations, row_blocks, sgd_step)
 from pss.plasticity import PlasticNetwork
-from pss.trainer import TrainerConfig, open_task, rng_for, train_task
+from pss.trainer import TaskRun, TrainerConfig, rng_for, train_task
 
 N_FEATURES = 16
 CONFIG = dict(hidden_sizes=(24, 12), sigma=1e-6, delta=0.0, batch_size=64,
@@ -49,8 +49,8 @@ def tasks(n_tasks, n=2 * BLOCK_ROWS + 1, seed=8):
     rng = np.random.default_rng(seed)
     source = rng.standard_normal((n_tasks * n, N_FEATURES))
     return [TaskDataset(source, rng.permutation(len(source))[:n],
-                        rng.integers(0, 2, size=n).astype(float), t)
-            for t in range(n_tasks)]
+                        rng.integers(0, 2, size=n).astype(float))
+            for _ in range(n_tasks)]
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +59,8 @@ def grown():
     with frozen rows in every layer, and the source of its tasks."""
     data = tasks(3)
     net = PlasticNetwork.new(N_FEATURES, [24, 12], rng_for(3, 0))
-    for t, task in enumerate(data):
-        train_task(net, task, TrainerConfig(**CONFIG), t)
+    for task in data:
+        train_task(net, task, TrainerConfig(**CONFIG))
     assert net.freeze_scope == "pss_only"
     assert all(layer.train_from for layer in net.layers)
     assert net.hidden_sizes() != [24, 12]
@@ -111,8 +111,8 @@ def test_one_image_predict_is_the_run_by_run_loop_bitwise(grown, case, tmp_path)
     net.predict(source[:1])  # every layer has built its run plan
     if case == "full_truncated":
         net = PlasticNetwork.new(N_FEATURES, [24, 12], rng_for(3, 0))
-        for t, task in enumerate(tasks(3)):
-            train_task(net, task, TrainerConfig(**CONFIG, freeze_scope=case), t)
+        for task in tasks(3):
+            train_task(net, task, TrainerConfig(**CONFIG, freeze_scope=case))
         assert net.freeze_scope == case and net.hidden_sizes() != [24, 12]
     elif case == "reloaded":
         save_model(tmp_path / "m.pssnet", net)
@@ -127,7 +127,7 @@ def test_one_image_predict_is_the_run_by_run_loop_bitwise(grown, case, tmp_path)
     elif case == "grown and split":
         net = copy.deepcopy(net)
         net.predict(source[:1])
-        net.grow_output(net.task + 1)
+        net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
         net.split_neuron(0, 0)
     assert all(len(layer.runs) > 1 for layer in net.layers)
@@ -156,8 +156,8 @@ def test_head_k_is_the_pass_over_generations_up_to_k(grown, case):
     net, source = grown
     if case != "hybrid":
         net = PlasticNetwork.new(N_FEATURES, [24, 12], rng_for(3, 0))
-        for t, (task, flags) in enumerate(zip(tasks(4), PREFIX_RUNS[case])):
-            train_task(net, task, TrainerConfig(**CONFIG, **flags), t)
+        for task, flags in zip(tasks(4), PREFIX_RUNS[case]):
+            train_task(net, task, TrainerConfig(**CONFIG, **flags))
     assert all(len(set(gens)) > 1 for gens in net.hidden_gens)
     for x in (source[:1], source[:2 * BLOCK_ROWS + 1]):
         logits = net.predict(x)
@@ -174,11 +174,11 @@ def test_old_logits_stay_bit_identical_on_a_multi_block_probe():
     probe = np.random.default_rng(1).standard_normal((2 * BLOCK_ROWS + 1, N_FEATURES))
     net = PlasticNetwork.new(N_FEATURES, [24, 12], rng_for(3, 0))
     for t in (0, 1):
-        train_task(net, data[t], TrainerConfig(**CONFIG), t)
+        train_task(net, data[t], TrainerConfig(**CONFIG))
     assert net.hidden_sizes() != [24, 12]
     before = net.predict(probe)
     for t in (2, 3):
-        train_task(net, data[t], TrainerConfig(**CONFIG, freeze_scope="pss_only"), t)
+        train_task(net, data[t], TrainerConfig(**CONFIG, freeze_scope="pss_only"))
         after = net.predict(probe)
         assert after[:, :t].tobytes() == np.ascontiguousarray(before[:, :t]).tobytes()
         before = after
@@ -189,7 +189,7 @@ def test_cache_build_sees_one_block_of_images_at_a_time(grown, monkeypatch):
     time, never ``2 * BLOCK_ROWS`` images or more."""
     net, source = grown
     data = TaskDataset(source, np.arange(len(source))[::-1][:2 * BLOCK_ROWS + 1],
-                       np.zeros(2 * BLOCK_ROWS + 1), 0)
+                       np.zeros(2 * BLOCK_ROWS + 1))
     seen = []
     affine = MaskedLayer.affine
 
@@ -199,7 +199,7 @@ def test_cache_build_sees_one_block_of_images_at_a_time(grown, monkeypatch):
         return affine(layer, x, start, stop, out)
 
     monkeypatch.setattr(MaskedLayer, "affine", spy)
-    cache = open_task(net, data, TrainerConfig(**CONFIG, freeze_scope="pss_only"), 3).cache
+    cache = TaskRun(net, data, TrainerConfig(**CONFIG, freeze_scope="pss_only")).cache
     assert [len(x) for x in seen] == [BLOCK_ROWS, BLOCK_ROWS + 1]
     assert np.concatenate(seen).tobytes() == data.x.tobytes()
     assert len(cache[0]) == len(data)
@@ -209,8 +209,8 @@ def test_cache_build_peaks_at_the_cache_plus_one_block():
     """Each layer's block is written straight into the cache, so the
     build holds the cache and one block of images, not all of them."""
     net = PlasticNetwork.new(784, [400, 100], rng_for(5, 0))
-    net.grow_output(0)
-    net.grow_output(1)
+    net.grow_output()
+    net.grow_output()
     net.set_structural_freeze("pss_only")
     stops = [layer.train_from for layer in net.layers]
     assert stops == [400, 100, 1]
@@ -224,8 +224,8 @@ def test_cache_build_peaks_at_the_cache_plus_one_block():
 
 def test_predict_peaks_at_its_logits_plus_one_block_of_each_layer():
     net = PlasticNetwork.new(20, [300, 200], np.random.default_rng(1))
-    for task in range(3):
-        net.grow_output(task)
+    for _ in range(3):
+        net.grow_output()
     x = np.random.default_rng(2).standard_normal((2000, 20))
     net.predict(x[:5])  # lazy imports
     logits, peak = traced_peak(net.predict, x)

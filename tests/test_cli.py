@@ -334,7 +334,7 @@ class TestModelVerbs:
     def test_eval_of_a_model_of_another_input_width_is_data_error(self, tmp_path, capsys):
         model = tmp_path / "narrow.pssnet"
         net = PlasticNetwork.new(5, [4, 3], np.random.default_rng(0))
-        net.grow_output(0)
+        net.grow_output()
         save_model(model, net)
         assert main(["eval", "--model", str(model), *STREAM]) == EXIT_DATA
         err = capsys.readouterr().err

@@ -220,8 +220,7 @@ class TestTaskStream:
     def test_ordering_and_balance(self):
         stream = self.make_stream()
         assert len(stream) == 10
-        for t, task in enumerate(stream):
-            assert task.index == t
+        for task in stream:
             assert task.train.y.sum() * 2 == len(task.train.y)
             assert task.test.y.sum() * 2 == len(task.test.y)
 
@@ -269,13 +268,13 @@ class TestTaskStream:
                                       np.arange(4.0), np.zeros(4, dtype=bool)])
     def test_rows_must_be_one_integer_per_example(self, rows):
         with pytest.raises(DataFormatError, match="rows"):
-            TaskDataset(np.zeros((6, 2)), rows, np.zeros(4), 0)
+            TaskDataset(np.zeros((6, 2)), rows, np.zeros(4))
 
     @pytest.mark.parametrize("rows", [None, [0, 1, -1], [0, 1, 3]])
     def test_stream_rejects_test_rows_outside_the_pool(self, rows):
         # a test set's source is the pool, so its own check catches them
         with pytest.raises(DataFormatError, match="rows"):
-            TaskDataset(np.zeros((3, 2)), rows, np.zeros(3), 0)
+            TaskDataset(np.zeros((3, 2)), rows, np.zeros(3))
 
     def test_gathered_images_with_rows_are_rejected(self):
         """Rows index the source images; handing over the gathered
@@ -283,26 +282,26 @@ class TestTaskStream:
         images = np.arange(20.0).reshape(10, 2)
         rows = np.array([9, 2, 7])
         with pytest.raises(DataFormatError, match="source"):
-            TaskDataset(images[rows], rows, np.ones(3), 0)
+            TaskDataset(images[rows], rows, np.ones(3))
         with pytest.raises(DataFormatError, match="rows"):
-            TaskDataset(images[rows], np.ones(3), 0, rows)
+            TaskDataset(images[rows], np.ones(3), rows)
         with pytest.raises(TypeError):
-            TaskDataset(x=images[rows], y=np.ones(3), task=0, rows=rows)
-        assert TaskDataset(images, rows, np.ones(3), 0).x.tobytes() \
+            TaskDataset(x=images[rows], y=np.ones(3), rows=rows)
+        assert TaskDataset(images, rows, np.ones(3)).x.tobytes() \
             == images[rows].tobytes()
 
     def test_source_is_never_converted(self):
         """A converted source would be one corpus copy per task set."""
         with pytest.raises(DataFormatError, match="float64"):
-            TaskDataset(np.zeros((3, 2), dtype=np.float32), [0, 1, 2], np.zeros(3), 0)
+            TaskDataset(np.zeros((3, 2), dtype=np.float32), [0, 1, 2], np.zeros(3))
         images = np.zeros((3, 2))
-        assert TaskDataset(images, [0, 1, 2], np.zeros(3), 0).source is images
+        assert TaskDataset(images, [0, 1, 2], np.zeros(3)).source is images
 
     def test_stream_requires_test_sets_on_the_pool(self):
         pool = np.zeros((3, 2))
-        test = TaskDataset(pool.copy(), [0, 1, 2], np.zeros(3), 0)
+        test = TaskDataset(pool.copy(), [0, 1, 2], np.zeros(3))
         with pytest.raises(DataFormatError, match="pool"):
-            TaskStream([Task(0, test, test)], pool, np.zeros(3))
+            TaskStream([Task(test, test)], pool, np.zeros(3))
 
     def test_missing_class_rejected(self):
         train, test = synthetic_digits(60, 30, seed=4)
@@ -352,9 +351,7 @@ class TestEachImageHeldOnce:
 class TestContainer:
     def test_arrays_and_meta_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        arrays = {"a": rng.random((3, 4)),
-                  "b": rng.integers(0, 9, size=7),
-                  "c": rng.integers(0, 255, size=(2, 2), dtype=np.uint8)}
+        arrays = {"a": rng.random((3, 4)), "b": rng.random(7), "c": rng.random((0, 2))}
         path = tmp_path / "box.bin"
         write_container(path, b"TESTBOX\0", {"k": [1, 2]}, arrays)
         meta, back = read_container(path, b"TESTBOX\0")
@@ -380,7 +377,7 @@ class TestContainer:
         """Arrays go to and come from the file through their own buffers:
         writing copies nothing, reading allocates each array once."""
         rng = np.random.default_rng(2)
-        arrays = {"big": rng.random((500, 300)), "small": rng.integers(0, 9, size=50)}
+        arrays = {"big": rng.random((500, 300)), "small": rng.random(50)}
         path = tmp_path / "box.bin"
         write_container(path, b"TESTBOX\0", {}, arrays)  # warm up lazy imports
         read_container(path, b"TESTBOX\0")
@@ -398,6 +395,11 @@ class TestContainer:
         with pytest.raises(ContainerError, match="dtype"):
             write_container(tmp_path / "box.bin", b"TESTBOX\0", {},
                             {"a": np.array(["strings"], dtype=object)})
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint8"])
+    def test_only_float64_is_written(self, dtype, tmp_path):
+        with pytest.raises(ContainerError, match=f"dtype {dtype}, not float64"):
+            write_container(tmp_path / "box.bin", b"TESTBOX\0", {}, {"a": np.zeros(2, dtype)})
 
 
 class TestFindMnist:

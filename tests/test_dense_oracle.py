@@ -36,7 +36,7 @@ import pytest
 from pss.data import TaskDataset
 from pss.numerics import BLOCK_ROWS
 from pss.plasticity import PlasticNetwork
-from pss.trainer import TrainerConfig, open_task, rng_for
+from pss.trainer import TaskRun, TrainerConfig, rng_for
 
 RTOL = 1e-12
 N_FEATURES = 6
@@ -184,12 +184,12 @@ def frozen_in_open(layer):
         layer.frozen[max(r0, o):r1, :c1].any() for r0, r1, c1 in layer.runs if r1 > o)
 
 
-def replay_task(net, data, config, index):
-    """Train task ``index`` by driving its run, every step through
+def replay_task(net, data, config):
+    """Train the network's next task by driving its run, every step through
     ``check_step``, the reference's velocity zero at task start. Returns
     per step its batch size, each layer's ``train_from`` and open rows,
     and whether a frozen set was held and froze a weight in open rows."""
-    run, steps = open_task(net, data, config, index), []
+    run, steps = TaskRun(net, data, config), []
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
     scales = [0.0] * len(net.layers)
     for _ in range(config.epochs_per_task):
@@ -215,8 +215,8 @@ def tasks(n_tasks=3, n=33):
     sources = [rng.standard_normal((n, N_FEATURES)) for _ in range(n_tasks)]
     for source in sources:
         source[::4] = 0.0
-    return [TaskDataset(source, np.arange(n), rng.integers(0, 2, size=n).astype(float), t)
-            for t, source in enumerate(sources)]
+    return [TaskDataset(source, np.arange(n), rng.integers(0, 2, size=n).astype(float))
+            for source in sources]
 
 
 @pytest.mark.parametrize("scope, freeze", [
@@ -228,8 +228,8 @@ def test_every_step_and_predict_match_the_dense_reference(scope, freeze):
     net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
     probe = np.random.default_rng(4).standard_normal((2 * BLOCK_ROWS + 1, N_FEATURES))
     steps = []
-    for t, data in enumerate(tasks()):
-        steps += replay_task(net, data, config, t)
+    for data in tasks():
+        steps += replay_task(net, data, config)
         assert net.check_masks() == []
         assert_close(net.predict(probe), oracle_forward(net, probe)[1][-1])
     assert len(steps) == 3 * 3 * 5

@@ -40,11 +40,9 @@ class TestTaskAccuracy:
     def test_known_fractions(self):
         net = passthrough_net()
         x = np.array([[1.0, 0, 0], [-1.0, 0, 0], [2.0, 0, 0], [-2.0, 0, 0]])
-        data = TaskDataset(x, np.arange(4), np.array([1.0, 0.0, 0.0, 0.0]),
-                           task=0)
+        data = TaskDataset(x, np.arange(4), np.array([1.0, 0.0, 0.0, 0.0]))
         # logits for output 0 are the first feature: predictions 1,0,1,0
         logits = net.predict(data.x)
-        assert task_accuracy(logits[:, data.task], data.y) == 0.75
         assert task_accuracy(logits[:, 0], data.y) == 0.75
 
 

@@ -127,8 +127,8 @@ def model_file(tmp_path_factory):
     """A small saved network with two generations and structural zeros in
     every layer after the first; returns (path to mutate, valid bytes)."""
     net = PlasticNetwork.new(5, [4, 3], np.random.default_rng(0))
-    net.grow_output(0)
-    net.grow_output(1)
+    net.grow_output()
+    net.grow_output()
     net.hidden_layers[0].weights[0] += 1.0
     net.split_neuron(0, 0)
     net.ensure_support_path()

@@ -21,7 +21,7 @@ def trained_net(seed=1):
                         batch_size=32, epochs_per_task=2, seed=seed)
     net = PlasticNetwork.new(784, [10, 6], rng_for(seed, 0))
     for task in stream:
-        train_task(net, task.train, cfg, task.index)
+        train_task(net, task.train, cfg)
     return net, stream, cfg
 
 
@@ -52,10 +52,15 @@ STRUCTURAL_ZERO = {
 
 def recast_array(path, name, dtype):
     """Rewrite array ``name`` of a saved model as small whole numbers of
-    ``dtype``, a type the container allows but a model file must not hold."""
+    ``dtype``. ``write_container`` refuses any dtype but float64, so the
+    header and the array bytes are written here."""
     meta, arrays = read_container(path, MODEL_MAGIC)
     arrays[name] = np.rint(np.abs(arrays[name]) * 10).astype(dtype)
-    write_container(path, MODEL_MAGIC, meta, arrays)
+    entries = [{"name": k, "dtype": a.dtype.name, "shape": list(a.shape)}
+               for k, a in arrays.items()]
+    header = json.dumps({"meta": meta, "arrays": entries}, sort_keys=True).encode()
+    path.write_bytes(MODEL_MAGIC + struct.pack(">Q", len(header)) + header
+                     + b"".join(a.tobytes() for a in arrays.values()))
 
 
 # Arrays of a container dtype other than float64.
@@ -119,9 +124,11 @@ HOSTILE = {
     "slope true": lambda h: h["meta"]["activations"][0].__setitem__("slope", True),
 }
 # Cases the container reader itself must reject, before any model check.
-CONTAINER_FAULTS = ("missing arrays", "negative shape", "non-integer shape", *CUT)
+CONTAINER_FAULTS = ("missing arrays", "negative shape", "non-integer shape", *CUT,
+                    *WRONG_DTYPE)
 # What the refusal names, where one check alone refuses the file.
 REASONS = {"NaN weight": "NaN/Inf", "Inf bias": "NaN/Inf",
+           "int64 weights": "'int64'", "uint8 bias": "'uint8'",
            "renamed array": "expected arrays",
            **dict.fromkeys(CUT, "truncated container header length")}
 
@@ -164,15 +171,15 @@ class TestSaveLoad:
 
         straight = PlasticNetwork.new(784, [10, 6], rng_for(2, 0))
         for task in stream:
-            train_task(straight, task.train, cfg, task.index)
+            train_task(straight, task.train, cfg)
 
         resumed = PlasticNetwork.new(784, [10, 6], rng_for(2, 0))
-        train_task(resumed, stream.tasks[0].train, cfg, 0)
+        train_task(resumed, stream.tasks[0].train, cfg)
         path = tmp_path / "boundary.pssnet"
         save_model(path, resumed)
         resumed = load_model(path)
-        train_task(resumed, stream.tasks[1].train, cfg, 1)
-        train_task(resumed, stream.tasks[2].train, cfg, 2)
+        train_task(resumed, stream.tasks[1].train, cfg)
+        train_task(resumed, stream.tasks[2].train, cfg)
 
         for a, b in zip(straight.layers, resumed.layers):
             assert a.weights.tobytes() == b.weights.tobytes()

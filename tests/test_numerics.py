@@ -409,10 +409,10 @@ class TestBackwardTruncated:
         net = PlasticNetwork.new(4, [6, 5], rng_for(7, 0))
         config = TrainerConfig(hidden_sizes=(6, 5), sigma=1e-6, delta=0.0, batch_size=8,
                                epochs_per_task=2, seed=7)
-        for t in range(2):
+        for _ in range(2):
             data = TaskDataset(rng.standard_normal((24, 4)), np.arange(24),
-                               rng.integers(0, 2, size=24).astype(float), t)
-            report = train_task(net, data, config, t)
+                               rng.integers(0, 2, size=24).astype(float))
+            report = train_task(net, data, config)
         assert report.split_count and net.freeze_scope == "pss_only"
         assert all(layer.train_from for layer in net.hidden_layers)
         x = rng.standard_normal((6, 4))

@@ -27,8 +27,8 @@ def fresh_net(n_features=3, hidden=(4, 3), seed=0):
     return PlasticNetwork.new(n_features, list(hidden), np.random.default_rng(seed))
 
 
-def open_task(net, task):
-    net.grow_output(task)
+def opened(net):
+    net.grow_output()
     return net
 
 
@@ -87,7 +87,7 @@ class TestGenerationRuns:
 
 class TestSemanticDrift:
     def test_exact_values_from_exact_perturbations(self):
-        net = open_task(fresh_net(), 0)
+        net = opened(fresh_net())
         l0 = net.hidden_layers[0]
         l0.weights[1, 0] += 1.5   # drift 2.25, exactly representable
         l0.weights[2, 1] += 0.5   # drift 0.25
@@ -104,8 +104,8 @@ class TestSemanticDrift:
             net.semantic_drift(0)
 
     def test_new_neurons_report_zero(self):
-        net = open_task(fresh_net(), 0)
-        net.grow_output(1)
+        net = opened(fresh_net())
+        net.grow_output()
         net.hidden_layers[0].weights[0, 0] += 2.0
         net.split_neuron(0, 0)
         d = net.semantic_drift(0)
@@ -118,8 +118,8 @@ class TestSemanticDrift:
 
 class TestSplitNeuron:
     def setup_net(self):
-        net = open_task(fresh_net(), 0)
-        net.grow_output(1)
+        net = opened(fresh_net())
+        net.grow_output()
         return net
 
     def test_revert_restores_snapshot_bits(self):
@@ -219,7 +219,7 @@ class TestSplitNeuron:
         net = self.setup_net()
         net.hidden_layers[0].weights[0] += 1.0
         net.split_neuron(0, 0)
-        net.grow_output(2)
+        net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
         old_tag, new_tag = net.split_neuron(0, 0)
         assert new_tag.generation == 2
@@ -227,8 +227,8 @@ class TestSplitNeuron:
 
 class TestSupportPath:
     def test_fillers_complete_the_path(self):
-        net = open_task(fresh_net(hidden=(4, 3, 3)), 0)
-        net.grow_output(1)
+        net = opened(fresh_net(hidden=(4, 3, 3)))
+        net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
         net.split_neuron(0, 0)
         added = net.ensure_support_path()
@@ -240,8 +240,8 @@ class TestSupportPath:
         assert net.check_masks() == []
 
     def test_filler_feeds_current_output_only(self):
-        net = open_task(fresh_net(), 0)
-        net.grow_output(1)
+        net = opened(fresh_net())
+        net.grow_output()
         added = net.ensure_support_path()  # no split yet, still adds per layer
         tag = [t for t in added if t.layer == 1][0]
         out = net.output_layer
@@ -251,8 +251,8 @@ class TestSupportPath:
 
 class TestSplittingRound:
     def prepared(self):
-        net = open_task(fresh_net(), 0)
-        net.grow_output(1)
+        net = opened(fresh_net())
+        net.grow_output()
         return net
 
     def test_strict_threshold_no_split_at_equality(self):
@@ -307,18 +307,16 @@ class TestSplittingRound:
 class TestGrowOutput:
     def test_sequential_tasks_only(self):
         net = fresh_net()
-        net.grow_output(0)
-        with pytest.raises(ValueError):
-            net.grow_output(2)
-        net.grow_output(1)
+        net.grow_output()
+        net.grow_output()
         assert net.output_gens == [0, 1]
         assert net.task == 1
 
     def test_old_output_rows_keep_their_bits(self):
         net = fresh_net()
-        net.grow_output(0)
+        net.grow_output()
         row0 = net.output_layer.weights[0].copy()
-        net.grow_output(1)
+        net.grow_output()
         assert net.output_layer.weights[0].tobytes() == row0.tobytes()
         assert net.output_layer.bias[0] == 0.0
         assert net.n_outputs == 2
@@ -327,14 +325,14 @@ class TestGrowOutput:
         net = fresh_net()
         x = np.random.default_rng(1).standard_normal((5, 3))
         assert net.predict(x).shape == (5, 0)
-        net.grow_output(0)
+        net.grow_output()
         assert net.predict(x).shape == (5, 1)
 
 
 class TestFreezeScopes:
     def test_pss_only_trains_current_generation_only(self):
-        net = open_task(fresh_net(), 0)
-        net.grow_output(1)
+        net = opened(fresh_net())
+        net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
         net.split_neuron(0, 0)
         net.ensure_support_path()
@@ -356,7 +354,7 @@ class TestFreezeScopes:
         assert np.all(out.train_mask[1] == 1.0)
 
     def test_full_truncated_trains_everything_present(self):
-        net = open_task(fresh_net(), 0)
+        net = opened(fresh_net())
         net.set_structural_freeze("pss_only")
         net.set_structural_freeze("full_truncated")
         for layer in net.layers:
@@ -369,7 +367,7 @@ class TestFreezeScopes:
             net.set_structural_freeze("everything")
 
     def test_magnitude_freeze_survives_scope_rebuild(self):
-        net = open_task(fresh_net(), 0)
+        net = opened(fresh_net())
         l0, l1 = net.hidden_layers
         l0.weights[0, 0] = 0.001
         l0.weights[1, 1] = 5.0
@@ -384,11 +382,11 @@ class TestFreezeScopes:
         assert np.all(l0.train_mask[tag.index] == 1.0)      # grown weights train
         assert np.all(l1.train_mask[:, tag.index] == 1.0)
         assert net.check_masks() == []
-        net.grow_output(1)
+        net.grow_output()
         assert all(l.frozen is None for l in net.layers)    # a new task starts unfrozen
 
     def test_zero_threshold_freezes_nothing(self):
-        net = open_task(fresh_net(), 0)
+        net = opened(fresh_net())
         before = [l.train_mask.copy() for l in net.layers]
         assert net.freeze_small_weights(0.0) == 0
         for b, l in zip(before, net.layers):
@@ -400,9 +398,9 @@ class TestDerivedStructure:
 
     @staticmethod
     def split_net(scope):
-        net = open_task(fresh_net(hidden=(5, 4, 3)), 0)
+        net = opened(fresh_net(hidden=(5, 4, 3)))
         for task in (1, 2):
-            net.grow_output(task)
+            net.grow_output()
             net.hidden_layers[0].weights[task] += 1.0
             net.hidden_layers[2].weights[0] += 1.0
             assert net.splitting_round(epoch=0, sigma=0.5, delta=0.0).total_splits == 2
@@ -465,8 +463,8 @@ class TestDerivedStructure:
         """Peak memory is about the post-activations, not ``forward``'s
         pre- and post-activations of every layer."""
         net = PlasticNetwork.new(20, [300, 200], np.random.default_rng(1))
-        for task in range(3):
-            net.grow_output(task)
+        for _ in range(3):
+            net.grow_output()
         x = np.random.default_rng(2).standard_normal((2000, 20))
         net.predict(x[:5])  # lazy imports
         logits, peak = traced_peak(net.predict, x)
@@ -484,12 +482,12 @@ class TestDerivedStructure:
 
 class TestCheckMasks:
     def test_clean_network_has_no_violations(self):
-        net = open_task(fresh_net(hidden=(5, 4, 3)), 0)
+        net = opened(fresh_net(hidden=(5, 4, 3)))
         assert net.check_masks() == []
 
     def test_detects_weight_at_masked_position(self):
-        net = open_task(fresh_net(), 0)
-        net.grow_output(1)
+        net = opened(fresh_net())
+        net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
         _, tag = net.split_neuron(0, 0)
         net.hidden_layers[1].weights[0, tag.index] = 0.5   # masked edge
@@ -497,8 +495,8 @@ class TestCheckMasks:
             "layer 1: nonzero weight at a structurally masked position"]
 
     def test_frozen_set_opens_no_edge(self):
-        net = open_task(fresh_net(), 0)
-        net.grow_output(1)
+        net = opened(fresh_net())
+        net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
         _, tag = net.split_neuron(0, 0)
         l1 = net.hidden_layers[1]
@@ -510,24 +508,24 @@ class TestCheckMasks:
         assert net.check_masks() == ["layer 1: frozen set must be a 2-D bool array"]
 
     def test_detects_fan_in_mismatch(self):
-        net = open_task(fresh_net(), 0)
+        net = opened(fresh_net())
         l1 = net.hidden_layers[1]
         l1.weights = l1.weights[:, :-1].copy()
         l1.runs = [(0, 3, 3)]
         assert net.check_masks() == ["layer 1: fan-in 3 for 4 units below"]
 
     def test_detects_hidden_tag_newer_than_task(self):
-        net = open_task(fresh_net(), 0)
+        net = opened(fresh_net())
         net.hidden_gens[1][-1] = 1
         assert net.check_masks() == ["hidden tags not all in 0..0"]
 
     def test_detects_disordered_generations(self):
-        net = open_task(fresh_net(), 0)
+        net = opened(fresh_net())
         net.hidden_gens[0][0] = 7
         assert any("non-decreasing" in p for p in net.check_masks())
 
     def test_detects_severed_output_edge(self):
-        net = open_task(fresh_net(), 0)
+        net = opened(fresh_net())
         out = net.output_layer
         assert out.weights[0, -1] != 0.0
         out.runs = [(0, 1, out.fan_in - 1)]                 # live edge severed
@@ -546,14 +544,14 @@ class TestBitExactness:
         probe = rng.standard_normal((17, 3))
 
         # task 0: ordinary full training
-        net.grow_output(0)
+        net.grow_output()
         net.set_structural_freeze("full_truncated")
         x0 = rng.standard_normal((40, 3))
         y0 = rng.integers(0, 2, size=40).astype(float)
         train_steps(net, x0, y0, 0, steps=30)
 
         # task 1: full training, then split everything that drifted
-        net.grow_output(1)
+        net.grow_output()
         net.set_structural_freeze("full_truncated")
         x1 = rng.standard_normal((40, 3)) + 1.0
         y1 = rng.integers(0, 2, size=40).astype(float)
@@ -567,7 +565,7 @@ class TestBitExactness:
         frozen = net.predict(probe)[:, :2].copy()
 
         # task 2: old generations are frozen; only new structure moves
-        net.grow_output(2)
+        net.grow_output()
         net.set_structural_freeze("pss_only")
         x2 = rng.standard_normal((40, 3)) - 1.0
         y2 = rng.integers(0, 2, size=40).astype(float)
@@ -583,12 +581,12 @@ class TestBitExactness:
         rng = np.random.default_rng(3)
         net = PlasticNetwork.new(4, [6, 5], np.random.default_rng(1))
         probe = rng.standard_normal((9, 4))
-        net.grow_output(0)
+        net.grow_output()
         before = net.predict(probe).copy()
-        net.grow_output(1)
+        net.grow_output()
         net.split_neuron(0, 1)                    # forced, drift not required
         net.ensure_support_path()
-        net.grow_output(2)
+        net.grow_output()
         after = net.predict(probe)[:, :1]
         assert np.ascontiguousarray(after).tobytes() == before.tobytes()
 
@@ -596,10 +594,10 @@ class TestBitExactness:
 class TestParameterCount:
     def test_counts_only_present_edges(self):
         net = PlasticNetwork.new(2, [2], np.random.default_rng(0))
-        net.grow_output(0)
+        net.grow_output()
         # 2*2 weights + 2 biases, output 1x2 + 1 bias
         assert net.parameter_count() == 4 + 2 + 2 + 1
-        net.grow_output(1)
+        net.grow_output()
         assert net.parameter_count() == 4 + 2 + 4 + 2
 
     @pytest.mark.parametrize("scope", ["full_truncated", "pss_only"])

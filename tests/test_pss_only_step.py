@@ -19,15 +19,15 @@ from test_dense_oracle import N_FEATURES, assert_close, check_step, velocity_aft
 from pss.data import TaskDataset
 from pss.numerics import IDENTITY, Activation, MaskedLayer, forward, post_activations
 from pss.plasticity import PlasticNetwork
-from pss.trainer import TrainerConfig, open_task, rng_for, train_task
+from pss.trainer import TaskRun, TrainerConfig, rng_for, train_task
 
 
 def odd_tasks(n_tasks=3, n=33):
     """Tasks of 33 images: with batch size 8 each epoch ends on one image."""
     rng = np.random.default_rng(11)
     return [TaskDataset(rng.standard_normal((n, N_FEATURES)), np.arange(n),
-                        rng.integers(0, 2, size=n).astype(float), t)
-            for t in range(n_tasks)]
+                        rng.integers(0, 2, size=n).astype(float))
+            for _ in range(n_tasks)]
 
 
 CONFIG = dict(hidden_sizes=(12, 8), sigma=1e-6, delta=0.0, batch_size=8,
@@ -43,8 +43,8 @@ class TestFrozenCache:
         reference's velocity and scales (see ``check_step``)."""
         net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
         data = odd_tasks()
-        train_task(net, data[0], TrainerConfig(**CONFIG, freeze_scope="full_truncated"), 0)
-        run = open_task(net, data[1], TrainerConfig(**CONFIG), 1)
+        train_task(net, data[0], TrainerConfig(**CONFIG, freeze_scope="full_truncated"))
+        run = TaskRun(net, data[1], TrainerConfig(**CONFIG))
         velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
         scales = [0.0] * len(net.layers)
         for _ in range(5):
@@ -109,7 +109,7 @@ class TestFrozenCache:
         config = TrainerConfig(**CONFIG)
         tasks = odd_tasks(n_tasks=4)
         for t, data in enumerate(tasks):
-            train_task(net, data, config, t)
+            train_task(net, data, config)
             if t:  # the task split, so it ended under pss_only
                 assert min(layer.train_from for layer in net.layers) > 0
                 for x in (data.x, tasks[0].x[:1]):
@@ -169,7 +169,7 @@ class TestFrozenCache:
         config = TrainerConfig(**CONFIG, freeze_scope="pss_only")
         net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
         data = odd_tasks()
-        train_task(net, data[0], config, 0)
+        train_task(net, data[0], config)
         images, alive = [], []
         affine = MaskedLayer.affine
 
@@ -181,15 +181,15 @@ class TestFrozenCache:
             return affine(layer, x, start, stop, out)
 
         monkeypatch.setattr(MaskedLayer, "affine", spy)
-        run = open_task(net, data[1], config, 1)
+        run = TaskRun(net, data[1], config)
         assert len(run.cache) == 3 and alive == [False, False]
 
     def test_build_peaks_at_images_layer_0_block_and_cache(self):
         """No per-run product, bias sum or activation temporary is held
         next to the block being built."""
         net = PlasticNetwork.new(16, [200, 20], rng_for(5, 0))
-        net.grow_output(0)
-        net.grow_output(1)
+        net.grow_output()
+        net.grow_output()
         net.set_structural_freeze("pss_only")
         assert [layer.train_from for layer in net.layers] == [200, 20, 1]
         rows = np.random.default_rng(1).permutation(3000)

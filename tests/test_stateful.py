@@ -23,14 +23,14 @@ velocity has its gradient's shape (the layer's rows from ``train_from``
 on) and ``check_masks()`` finds nothing. A round must split exactly the
 neurons whose reference drift exceeds the threshold of its epoch. The
 last task is never closed, so no example ends with nothing left to
-train.
+train. The machine runs 40 examples from one fixed seed.
 """
 
 import os
 import tempfile
 
 import numpy as np
-from hypothesis import assume, settings
+from hypothesis import assume, seed, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 from test_dense_oracle import (
@@ -46,7 +46,7 @@ from test_dense_oracle import (
 from pss.model_io import load_model, save_model
 from pss.numerics import BLOCK_ROWS
 from pss.plasticity import SPLIT_INITS, PlasticNetwork
-from pss.trainer import SCOPE_CHOICES, TrainerConfig, open_task, rng_for
+from pss.trainer import SCOPE_CHOICES, TaskRun, TrainerConfig, rng_for
 
 N_TASKS = 3
 DATA = tasks(N_TASKS)
@@ -59,6 +59,9 @@ def params_of(net):
     return [(l.weights.copy(), l.bias.copy()) for l in net.layers]
 
 
+# A fixed seed, not ``derandomize``, which seeds from this class's source:
+# an edit that changes no behaviour would change the examples drawn.
+@seed(0)
 class TaskLifecycle(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -77,7 +80,7 @@ class TaskLifecycle(RuleBasedStateMachine):
         config = TrainerConfig(hidden_sizes=(12, 8), sigma=sigma, delta=delta, batch_size=8,
                                seed=5, freeze_scope=scope, split_init=split_init,
                                magnitude_freeze_threshold=freeze)
-        self.run = open_task(self.net, DATA[t], config, t)
+        self.run = TaskRun(self.net, DATA[t], config)
         # the new output row is drawn from the engine's generator, with a zero bias
         out, (w, b) = self.net.output_layer, self.params[-1]
         assert out.bias[-1] == 0.0
@@ -204,6 +207,6 @@ class TaskLifecycle(RuleBasedStateMachine):
 
 
 TaskLifecycle.TestCase.settings = settings(
-    derandomize=True, database=None, deadline=None, max_examples=40,
+    database=None, deadline=None, max_examples=40,
     stateful_step_count=60)
 test_task_lifecycle = TaskLifecycle.TestCase

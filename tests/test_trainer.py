@@ -8,9 +8,9 @@ from pss.data import build_task_stream, synthetic_digits
 from pss.numerics import MaskedLayer
 from pss.plasticity import PlasticNetwork
 from pss.trainer import (
+    TaskRun,
     TrainerConfig,
     evaluate_boundary,
-    open_task,
     rng_for,
     run_baseline_finetune,
     run_lifelong,
@@ -84,11 +84,11 @@ class TestTrainTaskAgainstManualLoop:
 
         from pss.data import TaskDataset
         net = PlasticNetwork.new(4, [6], rng_for(cfg.seed, 0), cfg.leaky_slope)
-        train_task(net, TaskDataset(x, np.arange(50), y, 0), cfg, 0)
+        train_task(net, TaskDataset(x, np.arange(50), y), cfg)
 
         # rebuild the same starting point, then update it by hand
         ref = PlasticNetwork.new(4, [6], rng_for(cfg.seed, 0), cfg.leaky_slope)
-        ref.grow_output(0)
+        ref.grow_output()
         w1 = ref.hidden_layers[0].weights.copy()
         b1 = ref.hidden_layers[0].bias.copy()
         w2 = ref.output_layer.weights.copy()
@@ -129,7 +129,7 @@ class TestTrainTaskAgainstManualLoop:
         cfg = TrainerConfig(**SMALL, splitting_enabled=False,
                             freeze_scope="full_truncated")
         net = PlasticNetwork.new(784, [12, 8], rng_for(cfg.seed, 0))
-        report = train_task(net, stream.tasks[0].train, cfg, 0)
+        report = train_task(net, stream.tasks[0].train, cfg)
         assert report.epoch_losses[-1] < report.epoch_losses[0]
 
 
@@ -231,16 +231,16 @@ class TestHybridScope:
         cfg = TrainerConfig(**dict(SMALL, epochs_per_task=4))
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
         built = []
-        for task in small_stream(n_tasks=4):
-            current["run"] = run = open_task(net, task.train, cfg, task.index)
+        for t, task in enumerate(small_stream(n_tasks=4)):
+            current["run"] = run = TaskRun(net, task.train, cfg)
             builds.clear()
             _, results, caches = drive(run)
             rounds = sum(1 for r in results if r is not None and r.total_splits)
-            assert rounds == (task.index > 0)
-            built += [task.index] * len({id(c) for c in caches if c is not None})
-            assert built.count(task.index) == rounds
+            assert rounds == (t > 0)
+            built += [t] * len({id(c) for c in caches if c is not None})
+            assert built.count(t) == rounds
             assert run.trace is None and run.grads is None
-            if task.index > 0:
+            if t > 0:
                 switch = next(e for e, r in enumerate(results) if r and r.total_splits)
                 assert results[switch + 1:] == [None] * (len(results) - switch - 1)
                 assert net.snapshot is None
@@ -250,11 +250,11 @@ class TestHybridScope:
         for scope in ("full_truncated", "pss_only"):
             cfg = TrainerConfig(**dict(SMALL, epochs_per_task=4), freeze_scope=scope)
             net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
-            for task in small_stream(n_tasks=3):
-                current["run"] = run = open_task(net, task.train, cfg, task.index)
+            for t, task in enumerate(small_stream(n_tasks=3)):
+                current["run"] = run = TaskRun(net, task.train, cfg)
                 snapshot = net.snapshot
                 _, results, _ = drive(run)
-                if task.index == 0:
+                if t == 0:
                     continue
                 if scope == "full_truncated":
                     assert all(r is not None for r in results)
@@ -282,8 +282,8 @@ class TestTaskSteps:
         new order."""
         cfg = TrainerConfig(**SMALL)
         task = small_stream(n_tasks=1).tasks[0]
-        run = open_task(PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0)),
-                        task.train, cfg, 0)
+        run = TaskRun(PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0)),
+                      task.train, cfg)
         want = rng_for(cfg.seed, 1, 0)
         for _ in range(2):
             batches = run.batches()
@@ -299,16 +299,16 @@ class TestTaskSteps:
         cfg = TrainerConfig(**SMALL, freeze_scope=scope)
         nets = [PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
                 for _ in range(2)]
-        for task in small_stream():
-            want = train_task(nets[0], task.train, cfg, task.index)
-            run = open_task(nets[1], task.train, cfg, task.index)
+        for t, task in enumerate(small_stream()):
+            want = train_task(nets[0], task.train, cfg)
+            run = TaskRun(nets[1], task.train, cfg)
             batches, rounds, _ = drive(run)
             got = run.close()
             assert got == want
             assert got.epoch_losses == [sum(loss * n for loss, n in epoch) / len(task.train)
                                         for epoch in batches]
             assert got.splits_per_epoch == [r.total_splits if r else 0 for r in rounds]
-            assert (rounds[0] is None) == (task.index == 0)
+            assert (rounds[0] is None) == (t == 0)
         for a, b in zip(nets[0].layers, nets[1].layers):
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
@@ -323,7 +323,7 @@ class TestTaskSteps:
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
         scopes = set()
         for task in small_stream():
-            run = open_task(net, task.train, cfg, task.index)
+            run = TaskRun(net, task.train, cfg)
             for _ in range(cfg.epochs_per_task):
                 for idx in run.batches():
                     run.step(idx)
@@ -338,7 +338,7 @@ class TestTaskSteps:
     def test_a_task_closed_before_any_epoch_reports_no_losses(self):
         cfg = TrainerConfig(**SMALL)
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
-        report = open_task(net, small_stream(n_tasks=1).tasks[0].train, cfg, 0).close()
+        report = TaskRun(net, small_stream(n_tasks=1).tasks[0].train, cfg).close()
         assert report.epoch_losses == [] and report.splits_per_epoch == []
         assert report.hidden_sizes_after == list(cfg.hidden_sizes)
         assert report.parameter_count_after == net.parameter_count()
@@ -350,8 +350,8 @@ class TestTaskOpening:
         from the start of the task before it."""
         cfg = TrainerConfig(**SMALL, freeze_scope="full_truncated")
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
-        train_task(net, small_stream(n_tasks=2).tasks[0].train, cfg, 0)
-        net.grow_output(1)
+        train_task(net, small_stream(n_tasks=2).tasks[0].train, cfg)
+        net.grow_output()
         assert [float(net.semantic_drift(l).max()) for l in range(2)] == [0.0, 0.0]
         for layer, w, b in zip(net.hidden_layers, net.snapshot.weights, net.snapshot.biases):
             assert w.tobytes() == layer.weights.tobytes()
@@ -366,13 +366,13 @@ class TestTaskOpening:
                             freeze_scope="full_truncated")
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
         firsts = []
-        for task in small_stream(n_tasks=3):
-            _, rounds, _ = drive(open_task(net, task.train, cfg, task.index))
-            if task.index == 0:
+        for t, task in enumerate(small_stream(n_tasks=3)):
+            _, rounds, _ = drive(TaskRun(net, task.train, cfg))
+            if t == 0:
                 assert rounds == [None] * 3
                 continue
             for e, r in enumerate(rounds):
-                assert r.task == task.index and r.epoch == e
+                assert r.task == t and r.epoch == e
                 assert r.thresholds == [0.3 + e * 0.0015, 0.25 + e * 0.25]
             firsts.append(rounds[0].thresholds)
         assert firsts == [[0.3, 0.25], [0.3, 0.25]]
