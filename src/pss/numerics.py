@@ -32,10 +32,13 @@ Each layer keeps the operands of its runs, its *run plan*: per run the
 rows ``r0:r1``, the prefix ``c1``, the weight view
 ``weights[r0:r1, :c1].T`` and the index of the run's columns in the
 result. The plan is built by the first ``affine`` after ``weights`` or
-``runs`` is rebound (a full-layer SGD step, a grown row or column, a
-new structure) and dropped by the rebinding itself, so it never reads a
-replaced array or keeps one alive. In-place writes (a ``pss_only`` step,
-a split's revert) show through its views, and a copied or unpickled
+``runs`` is rebound and dropped by the rebinding itself, so it never
+reads a replaced array or keeps one alive. The weights are rebound by
+an SGD step of a layer that trains from row 0, which swaps in the
+spare its velocity keeps (the replaced array becomes that velocity's
+spare, owned by the velocity alone), by a grown row or column and by a
+new structure. In-place writes (a step from a ``train_from`` above 0, a
+split's revert) show through its views, and a copied or unpickled
 layer builds its own. So a call pays for its BLAS calls, one output
 slice per run and a slice of the input only for a run that sees part of
 it, not for rebuilding every run's operands: on one image through 10
@@ -46,12 +49,15 @@ only input columns before the ``train_from`` of the layer below. A
 training step computes only the rows from ``train_from`` on.
 ``forward`` takes the frozen rows' post-activations from a cache when
 one is given; gradients and velocity (``LayerGrads``) both cover the
-trainable rows only, the only rows ``sgd_step`` reads and writes.
+trainable rows only, the only rows ``sgd_step`` reads and writes. A
+training step allocates no parameter-sized array: ``backward_truncated``
+writes the gradients into the last step's arrays, and ``sgd_step``
+writes into the spares each layer's velocity keeps.
 With ``train_from`` 0 (the default, and every layer outside the
 ``pss_only`` scope) each of them does exactly the dense arithmetic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,7 +120,7 @@ class Activation:
     def derivative(self, a):
         """The derivative at the pre-activations whose activations are ``a``:
         with slope >= 0, ``a > 0`` exactly where the pre-activation is."""
-        return np.where(a > 0, 1.0, self.slope)
+        return np.maximum(a > 0, self.slope)  # np.where(a > 0, 1.0, slope), branch-free
 
 
 IDENTITY = Activation(1.0)
@@ -360,10 +366,15 @@ def post_activations(layers, source, rows=None, stops=None, cached=None, last_on
 
 @dataclass
 class LayerGrads:
-    """Gradients or velocity, shaped like ``weights[train_from:]``, ``bias[train_from:]``."""
+    """Gradients or velocity, shaped like ``weights[train_from:]``, ``bias[train_from:]``.
+
+    A velocity also keeps ``spare``, the arrays ``sgd_step`` writes the
+    next velocity and parameters into: None until its first step, and
+    set to None by an owner that no longer needs them."""
 
     weights: np.ndarray
     bias: np.ndarray
+    spare: tuple = field(default=None, repr=False, compare=False)
 
 
 def _selection(selected_outputs, targets, n, out_dim):
@@ -390,7 +401,7 @@ def _selection(selected_outputs, targets, n, out_dim):
     return sel, y
 
 
-def backward_truncated(layers, trace, targets, selected_outputs):
+def backward_truncated(layers, trace, targets, selected_outputs, out=None):
     """Gradients of the truncated mean BCE loss for every layer.
 
     The loss is the mean binary cross-entropy of ``sigmoid`` over the
@@ -406,24 +417,31 @@ def backward_truncated(layers, trace, targets, selected_outputs):
     trainable rows get exactly the dense gradient.
 
     ``targets`` is ``(n, k)`` with columns aligned to the selection
-    order, or ``(n,)`` when a single output is selected.
+    order, or ``(n,)`` when a single output is selected. ``out``, when
+    given, holds the previous step's gradients: each weight gradient is
+    written into its layer's array there while the shape still matches,
+    so those arrays then hold this step's gradients.
     """
     if len(trace.post) != len(layers):
         raise DimensionError("trace layer count does not match layers")
-    out = trace.output
-    sel, y = _selection(selected_outputs, targets, *out.shape)
+    final = trace.output
+    sel, y = _selection(selected_outputs, targets, *final.shape)
 
     # dL/da at the selected outputs; everything else stays exactly zero.
-    d_post = np.zeros_like(out)
-    d_post[:, sel] = (sigmoid(out[:, sel]) - y) / y.size
+    d_post = np.zeros_like(final)
+    d_post[:, sel] = (sigmoid(final[:, sel]) - y) / y.size
 
     grads = [None] * len(layers)
     top = layers[-1]
-    delta = d_post[:, top.train_from:] * top.activation.derivative(out[:, top.train_from:])
+    delta = d_post[:, top.train_from:] * top.activation.derivative(final[:, top.train_from:])
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         o = layer.train_from
-        d_w = delta.T @ trace.layer_input(i)
+        x = trace.layer_input(i)
+        reuse = None if out is None else out[i].weights
+        if reuse is not None and reuse.shape != (delta.shape[1], x.shape[1]):
+            reuse = None
+        d_w = np.matmul(delta.T, x, out=reuse)
         d_b = delta.sum(axis=0)
         for r0, r1, c1 in layer.runs:
             if r1 > o:
@@ -438,9 +456,9 @@ def backward_truncated(layers, trace, targets, selected_outputs):
 
 
 def _zero_frozen(a, frozen, o):
-    # zero ``a``, weight rows ``o:`` of a layer, where its ``frozen`` set holds
+    # zero ``a``, weight rows ``o:o + len(a)`` of a layer, where its ``frozen`` set does
     if frozen is not None:
-        rows = frozen[o:]
+        rows = frozen[o:o + len(a)]
         a[:len(rows), :rows.shape[1]] *= ~rows  # a multiply: masked stores are slower
 
 
@@ -460,6 +478,12 @@ def pad_velocity(velocity, layers):
     return out
 
 
+# Entries per block of ``sgd_step``: 256 KiB of float64 in each of the five
+# arrays a block touches (velocity, gradient, parameters and the two it
+# writes), which stay within a 2 MB L2 cache.
+SGD_BLOCK = 32768
+
+
 def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
     """One SGD-with-momentum update of the trainable rows, all or nothing.
 
@@ -467,40 +491,59 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
     and ``grads`` and ``velocity`` have exactly their shape; ``grads``
     are zero past every run's prefix (as ``backward_truncated`` returns
     them), so structural zeros stay 0.0. A weight in a layer's ``frozen``
-    set does not move and its velocity is forced to exactly 0. Every
-    shape is checked, and every new velocity and parameter computed and
-    checked, before any is stored, so a ``DimensionError`` or
+    set does not move and its velocity is forced to exactly 0.
+
+    Every shape is checked first. Then, one block of ``SGD_BLOCK``
+    entries' rows at a time, each layer's new velocity ``m * v + g`` and
+    new parameters ``w + (-lr * v')`` are computed, each rounded as in a
+    whole-array pass, into the spares its velocity keeps (``LayerGrads``,
+    made on the first step and whenever the velocity's shape changed),
+    and each block is checked for finiteness. Only after every layer has
+    passed is anything stored: the new velocity is swapped in, and a
+    whole layer's new weights and bias are swapped in too; from a
+    ``train_from`` above 0 the new rows are copied into place. The
+    replaced arrays become the next step's spares, so a step allocates
+    no parameter-sized array, and a ``DimensionError`` or
     ``NonFiniteError`` leaves layers and velocity as they were.
     """
     if velocity is None:
         velocity = init_velocity(layers)
     if len(grads) != len(layers) or len(velocity) != len(layers):
         raise DimensionError("grads/velocity length does not match layers")
-    staged = []
     for layer, g, v in zip(layers, grads, velocity):
         o = layer.train_from
         rows = (layer.weights[o:].shape, layer.bias[o:].shape)
         if not (g.weights.shape, g.bias.shape) == (v.weights.shape, v.bias.shape) == rows:
             raise DimensionError(f"gradient or velocity not shaped like the rows {o}: of a layer")
-        v_w = v.weights * momentum
-        v_w += g.weights
-        v_b = v.bias * momentum
+    for layer, g, v in zip(layers, grads, velocity):
+        shapes = (v.weights.shape, v.bias.shape)
+        if v.spare is None or (v.spare[0].shape, v.spare[1].shape) != shapes:
+            v.spare = tuple(np.empty(shape) for shape in shapes * 2)
+        v_w, v_b, w, b = v.spare
+        o, step = layer.train_from, max(SGD_BLOCK // max(layer.fan_in, 1), 1)
+        for r in range(0, len(w), step):
+            block = slice(r, r + step)
+            v_block = np.multiply(v.weights[block], momentum, out=v_w[block])
+            v_block += g.weights[block]
+            _zero_frozen(v_block, layer.frozen, o + r)
+            # w + (-lr * v) rounds exactly as w - lr * v, with no temporary
+            w_block = np.multiply(v_block, -learning_rate, out=w[block])
+            w_block += layer.weights[o + r:o + r + step]
+            if not np.isfinite(w_block).all():
+                raise NonFiniteError("non-finite parameter after SGD update")
+        np.multiply(v.bias, momentum, out=v_b)
         v_b += g.bias
-        _zero_frozen(v_w, layer.frozen, o)
-        # w + (-lr * v) rounds exactly as w - lr * v, with one temporary less
-        w = v_w * -learning_rate
-        w += layer.weights[o:]
-        b = v_b * -learning_rate
+        np.multiply(v_b, -learning_rate, out=b)
         b += layer.bias[o:]
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        if not np.isfinite(b).all():
             raise NonFiniteError("non-finite parameter after SGD update")
-        staged.append((o, v_w, v_b, w, b))
-    for layer, v, (o, v_w, v_b, w, b) in zip(layers, velocity, staged):
-        v.weights, v.bias = v_w, v_b
-        if o:  # frozen rows stay put
-            layer.weights[o:], layer.bias[o:] = w, b
-        else:  # a whole layer is rebound, saving a copy
-            layer.weights, layer.bias = w, b
+    for layer, v in zip(layers, velocity):
+        v_w, v_b, w, b = v.spare
+        if layer.train_from:  # frozen rows stay put
+            layer.weights[layer.train_from:], layer.bias[layer.train_from:] = w, b
+        else:  # a whole layer is swapped, its old arrays kept as spares
+            w, b, layer.weights, layer.bias = layer.weights, layer.bias, w, b
+        v.spare, v.weights, v.bias = (v.weights, v.bias, w, b), v_w, v_b
     return velocity
 
 

@@ -4,11 +4,14 @@ A task trains in steps: ``TaskRun(net, task_data, config)`` opens the
 network's next task (``grow_output`` appends its output node, snapshots
 the hidden weights and advances ``net.task``, the one record of the open
 task); its ``batches`` cut an epoch into minibatches and its ``step``
-trains one, the loss gradient entering only at that output;
-``end_epoch`` runs a splitting round at the thresholds of the epoch
-just ended (appended and reverted neurons restart at zero velocity);
-``close`` returns the report. The freeze scope decides how much of the
-old network may move:
+trains one, the loss gradient entering only at that output (the step's
+``grads`` are valid until the next step, which writes its own into
+their arrays); ``end_epoch`` runs a splitting round at the thresholds
+of the epoch just ended (appended and reverted neurons restart at zero
+velocity); ``close`` returns the report. The snapshot is held only
+while a round can read it: it is released when the task opens in task
+0 and with splitting off, and when the network enters ``pss_only``.
+The freeze scope decides how much of the old network may move:
 
 ``hybrid`` (default)
     everything trains until the first split of the task, then only the
@@ -23,15 +26,16 @@ Under ``pss_only`` (from task start, or from the hybrid switch on) a
 step computes only the current generation's rows. On entering the
 scope the run caches every frozen row's post-activation over the
 task's training set (``PlasticNetwork.frozen_activations``) and drops
-the frozen rows' velocity; each step takes the batch's rows of that
-cache, and backward, velocity and SGD cover the trainable rows only. A splitting
-round that splits reverts frozen rows, so the cache is rebuilt after
-it. From task 1 on, in ``pss_only`` every snapshot row is frozen: its
-drift stays put while the threshold only grows, so no round can split
-again. The run therefore releases the snapshot before it builds the
-cache and runs no more rounds; under ``hybrid`` the switching round is
-the task's last. Batches, and each block of images a cache is built
-from, are gathered from the shared training images.
+the frozen rows' velocity, with the spares ``sgd_step`` keeps; each
+step takes the batch's rows of that cache, and backward, velocity and
+SGD cover the trainable rows only. A splitting round that splits
+reverts frozen rows, so the cache is rebuilt after it. From task 1
+on, in ``pss_only`` every snapshot row is frozen: its drift stays put
+while the threshold only grows, so no round can split again. The run
+therefore releases the snapshot before it builds the cache and runs no
+more rounds; under ``hybrid`` the switching round is the task's last.
+Batches, and each block of images a cache is built from, are gathered
+from the shared training images.
 
 The baseline runner trains the same architecture with splitting
 disabled and everything trainable, which is plain multi-head
@@ -149,16 +153,17 @@ class TaskRun:
         self.shuffle_rng, self.report = rng_for(config.seed, 1, task), TaskReport(task=task)
 
     def _cache_frozen_rows(self):
-        """Cache the rows that cannot train and drop their velocity; from
-        task 1 on in ``pss_only``, first release the snapshot, which no
-        round reads again."""
-        if self.net.task > 0 and self.net.freeze_scope == "pss_only":
-            self.net.snapshot = None
-        for layer, v in zip(self.net.layers, self.velocity):
+        """Release the snapshot if no round can read it again (in task 0,
+        with splitting off, and in ``pss_only``), then cache the rows that
+        cannot train and drop their velocity, spares and all."""
+        net = self.net
+        if net.task == 0 or not self.config.splitting_enabled or net.freeze_scope == "pss_only":
+            net.snapshot = None
+        for layer, v in zip(net.layers, self.velocity):
             drop = len(v.bias) - layer.fan_out + layer.train_from  # 0 unless train_from rose
             if drop:
-                v.weights, v.bias = v.weights[drop:].copy(), v.bias[drop:].copy()
-        self.cache = self.net.frozen_activations(self.data.source, self.data.rows)
+                v.weights, v.bias, v.spare = v.weights[drop:].copy(), v.bias[drop:].copy(), None
+        self.cache = net.frozen_activations(self.data.source, self.data.rows)
 
     def batches(self):
         """One epoch's minibatches: the task's row indices in the next
@@ -168,28 +173,33 @@ class TaskRun:
 
     def step(self, idx):
         """Train on the task's rows ``idx``, keeping the step's ``trace`` and
-        ``grads`` until the epoch ends; returns the batch loss."""
+        ``grads`` until the next step or the epoch's end (the next step
+        writes its gradients into these arrays); returns the batch loss."""
+        self.trace = None  # the last step's trace is not held while this one is made
         xb, yb, sel = self.data.source[self.data.rows[idx]], self.data.y[idx], [self.net.task]
         self.trace = self.net.trace(xb, self.cache and [c[idx] for c in self.cache])
         loss = selected_bce(self.trace.output, sel, yb)
         self.loss_sum += loss * len(idx)
-        self.grads = backward_truncated(self.net.layers, self.trace, yb, sel)
+        self.grads = backward_truncated(self.net.layers, self.trace, yb, sel, self.grads)
         self.velocity = sgd_step(self.net.layers, self.grads, self.config.learning_rate,
                                  self.config.momentum, self.velocity)
         return loss
 
     def end_epoch(self):
         """Record the epoch loss, drop the last step's ``trace`` and ``grads``
-        and run the splitting round at this epoch's thresholds, from task 1
-        on while the snapshot is held (unless splitting is off); returns the
-        round's ``SplitReport`` or None. After a split, velocity is 0 in the
-        rows and columns of appended neurons and the rows of split originals."""
+        and, while the snapshot is held, drop the velocity's spares and run
+        the splitting round at this epoch's thresholds; returns the round's
+        ``SplitReport`` or None. After a split, velocity is 0 in the rows
+        and columns of appended neurons and the rows of split originals."""
         net, config, report = self.net, self.config, self.report
         report.epoch_losses.append(self.loss_sum / len(self.data))
         self.loss_sum, self.trace, self.grads = 0.0, None, None
-        splitting = config.splitting_enabled and net.task > 0 and net.snapshot is not None
-        round_report = net.splitting_round(self.epoch, config.sigma, config.delta,
-                                           config.split_init) if splitting else None
+        round_report = None
+        if net.snapshot is not None:
+            for v in self.velocity:  # not held through a round, which may grow the layers
+                v.spare = None
+            round_report = net.splitting_round(self.epoch, config.sigma, config.delta,
+                                               config.split_init)
         report.splits_per_epoch.append(round_report.total_splits if round_report else 0)
         if round_report and round_report.total_splits:
             report.split_count += round_report.total_splits

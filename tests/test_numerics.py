@@ -1,5 +1,6 @@
 """Unit tests for the masked-layer numerics core."""
 
+import copy
 import weakref
 
 import numpy as np
@@ -13,6 +14,7 @@ from pss.numerics import (
     LayerGrads,
     MaskedLayer,
     MaskError,
+    SGD_BLOCK,
     NonFiniteError,
     backward_truncated,
     forward,
@@ -306,6 +308,17 @@ class TestForward:
         assert got is z and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
+    def test_derivative_is_where_without_a_branch(self, slope):
+        """``np.maximum(a > 0, slope)`` is ``np.where(a > 0, 1.0, slope)``
+        bit for bit, on signed zeros, subnormals and +-1e300."""
+        tiny = np.finfo(np.float64).smallest_subnormal
+        a = np.random.default_rng(3).standard_normal((64, 312))
+        a[0, :8] = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e300, -1e300]
+        want = np.where(a > 0, 1.0, slope)
+        got = Activation(slope).derivative(a)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
     @pytest.mark.parametrize("n", [1, 64, 65, 769])
     def test_in_place_activation_and_derivative_are_where_at_chunk_edges(self, slope, n):
         """Bitwise ``np.where`` on signed zeros, denormals and the largest
@@ -539,22 +552,57 @@ class TestSgdStep:
         assert np.all(layer.weights[conn == 0.0] == 0.0)
         layer.validate()
 
-    def test_non_finite_update_changes_nothing(self):
+    WIDE = SGD_BLOCK // 4  # a layer this wide takes K = 4 rows per block of sgd_step
+    K = SGD_BLOCK // WIDE
+
+    # in a WIDE layer of 3K + 3 rows, blocks start at rows 0, K, 2K and 3K
+    @pytest.mark.parametrize("fan_out, fan_in, train_from, frozen_rows, overflow", [
+        (3, 4, 0, None, (1, 1, 2)),  # only the last layer overflows
+        (3 * K + 3, WIDE, 0, None, (0, K + 1, 5)),  # the second block of four
+        (3 * K + 3, WIDE, 0, None, (1, 1, 2)),  # a later layer, after a multi-block one
+        # rows 2 + K - 1 and 2 + K freeze, on both sides of a block edge
+        (3 * K + 3, WIDE, 2, (2 + K - 1, 2 + K + 1), (0, 2 + 2 * K + 1, 3)),
+    ], ids=["last-layer", "middle-block", "after-multi-block", "frozen-across-block-edge"])
+    def test_non_finite_update_changes_nothing(self, fan_out, fan_in, train_from,
+                                               frozen_rows, overflow):
+        """A step that overflows anywhere stores nothing, and what it
+        wrote into the spares carries nothing over: a finite step from
+        that state equals the same step on a fresh copy."""
         rng = np.random.default_rng(19)
-        layers = [MaskedLayer(rng.standard_normal((3, 4)), rng.standard_normal(3)),
-                  MaskedLayer(rng.standard_normal((2, 3)), rng.standard_normal(2))]
-        vel = [LayerGrads(rng.standard_normal(l.weights.shape),
-                          rng.standard_normal(l.bias.shape)) for l in layers]
-        grads = [LayerGrads(rng.standard_normal(l.weights.shape),
-                            rng.standard_normal(l.bias.shape)) for l in layers]
-        grads[1].weights[1, 2] = 1e308     # only the last layer overflows
-        before = [(l.weights.tobytes(), l.bias.tobytes(), v.weights.tobytes(),
-                   v.bias.tobytes()) for l, v in zip(layers, vel)]
+        layers = [MaskedLayer(rng.standard_normal((fan_out, fan_in)),
+                              rng.standard_normal(fan_out)),
+                  MaskedLayer(rng.standard_normal((2, fan_out)), rng.standard_normal(2))]
+        layers[0].train_from = train_from
+        if frozen_rows:
+            layers[0].frozen = np.zeros((fan_out, 7), dtype=bool)
+            layers[0].frozen[slice(*frozen_rows), 1:6] = True
+
+        def draw():
+            return [LayerGrads(rng.standard_normal(l.weights[l.train_from:].shape),
+                               rng.standard_normal(l.bias[l.train_from:].shape))
+                    for l in layers]
+
+        vel, grads = draw(), draw()
+        layer, row, col = overflow
+        grads[layer].weights[row - layers[layer].train_from, col] = 1e308
+        fresh_layers, fresh_vel = copy.deepcopy(layers), copy.deepcopy(vel)
+
+        def state(layers, vel):
+            return [(l.weights.tobytes(), l.bias.tobytes(), v.weights.tobytes(),
+                     v.bias.tobytes()) for l, v in zip(layers, vel)]
+
+        before = state(layers, vel)
         with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
             sgd_step(layers, grads, 10.0, 0.9, vel)
-        after = [(l.weights.tobytes(), l.bias.tobytes(), v.weights.tobytes(),
-                  v.bias.tobytes()) for l, v in zip(layers, vel)]
+        after = state(layers, vel)
         assert after == before
+        for finite in (draw(), draw()):
+            sgd_step(layers, finite, 0.1, 0.9, vel)
+            sgd_step(fresh_layers, finite, 0.1, 0.9, fresh_vel)
+            assert state(layers, vel) == state(fresh_layers, fresh_vel)
+        if frozen_rows:
+            frozen = layers[0].frozen[train_from:]
+            assert not vel[0].weights[:len(frozen), :7][frozen].any()
 
     def test_a_replaced_weights_array_is_freed(self):
         """A step of a whole layer rebinds its weights: the run plan that

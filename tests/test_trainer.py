@@ -1,11 +1,13 @@
 """Unit tests for the sequential task trainer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pss import trainer
 from pss.data import build_task_stream, synthetic_digits
-from pss.numerics import MaskedLayer
+from pss.numerics import SGD_BLOCK, MaskedLayer
 from pss.plasticity import PlasticNetwork
 from pss.trainer import (
     TaskRun,
@@ -191,6 +193,26 @@ class TestBaseline:
         assert all(sizes == [12, 8] for sizes in report.hidden_sizes)
         assert net.n_outputs == 3
 
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_no_snapshot_is_held_where_no_round_can_read_it(self, baseline):
+        """In task 0 and with splitting off the snapshot is released when
+        the task opens, and no round runs; from task 1 on with splitting
+        it is held and every epoch runs a round, before which the
+        velocity's spares are dropped. Without a round they are kept."""
+        cfg = TrainerConfig(**SMALL, freeze_scope="full_truncated",
+                            splitting_enabled=not baseline)
+        net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+        for t, task in enumerate(small_stream(n_tasks=2)):
+            run = TaskRun(net, task.train, cfg)
+            held = net.snapshot is not None
+            assert held == (t > 0 and not baseline)
+            for _ in range(cfg.epochs_per_task):
+                for idx in run.batches():
+                    run.step(idx)
+                assert (run.end_epoch() is not None) == held
+                assert (net.snapshot is not None) == held
+                assert all((v.spare is None) == held for v in run.velocity)
+
     def test_original_config_not_mutated(self):
         stream = small_stream(n_tasks=2)
         cfg = TrainerConfig(**SMALL)
@@ -334,6 +356,33 @@ class TestTaskSteps:
             run.close()
         assert ("pss_only", True) in scopes
         assert (("full_truncated", False) in scopes) == (scope == "hybrid")
+
+    def test_a_dense_step_allocates_nothing_parameter_sized(self):
+        """From the second step of an epoch on, a step of a dense task
+        writes its gradients into the last step's arrays and its velocity
+        and weights into the spares it keeps, so the traced peak rise of a
+        step stays below the size of the largest weight array."""
+        cfg = TrainerConfig(**dict(SMALL, hidden_sizes=(96, 8)))
+        net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+        run = TaskRun(net, small_stream(n_tasks=1).tasks[0].train, cfg)
+        largest = max(l.weights.nbytes for l in net.layers)
+        assert net.layers[0].fan_out >= 2 * (SGD_BLOCK // net.layers[0].fan_in)  # >= 2 blocks
+        rises = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                first, *rest = run.batches()
+                run.step(first)
+                for idx in rest:
+                    current, _ = tracemalloc.get_traced_memory()
+                    tracemalloc.reset_peak()
+                    run.step(idx)
+                    rises.append(tracemalloc.get_traced_memory()[1] - current)
+                run.end_epoch()
+        finally:
+            tracemalloc.stop()
+        assert not any(l.train_from for l in net.layers)
+        assert len(rises) >= 4 and max(rises) < largest
 
     def test_a_task_closed_before_any_epoch_reports_no_losses(self):
         cfg = TrainerConfig(**SMALL)
