@@ -9,6 +9,8 @@ drift is the squared L2 distance between its current incoming weights
 threshold is split: a copy carrying the drifted weights is appended as
 a new neuron of the current generation, and the original is reverted
 to its snapshot so whatever it encoded for earlier tasks is restored.
+A splitting round appends each layer's copies, or its support filler,
+in one edit (``_append_hidden``), layer by layer from the first.
 
 Generations are isolated by one connectivity rule for every layer,
 output nodes included (output node ``j`` belongs to generation ``j``):
@@ -68,11 +70,6 @@ class Snapshot:
 
     weights: list
     biases: list
-
-    @classmethod
-    def of(cls, network):
-        return cls(weights=[l.weights.copy() for l in network.hidden_layers],
-                   biases=[l.bias.copy() for l in network.hidden_layers])
 
 
 def drift_thresholds(sigma, delta, n_layers, epoch):
@@ -279,7 +276,8 @@ class PlasticNetwork:
 
     def take_snapshot(self):
         """Record hidden weights as the reference for this task's drift."""
-        self.snapshot = Snapshot.of(self)
+        self.snapshot = Snapshot([l.weights.copy() for l in self.hidden_layers],
+                                 [l.bias.copy() for l in self.hidden_layers])
         return self.snapshot
 
     # -- drift and splitting -------------------------------------------------
@@ -303,41 +301,42 @@ class PlasticNetwork:
         drift[:m0] += (layer.bias[:m0] - snap_b) ** 2
         return drift
 
-    def _append_hidden(self, layer_index, incoming, bias_value):
-        """Append one neuron of the current generation to a hidden layer.
+    def _append_hidden(self, layer_index, rows, biases):
+        """Append current-generation neurons, one incoming row over the full
+        fan-in and one bias each, to a hidden layer in one edit: one
+        ``vstack``, one ``hstack`` of the next layer, one
+        ``set_structural_freeze``. Returns the first new neuron's index.
 
-        ``incoming`` covers the layer's full current fan-in. In the next
-        layer, current-generation units (hidden neurons, or this task's
-        output node) get a random incoming weight from the new neuron,
-        drawn in row order; every older unit, hidden or output, gets a
-        structural zero.
+        In the next layer, current-generation units (hidden neurons, or
+        this task's output node) get a random weight from each new neuron,
+        older units a structural zero. The columns are drawn neuron by
+        neuron in row order, neuron ``j`` at std ``sqrt(2 / (fan_in + j +
+        1))`` over the next layer's fan-in before the edit.
         """
         layer = self.hidden_layers[layer_index]
-        incoming = np.asarray(incoming, dtype=np.float64)
-        if incoming.shape != (layer.fan_in,):
-            raise DimensionError("incoming row does not match layer fan-in")
-        layer.weights = np.vstack([layer.weights, incoming[None, :]])
-        layer.bias = np.concatenate([layer.bias, [float(bias_value)]])
-        self.hidden_gens[layer_index].append(self.task)
-
+        n, first = len(rows), layer.fan_out
+        if np.shape(rows) != (n, layer.fan_in) or np.shape(biases) != (n,):
+            raise DimensionError("incoming rows and biases do not match the layer")
+        layer.weights = np.vstack([layer.weights, rows])
+        layer.bias = np.concatenate([layer.bias, biases])
+        self.hidden_gens[layer_index] += [self.task] * n
         down = self.layers[layer_index + 1]
-        down_gens = (self.hidden_gens + [self.output_gens])[layer_index + 1]
-        live = np.asarray(down_gens) >= self.task
-        col = np.zeros((down.fan_out, 1))
-        std = np.sqrt(2.0 / max(down.fan_in + 1, 1))
-        col[live, 0] = self.rng.normal(0.0, std, size=int(live.sum()))
-        down.weights = np.hstack([down.weights, col])
+        live = np.asarray((self.hidden_gens + [self.output_gens])[layer_index + 1]) >= self.task
+        std = np.sqrt(2.0 / (down.fan_in + np.arange(1, n + 1)))
+        cols = np.zeros((down.fan_out, n))
+        cols[live] = self.rng.normal(0.0, std[:, None], size=(n, int(live.sum()))).T
+        down.weights = np.hstack([down.weights, cols])
         self.set_structural_freeze(self.freeze_scope)
-        return layer.fan_out - 1
+        return first
 
-    def split_neuron(self, layer_index, neuron_index, split_init="drifted"):
-        """Split one drifted neuron: revert the original, append a copy.
-
-        The copy belongs to the current generation and starts from the
-        drifted incoming weights (``split_init="drifted"``) or from the
-        snapshot row (``"reverted"``). The original gets its snapshot
-        weights and bias back. Each neuron may split at most once per
-        task, and only neurons that existed at the snapshot may split.
+    def split_neurons(self, layer_index, indices, split_init="drifted"):
+        """Split neurons of one layer: revert each original to its snapshot
+        row and bias, and append the copies in one ``_append_hidden``, in
+        the order of ``indices``, from the drifted rows
+        (``split_init="drifted"``) or the snapshot rows (``"reverted"``).
+        Each index must be in the snapshot, not split yet this task and
+        not repeated; on any refusal nothing changes. Returns the
+        originals' tags and the copies' tags.
         """
         if split_init not in SPLIT_INITS:
             raise ValueError(f"unknown split_init {split_init!r}")
@@ -345,33 +344,28 @@ class PlasticNetwork:
             raise ValueError("no snapshot; grow_output opens a task and takes one")
         snap_w = self.snapshot.weights[layer_index]
         snap_b = self.snapshot.biases[layer_index]
-        if not 0 <= neuron_index < snap_w.shape[0]:
-            raise ValueError(
-                f"neuron {neuron_index} of layer {layer_index} is not in the snapshot")
-        if neuron_index in self._split_done[layer_index]:
-            raise ValueError(
-                f"neuron {neuron_index} of layer {layer_index} already split this task")
-
-        layer = self.hidden_layers[layer_index]
-        k0 = snap_w.shape[1]
+        done, indices = self._split_done[layer_index], list(indices)
+        for i in indices:
+            if not 0 <= i < snap_w.shape[0]:
+                raise ValueError(f"neuron {i} of layer {layer_index} is not in the snapshot")
+            if i in done:
+                raise ValueError(f"neuron {i} of layer {layer_index} already split this task")
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"a neuron of layer {layer_index} is repeated in {indices}")
+        layer, k0 = self.hidden_layers[layer_index], snap_w.shape[1]
         if split_init == "drifted":
-            incoming = layer.weights[neuron_index].copy()
-            bias_value = float(layer.bias[neuron_index])
+            rows, biases = layer.weights[indices], layer.bias[indices]
         else:
-            incoming = np.zeros(layer.fan_in)
-            incoming[:k0] = snap_w[neuron_index]
-            bias_value = float(snap_b[neuron_index])
-
-        # revert the original before the append resizes anything
-        layer.weights[neuron_index, :k0] = snap_w[neuron_index]
-        layer.weights[neuron_index, k0:] = 0.0
-        layer.bias[neuron_index] = snap_b[neuron_index]
-
-        new_index = self._append_hidden(layer_index, incoming, bias_value)
-        self._split_done[layer_index].add(neuron_index)
-        return (NeuronTag(layer_index, neuron_index,
-                          self.hidden_gens[layer_index][neuron_index]),
-                NeuronTag(layer_index, new_index, self.task))
+            rows, biases = np.zeros((len(indices), layer.fan_in)), snap_b[indices]
+            rows[:, :k0] = snap_w[indices]
+        layer.weights[indices, :k0] = snap_w[indices]
+        layer.weights[indices, k0:] = 0.0
+        layer.bias[indices] = snap_b[indices]
+        first = self._append_hidden(layer_index, rows, biases)
+        done.update(indices)
+        gens = self.hidden_gens[layer_index]
+        return ([NeuronTag(layer_index, i, gens[i]) for i in indices],
+                [NeuronTag(layer_index, first + j, self.task) for j in range(len(indices))])
 
     def ensure_support_path(self):
         """Give every hidden layer a current-generation neuron.
@@ -381,13 +375,12 @@ class PlasticNetwork:
         layer holds a generation-``g`` neuron there is a path from the
         input through generation-``g`` structure to that output node.
         Layers that already have one are left alone; the rest get a
-        He-initialised filler.
+        He-initialised filler, appended by ``_append_hidden``.
         """
         added = []
         for l, layer in enumerate(self.hidden_layers):
             if self.task not in self.hidden_gens[l]:
-                filler = he_normal(1, layer.fan_in, self.rng)[0]
-                idx = self._append_hidden(l, filler, 0.0)
+                idx = self._append_hidden(l, he_normal(1, layer.fan_in, self.rng), [0.0])
                 added.append(NeuronTag(l, idx, self.task))
         return added
 
@@ -396,20 +389,25 @@ class PlasticNetwork:
 
         The thresholds are ``drift_thresholds`` at ``epoch``, the epoch
         the report records; the comparison is strict, so drift exactly
-        at the threshold does not split. If anything split, every hidden
-        layer is topped up with a support filler; each appended neuron
-        has already derived the layers' structure again.
+        at the threshold does not split. Each layer, from the first,
+        splits in one ``split_neurons`` edit, so its copies are fixed
+        before the next layer is edited. If anything split, each layer
+        still without a current-generation neuron gets a support filler
+        (``ensure_support_path``); a layer that split has one, so each
+        layer grows in at most one edit per round.
         """
         thresholds = drift_thresholds(sigma, delta, self.n_hidden_layers, epoch)
         report = SplitReport(task=self.task, epoch=epoch, thresholds=thresholds)
         drifts = [self.semantic_drift(l) for l in range(self.n_hidden_layers)]
-        for l in range(self.n_hidden_layers):
-            for i in range(self.snapshot.weights[l].shape[0]):
-                if i not in self._split_done[l] and drifts[l][i] > thresholds[l]:
-                    old_tag, new_tag = self.split_neuron(l, i, split_init)
-                    report.splits.append(old_tag)
-                    report.new_neurons.append(new_tag)
-                    report.drifts.append(float(drifts[l][i]))
+        for l, (drift, threshold) in enumerate(zip(drifts, thresholds)):
+            # rows appended after the snapshot drift 0.0, never above a threshold
+            chosen = [i for i in np.flatnonzero(drift > threshold).tolist()
+                      if i not in self._split_done[l]]
+            if chosen:
+                originals, copies = self.split_neurons(l, chosen, split_init)
+                report.splits += originals
+                report.new_neurons += copies
+                report.drifts += [float(drift[i]) for i in chosen]
         if report.total_splits:
             report.fillers = self.ensure_support_path()
         return report

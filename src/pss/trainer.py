@@ -173,7 +173,7 @@ class TaskRun:
 
     def step(self, idx):
         """Train on the task's rows ``idx``, keeping the step's ``trace`` and
-        ``grads`` until the next step or the epoch's end (the next step
+        ``grads`` until the next step or splitting round (the next step
         writes its gradients into these arrays); returns the batch loss."""
         self.trace = None  # the last step's trace is not held while this one is made
         xb, yb, sel = self.data.source[self.data.rows[idx]], self.data.y[idx], [self.net.task]
@@ -186,17 +186,18 @@ class TaskRun:
         return loss
 
     def end_epoch(self):
-        """Record the epoch loss, drop the last step's ``trace`` and ``grads``
-        and, while the snapshot is held, drop the velocity's spares and run
-        the splitting round at this epoch's thresholds; returns the round's
-        ``SplitReport`` or None. After a split, velocity is 0 in the rows
-        and columns of appended neurons and the rows of split originals."""
+        """Record the epoch loss and, while the snapshot is held, run the
+        splitting round at this epoch's thresholds, first dropping the last
+        step's ``trace``, ``grads`` and velocity spares (with no round the
+        next step writes into them); returns its ``SplitReport`` or None.
+        After a split, velocity is 0 in the rows and columns of appended
+        neurons and the rows of split originals."""
         net, config, report = self.net, self.config, self.report
         report.epoch_losses.append(self.loss_sum / len(self.data))
-        self.loss_sum, self.trace, self.grads = 0.0, None, None
-        round_report = None
-        if net.snapshot is not None:
-            for v in self.velocity:  # not held through a round, which may grow the layers
+        self.loss_sum, round_report = 0.0, None
+        if net.snapshot is not None:  # none is held through a round, which may grow the layers
+            self.trace, self.grads = None, None
+            for v in self.velocity:
                 v.spare = None
             round_report = net.splitting_round(self.epoch, config.sigma, config.delta,
                                                config.split_init)

@@ -170,8 +170,8 @@ class TestCriterion3StructuralFuzz:
             eligible = [i for i in range(net.snapshot.weights[l].shape[0])
                         if i not in net._split_done[l]]
             if eligible:
-                net.split_neuron(l, int(rng.choice(eligible)),
-                                 "drifted" if rng.random() < 0.5 else "reverted")
+                net.split_neurons(l, [int(rng.choice(eligible))],
+                                  "drifted" if rng.random() < 0.5 else "reverted")
 
         def do_round():
             if net.snapshot is None:

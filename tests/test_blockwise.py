@@ -129,7 +129,7 @@ def test_one_image_predict_is_the_run_by_run_loop_bitwise(grown, case, tmp_path)
         net.predict(source[:1])
         net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
-        net.split_neuron(0, 0)
+        net.split_neurons(0, [0])
     assert all(len(layer.runs) > 1 for layer in net.layers)
     for i in range(0, len(source), 97):
         x = source[i:i + 1]

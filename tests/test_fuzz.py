@@ -130,7 +130,7 @@ def model_file(tmp_path_factory):
     net.grow_output()
     net.grow_output()
     net.hidden_layers[0].weights[0] += 1.0
-    net.split_neuron(0, 0)
+    net.split_neurons(0, [0])
     net.ensure_support_path()
     assert all((l.conn_mask == 0.0).any() for l in net.layers[1:])
     path = tmp_path_factory.mktemp("fuzz") / "model.pssnet"

@@ -14,9 +14,11 @@ from pss.numerics import (
     NonFiniteError,
     backward_truncated,
     forward,
+    he_normal,
     sgd_step,
 )
 from pss.plasticity import (
+    NeuronTag,
     PlasticNetwork,
     drift_thresholds,
     generation_runs,
@@ -107,7 +109,7 @@ class TestSemanticDrift:
         net = opened(fresh_net())
         net.grow_output()
         net.hidden_layers[0].weights[0, 0] += 2.0
-        net.split_neuron(0, 0)
+        net.split_neurons(0, [0])
         d = net.semantic_drift(0)
         assert d[0] == 0.0          # reverted
         assert d[-1] == 0.0         # the copy is not in the snapshot
@@ -129,7 +131,7 @@ class TestSplitNeuron:
         net.hidden_layers[0].weights[1] += 0.7
         net.hidden_layers[0].bias[1] -= 0.3
         drifted = net.hidden_layers[0].weights[1].copy()
-        old_tag, new_tag = net.split_neuron(0, 1)
+        [old_tag], [new_tag] = net.split_neurons(0, [1])
         l0 = net.hidden_layers[0]
         assert l0.weights[1].tobytes() == snap_row.tobytes()
         assert l0.bias[1] == snap_bias
@@ -140,14 +142,14 @@ class TestSplitNeuron:
     def test_reverted_init_copies_snapshot_instead(self):
         net = self.setup_net()
         net.hidden_layers[0].weights[0] += 1.0
-        _, new_tag = net.split_neuron(0, 0, split_init="reverted")
+        _, [new_tag] = net.split_neurons(0, [0], split_init="reverted")
         l0 = net.hidden_layers[0]
         assert l0.weights[new_tag.index].tobytes() == l0.weights[0].tobytes()
 
     def test_downstream_column_masking(self):
         net = self.setup_net()
         net.hidden_layers[0].weights[2] += 1.0
-        _, new_tag = net.split_neuron(0, 2)
+        _, [new_tag] = net.split_neurons(0, [2])
         l1 = net.hidden_layers[1]
         col = new_tag.index
         # every neuron in the next layer is still generation 0: masked out
@@ -158,7 +160,7 @@ class TestSplitNeuron:
     def test_last_layer_split_protects_old_outputs(self):
         net = self.setup_net()
         net.hidden_layers[1].weights[0] += 1.0
-        _, new_tag = net.split_neuron(1, 0)
+        _, [new_tag] = net.split_neurons(1, [0])
         out = net.output_layer
         col = new_tag.index
         assert out.conn_mask[0, col] == 0.0           # task 0 does not see gen 1
@@ -178,9 +180,9 @@ class TestSplitNeuron:
     def test_same_generation_downstream_edge_is_live(self):
         net = self.setup_net()
         net.hidden_layers[1].weights[1] += 1.0
-        net.split_neuron(1, 1)                         # layer 1 gets a gen-1 neuron
+        net.split_neurons(1, [1])                      # layer 1 gets a gen-1 neuron
         net.hidden_layers[0].weights[0] += 1.0
-        _, new_tag = net.split_neuron(0, 0)
+        _, [new_tag] = net.split_neurons(0, [0])
         l1 = net.hidden_layers[1]
         col = new_tag.index
         gen1_rows = [i for i, g in enumerate(net.hidden_gens[1]) if g == 1]
@@ -192,11 +194,11 @@ class TestSplitNeuron:
         net = self.setup_net()
         for i in range(3):                             # layer 1: 3 gen-0, 3 gen-1 rows
             net.hidden_layers[1].weights[i] += 1.0
-            net.split_neuron(1, i)
+            net.split_neurons(1, [i])
         ref = copy.deepcopy(net.rng)
         std = np.sqrt(2.0 / (net.hidden_layers[1].fan_in + 1))
         net.hidden_layers[0].weights[0] += 1.0
-        _, new_tag = net.split_neuron(0, 0)
+        _, [new_tag] = net.split_neurons(0, [0])
         expected = [0.0] * 3 + [ref.normal(0.0, std) for _ in range(3)]
         col = net.hidden_layers[1].weights[:, new_tag.index]
         assert col.tobytes() == np.array(expected).tobytes()
@@ -205,23 +207,23 @@ class TestSplitNeuron:
     def test_split_preconditions(self):
         net = self.setup_net()
         net.hidden_layers[0].weights[0] += 1.0
-        net.split_neuron(0, 0)
+        net.split_neurons(0, [0])
         with pytest.raises(ValueError):
-            net.split_neuron(0, 0)                     # once per task
+            net.split_neurons(0, [0])                  # once per task
         with pytest.raises(ValueError):
-            net.split_neuron(0, 99)
+            net.split_neurons(0, [99])
         with pytest.raises(ValueError):
-            fresh_net().split_neuron(0, 0)             # no snapshot yet
+            fresh_net().split_neurons(0, [0])          # no snapshot yet
         with pytest.raises(ValueError):
-            net.split_neuron(0, 1, split_init="clone")
+            net.split_neurons(0, [1], split_init="clone")
 
     def test_copy_is_eligible_again_next_task(self):
         net = self.setup_net()
         net.hidden_layers[0].weights[0] += 1.0
-        net.split_neuron(0, 0)
+        net.split_neurons(0, [0])
         net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
-        old_tag, new_tag = net.split_neuron(0, 0)
+        [old_tag], [new_tag] = net.split_neurons(0, [0])
         assert new_tag.generation == 2
 
 
@@ -230,7 +232,7 @@ class TestSupportPath:
         net = opened(fresh_net(hidden=(4, 3, 3)))
         net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
-        net.split_neuron(0, 0)
+        net.split_neurons(0, [0])
         added = net.ensure_support_path()
         assert [t.layer for t in added] == [1, 2]
         assert all(t.generation == 1 for t in added)
@@ -304,6 +306,135 @@ class TestSplittingRound:
             fresh_net().splitting_round(epoch=0, sigma=1.0, delta=0.0)
 
 
+def per_neuron_round(net, epoch, sigma, delta, split_init):
+    """A splitting round as one neuron at a time, on copies of the
+    network's arrays: per split, revert the original, append its copy
+    with one ``vstack`` row and draw one next-layer column at
+    ``sqrt(2 / (fan_in + 1))``; then He fillers. Returns the weights,
+    biases, hidden tags, report lists and generator the round must give."""
+    task, rng = net.task, copy.deepcopy(net.rng)
+    thresholds = drift_thresholds(sigma, delta, net.n_hidden_layers, epoch)
+    drifts = [net.semantic_drift(l) for l in range(net.n_hidden_layers)]
+    weights = [l.weights.copy() for l in net.layers]
+    biases = [l.bias.copy() for l in net.layers]
+    gens = [list(g) for g in net.hidden_gens] + [net.output_gens]
+    splits, copies, values, fillers = [], [], [], []
+
+    def append(l, row, bias):
+        weights[l] = np.vstack([weights[l], row[None, :]])
+        biases[l] = np.concatenate([biases[l], [bias]])
+        gens[l].append(task)
+        live = np.asarray(gens[l + 1]) >= task
+        col = np.zeros((weights[l + 1].shape[0], 1))
+        std = np.sqrt(2.0 / (weights[l + 1].shape[1] + 1))
+        col[live, 0] = rng.normal(0.0, std, size=int(live.sum()))
+        weights[l + 1] = np.hstack([weights[l + 1], col])
+        return NeuronTag(l, len(gens[l]) - 1, task)
+
+    for l in range(net.n_hidden_layers):
+        snap_w, snap_b = net.snapshot.weights[l], net.snapshot.biases[l]
+        k0 = snap_w.shape[1]
+        for i in range(snap_w.shape[0]):
+            if i in net._split_done[l] or not drifts[l][i] > thresholds[l]:
+                continue
+            if split_init == "drifted":
+                row, bias = weights[l][i].copy(), float(biases[l][i])
+            else:
+                row, bias = np.zeros(weights[l].shape[1]), float(snap_b[i])
+                row[:k0] = snap_w[i]
+            weights[l][i, :k0], weights[l][i, k0:], biases[l][i] = snap_w[i], 0.0, snap_b[i]
+            splits.append(NeuronTag(l, i, gens[l][i]))
+            copies.append(append(l, row, bias))
+            values.append(float(drifts[l][i]))
+    for l in range(net.n_hidden_layers if splits else 0):
+        if task not in gens[l]:
+            fillers.append(append(l, he_normal(1, weights[l].shape[1], rng)[0], 0.0))
+    return weights, biases, gens[:-1], (splits, copies, fillers, values), rng
+
+
+def drift_rows(net, layers, rng):
+    """Move every present incoming weight of the snapshot rows of
+    ``layers`` by a row-scaled normal step, so some rows drift far and
+    some hardly at all."""
+    for l in layers:
+        layer, m0 = net.hidden_layers[l], net.snapshot.weights[l].shape[0]
+        for r0, r1, c1 in layer.runs:
+            for i in range(r0, min(r1, m0)):
+                layer.weights[i, :c1] += rng.uniform(0.0, 1.0) * rng.standard_normal(c1)
+        layer.bias[:m0] += 0.1 * rng.standard_normal(m0)
+
+
+def structure(net):
+    return ([(l.weights.tobytes(), l.weights.shape, l.bias.tobytes()) for l in net.layers],
+            copy.deepcopy(net.hidden_gens), copy.deepcopy(net._split_done),
+            net.rng.bit_generator.state)
+
+
+class TestOneEditPerLayer:
+    """A round splits each layer's neurons in one edit and gives the same
+    bits as appending them one neuron at a time."""
+
+    @pytest.mark.parametrize("split_init", ["drifted", "reverted"])
+    @pytest.mark.parametrize("drifting", [(0, 1), (0,)], ids=["both layers", "layer 0"])
+    def test_round_matches_per_neuron_reference(self, split_init, drifting):
+        net = opened(fresh_net(n_features=5, hidden=(9, 7), seed=3))
+        rng = np.random.default_rng(11)
+        for task in (1, 2):
+            net.grow_output()
+            for epoch in range(2):  # the second round finds split rows and live units
+                drift_rows(net, drifting, rng)
+                weights, biases, gens, lists, ref_rng = per_neuron_round(
+                    net, epoch, 1.0, 0.5, split_init)
+                report = net.splitting_round(epoch, 1.0, 0.5, split_init)
+                assert (report.splits, report.new_neurons, report.fillers,
+                        report.drifts) == lists
+                assert net.hidden_gens == gens
+                for layer, w, b in zip(net.layers, weights, biases):
+                    assert layer.weights.shape == w.shape
+                    assert layer.weights.tobytes() == w.tobytes()
+                    assert layer.bias.tobytes() == b.tobytes()
+                assert net.rng.bit_generator.state == ref_rng.bit_generator.state
+                assert net.check_masks() == []
+                split_layers = {t.layer for t in report.splits}
+                if epoch == 0:
+                    assert split_layers == set(drifting)
+                    assert [t.layer for t in report.fillers] == [1] * (drifting == (0,))
+                    assert all(0 < sum(t.layer == l for t in report.splits)
+                               < net.snapshot.weights[l].shape[0] for l in drifting)
+
+    def test_a_round_derives_the_structure_once_per_layer(self, monkeypatch):
+        net = opened(fresh_net(hidden=(5, 4, 3)))
+        net.grow_output()
+        for layer in net.hidden_layers:
+            layer.weights += 1.0
+        calls = []
+        derive = PlasticNetwork.set_structural_freeze
+
+        def spy(self, scope):
+            calls.append(scope)
+            return derive(self, scope)
+
+        monkeypatch.setattr(PlasticNetwork, "set_structural_freeze", spy)
+        report = net.splitting_round(epoch=0, sigma=0.5, delta=0.0)
+        assert [sum(t.layer == l for t in report.splits) for l in range(3)] == [5, 4, 3]
+        assert len(calls) <= net.n_hidden_layers
+        assert net.check_masks() == []
+
+    @pytest.mark.parametrize("indices, reason", [
+        ([1, 2, 2], "repeated"), ([1, 99], "not in the snapshot"),
+        ([1, 0], "already split"), ([1, 4], "not in the snapshot")],
+        ids=["repeated", "out of range", "split this task", "a copy"])
+    def test_a_refused_batch_changes_nothing(self, indices, reason):
+        net = opened(fresh_net())
+        net.grow_output()
+        net.hidden_layers[0].weights += 1.0
+        net.split_neurons(0, [0])                      # row 4 is its copy
+        before = structure(net)
+        with pytest.raises(ValueError, match=reason):
+            net.split_neurons(0, indices)
+        assert structure(net) == before
+
+
 class TestGrowOutput:
     def test_sequential_tasks_only(self):
         net = fresh_net()
@@ -334,7 +465,7 @@ class TestFreezeScopes:
         net = opened(fresh_net())
         net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
-        net.split_neuron(0, 0)
+        net.split_neurons(0, [0])
         net.ensure_support_path()
         net.set_structural_freeze("pss_only")
         l0, l1 = net.hidden_layers
@@ -375,7 +506,7 @@ class TestFreezeScopes:
         assert count >= 1
         assert l0.train_mask[0, 0] == 0.0
         assert l0.train_mask[1, 1] == 1.0
-        _, tag = net.split_neuron(0, 2)        # a row of layer 0, a column of layer 1
+        _, [tag] = net.split_neurons(0, [2])   # a row of layer 0, a column of layer 1
         net.set_structural_freeze("full_truncated")
         assert l0.train_mask[0, 0] == 0.0      # still frozen after growth and rebuild
         assert l0.train_mask[1, 1] == 1.0
@@ -489,7 +620,7 @@ class TestCheckMasks:
         net = opened(fresh_net())
         net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
-        _, tag = net.split_neuron(0, 0)
+        _, [tag] = net.split_neurons(0, [0])
         net.hidden_layers[1].weights[0, tag.index] = 0.5   # masked edge
         assert net.check_masks() == [
             "layer 1: nonzero weight at a structurally masked position"]
@@ -498,7 +629,7 @@ class TestCheckMasks:
         net = opened(fresh_net())
         net.grow_output()
         net.hidden_layers[0].weights[0] += 1.0
-        _, tag = net.split_neuron(0, 0)
+        _, [tag] = net.split_neurons(0, [0])
         l1 = net.hidden_layers[1]
         assert l1.train_mask[0, tag.index] == 0.0           # no edge, so no training
         l1.frozen = np.zeros(l1.weights.shape, dtype=bool)  # nothing frozen
@@ -584,7 +715,7 @@ class TestBitExactness:
         net.grow_output()
         before = net.predict(probe).copy()
         net.grow_output()
-        net.split_neuron(0, 1)                    # forced, drift not required
+        net.split_neurons(0, [1])                 # forced, drift not required
         net.ensure_support_path()
         net.grow_output()
         after = net.predict(probe)[:, :1]

@@ -261,7 +261,8 @@ class TestHybridScope:
             assert rounds == (t > 0)
             built += [t] * len({id(c) for c in caches if c is not None})
             assert built.count(t) == rounds
-            assert run.trace is None and run.grads is None
+            dropped = results[-1] is not None  # only a round drops the last step's arrays
+            assert (run.trace is None, run.grads is None) == (dropped, dropped)
             if t > 0:
                 switch = next(e for e, r in enumerate(results) if r and r.total_splits)
                 assert results[switch + 1:] == [None] * (len(results) - switch - 1)
@@ -358,31 +359,35 @@ class TestTaskSteps:
         assert (("full_truncated", False) in scopes) == (scope == "hybrid")
 
     def test_a_dense_step_allocates_nothing_parameter_sized(self):
-        """From the second step of an epoch on, a step of a dense task
-        writes its gradients into the last step's arrays and its velocity
-        and weights into the spares it keeps, so the traced peak rise of a
-        step stays below the size of the largest weight array."""
+        """From the task's second step on, a step of a dense task writes
+        its gradients into the last step's arrays and its velocity and
+        weights into the spares it keeps, so the traced peak rise of a
+        step stays below the size of the largest weight array. Task 0
+        runs no splitting round, so an epoch's end keeps them, and the
+        first steps of epochs 2 and 3 allocate no more than the rest."""
         cfg = TrainerConfig(**dict(SMALL, hidden_sizes=(96, 8)))
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
         run = TaskRun(net, small_stream(n_tasks=1).tasks[0].train, cfg)
         largest = max(l.weights.nbytes for l in net.layers)
         assert net.layers[0].fan_out >= 2 * (SGD_BLOCK // net.layers[0].fan_in)  # >= 2 blocks
-        rises = []
+        rises, firsts = [], []
         tracemalloc.start()
         try:
-            for _ in range(2):
-                first, *rest = run.batches()
-                run.step(first)
-                for idx in rest:
+            for epoch in range(3):
+                for n, idx in enumerate(run.batches()):
                     current, _ = tracemalloc.get_traced_memory()
                     tracemalloc.reset_peak()
                     run.step(idx)
-                    rises.append(tracemalloc.get_traced_memory()[1] - current)
-                run.end_epoch()
+                    if epoch or n:
+                        rises.append(tracemalloc.get_traced_memory()[1] - current)
+                        if not n:
+                            firsts.append(rises[-1])
+                assert run.end_epoch() is None and run.grads is not None
         finally:
             tracemalloc.stop()
         assert not any(l.train_from for l in net.layers)
-        assert len(rises) >= 4 and max(rises) < largest
+        assert len(firsts) == 2 and len(rises) >= 6
+        assert max(rises) < largest, (firsts, max(rises), largest)
 
     def test_a_task_closed_before_any_epoch_reports_no_losses(self):
         cfg = TrainerConfig(**SMALL)
