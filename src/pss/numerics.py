@@ -49,10 +49,11 @@ only input columns before the ``train_from`` of the layer below. A
 training step computes only the rows from ``train_from`` on.
 ``forward`` takes the frozen rows' post-activations from a cache when
 one is given; gradients and velocity (``LayerGrads``) both cover the
-trainable rows only, the only rows ``sgd_step`` reads and writes. A
-training step allocates no parameter-sized array: ``backward_truncated``
-writes the gradients into the last step's arrays, and ``sgd_step``
-writes into the spares each layer's velocity keeps.
+trainable rows only (``pad_velocity`` makes it whenever they change),
+the only rows ``sgd_step`` reads and writes. A training step allocates
+no parameter-sized array: ``backward_truncated`` writes the gradients
+into the last step's arrays, and ``sgd_step`` writes into the spares
+each layer's velocity keeps.
 With ``train_from`` 0 (the default, and every layer outside the
 ``pss_only`` scope) each of them does exactly the dense arithmetic.
 """
@@ -468,13 +469,17 @@ def init_velocity(layers):
                        np.zeros_like(l.bias[l.train_from:])) for l in layers]
 
 
-def pad_velocity(velocity, layers):
-    """Velocity grown with layers that gained rows or columns at the end, 0
-    in the new slots; growth never moves ``train_from``."""
+def pad_velocity(velocity, layers, reset=()):
+    """Velocity of each layer's rows from ``train_from`` on, from ``velocity``
+    over every row (None: none yet): an entry is kept where its row still
+    trains, and appended rows and columns and the ``reset`` tags' rows are 0."""
     out = init_velocity(layers)
-    for v, grown in zip(velocity, out):
-        m, k = v.weights.shape
-        grown.weights[:m, :k], grown.bias[:m] = v.weights, v.bias
+    for i, (v, new) in enumerate(zip(velocity or (), out)):
+        o = layers[i].train_from
+        kept_w, kept_b = v.weights[o:], v.bias[o:]
+        new.weights[:len(kept_b), :kept_w.shape[1]], new.bias[:len(kept_b)] = kept_w, kept_b
+        rows = [tag.index - o for tag in reset if tag.layer == i and tag.index >= o]
+        new.weights[rows] = new.bias[rows] = 0.0
     return out
 
 

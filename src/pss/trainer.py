@@ -7,10 +7,12 @@ task); its ``batches`` cut an epoch into minibatches and its ``step``
 trains one, the loss gradient entering only at that output (the step's
 ``grads`` are valid until the next step, which writes its own into
 their arrays); ``end_epoch`` runs a splitting round at the thresholds
-of the epoch just ended (appended and reverted neurons restart at zero
-velocity); ``close`` returns the report. The snapshot is held only
-while a round can read it: it is released when the task opens in task
-0 and with splitting off, and when the network enters ``pss_only``.
+of the epoch just ended; ``close`` returns the report. One rule,
+``pad_velocity``, makes the trainable rows' velocity at task open and
+after a round that grew (appended and reverted neurons restart at 0).
+The snapshot is held only while a round can read it: it is released
+when the task opens in task 0 and with splitting off, and when the
+network enters ``pss_only``.
 The freeze scope decides how much of the old network may move:
 
 ``hybrid`` (default)
@@ -25,10 +27,9 @@ The freeze scope decides how much of the old network may move:
 Under ``pss_only`` (from task start, or from the hybrid switch on) a
 step computes only the current generation's rows. On entering the
 scope the run caches every frozen row's post-activation over the
-task's training set (``PlasticNetwork.frozen_activations``) and drops
-the frozen rows' velocity, with the spares ``sgd_step`` keeps; each
-step takes the batch's rows of that cache, and backward, velocity and
-SGD cover the trainable rows only. A splitting round that splits
+task's training set (``PlasticNetwork.frozen_activations``); each step
+takes the batch's rows of that cache, and backward, velocity and SGD
+cover the trainable rows only. A splitting round that splits
 reverts frozen rows, so the cache is rebuilt after it. From task 1
 on, in ``pss_only`` every snapshot row is frozen: its drift stays put
 while the threshold only grows, so no round can split again. The run
@@ -52,7 +53,6 @@ from .evaluation import RunReport, multiclass_accuracy, task_accuracy
 from .numerics import (
     Activation,
     backward_truncated,
-    init_velocity,
     pad_velocity,
     selected_bce,
     sgd_step,
@@ -135,8 +135,8 @@ class TaskReport:
 
 
 class TaskRun:
-    """The network's open task ``net.task``: trainable rows' velocity,
-    frozen-row cache, shuffle generator, report."""
+    """The network's open task ``net.task``: trainable rows' velocity
+    (``pad_velocity``), frozen-row cache, shuffle generator, report."""
 
     def __init__(self, net, task_data, config):
         config.validate()
@@ -148,21 +148,19 @@ class TaskRun:
         if config.magnitude_freeze_threshold > 0:
             log.debug("task %d: %d small weights frozen", task,
                       net.freeze_small_weights(config.magnitude_freeze_threshold))
-        self.velocity, self.trace, self.grads = init_velocity(net.layers), None, None
-        self._cache_frozen_rows()
+        self.velocity, self.trace, self.grads = None, None, None
+        self._fit_structure()
         self.shuffle_rng, self.report = rng_for(config.seed, 1, task), TaskReport(task=task)
 
-    def _cache_frozen_rows(self):
-        """Release the snapshot if no round can read it again (in task 0,
-        with splitting off, and in ``pss_only``), then cache the rows that
-        cannot train and drop their velocity, spares and all."""
+    def _fit_structure(self, reset=()):
+        """At task open and after a round that grew: release the snapshot if
+        no round can read it again (in task 0, with splitting off, and in
+        ``pss_only``), then make the trainable rows' velocity (``pad_velocity``,
+        0 in the ``reset`` rows) and the cache of the rows that cannot train."""
         net = self.net
         if net.task == 0 or not self.config.splitting_enabled or net.freeze_scope == "pss_only":
             net.snapshot = None
-        for layer, v in zip(net.layers, self.velocity):
-            drop = len(v.bias) - layer.fan_out + layer.train_from  # 0 unless train_from rose
-            if drop:
-                v.weights, v.bias, v.spare = v.weights[drop:].copy(), v.bias[drop:].copy(), None
+        self.velocity = pad_velocity(self.velocity, net.layers, reset)
         self.cache = net.frozen_activations(self.data.source, self.data.rows)
 
     def batches(self):
@@ -190,8 +188,8 @@ class TaskRun:
         splitting round at this epoch's thresholds, first dropping the last
         step's ``trace``, ``grads`` and velocity spares (with no round the
         next step writes into them); returns its ``SplitReport`` or None.
-        After a split, velocity is 0 in the rows and columns of appended
-        neurons and the rows of split originals."""
+        After a split (under ``hybrid``, once in ``pss_only``) velocity covers
+        the rows that train, 0 for appended neurons and split originals."""
         net, config, report = self.net, self.config, self.report
         report.epoch_losses.append(self.loss_sum / len(self.data))
         self.loss_sum, round_report = 0.0, None
@@ -205,13 +203,9 @@ class TaskRun:
         if round_report and round_report.total_splits:
             report.split_count += round_report.total_splits
             report.filler_count += round_report.total_fillers
-            self.velocity = pad_velocity(self.velocity, net.layers)
-            for tag in round_report.splits:
-                v = self.velocity[tag.layer]
-                v.weights[tag.index] = v.bias[tag.index] = 0.0
             if config.freeze_scope == "hybrid":
                 net.set_structural_freeze("pss_only")
-            self._cache_frozen_rows()  # the split reverted frozen rows
+            self._fit_structure(round_report.splits)  # the round grew and reverted rows
             log.info("task %d epoch %d: %d splits, %d fillers", net.task, self.epoch,
                      round_report.total_splits, round_report.total_fillers)
         self.epoch += 1

@@ -27,7 +27,7 @@ from pss.numerics import (
     sgd_step,
     sigmoid,
 )
-from pss.plasticity import PlasticNetwork
+from pss.plasticity import NeuronTag, PlasticNetwork
 from pss.trainer import TrainerConfig, rng_for, train_task
 
 
@@ -646,32 +646,28 @@ class TestSgdStep:
         vel = sgd_step(layers, grads, 0.1, 0.9, init_velocity(layers))
         assert [v.weights.shape for v in vel] == [(3, 4), (1, 3)]
 
-    def test_pad_velocity_preserves_old_entries(self):
-        layer_small = MaskedLayer(np.ones((2, 2)), np.zeros(2))
-        vel = init_velocity([layer_small])
-        vel[0].weights[:] = 3.0
-        vel[0].bias[:] = 4.0
-        layer_big = MaskedLayer(np.ones((3, 4)), np.zeros(3))
-        out = pad_velocity(vel, [layer_big])
-        assert out[0].weights.shape == (3, 4)
-        np.testing.assert_array_equal(out[0].weights[:2, :2], 3.0)
-        assert np.all(out[0].weights[2:, :] == 0.0)
-        assert np.all(out[0].weights[:, 2:] == 0.0)
-        np.testing.assert_array_equal(out[0].bias, [4.0, 4.0, 0.0])
-
-    def test_pad_velocity_grows_the_trainable_rows(self):
-        """Rows appended after ``train_from`` extend the velocity, which
-        starts at that row; the rows before it get none."""
-        layer = MaskedLayer(np.ones((3, 2)), np.zeros(3))
-        layer.train_from = 2
-        vel = init_velocity([layer])
-        assert vel[0].weights.shape == (1, 2) and vel[0].bias.shape == (1,)
-        vel[0].weights[:], vel[0].bias[:] = 3.0, 4.0
-        grown = MaskedLayer(np.ones((5, 3)), np.zeros(5))
-        grown.train_from = 2
-        out = pad_velocity(vel, [grown])
-        np.testing.assert_array_equal(out[0].weights, [[3, 3, 0], [0, 0, 0], [0, 0, 0]])
-        np.testing.assert_array_equal(out[0].bias, [4, 0, 0])
+    @pytest.mark.parametrize("old, shape, train_from, reset, want", [
+        (None, (3, 2), 1, (), ([[0, 0], [0, 0]], [0, 0])),
+        (([[3, 3], [3, 3]], [4, 4]), (3, 4), 0, (),
+         ([[3, 3, 0, 0], [3, 3, 0, 0], [0, 0, 0, 0]], [4, 4, 0])),
+        (([[1, 2], [3, 4], [5, 6]], [7, 8, 9]), (5, 3), 2, (),
+         ([[5, 6, 0], [0, 0, 0], [0, 0, 0]], [9, 0, 0])),
+        (([[1, 2], [3, 4], [5, 6]], [7, 8, 9]), (4, 3), 1, (0, 2, 3),
+         ([[3, 4, 0], [0, 0, 0], [0, 0, 0]], [8, 0, 0])),
+    ], ids=["none", "growth", "switch", "reset"])
+    def test_pad_velocity_shapes_the_trainable_rows(self, old, shape, train_from, reset, want):
+        """From a whole-layer velocity (None: none yet), the velocity of the
+        rows from ``train_from`` on: old entries kept where the row still
+        trains and the column existed, appended rows and columns 0, and the
+        ``reset`` rows 0; a reset row below ``train_from`` is dropped."""
+        layer = MaskedLayer(np.ones(shape), np.zeros(shape[0]))
+        layer.train_from = train_from
+        vel = old and [LayerGrads(*(np.array(a, dtype=float) for a in old))]
+        out = pad_velocity(vel, [layer], [NeuronTag(0, i, 0) for i in reset])
+        np.testing.assert_array_equal(out[0].weights, want[0])
+        np.testing.assert_array_equal(out[0].bias, want[1])
+        assert out[0].weights.shape == layer.weights[train_from:].shape
+        assert out[0].spare is None
 
 
 class TestGradcheck:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pss import trainer
+from pss import numerics, trainer
 from pss.data import build_task_stream, synthetic_digits
 from pss.numerics import SGD_BLOCK, MaskedLayer
 from pss.plasticity import PlasticNetwork
@@ -296,6 +296,75 @@ def drive(run):
         rounds.append(run.end_epoch())
         caches.append(run.cache)
     return batches, rounds, caches
+
+
+def rounds_that_split(scope):
+    """Train task 0 of ``scope``, then drive task 1; yield, after each of
+    its rounds that split, the run, a copy of the velocity the round found
+    (whole-layer: a round runs only while every row trains) and the
+    round's ``SplitReport``."""
+    cfg = TrainerConfig(**dict(SMALL, epochs_per_task=3), freeze_scope=scope)
+    net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+    stream = small_stream(n_tasks=2)
+    train_task(net, stream.tasks[0].train, cfg)
+    run = TaskRun(net, stream.tasks[1].train, cfg)
+    for _ in range(cfg.epochs_per_task):
+        for idx in run.batches():
+            run.step(idx)
+        before = [(v.weights.copy(), v.bias.copy()) for v in run.velocity]
+        split = run.end_epoch()
+        if split is not None and split.total_splits:
+            yield run, before, split
+
+
+class TestVelocityRule:
+    """``pad_velocity`` is the one rule for the open task's velocity: at
+    task open, after a round that grew, and at the hybrid switch."""
+
+    @pytest.mark.parametrize("scope", ["hybrid", "full_truncated"])
+    def test_a_round_that_grew_leaves_the_padded_reset_trainable_rows(self, scope):
+        """After a round that split, the velocity equals, byte for byte, the
+        whole-layer velocity padded with zeros, zeroed in the split
+        originals' rows and then cut to each layer's ``train_from``, with
+        no spares: at the hybrid switch and on a ``full_truncated`` round."""
+        seen = 0
+        for run, before, split in rounds_that_split(scope):
+            net, seen = run.net, seen + 1
+            assert [l.train_from > 0 for l in net.layers] == \
+                [scope == "hybrid"] * len(net.layers)
+            for i, (layer, (v_w, v_b), got) in enumerate(zip(net.layers, before, run.velocity)):
+                want_w, want_b = np.zeros_like(layer.weights), np.zeros_like(layer.bias)
+                want_w[:v_w.shape[0], :v_w.shape[1]], want_b[:len(v_b)] = v_w, v_b
+                for tag in split.splits:
+                    if tag.layer == i:
+                        want_w[tag.index] = want_b[tag.index] = 0.0
+                o = layer.train_from
+                assert got.weights.tobytes() == want_w[o:].tobytes()
+                assert got.bias.tobytes() == want_b[o:].tobytes()
+                assert got.weights.shape == layer.weights[o:].shape and got.spare is None
+        assert seen
+
+    def test_the_switch_allocates_only_the_trainable_rows_velocity(self, monkeypatch):
+        """At the hybrid switch the velocity is built for the rows that
+        still train: inside ``end_epoch``, ``init_velocity`` allocates no
+        more bytes than the velocity it leaves, not a whole-layer one."""
+        spied, init_velocity, end_epoch = [], numerics.init_velocity, TaskRun.end_epoch
+
+        def spy(layers):
+            out = init_velocity(layers)
+            spied.append(sum(v.weights.nbytes + v.bias.nbytes for v in out))
+            return out
+
+        def end_epoch_spied(run):
+            spied.clear()
+            return end_epoch(run)
+
+        monkeypatch.setattr(numerics, "init_velocity", spy)
+        monkeypatch.setattr(TaskRun, "end_epoch", end_epoch_spied)
+        for run, _, _ in rounds_that_split("hybrid"):
+            left = sum(v.weights.nbytes + v.bias.nbytes for v in run.velocity)
+            whole = sum(l.weights.nbytes + l.bias.nbytes for l in run.net.layers)
+            assert spied and sum(spied) <= left < whole
 
 
 class TestTaskSteps:
