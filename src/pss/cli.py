@@ -11,7 +11,8 @@ the field keeps the default its dataclass declares, and ``--help``
 shows that default.
 
 Exit codes: 0 success, 2 bad configuration (sizes too large to allocate
-too), 3 data problems (missing or malformed files), 4 numerical failures.
+and unusable output paths too), 3 data problems (missing, malformed or
+refused files), 4 numerical failures.
 """
 
 import argparse
@@ -58,6 +59,9 @@ EXIT_NUMERIC = 4
 
 PRESET_CHOICES = ("mnist", "mnist-variation", "synthetic")
 TRAINER_DEFAULTS = {f.name: f.default for f in fields(TrainerConfig)}
+# numpy's bundled OpenBLAS, whose thread count ``one_blas_thread`` sets
+OPENBLAS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "libscipy_openblas64_*.so")
 
 
 def _scalar_or_tuple(text):
@@ -77,13 +81,13 @@ def _int_tuple(text):
 
 
 def _check_out_dir(flag, path):
-    """Refuse a directory that cannot be made: the path, or the last part
-    of it that exists, is not a directory."""
+    """Refuse a directory that cannot be made or written: the path, or the
+    last part of it that exists, is not a directory, or not a writable one."""
     head = os.path.abspath(path)
     while not os.path.exists(head):
         head = os.path.dirname(head)
-    if not os.path.isdir(head):
-        raise ValueError(f"{flag} {path}: {head} is not a directory")
+    if not (os.path.isdir(head) and os.access(head, os.W_OK | os.X_OK)):
+        raise ValueError(f"{flag} {path}: {head} is not a writable directory")
 
 
 def _parent_dir(path):
@@ -362,10 +366,8 @@ def one_blas_thread():
     """Run numpy's bundled OpenBLAS on one thread, then restore its count:
     a product rounds differently on two threads, and the report bytes
     should not depend on the machine's thread count."""
-    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                                  "numpy.libs", "libscipy_openblas64_*.so"))
     try:
-        lib = ctypes.CDLL(libs[0])
+        lib = ctypes.CDLL(glob.glob(OPENBLAS)[0])
         get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     except (IndexError, OSError, AttributeError):
         log.warning("numpy's OpenBLAS thread control not found; BLAS threads left as set")
@@ -391,8 +393,7 @@ def main(argv=None):
     with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         try:
             return args.func(args)
-        except (DataFormatError, ContainerError, FileNotFoundError, IsADirectoryError,
-                NotADirectoryError) as e:
+        except (DataFormatError, ContainerError, OSError) as e:  # OSError: any refused file
             print(f"data error: {e}", file=sys.stderr)
             return EXIT_DATA
         except NonFiniteError as e:

@@ -49,8 +49,8 @@ only input columns before the ``train_from`` of the layer below. A
 training step computes only the rows from ``train_from`` on.
 ``forward`` takes the frozen rows' post-activations from a cache when
 one is given; gradients and velocity (``LayerGrads``) both cover the
-trainable rows only (``pad_velocity`` makes it whenever they change),
-the only rows ``sgd_step`` reads and writes. A training step allocates
+trainable rows only (only ``pad_velocity`` makes a velocity), the
+only rows ``sgd_step`` reads and writes. A training step allocates
 no parameter-sized array: ``backward_truncated`` writes the gradients
 into the last step's arrays, and ``sgd_step`` writes into the spares
 each layer's velocity keeps.
@@ -369,9 +369,9 @@ def post_activations(layers, source, rows=None, stops=None, cached=None, last_on
 class LayerGrads:
     """Gradients or velocity, shaped like ``weights[train_from:]``, ``bias[train_from:]``.
 
-    A velocity also keeps ``spare``, the arrays ``sgd_step`` writes the
-    next velocity and parameters into: None until its first step, and
-    set to None by an owner that no longer needs them."""
+    A velocity, made by ``pad_velocity`` only, keeps ``spare``: the arrays
+    ``sgd_step`` writes the next velocity and parameters into, None until
+    its first step and once an owner that no longer needs them drops them."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -463,17 +463,13 @@ def _zero_frozen(a, frozen, o):
         a[:len(rows), :rows.shape[1]] *= ~rows  # a multiply: masked stores are slower
 
 
-def init_velocity(layers):
-    """Zero velocity, shaped like each layer's gradients (``LayerGrads``)."""
-    return [LayerGrads(np.zeros_like(l.weights[l.train_from:]),
-                       np.zeros_like(l.bias[l.train_from:])) for l in layers]
-
-
 def pad_velocity(velocity, layers, reset=()):
-    """Velocity of each layer's rows from ``train_from`` on, from ``velocity``
-    over every row (None: none yet): an entry is kept where its row still
-    trains, and appended rows and columns and the ``reset`` tags' rows are 0."""
-    out = init_velocity(layers)
+    """Make a velocity (the only maker): that of each layer's rows from
+    ``train_from`` on, from ``velocity`` over every row (None: the zero one).
+    An entry is kept where its row still trains; appended rows and columns
+    and the ``reset`` tags' rows are 0."""
+    out = [LayerGrads(np.zeros_like(l.weights[l.train_from:]),
+                      np.zeros_like(l.bias[l.train_from:])) for l in layers]
     for i, (v, new) in enumerate(zip(velocity or (), out)):
         o = layers[i].train_from
         kept_w, kept_b = v.weights[o:], v.bias[o:]
@@ -489,8 +485,9 @@ def pad_velocity(velocity, layers, reset=()):
 SGD_BLOCK = 32768
 
 
-def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
-    """One SGD-with-momentum update of the trainable rows, all or nothing.
+def sgd_step(layers, grads, learning_rate, momentum, velocity):
+    """One SGD-with-momentum update of the trainable rows and, in place, of
+    ``velocity`` (``pad_velocity`` makes it); all or nothing, returns None.
 
     Only each layer's rows from ``train_from`` on are read or written,
     and ``grads`` and ``velocity`` have exactly their shape; ``grads``
@@ -511,8 +508,6 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
     no parameter-sized array, and a ``DimensionError`` or
     ``NonFiniteError`` leaves layers and velocity as they were.
     """
-    if velocity is None:
-        velocity = init_velocity(layers)
     if len(grads) != len(layers) or len(velocity) != len(layers):
         raise DimensionError("grads/velocity length does not match layers")
     for layer, g, v in zip(layers, grads, velocity):
@@ -549,7 +544,6 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity=None):
         else:  # a whole layer is swapped, its old arrays kept as spares
             w, b, layer.weights, layer.bias = layer.weights, layer.bias, w, b
         v.spare, v.weights, v.bias = (v.weights, v.bias, w, b), v_w, v_b
-    return velocity
 
 
 def selected_bce(trace_output, selected_outputs, targets):

@@ -7,9 +7,9 @@ task); its ``batches`` cut an epoch into minibatches and its ``step``
 trains one, the loss gradient entering only at that output (the step's
 ``grads`` are valid until the next step, which writes its own into
 their arrays); ``end_epoch`` runs a splitting round at the thresholds
-of the epoch just ended; ``close`` returns the report. One rule,
-``pad_velocity``, makes the trainable rows' velocity at task open and
-after a round that grew (appended and reverted neurons restart at 0).
+of the epoch just ended; ``close`` returns the report. ``pad_velocity``
+makes the trainable rows' velocity at task open and after a round that
+grew (appended and reverted neurons restart at 0); ``step`` updates it.
 The snapshot is held only while a round can read it: it is released
 when the task opens in task 0 and with splitting off, and when the
 network enters ``pss_only``.
@@ -29,12 +29,13 @@ step computes only the current generation's rows. On entering the
 scope the run caches every frozen row's post-activation over the
 task's training set (``PlasticNetwork.frozen_activations``); each step
 takes the batch's rows of that cache, and backward, velocity and SGD
-cover the trainable rows only. A splitting round that splits
-reverts frozen rows, so the cache is rebuilt after it. From task 1
-on, in ``pss_only`` every snapshot row is frozen: its drift stays put
-while the threshold only grows, so no round can split again. The run
-therefore releases the snapshot before it builds the cache and runs no
-more rounds; under ``hybrid`` the switching round is the task's last.
+cover the trainable rows only. From task 1 on, in ``pss_only`` every
+snapshot row is frozen: its drift stays put while the threshold only
+grows, so no round can split again. The run therefore releases the
+snapshot before it builds the cache and runs no more rounds; under
+``hybrid`` the switching round is the task's last. So a task builds the
+cache at most once: at open under ``pss_only``, at the switch under
+``hybrid``, never under ``full_truncated`` (every ``train_from`` is 0).
 Batches, and each block of images a cache is built from, are gathered
 from the shared training images.
 
@@ -179,8 +180,8 @@ class TaskRun:
         loss = selected_bce(self.trace.output, sel, yb)
         self.loss_sum += loss * len(idx)
         self.grads = backward_truncated(self.net.layers, self.trace, yb, sel, self.grads)
-        self.velocity = sgd_step(self.net.layers, self.grads, self.config.learning_rate,
-                                 self.config.momentum, self.velocity)
+        sgd_step(self.net.layers, self.grads, self.config.learning_rate,
+                 self.config.momentum, self.velocity)
         return loss
 
     def end_epoch(self):

@@ -17,7 +17,7 @@ from test_data import traced_peak
 from pss.data import TaskDataset
 from pss.model_io import load_model, save_model
 from pss.numerics import (BLOCK_ROWS, MaskedLayer, backward_truncated, forward,
-                          post_activations, row_blocks, sgd_step)
+                          pad_velocity, post_activations, row_blocks, sgd_step)
 from pss.plasticity import PlasticNetwork
 from pss.trainer import TaskRun, TrainerConfig, rng_for, train_task
 
@@ -122,7 +122,7 @@ def test_one_image_predict_is_the_run_by_run_loop_bitwise(grown, case, tmp_path)
         assert all(layer.train_from for layer in net.layers)  # written in place
         before = [layer.weights.copy() for layer in net.layers]
         grads = backward_truncated(net.layers, net.trace(source[:8]), np.ones(8), [net.task])
-        sgd_step(net.layers, grads, 0.5, 0.0)
+        sgd_step(net.layers, grads, 0.5, 0.0, pad_velocity(None, net.layers))
         assert all((l.weights != w).any() for l, w in zip(net.layers, before))
     elif case == "grown and split":
         net = copy.deepcopy(net)

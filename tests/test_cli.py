@@ -1,8 +1,10 @@
 """Unit tests for the command line interface."""
 
 import argparse
+import builtins
 import ctypes
 import dataclasses
+import errno
 import functools
 import glob
 import json
@@ -213,7 +215,7 @@ def test_oversized_flag_is_one_config_error_line(argv, tmp_path):
 class TestUnusablePaths:
     """An output path that cannot be used exits 2 before any data is built;
     an input path that is a directory, or under a file, exits 3, as a
-    missing one does."""
+    missing one does, and so does a path the system refuses later."""
 
     @pytest.mark.parametrize("flag, path", [
         ("--out", "file"), ("--out", "file/sub"),
@@ -248,6 +250,63 @@ class TestUnusablePaths:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error: --out")
         assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("verb, flag", [("train", "--out"), ("train", "--save-model"),
+                                            ("export-metrics", "--out")])
+    def test_unwritable_output_directory_is_config_error_before_any_data(
+            self, verb, flag, tmp_path, capsys, monkeypatch):
+        """A nearest existing directory that ``os.access`` reports unwritable
+        is refused (permission bits do not bind root, so the refusal is
+        faked)."""
+        _, out = run_train(tmp_path)
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            os.path.abspath(path) != str(locked) and access(path, mode)))
+        monkeypatch.setattr(RunConfig, "build_stream",
+                            lambda self: pytest.fail("data built before validation"))
+        capsys.readouterr()
+        target = str(locked / "sub" / "m.pssnet")
+        argv = (["train", *FAST, "--out", str(tmp_path / "x"), flag, target]
+                if verb == "train" else
+                ["export-metrics", "--report", str(out / "report.json"), flag, target])
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and flag in err and "writable directory" in err
+        assert not (locked / "sub").exists()
+
+    @pytest.mark.parametrize("argv, target, error", [
+        (["train", *FAST, "--out", "{}/run"], "run", PermissionError(errno.EACCES, "denied")),
+        (["train", *FAST, "--out", "{}/run", "--save-model", "{}/m.pssnet"], "m.pssnet",
+         OSError(errno.ENOSPC, "No space left on device")),
+        (["export-metrics", "--report", "{}/old/report.json", "--out", "{}/csv"], "csv",
+         OSError(errno.EROFS, "Read-only file system")),
+        (["eval", *STREAM, "--model", "{}/old.pssnet"], "old.pssnet",
+         PermissionError(errno.EACCES, "denied")),
+    ], ids=["train --out", "train --save-model", "export-metrics --out", "eval --model"])
+    def test_a_path_the_system_refuses_is_one_data_error_line(self, argv, target, error,
+                                                              tmp_path, capsys, monkeypatch):
+        """A path that passes the checks but that the system then refuses to
+        read or write (``open`` or ``os.makedirs`` faked to fail) exits 3
+        with one ``data error:`` line, not a traceback."""
+        assert main(["train", *FAST, "--out", str(tmp_path / "old"),
+                     "--save-model", str(tmp_path / "old.pssnet")]) == EXIT_OK
+        refused = str(tmp_path / target)
+
+        def refusing(real):
+            def call(path, *args, **kw):
+                if str(path).startswith(refused):
+                    raise error
+                return real(path, *args, **kw)
+            return call
+
+        monkeypatch.setattr(builtins, "open", refusing(open))
+        monkeypatch.setattr(os, "makedirs", refusing(os.makedirs))
+        capsys.readouterr()
+        assert main([a.replace("{}", str(tmp_path)) for a in argv]) == EXIT_DATA
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"data error: {error}"
 
     @pytest.mark.parametrize("path", [".", "file/x"])
     @pytest.mark.parametrize("argv", [["export-metrics", "--report"],
@@ -422,8 +481,7 @@ class TestBlasThreads:
     def threads():
         """The getter and setter of numpy's bundled OpenBLAS thread count,
         or a skip where numpy has no such build."""
-        libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                                      "numpy.libs", "libscipy_openblas64_*.so"))
+        libs = glob.glob(cli.OPENBLAS)
         if not libs:
             pytest.skip("numpy has no bundled OpenBLAS")
         lib = ctypes.CDLL(libs[0])

@@ -188,7 +188,8 @@ def replay_task(net, data, config):
     """Train the network's next task by driving its run, every step through
     ``check_step``, the reference's velocity zero at task start. Returns
     per step its batch size, each layer's ``train_from`` and open rows,
-    and whether a frozen set was held and froze a weight in open rows."""
+    whether a frozen set was held and froze a weight in open rows, and
+    whether the step wrote its gradients into the last step's arrays."""
     run, steps = TaskRun(net, data, config), []
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
     scales = [0.0] * len(net.layers)
@@ -199,7 +200,10 @@ def replay_task(net, data, config):
                           "open": [l.fan_out - l.train_from for l in net.layers],
                           "frozen": any(l.frozen is not None for l in net.layers),
                           "frozen_in_open": any(map(frozen_in_open, net.layers))})
+            held = run.grads and [g.weights for g in run.grads]
             _, velocity, scales = check_step(run, idx, velocity, scales)
+            steps[-1]["kept"] = bool(held) and all(
+                a is g.weights for a, g in zip(held, run.grads))
         split = run.end_epoch()
         if split is not None and split.total_splits:
             velocity = velocity_after_split(net, velocity, split)
@@ -220,11 +224,18 @@ def tasks(n_tasks=3, n=33):
 
 
 @pytest.mark.parametrize("scope, freeze", [
-    ("hybrid", 0.0), ("hybrid", 0.3), ("pss_only", 0.0), ("full_truncated", 0.3)])
+    ("hybrid", 0.0), ("hybrid", 0.3), ("pss_only", 0.0), ("full_truncated", 0.3),
+    ("baseline", 0.0)])
 def test_every_step_and_predict_match_the_dense_reference(scope, freeze):
+    """``baseline`` is the fine-tuning baseline's step path: splitting off,
+    everything trainable, no snapshot. No round runs, so each step after a
+    task's first writes into the last step's gradient arrays, also across
+    epoch ends."""
+    baseline = scope == "baseline"
     config = TrainerConfig(hidden_sizes=(12, 8), sigma=1e-6, delta=0.0, batch_size=8,
-                           epochs_per_task=3, seed=5, freeze_scope=scope,
-                           magnitude_freeze_threshold=freeze)
+                           epochs_per_task=3, seed=5,
+                           freeze_scope="full_truncated" if baseline else scope,
+                           magnitude_freeze_threshold=freeze, splitting_enabled=not baseline)
     net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
     probe = np.random.default_rng(4).standard_normal((2 * BLOCK_ROWS + 1, N_FEATURES))
     steps = []
@@ -236,6 +247,9 @@ def test_every_step_and_predict_match_the_dense_reference(scope, freeze):
     restricted = [s for s in steps if any(s["train_from"])]
     if scope == "full_truncated":
         assert not restricted and all(s["frozen"] for s in steps)
+    elif baseline:
+        assert not restricted and not any(s["frozen"] for s in steps)
+        assert [s["kept"] for s in steps] == [t % 15 > 0 for t in range(len(steps))]
     else:
         assert restricted and all(min(s["train_from"][:-1]) > 0 for s in restricted)
         assert any(s["batch"] == 1 for s in restricted)
@@ -245,4 +259,5 @@ def test_every_step_and_predict_match_the_dense_reference(scope, freeze):
     if scope == "hybrid":  # after the switch the new generation trains in every layer
         assert all(min(s["open"]) > 0 for s in restricted)
         assert any(s["frozen_in_open"] for s in restricted) == (freeze > 0)
-    assert (net.hidden_sizes() == [12, 8]) == (scope == "pss_only")  # nothing old drifts
+    # under pss_only nothing old drifts; the baseline never splits
+    assert (net.hidden_sizes() == [12, 8]) == (scope in ("pss_only", "baseline"))

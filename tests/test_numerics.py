@@ -20,7 +20,6 @@ from pss.numerics import (
     forward,
     gradcheck,
     he_normal,
-    init_velocity,
     pad_velocity,
     run_mask,
     selected_bce,
@@ -517,9 +516,12 @@ class TestSgdStep:
         layer = MaskedLayer(np.array([[1.0]]), np.array([0.0]))
         g1 = np.array([[0.5]])
         g2 = np.array([[-0.25]])
-        vel = sgd_step([layer], [LayerGrads(g1, np.zeros(1))], 0.1, 0.9)
+        vel = pad_velocity(None, [layer])
+        v = vel[0]
+        assert sgd_step([layer], [LayerGrads(g1, np.zeros(1))], 0.1, 0.9, vel) is None
         assert layer.weights[0, 0] == 1.0 - 0.1 * 0.5
-        vel = sgd_step([layer], [LayerGrads(g2, np.zeros(1))], 0.1, 0.9, vel)
+        sgd_step([layer], [LayerGrads(g2, np.zeros(1))], 0.1, 0.9, vel)
+        assert vel[0] is v  # updated in place
         expected_v = 0.9 * 0.5 + (-0.25)
         assert vel[0].weights[0, 0] == expected_v
         assert layer.weights[0, 0] == (1.0 - 0.05) - 0.1 * expected_v
@@ -530,7 +532,7 @@ class TestSgdStep:
         frozen[0, 0] = False
         w = rng.standard_normal((3, 3))
         layer = MaskedLayer(w.copy(), np.zeros(3), frozen=frozen)
-        vel = init_velocity([layer])
+        vel = pad_velocity(None, [layer])
         vel[0].weights[:] = rng.standard_normal((3, 3))  # stale momentum
         g = LayerGrads(rng.standard_normal((3, 3)), rng.standard_normal(3))
         sgd_step([layer], [g], 0.05, 0.9, vel)
@@ -544,11 +546,11 @@ class TestSgdStep:
         runs = [(0, 1, 1), (1, 3, 2), (3, 4, 4)]
         conn = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1.0]])
         layer = MaskedLayer(rng.standard_normal((4, 4)) * conn, np.zeros(4), runs)
-        vel = None
+        vel = pad_velocity(None, [layer])
         for _ in range(5):
             g = LayerGrads(rng.standard_normal((4, 4)), rng.standard_normal(4))
             g.weights *= layer.train_mask
-            vel = sgd_step([layer], [g], 0.1, 0.9, vel)
+            sgd_step([layer], [g], 0.1, 0.9, vel)
         assert np.all(layer.weights[conn == 0.0] == 0.0)
         layer.validate()
 
@@ -616,7 +618,7 @@ class TestSgdStep:
         layer.affine(x)
         old = weakref.ref(layer.weights)
         g = LayerGrads(rng.standard_normal((5, 4)) * conn, rng.standard_normal(5))
-        sgd_step([layer], [g], 0.1, 0.9)
+        sgd_step([layer], [g], 0.1, 0.9, pad_velocity(None, [layer]))
         assert old() is None
         want = np.concatenate([x[:, :c1] @ layer.weights[r0:r1, :c1].T + layer.bias[r0:r1]
                                for r0, r1, c1 in runs], axis=1)
@@ -634,7 +636,7 @@ class TestSgdStep:
                             rng.standard_normal(l.bias[l.train_from:].shape)) for l in layers]
         whole = [LayerGrads(rng.standard_normal(l.weights.shape),
                             rng.standard_normal(l.bias.shape)) for l in layers]
-        short_bias = init_velocity(layers)
+        short_bias = pad_velocity(None, layers)
         short_bias[1].bias = short_bias[1].bias[1:]
         for vel in (whole, short_bias):
             before = [(l.weights.tobytes(), l.bias.tobytes(), v.weights.tobytes(),
@@ -643,7 +645,10 @@ class TestSgdStep:
                 sgd_step(layers, grads, 0.1, 0.9, vel)
             assert before == [(l.weights.tobytes(), l.bias.tobytes(), v.weights.tobytes(),
                                v.bias.tobytes()) for l, v in zip(layers, vel)]
-        vel = sgd_step(layers, grads, 0.1, 0.9, init_velocity(layers))
+        with pytest.raises(TypeError):  # no implicit velocity
+            sgd_step(layers, grads, 0.1, 0.9)
+        vel = pad_velocity(None, layers)
+        sgd_step(layers, grads, 0.1, 0.9, vel)
         assert [v.weights.shape for v in vel] == [(3, 4), (1, 3)]
 
     @pytest.mark.parametrize("old, shape, train_from, reset, want", [

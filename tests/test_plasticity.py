@@ -15,6 +15,7 @@ from pss.numerics import (
     backward_truncated,
     forward,
     he_normal,
+    pad_velocity,
     sgd_step,
 )
 from pss.plasticity import (
@@ -35,12 +36,11 @@ def opened(net):
 
 
 def train_steps(net, x, y, out_index, steps=20, lr=0.05, momentum=0.9):
-    vel = None
+    vel = pad_velocity(None, net.layers)
     for _ in range(steps):
         trace = net.trace(x)
         grads = backward_truncated(net.layers, trace, y, [out_index])
-        vel = sgd_step(net.layers, grads, lr, momentum, vel)
-    return vel
+        sgd_step(net.layers, grads, lr, momentum, vel)
 
 
 class TestDriftThresholds:

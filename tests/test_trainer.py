@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_data import traced_peak
 
-from pss import numerics, trainer
+from pss import trainer
 from pss.data import build_task_stream, synthetic_digits
 from pss.numerics import SGD_BLOCK, MaskedLayer
 from pss.plasticity import PlasticNetwork
@@ -317,6 +318,9 @@ def rounds_that_split(scope):
             yield run, before, split
 
 
+PAD_SLACK = 8192  # bytes of ``pad_velocity``'s Python objects and index temporaries
+
+
 class TestVelocityRule:
     """``pad_velocity`` is the one rule for the open task's velocity: at
     task open, after a round that grew, and at the hybrid switch."""
@@ -346,25 +350,27 @@ class TestVelocityRule:
 
     def test_the_switch_allocates_only_the_trainable_rows_velocity(self, monkeypatch):
         """At the hybrid switch the velocity is built for the rows that
-        still train: inside ``end_epoch``, ``init_velocity`` allocates no
-        more bytes than the velocity it leaves, not a whole-layer one."""
-        spied, init_velocity, end_epoch = [], numerics.init_velocity, TaskRun.end_epoch
+        still train: inside ``end_epoch``, ``pad_velocity`` peaks at no more
+        than the bytes of the velocity it returns plus ``PAD_SLACK``, not at
+        a whole-layer velocity."""
+        peaks, pad_velocity, end_epoch = [], trainer.pad_velocity, TaskRun.end_epoch
 
-        def spy(layers):
-            out = init_velocity(layers)
-            spied.append(sum(v.weights.nbytes + v.bias.nbytes for v in out))
+        def spy(velocity, layers, reset=()):
+            out, peak = traced_peak(pad_velocity, velocity, layers, reset)
+            peaks.append((peak, sum(v.weights.nbytes + v.bias.nbytes for v in out)))
             return out
 
         def end_epoch_spied(run):
-            spied.clear()
+            peaks.clear()
             return end_epoch(run)
 
-        monkeypatch.setattr(numerics, "init_velocity", spy)
+        monkeypatch.setattr(trainer, "pad_velocity", spy)
         monkeypatch.setattr(TaskRun, "end_epoch", end_epoch_spied)
         for run, _, _ in rounds_that_split("hybrid"):
             left = sum(v.weights.nbytes + v.bias.nbytes for v in run.velocity)
             whole = sum(l.weights.nbytes + l.bias.nbytes for l in run.net.layers)
-            assert spied and sum(spied) <= left < whole
+            assert [made for _, made in peaks] == [left] and left < whole
+            assert peaks[0][0] <= left + PAD_SLACK, (peaks, whole)
 
 
 class TestTaskSteps:

@@ -1,7 +1,10 @@
 """Print the sha256 of every output of seven ``pss train`` flag sets.
 
 A change that should not move the numbers must leave these digests
-unchanged. Each set is run as ``pss train --preset synthetic`` with
+unchanged. The first line records where they hold: numpy's version and
+the configuration of the bundled OpenBLAS that ``pss`` runs on (its
+version and the kernels it picked for this CPU), which decide how each
+product rounds. Each set is run as ``pss train --preset synthetic`` with
 ``--save-model``, in a subprocess of its own with BLAS on one thread,
 using the ``pss`` package of the tree this script lives in. For each set
 the script prints the digests of ``report.json``, ``report.csv`` and
@@ -16,11 +19,15 @@ copy it into ``BASE_DIR/tools`` after ``git archive BASE | tar -x -C
 BASE_DIR``) and diff the outputs.
 """
 
+import ctypes
+import glob
 import hashlib
 import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 W2 = ["--train-size", "20000", "--test-size", "2000"]
@@ -41,6 +48,17 @@ def sha256(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def blas_line():
+    """``blas: numpy <version>, <OpenBLAS configuration>``, the first line."""
+    from pss.cli import OPENBLAS  # from this tree when run as a script (``main``)
+    try:
+        config = ctypes.CDLL(glob.glob(OPENBLAS)[0]).scipy_openblas_get_config64_
+    except (IndexError, OSError, AttributeError):
+        return f"blas: numpy {np.__version__}, no bundled OpenBLAS"
+    config.restype = ctypes.c_char_p
+    return f"blas: numpy {np.__version__}, {' '.join(config().decode().split())}"
+
+
 def run(flags, out):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -52,7 +70,9 @@ def run(flags, out):
 
 
 def main():
+    sys.path.insert(0, os.path.abspath(SRC))
     failed = False
+    print(blas_line())
     for flags in FLAG_SETS:
         print("flags:", " ".join(flags) or "(none)")
         with tempfile.TemporaryDirectory() as out:
