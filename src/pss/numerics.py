@@ -51,9 +51,11 @@ training step computes only the rows from ``train_from`` on.
 one is given; gradients and velocity (``LayerGrads``) both cover the
 trainable rows only (only ``pad_velocity`` makes a velocity), the
 only rows ``sgd_step`` reads and writes. A training step allocates
-no parameter-sized array: ``backward_truncated`` writes the gradients
-into the last step's arrays, and ``sgd_step`` writes into the spares
-each layer's velocity keeps.
+no parameter-sized array and keeps no gradient array:
+``backward_truncated`` writes the gradients into the spare each layer's
+velocity keeps, and
+``sgd_step`` turns them there into the new velocity and writes the new
+parameters into the rest of that spare.
 With ``train_from`` 0 (the default, and every layer outside the
 ``pss_only`` scope) each of them does exactly the dense arithmetic.
 """
@@ -369,13 +371,21 @@ def post_activations(layers, source, rows=None, stops=None, cached=None, last_on
 class LayerGrads:
     """Gradients or velocity, shaped like ``weights[train_from:]``, ``bias[train_from:]``.
 
-    A velocity, made by ``pad_velocity`` only, keeps ``spare``: the arrays
-    ``sgd_step`` writes the next velocity and parameters into, None until
-    its first step and once an owner that no longer needs them drops them."""
+    A velocity, made by ``pad_velocity`` only, keeps ``spare``, four arrays
+    of its shapes (None until ``spares`` makes them, and once an owner
+    that no longer needs them drops them): a step's gradients are written
+    into the first two, where ``sgd_step`` turns them into the next
+    velocity, and the next parameters into the other two."""
 
     weights: np.ndarray
     bias: np.ndarray
     spare: tuple = field(default=None, repr=False, compare=False)
+
+    def spares(self):
+        """``spare``, made first if it is None (the one place it is made)."""
+        if self.spare is None:
+            self.spare = tuple(np.empty(a.shape) for a in (self.weights, self.bias) * 2)
+        return self.spare
 
 
 def _selection(selected_outputs, targets, n, out_dim):
@@ -419,9 +429,9 @@ def backward_truncated(layers, trace, targets, selected_outputs, out=None):
 
     ``targets`` is ``(n, k)`` with columns aligned to the selection
     order, or ``(n,)`` when a single output is selected. ``out``, when
-    given, holds the previous step's gradients: each weight gradient is
-    written into its layer's array there while the shape still matches,
-    so those arrays then hold this step's gradients.
+    given, holds per layer arrays shaped like its gradients, weights
+    then bias (a velocity's ``spare``): the gradients are written into
+    them, and the returned gradients are those arrays.
     """
     if len(trace.post) != len(layers):
         raise DimensionError("trace layer count does not match layers")
@@ -439,11 +449,8 @@ def backward_truncated(layers, trace, targets, selected_outputs, out=None):
         layer = layers[i]
         o = layer.train_from
         x = trace.layer_input(i)
-        reuse = None if out is None else out[i].weights
-        if reuse is not None and reuse.shape != (delta.shape[1], x.shape[1]):
-            reuse = None
-        d_w = np.matmul(delta.T, x, out=reuse)
-        d_b = delta.sum(axis=0)
+        d_w = np.matmul(delta.T, x, out=None if out is None else out[i][0])
+        d_b = delta.sum(axis=0, out=None if out is None else out[i][1])
         for r0, r1, c1 in layer.runs:
             if r1 > o:
                 d_w[max(r0, o) - o:r1 - o, c1:] = 0.0
@@ -479,9 +486,9 @@ def pad_velocity(velocity, layers, reset=()):
     return out
 
 
-# Entries per block of ``sgd_step``: 256 KiB of float64 in each of the five
-# arrays a block touches (velocity, gradient, parameters and the two it
-# writes), which stay within a 2 MB L2 cache.
+# Entries per block of ``sgd_step``: 256 KiB of float64 in each of the at
+# most five arrays a block touches (velocity, gradient, parameters and the
+# two it writes), which stay within a 2 MB L2 cache.
 SGD_BLOCK = 32768
 
 
@@ -496,17 +503,20 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity):
     set does not move and its velocity is forced to exactly 0.
 
     Every shape is checked first. Then, one block of ``SGD_BLOCK``
-    entries' rows at a time, each layer's new velocity ``m * v + g`` and
+    entries' rows at a time, each layer's new velocity ``g + m * v`` and
     new parameters ``w + (-lr * v')`` are computed, each rounded as in a
-    whole-array pass, into the spares its velocity keeps (``LayerGrads``,
-    made on the first step and whenever the velocity's shape changed),
-    and each block is checked for finiteness. Only after every layer has
-    passed is anything stored: the new velocity is swapped in, and a
-    whole layer's new weights and bias are swapped in too; from a
-    ``train_from`` above 0 the new rows are copied into place. The
-    replaced arrays become the next step's spares, so a step allocates
-    no parameter-sized array, and a ``DimensionError`` or
-    ``NonFiniteError`` leaves layers and velocity as they were.
+    whole-array pass, into the spares its velocity keeps
+    (``LayerGrads.spares``), and each block is checked for finiteness.
+    ``m * v`` is staged in the parameter spare, so ``g`` may be the
+    velocity spare itself (a training step's gradient is) or a separate
+    array; ``g + m * v`` rounds exactly as ``m * v + g``. Only after
+    every layer has passed is anything stored: the new velocity is
+    swapped in, and a whole layer's new weights and bias are swapped in
+    too; from a ``train_from`` above 0 the new rows are copied into
+    place. The replaced arrays become the next step's spares, so a step
+    allocates no parameter-sized array, and a ``DimensionError`` or
+    ``NonFiniteError`` leaves layers and velocity as they were (only the
+    spares, and a gradient written there, are scratch).
     """
     if len(grads) != len(layers) or len(velocity) != len(layers):
         raise DimensionError("grads/velocity length does not match layers")
@@ -516,23 +526,20 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity):
         if not (g.weights.shape, g.bias.shape) == (v.weights.shape, v.bias.shape) == rows:
             raise DimensionError(f"gradient or velocity not shaped like the rows {o}: of a layer")
     for layer, g, v in zip(layers, grads, velocity):
-        shapes = (v.weights.shape, v.bias.shape)
-        if v.spare is None or (v.spare[0].shape, v.spare[1].shape) != shapes:
-            v.spare = tuple(np.empty(shape) for shape in shapes * 2)
-        v_w, v_b, w, b = v.spare
+        v_w, v_b, w, b = v.spares()
         o, step = layer.train_from, max(SGD_BLOCK // max(layer.fan_in, 1), 1)
         for r in range(0, len(w), step):
             block = slice(r, r + step)
-            v_block = np.multiply(v.weights[block], momentum, out=v_w[block])
-            v_block += g.weights[block]
+            w_block = np.multiply(v.weights[block], momentum, out=w[block])
+            v_block = np.add(g.weights[block], w_block, out=v_w[block])
             _zero_frozen(v_block, layer.frozen, o + r)
             # w + (-lr * v) rounds exactly as w - lr * v, with no temporary
-            w_block = np.multiply(v_block, -learning_rate, out=w[block])
+            np.multiply(v_block, -learning_rate, out=w_block)
             w_block += layer.weights[o + r:o + r + step]
             if not np.isfinite(w_block).all():
                 raise NonFiniteError("non-finite parameter after SGD update")
-        np.multiply(v.bias, momentum, out=v_b)
-        v_b += g.bias
+        np.multiply(v.bias, momentum, out=b)
+        np.add(g.bias, b, out=v_b)
         np.multiply(v_b, -learning_rate, out=b)
         b += layer.bias[o:]
         if not np.isfinite(b).all():

@@ -4,9 +4,10 @@ A task trains in steps: ``TaskRun(net, task_data, config)`` opens the
 network's next task (``grow_output`` appends its output node, snapshots
 the hidden weights and advances ``net.task``, the one record of the open
 task); its ``batches`` cut an epoch into minibatches and its ``step``
-trains one, the loss gradient entering only at that output (the step's
-``grads`` are valid until the next step, which writes its own into
-their arrays); ``end_epoch`` runs a splitting round at the thresholds
+trains one, the loss gradient entering only at that output (the
+gradients are written into the spare the velocity keeps and turned
+there into the new velocity: no step keeps a gradient array);
+``end_epoch`` runs a splitting round at the thresholds
 of the epoch just ended; ``close`` returns the report. ``pad_velocity``
 makes the trainable rows' velocity at task open and after a round that
 grew (appended and reverted neurons restart at 0); ``step`` updates it.
@@ -149,7 +150,7 @@ class TaskRun:
         if config.magnitude_freeze_threshold > 0:
             log.debug("task %d: %d small weights frozen", task,
                       net.freeze_small_weights(config.magnitude_freeze_threshold))
-        self.velocity, self.trace, self.grads = None, None, None
+        self.velocity, self.trace = None, None
         self._fit_structure()
         self.shuffle_rng, self.report = rng_for(config.seed, 1, task), TaskReport(task=task)
 
@@ -171,31 +172,34 @@ class TaskRun:
         return [order[start:start + size] for start in range(0, len(order), size)]
 
     def step(self, idx):
-        """Train on the task's rows ``idx``, keeping the step's ``trace`` and
-        ``grads`` until the next step or splitting round (the next step
-        writes its gradients into these arrays); returns the batch loss."""
+        """Train on the task's rows ``idx``, keeping the step's ``trace`` until
+        the next step or splitting round; returns the batch loss. The
+        gradients are written into the velocity's spare (made here if
+        missing), where ``sgd_step`` turns them into the new velocity."""
         self.trace = None  # the last step's trace is not held while this one is made
         xb, yb, sel = self.data.source[self.data.rows[idx]], self.data.y[idx], [self.net.task]
         self.trace = self.net.trace(xb, self.cache and [c[idx] for c in self.cache])
         loss = selected_bce(self.trace.output, sel, yb)
         self.loss_sum += loss * len(idx)
-        self.grads = backward_truncated(self.net.layers, self.trace, yb, sel, self.grads)
-        sgd_step(self.net.layers, self.grads, self.config.learning_rate,
+        grads = backward_truncated(self.net.layers, self.trace, yb, sel,
+                                   [v.spares() for v in self.velocity])
+        sgd_step(self.net.layers, grads, self.config.learning_rate,
                  self.config.momentum, self.velocity)
         return loss
 
     def end_epoch(self):
         """Record the epoch loss and, while the snapshot is held, run the
         splitting round at this epoch's thresholds, first dropping the last
-        step's ``trace``, ``grads`` and velocity spares (with no round the
-        next step writes into them); returns its ``SplitReport`` or None.
+        step's ``trace`` and the velocity's spares (with no round the next
+        step writes its gradients into them); returns its ``SplitReport``
+        or None.
         After a split (under ``hybrid``, once in ``pss_only``) velocity covers
         the rows that train, 0 for appended neurons and split originals."""
         net, config, report = self.net, self.config, self.report
         report.epoch_losses.append(self.loss_sum / len(self.data))
         self.loss_sum, round_report = 0.0, None
         if net.snapshot is not None:  # none is held through a round, which may grow the layers
-            self.trace, self.grads = None, None
+            self.trace = None
             for v in self.velocity:
                 v.spare = None
             round_report = net.splitting_round(self.epoch, config.sigma, config.delta,

@@ -21,8 +21,12 @@ largest entry, and the parameters to ``RTOL`` of the layer's largest
 parameter. Gradients and velocity are compared to ``RTOL`` of
 ``gradient_scales``: each of their entries is a sum that can cancel, so
 its rounding error is bounded by the sum of the absolute terms behind
-it, not by the entry. The run keeps gradients and velocity for the rows
-from ``train_from`` on only, so those rows are compared. While some
+it, not by the entry. The step keeps no gradient: it writes the
+gradients into its velocity's spare and turns them there into the new
+velocity, so the check copies them as ``sgd_step`` receives them (a spy)
+and asserts that they were written into that spare. The run keeps
+gradients and velocity for the rows from ``train_from`` on only, so
+those rows are compared. While some
 ``train_from`` is above 0, the check also asserts that each layer's
 cache holds exactly its rows before ``train_from``, that those rows and
 the earlier heads do not change by a bit, and that the reference
@@ -33,6 +37,7 @@ tests here drive each task's run step by step.
 import numpy as np
 import pytest
 
+from pss import trainer
 from pss.data import TaskDataset
 from pss.numerics import BLOCK_ROWS
 from pss.plasticity import PlasticNetwork
@@ -121,6 +126,26 @@ def gradient_scales(net, x, y):
     return scales[::-1]
 
 
+def step_receiving(run, idx):
+    """Take ``run``'s step on its rows ``idx``; returns copies of the
+    gradients as ``sgd_step`` received them, which the step then turns
+    into the new velocity, and asserts that they were the arrays of the
+    velocity's spare."""
+    received, sgd_step = [], trainer.sgd_step
+
+    def spy(layers, grads, learning_rate, momentum, velocity):
+        assert all(g.weights is v.spare[0] and g.bias is v.spare[1]
+                   for g, v in zip(grads, velocity))
+        received.append([(g.weights.copy(), g.bias.copy()) for g in grads])
+        return sgd_step(layers, grads, learning_rate, momentum, velocity)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "sgd_step", spy)
+        run.step(idx)
+    [grads] = received
+    return grads
+
+
 def check_step(run, idx, velocity, scales):
     """Take ``run``'s step on its rows ``idx`` and check it against
     ``oracle_step`` from the reference's ``velocity``, whose entries are
@@ -139,15 +164,15 @@ def check_step(run, idx, velocity, scales):
         frozen = [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
                   for l, o in zip(net.layers, offsets)]
         heads = net.predict(x)[:, :offsets[-1]].tobytes()
-    run.step(idx)
+    grads = step_receiving(run, idx)
     for got, expected in zip(run.trace.post, post):
         assert_close(got, expected)
-    for layer, g, v, o, (g_w, g_b), (w, b, v_w, v_b), g_scale, v_scale in zip(
-            net.layers, run.grads, run.velocity, offsets, want_grads, want,
+    for layer, (got_w, got_b), v, o, (g_w, g_b), (w, b, v_w, v_b), g_scale, v_scale in zip(
+            net.layers, grads, run.velocity, offsets, want_grads, want,
             grad_scales, scales):
         assert not g_w[:o].any() and not g_b[:o].any()
-        assert_within(g.weights, g_w[o:], g_scale)
-        assert_within(g.bias, g_b[o:], g_scale)
+        assert_within(got_w, g_w[o:], g_scale)
+        assert_within(got_b, g_b[o:], g_scale)
         assert not v_w[:o].any() and not v_b[:o].any()  # the rows the run dropped hold 0
         assert_within(v.weights, v_w[o:], v_scale)
         assert_within(v.bias, v_b[o:], v_scale)
@@ -189,7 +214,9 @@ def replay_task(net, data, config):
     ``check_step``, the reference's velocity zero at task start. Returns
     per step its batch size, each layer's ``train_from`` and open rows,
     whether a frozen set was held and froze a weight in open rows, and
-    whether the step wrote its gradients into the last step's arrays."""
+    whether the step wrote its gradients into the velocity's spare that
+    the last step left (``check_step`` asserts that every step writes
+    them into the velocity's spare)."""
     run, steps = TaskRun(net, data, config), []
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
     scales = [0.0] * len(net.layers)
@@ -200,10 +227,10 @@ def replay_task(net, data, config):
                           "open": [l.fan_out - l.train_from for l in net.layers],
                           "frozen": any(l.frozen is not None for l in net.layers),
                           "frozen_in_open": any(map(frozen_in_open, net.layers))})
-            held = run.grads and [g.weights for g in run.grads]
+            held = [v.spare and v.spare[0] for v in run.velocity]
             _, velocity, scales = check_step(run, idx, velocity, scales)
-            steps[-1]["kept"] = bool(held) and all(
-                a is g.weights for a, g in zip(held, run.grads))
+            # the new velocity is the spare the gradient was written into
+            steps[-1]["kept"] = all(a is v.weights for a, v in zip(held, run.velocity))
         split = run.end_epoch()
         if split is not None and split.total_splits:
             velocity = velocity_after_split(net, velocity, split)
@@ -229,8 +256,8 @@ def tasks(n_tasks=3, n=33):
 def test_every_step_and_predict_match_the_dense_reference(scope, freeze):
     """``baseline`` is the fine-tuning baseline's step path: splitting off,
     everything trainable, no snapshot. No round runs, so each step after a
-    task's first writes into the last step's gradient arrays, also across
-    epoch ends."""
+    task's first writes its gradients into the velocity's spare the last
+    step left, also across epoch ends."""
     baseline = scope == "baseline"
     config = TrainerConfig(hidden_sizes=(12, 8), sigma=1e-6, delta=0.0, batch_size=8,
                            epochs_per_task=3, seed=5,

@@ -19,8 +19,9 @@ parameters and velocity, the frozen rows, the cache and the earlier
 heads. After every rule the state machine also checks that the
 parameters, the logits of a few images and the velocity agree with the
 reference to 1e-12 relative, by the rules of that check, and that every
-velocity has its gradient's shape (the layer's rows from ``train_from``
-on) and ``check_masks()`` finds nothing. A round must split exactly the
+velocity, and the spare it keeps (where a step writes its gradient),
+has the shape of the layer's rows from ``train_from`` on, and
+``check_masks()`` finds nothing. A round must split exactly the
 neurons whose reference drift exceeds the threshold of its epoch. The
 last task is never closed, so no example ends with nothing left to
 train. The machine runs 40 examples from one fixed seed.
@@ -194,14 +195,13 @@ class TaskLifecycle(RuleBasedStateMachine):
             assert_close(net.predict(FEW), oracle_forward(net, FEW)[1][-1])
         if self.run is None:
             return
-        for i, (layer, v, (v_w, v_b), scale) in enumerate(zip(
-                net.layers, self.run.velocity, self.velocity, self.velocity_scales)):
+        for layer, v, (v_w, v_b), scale in zip(
+                net.layers, self.run.velocity, self.velocity, self.velocity_scales):
             o = layer.train_from
             assert (v.weights.shape, v.bias.shape) == \
                 (layer.weights[o:].shape, layer.bias[o:].shape)
-            if self.run.grads is not None:
-                g = self.run.grads[i]
-                assert (v.weights.shape, v.bias.shape) == (g.weights.shape, g.bias.shape)
+            if v.spare is not None:
+                assert [a.shape for a in v.spare] == [v.weights.shape, v.bias.shape] * 2
             assert_within(v.weights, v_w[o:], scale)
             assert_within(v.bias, v_b[o:], scale)
 

@@ -247,7 +247,7 @@ class TestHybridScope:
         def spy(net, source, rows):
             run = current.get("run")  # the task before, while a task opens
             builds.append((net.freeze_scope, net.snapshot, run and run.trace,
-                           run and run.grads))
+                           run and next((v.spare for v in run.velocity if v.spare), None)))
             return frozen_activations(net, source, rows)
 
         monkeypatch.setattr(PlasticNetwork, "frozen_activations", spy)
@@ -263,7 +263,8 @@ class TestHybridScope:
             built += [t] * len({id(c) for c in caches if c is not None})
             assert built.count(t) == rounds
             dropped = results[-1] is not None  # only a round drops the last step's arrays
-            assert (run.trace is None, run.grads is None) == (dropped, dropped)
+            assert (run.trace is None, all(v.spare is None for v in run.velocity)) == \
+                (dropped, dropped)
             if t > 0:
                 switch = next(e for e, r in enumerate(results) if r and r.total_splits)
                 assert results[switch + 1:] == [None] * (len(results) - switch - 1)
@@ -285,6 +286,28 @@ class TestHybridScope:
                     assert net.snapshot is snapshot is not None
                 else:
                     assert results == [None] * 4 and net.snapshot is None
+
+
+def held_arrays(obj):
+    """Every array reachable from ``obj`` through lists, tuples, dicts and
+    ``pss`` objects, a view as the array it views."""
+    stack, seen, found = [obj], set(), {}
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            found[id(o)] = o
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif type(o).__module__.startswith("pss."):
+            stack.extend(vars(o).values())
+    return list(found.values())
 
 
 def drive(run):
@@ -413,10 +436,18 @@ class TestTaskSteps:
 
 
     @pytest.mark.parametrize("scope", ["hybrid", "pss_only"])
-    def test_velocity_has_the_gradients_shapes_after_every_step(self, scope):
+    def test_velocity_has_the_gradients_shapes_after_every_step(self, scope, monkeypatch):
         """Velocity covers the rows that train: after every step each
-        layer's velocity is shaped like its gradients, before and after the
-        hybrid switch and under ``pss_only`` from task start."""
+        layer's velocity is shaped like the gradients ``sgd_step`` received,
+        before and after the hybrid switch and under ``pss_only`` from task
+        start."""
+        received, sgd_step = [], trainer.sgd_step
+
+        def spy(layers, grads, *args):
+            received.append([(g.weights.shape, g.bias.shape) for g in grads])
+            return sgd_step(layers, grads, *args)
+
+        monkeypatch.setattr(trainer, "sgd_step", spy)
         cfg = TrainerConfig(**SMALL, freeze_scope=scope)
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
         scopes = set()
@@ -424,9 +455,9 @@ class TestTaskSteps:
             run = TaskRun(net, task.train, cfg)
             for _ in range(cfg.epochs_per_task):
                 for idx in run.batches():
+                    received.clear()
                     run.step(idx)
-                    assert [(v.weights.shape, v.bias.shape) for v in run.velocity] == \
-                        [(g.weights.shape, g.bias.shape) for g in run.grads]
+                    assert [[(v.weights.shape, v.bias.shape) for v in run.velocity]] == received
                     scopes.add((net.freeze_scope, any(l.train_from for l in net.layers)))
                 run.end_epoch()
             run.close()
@@ -435,8 +466,8 @@ class TestTaskSteps:
 
     def test_a_dense_step_allocates_nothing_parameter_sized(self):
         """From the task's second step on, a step of a dense task writes
-        its gradients into the last step's arrays and its velocity and
-        weights into the spares it keeps, so the traced peak rise of a
+        its gradients, velocity and weights into the spares its velocity
+        keeps, so the traced peak rise of a
         step stays below the size of the largest weight array. Task 0
         runs no splitting round, so an epoch's end keeps them, and the
         first steps of epochs 2 and 3 allocate no more than the rest."""
@@ -457,12 +488,39 @@ class TestTaskSteps:
                         rises.append(tracemalloc.get_traced_memory()[1] - current)
                         if not n:
                             firsts.append(rises[-1])
-                assert run.end_epoch() is None and run.grads is not None
+                assert run.end_epoch() is None and all(v.spare for v in run.velocity)
         finally:
             tracemalloc.stop()
         assert not any(l.train_from for l in net.layers)
         assert len(firsts) == 2 and len(rises) >= 6
         assert max(rises) < largest, (firsts, max(rises), largest)
+
+    def test_the_gradient_lives_in_the_velocitys_spare(self, monkeypatch):
+        """After two steps of a dense task, every gradient that
+        ``backward_truncated`` returned was the arrays of its layer's
+        velocity spare, and the run holds no array shaped like a layer's
+        weights or bias other than the layers', the velocity's and its
+        spare's: no step keeps a gradient array of its own."""
+        cfg = TrainerConfig(**dict(SMALL, hidden_sizes=(96, 8)))
+        net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+        run = TaskRun(net, small_stream(n_tasks=1).tasks[0].train, cfg)
+        in_spare, backward = [], trainer.backward_truncated
+
+        def spy(*args):
+            grads = backward(*args)
+            in_spare.append([v.spare is not None and g.weights is v.spare[0]
+                             and g.bias is v.spare[1] for g, v in zip(grads, run.velocity)])
+            return grads
+
+        monkeypatch.setattr(trainer, "backward_truncated", spy)
+        for idx in run.batches()[:2]:
+            run.step(idx)
+        assert in_spare == [[True] * len(net.layers)] * 2
+        kept = {id(a) for l, v in zip(net.layers, run.velocity)
+                for a in (l.weights, l.bias, v.weights, v.bias, *v.spare)}
+        shapes = {a.shape for l in net.layers for a in (l.weights, l.bias)}
+        assert [a.shape for a in held_arrays(run)
+                if a.shape in shapes and id(a) not in kept] == []
 
     def test_a_task_closed_before_any_epoch_reports_no_losses(self):
         cfg = TrainerConfig(**SMALL)
