@@ -22,6 +22,7 @@ from pss import cli
 from pss.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, RunConfig, main
 from pss.data import save_idx
 from pss.model_io import save_model
+from pss.numerics import GradcheckReport
 from pss.plasticity import PlasticNetwork
 from pss.trainer import TrainerConfig
 
@@ -29,25 +30,6 @@ STREAM = ["--preset", "synthetic", "--train-size", "240", "--test-size", "120",
           "--tasks", "3", "--test-count", "120"]
 FAST = [*STREAM, "--hidden-sizes", "10,6", "--epochs", "1", "--batch-size", "32",
         "--sigma", "1e-6", "--delta", "0"]
-
-
-# Each edit turns a valid report.json into one export-metrics must refuse;
-# bytes replace the file outright.
-MALFORMED_REPORTS = {
-    "string accuracy matrix": lambda r: r.__setitem__("accuracy_matrix", "ab"),
-    "number epoch losses": lambda r: r.__setitem__("epoch_losses", [3]),
-    "empty accuracy row": lambda r: r.__setitem__("accuracy_matrix", [[]]),
-    "ragged accuracy matrix": lambda r: r["accuracy_matrix"][1].pop(),
-    "string multiclass": lambda r: r.__setitem__("multiclass", "abc"),
-    "string hidden size": lambda r: r["hidden_sizes"][0].__setitem__(0, "10"),
-    "NaN accuracy": lambda r: r["accuracy_matrix"][0].__setitem__(0, float("nan")),
-    "Infinity epoch loss": lambda r: r["epoch_losses"][0].__setitem__(0, float("inf")),
-    "accuracy above 1": lambda r: r["accuracy_matrix"][1].__setitem__(0, 1.5),
-    "negative multiclass": lambda r: r["multiclass"].__setitem__(0, -0.25),
-    "top-level list": b"[1, 2]",
-    "not UTF-8": b"\xff\xfe{}",
-    "deeply nested": b"[" * 100000 + b"]" * 100000,
-}
 
 
 def run_train(tmp_path, *extra):
@@ -190,8 +172,7 @@ class TestTrain:
 
 @pytest.mark.parametrize("argv", [
     ["train", "--preset", "synthetic", "--hidden-sizes", "100000000,8"],
-    ["train", "--preset", "synthetic", "--train-size", "1000000000000"],
-    ["gradcheck", "--dims", "1000000000000,3"]], ids=" ".join)
+    ["train", "--preset", "synthetic", "--train-size", "1000000000000"]], ids=" ".join)
 def test_oversized_flag_is_one_config_error_line(argv, tmp_path):
     """A size no allocation can hold exits 2 with one stderr line, not a
     traceback. The child caps its own address space at 4 GiB before it
@@ -200,10 +181,9 @@ def test_oversized_flag_is_one_config_error_line(argv, tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(pss.__file__)))
-    out = ["--out", str(tmp_path)] if argv[0] == "train" else []
     done = subprocess.run(
         [sys.executable, "-c", "import sys; from pss.cli import main; sys.exit(main())",
-         *argv, *out],
+         *argv, "--out", str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
         preexec_fn=cap_address_space, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         text=True, timeout=120)
@@ -240,25 +220,12 @@ class TestUnusablePaths:
         assert code == EXIT_OK
         assert (tmp_path / model).is_file() and (out / "report.json").is_file()
 
-    @pytest.mark.parametrize("path", ["file", "file/sub"])
-    def test_export_metrics_out_under_a_file_is_config_error(self, path, tmp_path, capsys):
-        _, out = run_train(tmp_path)
-        (tmp_path / "file").write_text("kept")
-        capsys.readouterr()
-        code = main(["export-metrics", "--report", str(out / "report.json"),
-                     "--out", str(tmp_path / path)])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("configuration error: --out")
-        assert (tmp_path / "file").read_text() == "kept"
-
-    @pytest.mark.parametrize("verb, flag", [("train", "--out"), ("train", "--save-model"),
-                                            ("export-metrics", "--out")])
+    @pytest.mark.parametrize("flag", ["--out", "--save-model"])
     def test_unwritable_output_directory_is_config_error_before_any_data(
-            self, verb, flag, tmp_path, capsys, monkeypatch):
+            self, flag, tmp_path, capsys, monkeypatch):
         """A nearest existing directory that ``os.access`` reports unwritable
         is refused (permission bits do not bind root, so the refusal is
         faked)."""
-        _, out = run_train(tmp_path)
         locked = tmp_path / "locked"
         locked.mkdir()
         access = os.access
@@ -266,12 +233,8 @@ class TestUnusablePaths:
             os.path.abspath(path) != str(locked) and access(path, mode)))
         monkeypatch.setattr(RunConfig, "build_stream",
                             lambda self: pytest.fail("data built before validation"))
-        capsys.readouterr()
         target = str(locked / "sub" / "m.pssnet")
-        argv = (["train", *FAST, "--out", str(tmp_path / "x"), flag, target]
-                if verb == "train" else
-                ["export-metrics", "--report", str(out / "report.json"), flag, target])
-        assert main(argv) == EXIT_CONFIG
+        assert main(["train", *FAST, "--out", str(tmp_path / "x"), flag, target]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and flag in err and "writable directory" in err
         assert not (locked / "sub").exists()
@@ -280,11 +243,9 @@ class TestUnusablePaths:
         (["train", *FAST, "--out", "{}/run"], "run", PermissionError(errno.EACCES, "denied")),
         (["train", *FAST, "--out", "{}/run", "--save-model", "{}/m.pssnet"], "m.pssnet",
          OSError(errno.ENOSPC, "No space left on device")),
-        (["export-metrics", "--report", "{}/old/report.json", "--out", "{}/csv"], "csv",
-         OSError(errno.EROFS, "Read-only file system")),
         (["eval", *STREAM, "--model", "{}/old.pssnet"], "old.pssnet",
          PermissionError(errno.EACCES, "denied")),
-    ], ids=["train --out", "train --save-model", "export-metrics --out", "eval --model"])
+    ], ids=["train --out", "train --save-model", "eval --model"])
     def test_a_path_the_system_refuses_is_one_data_error_line(self, argv, target, error,
                                                               tmp_path, capsys, monkeypatch):
         """A path that passes the checks but that the system then refuses to
@@ -309,8 +270,7 @@ class TestUnusablePaths:
         assert line == f"data error: {error}"
 
     @pytest.mark.parametrize("path", [".", "file/x"])
-    @pytest.mark.parametrize("argv", [["export-metrics", "--report"],
-                                      ["inspect", "--model"],
+    @pytest.mark.parametrize("argv", [["inspect", "--model"],
                                       ["eval", *STREAM, "--model"]], ids=" ".join)
     def test_input_directory_is_data_error(self, argv, path, tmp_path, capsys):
         (tmp_path / "file").write_text("kept")
@@ -405,72 +365,43 @@ class TestModelVerbs:
         assert exc.value.code == 2
 
 
-class TestGradcheck:
-    def test_passes_at_stated_tolerance(self, capsys):
-        code = main(["gradcheck", "--dims", "6,5,3", "--seeds", "2"])
-        assert code == EXIT_OK
+class TestVerbs:
+    """The command line holds the four verbs a user path needs, and
+    ``gradcheck`` runs at fixed settings."""
+
+    def test_help_lists_exactly_the_four_verbs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        listed = help_text.split("positional arguments:\n")[1].split("\n\n")[0]
+        verbs = [line.split()[0] for line in listed.splitlines()[1:]]
+        assert verbs == ["train", "eval", "inspect", "gradcheck"]
+        assert "{train,eval,inspect,gradcheck}" in help_text
+
+    @pytest.mark.parametrize("argv", [["export-metrics", "--report", "x"],
+                                      ["gradcheck", "--seeds", "2"]], ids=" ".join)
+    def test_retired_verb_and_flag_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: pss" in capsys.readouterr().err
+
+    def test_gradcheck_passes_at_its_fixed_settings(self, capsys):
+        assert main(["gradcheck"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == \
+            [f"seed {seed}" for seed in range(5)] + ["worst over 5 seeds"]
+        assert all(line.endswith(" ok") for line in lines[:5])
+        assert lines[5].endswith("(tolerance 1.0e-05)")
+
+    def test_a_failing_seed_exits_4(self, capsys, monkeypatch):
+        failing = GradcheckReport(max_rel_error=0.5, checked=3, frozen_checked=1,
+                                  frozen_nonzero=0, tolerance=1e-5)
+        monkeypatch.setattr(cli, "gradcheck", lambda *args, **kw: failing)
+        assert main(["gradcheck"]) == EXIT_NUMERIC
         out = capsys.readouterr().out
-        assert "worst over 2 seeds" in out and "FAIL" not in out
-
-    def test_impossible_tolerance_fails_numerically(self, capsys):
-        code = main(["gradcheck", "--dims", "6,5,3", "--seeds", "1",
-                     "--tolerance", "1e-19"])
-        assert code == EXIT_NUMERIC
-        assert "FAIL" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--seeds", "0"), ("--seeds", "-2"),
-        ("--tolerance", "nan"), ("--tolerance", "-1"), ("--tolerance", "0"),
-        ("--tolerance", "inf"),
-        ("--zero-prob", "2"), ("--zero-prob", "1"), ("--zero-prob", "-0.1"),
-        ("--freeze-prob", "nan"), ("--freeze-prob", "1")])
-    def test_bad_flag_is_config_error_before_any_check(self, flag, value, capsys):
-        code = main(["gradcheck", "--dims", "6,5,3", "--seeds", "1", flag, value])
-        assert code == EXIT_CONFIG
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"configuration error: {flag}")
-
-
-class TestExportMetrics:
-    def test_regenerates_csv(self, tmp_path, capsys):
-        code, out = run_train(tmp_path)
-        (out / "report.csv").unlink()
-        code = main(["export-metrics", "--report", str(out / "report.json")])
-        assert code == EXIT_OK
-        assert (out / "report.csv").read_text().startswith("kind,")
-
-    def test_missing_report_is_data_error(self, tmp_path):
-        assert main(["export-metrics", "--report",
-                     str(tmp_path / "nope.json")]) == EXIT_DATA
-
-    def test_invalid_json_is_data_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["export-metrics", "--report", str(bad)]) == EXIT_DATA
-
-    def test_non_report_json_is_data_error(self, tmp_path):
-        bad = tmp_path / "other.json"
-        bad.write_text('{"something": "else"}')
-        assert main(["export-metrics", "--report", str(bad)]) == EXIT_DATA
-
-    @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
-    def test_malformed_report_is_data_error(self, case, tmp_path, capsys):
-        _, out = run_train(tmp_path)
-        text = (out / "report.json").read_text()
-        bad = tmp_path / "bad.json"
-        edit = MALFORMED_REPORTS[case]
-        if isinstance(edit, bytes):
-            bad.write_bytes(edit)
-        else:
-            report = json.loads(text)
-            edit(report)
-            bad.write_text(json.dumps(report))
-        capsys.readouterr()
-        assert main(["export-metrics", "--report", str(bad),
-                     "--out", str(tmp_path / "csv")]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and "Traceback" not in err
-        assert not (tmp_path / "csv").exists()
+        assert out.count("FAIL") == 5 and "worst over 5 seeds: 5.000e-01" in out
 
 
 class TestBlasThreads:

@@ -92,6 +92,25 @@ class TestMatrixMetrics:
         assert per_task == [0.0, 0.0] and mean == 0.0
 
 
+# Each edit turns a valid report into one ``RunReport.from_json`` must
+# refuse; bytes replace the JSON text outright (``json.loads`` takes bytes).
+MALFORMED_REPORTS = {
+    "string accuracy matrix": lambda r: r.__setitem__("accuracy_matrix", "ab"),
+    "number epoch losses": lambda r: r.__setitem__("epoch_losses", [3]),
+    "empty accuracy row": lambda r: r.__setitem__("accuracy_matrix", [[]]),
+    "ragged accuracy matrix": lambda r: r["accuracy_matrix"][1].pop(),
+    "string multiclass": lambda r: r.__setitem__("multiclass", "abc"),
+    "string hidden size": lambda r: r["hidden_sizes"][0].__setitem__(0, "10"),
+    "NaN accuracy": lambda r: r["accuracy_matrix"][0].__setitem__(0, float("nan")),
+    "Infinity epoch loss": lambda r: r["epoch_losses"][0].__setitem__(0, float("inf")),
+    "accuracy above 1": lambda r: r["accuracy_matrix"][1].__setitem__(0, 1.5),
+    "negative multiclass": lambda r: r["multiclass"].__setitem__(0, -0.25),
+    "top-level list": b"[1, 2]",
+    "not UTF-8": b"\xff\xfe{}",
+    "deeply nested": b"[" * 100000 + b"]" * 100000,
+}
+
+
 def sample_report():
     return RunReport(
         mode="pss", seed=3, config={"batch_size": 64},
@@ -139,3 +158,25 @@ class TestRunReport:
         text = Path(json_path).read_text()
         assert RunReport.from_json(text).mode == "pss"
         assert Path(csv_path).read_text().startswith("kind,boundary,task,layer,epoch")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+    def test_malformed_report_is_refused(self, case):
+        edit = MALFORMED_REPORTS[case]
+        if isinstance(edit, bytes):
+            text = edit
+        else:
+            report = json.loads(sample_report().to_json())
+            edit(report)
+            text = json.dumps(report)
+        # the json parser has no depth limit of its own but the interpreter's
+        error = RecursionError if case == "deeply nested" else (ValueError, TypeError)
+        with pytest.raises(error):
+            RunReport.from_json(text)
+
+    def test_invalid_json_is_refused(self):
+        with pytest.raises(ValueError):
+            RunReport.from_json("{not json")
+
+    def test_non_report_object_is_refused(self):
+        with pytest.raises(TypeError, match="missing or malformed report fields"):
+            RunReport.from_json('{"something": "else"}')

@@ -1,4 +1,4 @@
-"""Run the named mutants of the training step and check that tests kill them.
+"""Run the named mutants of the engine and check that tests kill them.
 
 A mutant is a deliberate fault: in one file of the tree, an exact text
 that occurs there once is replaced, and the tests named with it must
@@ -44,15 +44,24 @@ class Mutant:
 
 
 MUTANTS = (
+    # the training step: ``pad_velocity`` and ``sgd_step``
     Mutant("pad-velocity-keeps-reset-rows", "src/pss/numerics.py",
            "        new.weights[rows] = new.bias[rows] = 0.0\n",
            "        pass\n",
            ("tests/test_numerics.py::TestSgdStep::test_pad_velocity_shapes_the_trainable_rows",
             "tests/test_trainer.py::TestVelocityRule")),
+    Mutant("pad-velocity-zeros-every-row-then-slices", "src/pss/numerics.py",
+           "np.zeros_like(l.weights[l.train_from:])",
+           "np.zeros_like(l.weights)[l.train_from:]",
+           ("tests/test_trainer.py::TestVelocityRule::test_the_switch_allocates_only_the_trainable_rows_velocity",)),
     Mutant("sgd-frozen-set-without-block-offset", "src/pss/numerics.py",
            "_zero_frozen(v_block, layer.frozen, o + r)",
            "_zero_frozen(v_block, layer.frozen, o)",
            ("tests/test_numerics.py::TestSgdStep::test_non_finite_update_changes_nothing",)),
+    Mutant("sgd-frozen-set-not-zeroed", "src/pss/numerics.py",
+           "            _zero_frozen(v_block, layer.frozen, o + r)\n",
+           "",
+           ("tests/test_numerics.py::TestSgdStep::test_frozen_weight_and_velocity_stay_zero",)),
     Mutant("sgd-finiteness-in-last-block-only", "src/pss/numerics.py",
            "            if not np.isfinite(w_block).all():\n",
            "            if r + step >= len(w) and not np.isfinite(w_block).all():\n",
@@ -70,6 +79,140 @@ MUTANTS = (
            "        v.weights, v.bias = v_w, v_b\n",
            ("tests/test_numerics.py::TestSgdStep::test_two_steps_by_hand",
             "tests/test_dense_oracle.py")),
+    # backward: truncation at each run's prefix, the frozen set, the activations
+    Mutant("backward-no-per-run-zeroing", "src/pss/numerics.py",
+           "                d_w[max(r0, o) - o:r1 - o, c1:] = 0.0\n",
+           "                pass\n",
+           ("tests/test_numerics.py::TestBackwardTruncated::test_trainable_rows_zero_past_each_prefix",
+            "tests/test_dense_oracle.py")),
+    Mutant("backward-run-zeroing-without-the-row-offset", "src/pss/numerics.py",
+           "d_w[max(r0, o) - o:r1 - o, c1:] = 0.0",
+           "d_w[max(r0, o):r1 - o, c1:] = 0.0",
+           ("tests/test_numerics.py::TestBackwardTruncated::test_trainable_rows_zero_past_each_prefix",)),
+    Mutant("backward-frozen-set-not-zeroed", "src/pss/numerics.py",
+           "        _zero_frozen(d_w, layer.frozen, o)\n",
+           "",
+           ("tests/test_numerics.py::TestBackwardTruncated::test_frozen_positions_get_exact_zero",
+            "tests/test_dense_oracle.py")),
+    Mutant("backward-derivative-of-the-leading-columns", "src/pss/numerics.py",
+           "trace.post[i - 1][:, below.train_from:]",
+           "trace.post[i - 1][:, :below.fan_out - below.train_from]",
+           ("tests/test_numerics.py::TestBackwardTruncated::test_matches_finite_differences_on_masked_net",
+            "tests/test_dense_oracle.py")),
+    Mutant("leaky-derivative-one-at-zero", "src/pss/numerics.py",
+           "np.maximum(a > 0, self.slope)",
+           "np.maximum(a >= 0, self.slope)",
+           ("tests/test_numerics.py::TestForward", "tests/test_dense_oracle.py")),
+    # the structure: each run's column prefix ``c1`` and each layer's ``train_from``
+    Mutant("c1-one-short", "src/pss/plasticity.py",
+           "bisect_right(tags[i - 1], gens[r0])\n",
+           "bisect_right(tags[i - 1], gens[r0]) - 1\n",
+           ("tests/test_plasticity.py::TestDerivedStructure::test_one_run_per_generation_sees_its_prefix",
+            "tests/test_dense_oracle.py")),
+    Mutant("c1-one-over", "src/pss/plasticity.py",
+           "bisect_right(tags[i - 1], gens[r0])\n",
+           "bisect_right(tags[i - 1], gens[r0]) + 1\n",
+           ("tests/test_plasticity.py::TestDerivedStructure::test_rebuild_from_tags_reproduces_masks_and_blocks",
+            "tests/test_dense_oracle.py")),
+    Mutant("c1-one-short-above-generation-0", "src/pss/plasticity.py",
+           "bisect_right(tags[i - 1], gens[r0])\n",
+           "bisect_right(tags[i - 1], gens[r0]) - (gens[r0] > 0)\n",
+           ("tests/test_plasticity.py::TestDerivedStructure::test_one_run_per_generation_sees_its_prefix",
+            "tests/test_pss_only_step.py::TestFrozenCache::test_cache_is_the_frozen_rows_of_a_full_forward")),
+    Mutant("train-from-by-bisect-right", "src/pss/plasticity.py",
+           "bisect_left(gens, self.task) if scope",
+           "bisect_right(gens, self.task) if scope",
+           ("tests/test_plasticity.py::TestFreezeScopes::test_pss_only_trains_current_generation_only",
+            "tests/test_dense_oracle.py")),
+    # the block pass and the frozen-row cache
+    Mutant("row-blocks-without-the-remainder-block", "src/pss/numerics.py",
+           "for a in range(0, last, BLOCK_ROWS)] + [slice(last, n)]",
+           "for a in range(0, last, BLOCK_ROWS)]",
+           ("tests/test_blockwise.py::test_blocks_tile_the_rows_the_last_taking_the_rest",
+            "tests/test_numerics.py::TestForward")),
+    Mutant("row-blocks-last-block-one-row-late", "src/pss/numerics.py",
+           "+ [slice(last, n)]",
+           "+ [slice(last + 1, n)]",
+           ("tests/test_blockwise.py::test_predict_and_cache_are_forward_by_block_bitwise",
+            "tests/test_numerics.py::TestForward")),
+    Mutant("row-blocks-inner-blocks-one-row-short", "src/pss/numerics.py",
+           "[slice(a, a + BLOCK_ROWS) for a",
+           "[slice(a, a + BLOCK_ROWS - 1) for a",
+           ("tests/test_blockwise.py::test_predict_and_cache_are_forward_by_block_bitwise",
+            "tests/test_blockwise.py::test_old_logits_stay_bit_identical_on_a_multi_block_probe")),
+    Mutant("frozen-row-cache-of-every-row", "src/pss/plasticity.py",
+           "[l.train_from for l in self.layers])",
+           "None)",
+           ("tests/test_pss_only_step.py::TestFrozenCache::test_cache_is_the_frozen_rows_of_a_full_forward",
+            "tests/test_dense_oracle.py")),
+    Mutant("step-reads-the-sorted-batchs-cache-rows", "src/pss/trainer.py",
+           "[c[idx] for c in self.cache]",
+           "[c[np.sort(idx)] for c in self.cache]",
+           ("tests/test_dense_oracle.py",)),
+    # ``MaskedLayer.affine`` and its run plan
+    Mutant("affine-without-the-prefix-width-check", "src/pss/numerics.py",
+           "                if c1 > width:\n",
+           "                if False:\n",
+           ("tests/test_numerics.py::TestMaskedLayer::test_row_stop_reads_only_the_columns_its_runs_see",)),
+    Mutant("plan-kept-when-the-weights-are-rebound", "src/pss/numerics.py",
+           'if name in ("weights", "runs"):',
+           'if name == "runs":',
+           ("tests/test_numerics.py::TestSgdStep::test_a_replaced_weights_array_is_freed",
+            "tests/test_dense_oracle.py")),
+    Mutant("plan-kept-when-the-runs-are-rebound", "src/pss/numerics.py",
+           'if name in ("weights", "runs"):',
+           'if name == "weights":',
+           ("tests/test_numerics.py::TestMaskedLayer::test_affine_follows_rebound_runs_and_in_place_writes",)),
+    Mutant("plan-deep-copied-with-the-layer", "src/pss/numerics.py",
+           'return {**self.__dict__, "_plan": None}',
+           "return self.__dict__",
+           ("tests/test_blockwise.py::test_one_image_predict_is_the_run_by_run_loop_bitwise",)),
+    Mutant("plan-holds-copies-of-the-weights", "src/pss/numerics.py",
+           "self.weights[r0:r1, :c1].T, np.s_",
+           "self.weights[r0:r1, :c1].T.copy(), np.s_",
+           ("tests/test_numerics.py::TestMaskedLayer::test_affine_follows_rebound_runs_and_in_place_writes",
+            "tests/test_dense_oracle.py")),
+    # growth: ``_append_hidden``'s column draws and ``split_neurons``' copies
+    Mutant("append-hidden-constant-std", "src/pss/plasticity.py",
+           "std = np.sqrt(2.0 / (down.fan_in + np.arange(1, n + 1)))",
+           "std = np.full(n, np.sqrt(2.0 / (down.fan_in + 1)))",
+           ("tests/test_plasticity.py::TestOneEditPerLayer::test_round_matches_per_neuron_reference",)),
+    Mutant("append-hidden-draws-in-unit-major-order", "src/pss/plasticity.py",
+           "self.rng.normal(0.0, std[:, None], size=(n, int(live.sum()))).T",
+           "self.rng.normal(0.0, std, size=(int(live.sum()), n))",
+           ("tests/test_plasticity.py::TestOneEditPerLayer::test_round_matches_per_neuron_reference",)),
+    Mutant("drifted-copy-takes-the-snapshot-bias", "src/pss/plasticity.py",
+           "rows, biases = layer.weights[indices], layer.bias[indices]",
+           "rows, biases = layer.weights[indices], snap_b[indices]",
+           ("tests/test_plasticity.py::TestOneEditPerLayer::test_round_matches_per_neuron_reference",)),
+    # the splitting round and what follows it
+    Mutant("non-strict-drift-test", "src/pss/plasticity.py",
+           "np.flatnonzero(drift > threshold)",
+           "np.flatnonzero(drift >= threshold)",
+           ("tests/test_plasticity.py::TestSplittingRound::test_strict_threshold_no_split_at_equality",)),
+    Mutant("neuron-split-twice-in-one-task", "src/pss/plasticity.py",
+           "        done.update(indices)\n",
+           "",
+           ("tests/test_plasticity.py::TestSplittingRound::test_each_neuron_splits_at_most_once_per_task",
+            "tests/test_plasticity.py::TestSplitNeuron::test_split_preconditions")),
+    Mutant("no-switch-to-pss-only-under-hybrid", "src/pss/trainer.py",
+           '                net.set_structural_freeze("pss_only")\n',
+           "                pass\n",
+           ("tests/test_trainer.py::TestHybridScope::test_switches_to_frozen_after_first_split",
+            "tests/test_dense_oracle.py")),
+    Mutant("round-resets-no-velocity-rows", "src/pss/trainer.py",
+           "self._fit_structure(round_report.splits)",
+           "self._fit_structure()",
+           ("tests/test_trainer.py::TestVelocityRule", "tests/test_dense_oracle.py")),
+    # the task stream and the boundary evaluation
+    Mutant("task-rows-recorded-unshuffled", "src/pss/data.py",
+           "TaskDataset(images, idx[order], y[order])",
+           "TaskDataset(images, idx, y[order])",
+           ("tests/test_data.py::TestTaskStream::test_test_sets_record_their_pool_rows",)),
+    Mutant("boundary-scores-the-pool-head", "src/pss/trainer.py",
+           "logits[task.test.rows, j]",
+           "logits[:len(task.test.rows), j]",
+           ("tests/test_trainer.py::TestEvaluateBoundary::test_one_pool_forward_equals_per_task_forwards",)),
 )
 
 
