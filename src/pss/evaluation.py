@@ -146,9 +146,12 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text):
-        """Parse ``to_json`` output; ``NaN`` and ``Infinity``, which are not
-        JSON, raise ``ValueError``."""
-        return cls.from_dict(json.loads(text, parse_constant=_not_json))
+        """Parse ``to_json`` output; ``NaN`` and ``Infinity`` (not JSON) and
+        nesting past the interpreter's recursion limit raise ``ValueError``."""
+        try:
+            return cls.from_dict(json.loads(text, parse_constant=_not_json))
+        except RecursionError:
+            raise ValueError("report JSON nests too deeply") from None
 
     def csv_rows(self):
         """Long-format numeric view: kind, boundary, task, layer, epoch, value."""

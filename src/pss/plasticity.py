@@ -2,13 +2,14 @@
 
 The network trains one binary task at a time. Every hidden neuron and
 every output node carries a generation tag: the index of the task that
-created it. At task start the incoming weights of all hidden neurons
-are snapshotted. While the task trains, each old neuron's semantic
-drift is the squared L2 distance between its current incoming weights
-(plus bias) and the snapshot. A neuron whose drift exceeds the current
-threshold is split: a copy carrying the drifted weights is appended as
-a new neuron of the current generation, and the original is reverted
-to its snapshot so whatever it encoded for earlier tasks is restored.
+created it. At the start of a task whose rounds can split, the incoming
+weights of all hidden neurons are snapshotted (``take_snapshot``).
+While the task trains, each old neuron's semantic drift is the squared
+L2 distance between its current incoming weights (plus bias) and the
+snapshot. A neuron whose drift exceeds the current threshold is split:
+a copy carrying the drifted weights is appended as a new neuron of the
+current generation, and the original is reverted to its snapshot so
+whatever it encoded for earlier tasks is restored.
 A splitting round appends each layer's copies, or its support filler,
 in one edit (``_append_hidden``), layer by layer from the first.
 
@@ -260,24 +261,25 @@ class PlasticNetwork:
 
         The node receives He-initialised weights from every hidden
         neuron of the last layer (all of them are of its generation or
-        older) and a zero bias. A magnitude freeze of the previous task
-        is dropped.
+        older) and a zero bias. A magnitude freeze and the snapshot of
+        the previous task are dropped.
         """
         self.task += 1
         out = self.output_layer
         out.weights = np.vstack([out.weights, he_normal(1, out.fan_in, self.rng)])
         out.bias = np.concatenate([out.bias, [0.0]])
-        self._split_done = [set() for _ in self.hidden_layers]
         for layer in self.layers:
             layer.frozen = None
         self.set_structural_freeze(self.freeze_scope)
-        self.take_snapshot()
+        self.snapshot = None
         return self.task
 
     def take_snapshot(self):
-        """Record hidden weights as the reference for this task's drift."""
+        """Record hidden weights as the reference for the open task's drift,
+        against which no neuron has split yet."""
         self.snapshot = Snapshot([l.weights.copy() for l in self.hidden_layers],
                                  [l.bias.copy() for l in self.hidden_layers])
+        self._split_done = [set() for _ in self.hidden_layers]
         return self.snapshot
 
     # -- drift and splitting -------------------------------------------------
@@ -290,7 +292,7 @@ class PlasticNetwork:
         structural zeros for old neurons, so they contribute nothing.
         """
         if self.snapshot is None:
-            raise ValueError("no snapshot; grow_output opens a task and takes one")
+            raise ValueError("no snapshot; take_snapshot records one at task open")
         layer = self.hidden_layers[layer_index]
         snap_w = self.snapshot.weights[layer_index]
         snap_b = self.snapshot.biases[layer_index]
@@ -341,7 +343,7 @@ class PlasticNetwork:
         if split_init not in SPLIT_INITS:
             raise ValueError(f"unknown split_init {split_init!r}")
         if self.snapshot is None:
-            raise ValueError("no snapshot; grow_output opens a task and takes one")
+            raise ValueError("no snapshot; take_snapshot records one at task open")
         snap_w = self.snapshot.weights[layer_index]
         snap_b = self.snapshot.biases[layer_index]
         done, indices = self._split_done[layer_index], list(indices)

@@ -1,19 +1,21 @@
 """Sequential task training with drift-triggered splitting.
 
 A task trains in steps: ``TaskRun(net, task_data, config)`` opens the
-network's next task (``grow_output`` appends its output node, snapshots
-the hidden weights and advances ``net.task``, the one record of the open
-task); its ``batches`` cut an epoch into minibatches and its ``step``
-trains one, the loss gradient entering only at that output (the
-gradients are written into the spare the velocity keeps and turned
-there into the new velocity: no step keeps a gradient array);
-``end_epoch`` runs a splitting round at the thresholds
-of the epoch just ended; ``close`` returns the report. ``pad_velocity``
-makes the trainable rows' velocity at task open and after a round that
-grew (appended and reverted neurons restart at 0); ``step`` updates it.
-The snapshot is held only while a round can read it: it is released
-when the task opens in task 0 and with splitting off, and when the
-network enters ``pss_only``.
+network's next task (``grow_output`` appends its output node and
+advances ``net.task``, the one record of the open task); its ``batches``
+cut an epoch into minibatches and its ``step`` trains one, the loss
+gradient entering only at that output; ``end_epoch`` runs a splitting
+round at the thresholds of the epoch just ended; ``close`` returns the
+report. The run owns the task's state, one lifetime per array: the
+snapshot of the hidden weights is taken at open only where a round can
+read it (from task 1 on, splitting on, opening under ``full_truncated``
+as ``hybrid`` does) and released at the ``hybrid`` switch;
+``pad_velocity`` makes the trainable rows' velocity at open and after a
+round that grew (appended and reverted neurons restart at 0), each
+``step`` writes its gradients into the velocity's spare and turns them
+there into the new velocity, and a round drops the spares; a step's
+forward trace lives only for that step.
+
 The freeze scope decides how much of the old network may move:
 
 ``hybrid`` (default)
@@ -32,11 +34,12 @@ task's training set (``PlasticNetwork.frozen_activations``); each step
 takes the batch's rows of that cache, and backward, velocity and SGD
 cover the trainable rows only. From task 1 on, in ``pss_only`` every
 snapshot row is frozen: its drift stays put while the threshold only
-grows, so no round can split again. The run therefore releases the
-snapshot before it builds the cache and runs no more rounds; under
-``hybrid`` the switching round is the task's last. So a task builds the
-cache at most once: at open under ``pss_only``, at the switch under
-``hybrid``, never under ``full_truncated`` (every ``train_from`` is 0).
+grows, so no round could split. That is why no snapshot is held there,
+and why under ``hybrid`` the switching round is the task's last (the
+switch releases the snapshot before the cache is built). A task
+therefore builds the cache at most once: at open under ``pss_only``, at
+the switch under ``hybrid``, never under ``full_truncated`` (every
+``train_from`` is 0).
 Batches, and each block of images a cache is built from, are gathered
 from the shared training images.
 
@@ -130,10 +133,7 @@ class TaskReport:
     task: int
     epoch_losses: list = field(default_factory=list)
     splits_per_epoch: list = field(default_factory=list)
-    split_count: int = 0
     filler_count: int = 0
-    hidden_sizes_after: list = field(default_factory=list)
-    parameter_count_after: int = 0
 
 
 class TaskRun:
@@ -150,20 +150,18 @@ class TaskRun:
         if config.magnitude_freeze_threshold > 0:
             log.debug("task %d: %d small weights frozen", task,
                       net.freeze_small_weights(config.magnitude_freeze_threshold))
-        self.velocity, self.trace = None, None
+        if task > 0 and config.splitting_enabled and net.freeze_scope == "full_truncated":
+            net.take_snapshot()  # a round can split: old neurons train
+        self.velocity = None
         self._fit_structure()
         self.shuffle_rng, self.report = rng_for(config.seed, 1, task), TaskReport(task=task)
 
     def _fit_structure(self, reset=()):
-        """At task open and after a round that grew: release the snapshot if
-        no round can read it again (in task 0, with splitting off, and in
-        ``pss_only``), then make the trainable rows' velocity (``pad_velocity``,
-        0 in the ``reset`` rows) and the cache of the rows that cannot train."""
-        net = self.net
-        if net.task == 0 or not self.config.splitting_enabled or net.freeze_scope == "pss_only":
-            net.snapshot = None
-        self.velocity = pad_velocity(self.velocity, net.layers, reset)
-        self.cache = net.frozen_activations(self.data.source, self.data.rows)
+        """At task open and after a round that grew: make the trainable
+        rows' velocity (``pad_velocity``, 0 in the ``reset`` rows) and the
+        cache of the rows that cannot train."""
+        self.velocity = pad_velocity(self.velocity, self.net.layers, reset)
+        self.cache = self.net.frozen_activations(self.data.source, self.data.rows)
 
     def batches(self):
         """One epoch's minibatches: the task's row indices in the next
@@ -172,16 +170,14 @@ class TaskRun:
         return [order[start:start + size] for start in range(0, len(order), size)]
 
     def step(self, idx):
-        """Train on the task's rows ``idx``, keeping the step's ``trace`` until
-        the next step or splitting round; returns the batch loss. The
+        """Train on the task's rows ``idx``; returns the batch loss. The
         gradients are written into the velocity's spare (made here if
         missing), where ``sgd_step`` turns them into the new velocity."""
-        self.trace = None  # the last step's trace is not held while this one is made
         xb, yb, sel = self.data.source[self.data.rows[idx]], self.data.y[idx], [self.net.task]
-        self.trace = self.net.trace(xb, self.cache and [c[idx] for c in self.cache])
-        loss = selected_bce(self.trace.output, sel, yb)
+        trace = self.net.trace(xb, self.cache and [c[idx] for c in self.cache])
+        loss = selected_bce(trace.output, sel, yb)
         self.loss_sum += loss * len(idx)
-        grads = backward_truncated(self.net.layers, self.trace, yb, sel,
+        grads = backward_truncated(self.net.layers, trace, yb, sel,
                                    [v.spares() for v in self.velocity])
         sgd_step(self.net.layers, grads, self.config.learning_rate,
                  self.config.momentum, self.velocity)
@@ -189,27 +185,25 @@ class TaskRun:
 
     def end_epoch(self):
         """Record the epoch loss and, while the snapshot is held, run the
-        splitting round at this epoch's thresholds, first dropping the last
-        step's ``trace`` and the velocity's spares (with no round the next
-        step writes its gradients into them); returns its ``SplitReport``
-        or None.
+        splitting round at this epoch's thresholds, first dropping the
+        velocity's spares (with no round the next step writes its gradients
+        into them); returns its ``SplitReport`` or None.
         After a split (under ``hybrid``, once in ``pss_only``) velocity covers
         the rows that train, 0 for appended neurons and split originals."""
         net, config, report = self.net, self.config, self.report
         report.epoch_losses.append(self.loss_sum / len(self.data))
         self.loss_sum, round_report = 0.0, None
         if net.snapshot is not None:  # none is held through a round, which may grow the layers
-            self.trace = None
             for v in self.velocity:
                 v.spare = None
             round_report = net.splitting_round(self.epoch, config.sigma, config.delta,
                                                config.split_init)
         report.splits_per_epoch.append(round_report.total_splits if round_report else 0)
         if round_report and round_report.total_splits:
-            report.split_count += round_report.total_splits
             report.filler_count += round_report.total_fillers
             if config.freeze_scope == "hybrid":
                 net.set_structural_freeze("pss_only")
+                net.snapshot = None  # every snapshot row is frozen: none can split again
             self._fit_structure(round_report.splits)  # the round grew and reverted rows
             log.info("task %d epoch %d: %d splits, %d fillers", net.task, self.epoch,
                      round_report.total_splits, round_report.total_fillers)
@@ -218,11 +212,9 @@ class TaskRun:
 
     def close(self):
         report, net = self.report, self.net
-        report.hidden_sizes_after, report.parameter_count_after = \
-            net.hidden_sizes(), net.parameter_count()
         log.info("task %d done in %.2fs: sizes %s, epoch losses %s",
                  net.task, time.perf_counter() - self.started,
-                 report.hidden_sizes_after, [round(loss, 4) for loss in report.epoch_losses])
+                 net.hidden_sizes(), [round(loss, 4) for loss in report.epoch_losses])
         return report
 
 
@@ -267,9 +259,9 @@ def run_lifelong(stream, config, mode="pss"):
         row, mc = evaluate_boundary(net, stream, net.task)
         report.accuracy_matrix.append(row)
         report.multiclass.append(mc)
-        report.hidden_sizes.append(task_report.hidden_sizes_after)
-        report.parameter_counts.append(task_report.parameter_count_after)
-        report.split_counts.append(task_report.split_count)
+        report.hidden_sizes.append(net.hidden_sizes())
+        report.parameter_counts.append(net.parameter_count())
+        report.split_counts.append(sum(task_report.splits_per_epoch))
         report.filler_counts.append(task_report.filler_count)
         report.epoch_losses.append(task_report.epoch_losses)
     return net, report

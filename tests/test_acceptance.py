@@ -160,6 +160,7 @@ class TestCriterion3StructuralFuzz:
         def do_grow():
             nonlocal epoch, sigma, delta
             net.grow_output()
+            net.take_snapshot()
             epoch, sigma = 0, float(rng.uniform(0.01, 2.0))
             delta = float(rng.uniform(0.0, 0.5))
 

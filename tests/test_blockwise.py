@@ -128,6 +128,7 @@ def test_one_image_predict_is_the_run_by_run_loop_bitwise(grown, case, tmp_path)
         net = copy.deepcopy(net)
         net.predict(source[:1])
         net.grow_output()
+        net.take_snapshot()
         net.hidden_layers[0].weights[0] += 1.0
         net.split_neurons(0, [0])
     assert all(len(layer.runs) > 1 for layer in net.layers)

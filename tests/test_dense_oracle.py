@@ -127,11 +127,17 @@ def gradient_scales(net, x, y):
 
 
 def step_receiving(run, idx):
-    """Take ``run``'s step on its rows ``idx``; returns copies of the
+    """Take ``run``'s step on its rows ``idx``; returns the post-activations
+    of the trace ``backward_truncated`` received, and copies of the
     gradients as ``sgd_step`` received them, which the step then turns
     into the new velocity, and asserts that they were the arrays of the
     velocity's spare."""
-    received, sgd_step = [], trainer.sgd_step
+    traced, received = [], []
+    backward, sgd_step = trainer.backward_truncated, trainer.sgd_step
+
+    def backward_spy(layers, trace, *args):
+        traced.append(trace.post)
+        return backward(layers, trace, *args)
 
     def spy(layers, grads, learning_rate, momentum, velocity):
         assert all(g.weights is v.spare[0] and g.bias is v.spare[1]
@@ -140,10 +146,11 @@ def step_receiving(run, idx):
         return sgd_step(layers, grads, learning_rate, momentum, velocity)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "backward_truncated", backward_spy)
         patch.setattr(trainer, "sgd_step", spy)
         run.step(idx)
-    [grads] = received
-    return grads
+    [post], [grads] = traced, received
+    return post, grads
 
 
 def check_step(run, idx, velocity, scales):
@@ -164,8 +171,8 @@ def check_step(run, idx, velocity, scales):
         frozen = [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
                   for l, o in zip(net.layers, offsets)]
         heads = net.predict(x)[:, :offsets[-1]].tobytes()
-    grads = step_receiving(run, idx)
-    for got, expected in zip(run.trace.post, post):
+    got_post, grads = step_receiving(run, idx)
+    for got, expected in zip(got_post, post):
         assert_close(got, expected)
     for layer, (got_w, got_b), v, o, (g_w, g_b), (w, b, v_w, v_b), g_scale, v_scale in zip(
             net.layers, grads, run.velocity, offsets, want_grads, want,

@@ -168,9 +168,7 @@ class TestRunReport:
             report = json.loads(sample_report().to_json())
             edit(report)
             text = json.dumps(report)
-        # the json parser has no depth limit of its own but the interpreter's
-        error = RecursionError if case == "deeply nested" else (ValueError, TypeError)
-        with pytest.raises(error):
+        with pytest.raises((ValueError, TypeError)):
             RunReport.from_json(text)
 
     def test_invalid_json_is_refused(self):

@@ -425,7 +425,7 @@ class TestBackwardTruncated:
             data = TaskDataset(rng.standard_normal((24, 4)), np.arange(24),
                                rng.integers(0, 2, size=24).astype(float))
             report = train_task(net, data, config)
-        assert report.split_count and net.freeze_scope == "pss_only"
+        assert sum(report.splits_per_epoch) and net.freeze_scope == "pss_only"
         assert all(layer.train_from for layer in net.hidden_layers)
         x = rng.standard_normal((6, 4))
         return net.layers, x, rng.integers(0, 2, size=6).astype(float), [1]

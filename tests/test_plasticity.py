@@ -31,7 +31,9 @@ def fresh_net(n_features=3, hidden=(4, 3), seed=0):
 
 
 def opened(net):
+    """Open the network's next task with a snapshot to split against."""
     net.grow_output()
+    net.take_snapshot()
     return net
 
 
@@ -107,7 +109,7 @@ class TestSemanticDrift:
 
     def test_new_neurons_report_zero(self):
         net = opened(fresh_net())
-        net.grow_output()
+        opened(net)
         net.hidden_layers[0].weights[0, 0] += 2.0
         net.split_neurons(0, [0])
         d = net.semantic_drift(0)
@@ -121,7 +123,7 @@ class TestSemanticDrift:
 class TestSplitNeuron:
     def setup_net(self):
         net = opened(fresh_net())
-        net.grow_output()
+        opened(net)
         return net
 
     def test_revert_restores_snapshot_bits(self):
@@ -221,7 +223,7 @@ class TestSplitNeuron:
         net = self.setup_net()
         net.hidden_layers[0].weights[0] += 1.0
         net.split_neurons(0, [0])
-        net.grow_output()
+        opened(net)
         net.hidden_layers[0].weights[0] += 1.0
         [old_tag], [new_tag] = net.split_neurons(0, [0])
         assert new_tag.generation == 2
@@ -230,7 +232,7 @@ class TestSplitNeuron:
 class TestSupportPath:
     def test_fillers_complete_the_path(self):
         net = opened(fresh_net(hidden=(4, 3, 3)))
-        net.grow_output()
+        opened(net)
         net.hidden_layers[0].weights[0] += 1.0
         net.split_neurons(0, [0])
         added = net.ensure_support_path()
@@ -243,7 +245,7 @@ class TestSupportPath:
 
     def test_filler_feeds_current_output_only(self):
         net = opened(fresh_net())
-        net.grow_output()
+        opened(net)
         added = net.ensure_support_path()  # no split yet, still adds per layer
         tag = [t for t in added if t.layer == 1][0]
         out = net.output_layer
@@ -254,7 +256,7 @@ class TestSupportPath:
 class TestSplittingRound:
     def prepared(self):
         net = opened(fresh_net())
-        net.grow_output()
+        opened(net)
         return net
 
     def test_strict_threshold_no_split_at_equality(self):
@@ -380,7 +382,7 @@ class TestOneEditPerLayer:
         net = opened(fresh_net(n_features=5, hidden=(9, 7), seed=3))
         rng = np.random.default_rng(11)
         for task in (1, 2):
-            net.grow_output()
+            opened(net)
             for epoch in range(2):  # the second round finds split rows and live units
                 drift_rows(net, drifting, rng)
                 weights, biases, gens, lists, ref_rng = per_neuron_round(
@@ -404,7 +406,7 @@ class TestOneEditPerLayer:
 
     def test_a_round_derives_the_structure_once_per_layer(self, monkeypatch):
         net = opened(fresh_net(hidden=(5, 4, 3)))
-        net.grow_output()
+        opened(net)
         for layer in net.hidden_layers:
             layer.weights += 1.0
         calls = []
@@ -426,7 +428,7 @@ class TestOneEditPerLayer:
         ids=["repeated", "out of range", "split this task", "a copy"])
     def test_a_refused_batch_changes_nothing(self, indices, reason):
         net = opened(fresh_net())
-        net.grow_output()
+        opened(net)
         net.hidden_layers[0].weights += 1.0
         net.split_neurons(0, [0])                      # row 4 is its copy
         before = structure(net)
@@ -452,6 +454,18 @@ class TestGrowOutput:
         assert net.output_layer.bias[0] == 0.0
         assert net.n_outputs == 2
 
+    def test_opening_a_task_drops_the_last_tasks_snapshot(self):
+        """A snapshot belongs to the task it was taken in: the next task
+        opens without one, and ``take_snapshot`` starts its record of
+        splits afresh."""
+        net = opened(opened(fresh_net()))
+        net.hidden_layers[0].weights[0] += 1.0
+        net.split_neurons(0, [0])
+        net.grow_output()
+        assert net.snapshot is None
+        net.take_snapshot()
+        assert net._split_done == [set(), set()]
+
     def test_predict_shape_tracks_outputs(self):
         net = fresh_net()
         x = np.random.default_rng(1).standard_normal((5, 3))
@@ -463,7 +477,7 @@ class TestGrowOutput:
 class TestFreezeScopes:
     def test_pss_only_trains_current_generation_only(self):
         net = opened(fresh_net())
-        net.grow_output()
+        opened(net)
         net.hidden_layers[0].weights[0] += 1.0
         net.split_neurons(0, [0])
         net.ensure_support_path()
@@ -531,7 +545,7 @@ class TestDerivedStructure:
     def split_net(scope):
         net = opened(fresh_net(hidden=(5, 4, 3)))
         for task in (1, 2):
-            net.grow_output()
+            opened(net)
             net.hidden_layers[0].weights[task] += 1.0
             net.hidden_layers[2].weights[0] += 1.0
             assert net.splitting_round(epoch=0, sigma=0.5, delta=0.0).total_splits == 2
@@ -618,7 +632,7 @@ class TestCheckMasks:
 
     def test_detects_weight_at_masked_position(self):
         net = opened(fresh_net())
-        net.grow_output()
+        opened(net)
         net.hidden_layers[0].weights[0] += 1.0
         _, [tag] = net.split_neurons(0, [0])
         net.hidden_layers[1].weights[0, tag.index] = 0.5   # masked edge
@@ -627,7 +641,7 @@ class TestCheckMasks:
 
     def test_frozen_set_opens_no_edge(self):
         net = opened(fresh_net())
-        net.grow_output()
+        opened(net)
         net.hidden_layers[0].weights[0] += 1.0
         _, [tag] = net.split_neurons(0, [0])
         l1 = net.hidden_layers[1]
@@ -675,14 +689,14 @@ class TestBitExactness:
         probe = rng.standard_normal((17, 3))
 
         # task 0: ordinary full training
-        net.grow_output()
+        opened(net)
         net.set_structural_freeze("full_truncated")
         x0 = rng.standard_normal((40, 3))
         y0 = rng.integers(0, 2, size=40).astype(float)
         train_steps(net, x0, y0, 0, steps=30)
 
         # task 1: full training, then split everything that drifted
-        net.grow_output()
+        opened(net)
         net.set_structural_freeze("full_truncated")
         x1 = rng.standard_normal((40, 3)) + 1.0
         y1 = rng.integers(0, 2, size=40).astype(float)
@@ -696,7 +710,7 @@ class TestBitExactness:
         frozen = net.predict(probe)[:, :2].copy()
 
         # task 2: old generations are frozen; only new structure moves
-        net.grow_output()
+        opened(net)
         net.set_structural_freeze("pss_only")
         x2 = rng.standard_normal((40, 3)) - 1.0
         y2 = rng.integers(0, 2, size=40).astype(float)
@@ -712,12 +726,12 @@ class TestBitExactness:
         rng = np.random.default_rng(3)
         net = PlasticNetwork.new(4, [6, 5], np.random.default_rng(1))
         probe = rng.standard_normal((9, 4))
-        net.grow_output()
+        opened(net)
         before = net.predict(probe).copy()
-        net.grow_output()
+        opened(net)
         net.split_neurons(0, [1])                 # forced, drift not required
         net.ensure_support_path()
-        net.grow_output()
+        opened(net)
         after = net.predict(probe)[:, :1]
         assert np.ascontiguousarray(after).tobytes() == before.tobytes()
 

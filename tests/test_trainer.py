@@ -246,7 +246,7 @@ class TestHybridScope:
 
         def spy(net, source, rows):
             run = current.get("run")  # the task before, while a task opens
-            builds.append((net.freeze_scope, net.snapshot, run and run.trace,
+            builds.append((net.freeze_scope, net.snapshot, run and step_arrays(run),
                            run and next((v.spare for v in run.velocity if v.spare), None)))
             return frozen_activations(net, source, rows)
 
@@ -262,14 +262,14 @@ class TestHybridScope:
             assert rounds == (t > 0)
             built += [t] * len({id(c) for c in caches if c is not None})
             assert built.count(t) == rounds
-            dropped = results[-1] is not None  # only a round drops the last step's arrays
-            assert (run.trace is None, all(v.spare is None for v in run.velocity)) == \
-                (dropped, dropped)
+            dropped = results[-1] is not None  # only a round drops the velocity's spares
+            assert (step_arrays(run), all(v.spare is None for v in run.velocity)) == \
+                ([], dropped)
             if t > 0:
                 switch = next(e for e, r in enumerate(results) if r and r.total_splits)
                 assert results[switch + 1:] == [None] * (len(results) - switch - 1)
                 assert net.snapshot is None
-                assert builds == [("pss_only", None, None, None)]
+                assert builds == [("pss_only", None, [], None)]
         assert len(built) == 3
 
         for scope in ("full_truncated", "pss_only"):
@@ -308,6 +308,14 @@ def held_arrays(obj):
         elif type(o).__module__.startswith("pss."):
             stack.extend(vars(o).values())
     return list(found.values())
+
+
+def step_arrays(run):
+    """Shapes of the arrays ``run`` holds beyond the network's, the task
+    data's, the cache's and the velocity's (spares included): what its
+    steps left behind."""
+    kept = {id(a) for a in held_arrays([run.net, run.data, run.cache, run.velocity])}
+    return [a.shape for a in held_arrays(run) if id(a) not in kept]
 
 
 def drive(run):
@@ -522,13 +530,32 @@ class TestTaskSteps:
         assert [a.shape for a in held_arrays(run)
                 if a.shape in shapes and id(a) not in kept] == []
 
+    def test_a_step_leaves_no_array_behind(self):
+        """After each step of a task that splits and switches to
+        ``pss_only``, the run holds no array beyond the network's, the
+        task data's, the cache's and the velocity's, so none with a row
+        per batch image: a step's trace lives only for that step."""
+        cfg = TrainerConfig(**SMALL)
+        net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+        stream = small_stream(n_tasks=2)
+        train_task(net, stream.tasks[0].train, cfg)
+        run = TaskRun(net, stream.tasks[1].train, cfg)
+        scopes = set()
+        for _ in range(cfg.epochs_per_task):
+            for idx in run.batches():
+                run.step(idx)
+                scopes.add(net.freeze_scope)
+                assert step_arrays(run) == []
+            run.end_epoch()
+        assert scopes == {"full_truncated", "pss_only"}
+
     def test_a_task_closed_before_any_epoch_reports_no_losses(self):
         cfg = TrainerConfig(**SMALL)
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
         report = TaskRun(net, small_stream(n_tasks=1).tasks[0].train, cfg).close()
         assert report.epoch_losses == [] and report.splits_per_epoch == []
-        assert report.hidden_sizes_after == list(cfg.hidden_sizes)
-        assert report.parameter_count_after == net.parameter_count()
+        assert net.hidden_sizes() == list(cfg.hidden_sizes)
+        assert net.parameter_count() == (784 + 1) * 12 + (12 + 1) * 8 + 8 + 1
 
 
 class TestTaskOpening:
@@ -537,12 +564,35 @@ class TestTaskOpening:
         from the start of the task before it."""
         cfg = TrainerConfig(**SMALL, freeze_scope="full_truncated")
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
-        train_task(net, small_stream(n_tasks=2).tasks[0].train, cfg)
-        net.grow_output()
+        stream = small_stream(n_tasks=2)
+        train_task(net, stream.tasks[0].train, cfg)
+        TaskRun(net, stream.tasks[1].train, cfg)
         assert [float(net.semantic_drift(l).max()) for l in range(2)] == [0.0, 0.0]
         for layer, w, b in zip(net.hidden_layers, net.snapshot.weights, net.snapshot.biases):
             assert w.tobytes() == layer.weights.tobytes()
             assert b.tobytes() == layer.bias.tobytes()
+
+    @pytest.mark.parametrize("scope", ["hybrid", "full_truncated", "pss_only", "baseline"])
+    def test_a_snapshot_is_taken_only_where_a_round_can_read_it(self, scope, monkeypatch):
+        """One snapshot per task from task 1 on under ``hybrid`` and
+        ``full_truncated``, where rounds read it and split; none in task 0,
+        none with splitting off (``--baseline``) and none under
+        ``pss_only``, where no round runs."""
+        taken, take = [], PlasticNetwork.take_snapshot
+
+        def spy(net):
+            taken.append(net.task)
+            return take(net)
+
+        monkeypatch.setattr(PlasticNetwork, "take_snapshot", spy)
+        stream = small_stream(n_tasks=3)
+        if scope == "baseline":
+            _, report = run_baseline_finetune(stream, TrainerConfig(**SMALL))
+        else:
+            _, report = run_lifelong(stream, TrainerConfig(**SMALL, freeze_scope=scope))
+        reads = scope in ("hybrid", "full_truncated")
+        assert taken == ([1, 2] if reads else [])
+        assert all(report.split_counts[1:]) == reads
 
     def test_each_round_uses_the_thresholds_of_its_epoch(self):
         """Every round reports the epoch it ran after and the thresholds

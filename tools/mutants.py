@@ -204,6 +204,21 @@ MUTANTS = (
            "self._fit_structure(round_report.splits)",
            "self._fit_structure()",
            ("tests/test_trainer.py::TestVelocityRule", "tests/test_dense_oracle.py")),
+    # the snapshot: taken at task open only where a round can read it
+    Mutant("snapshot-taken-in-task-0", "src/pss/trainer.py",
+           "if task > 0 and config.splitting_enabled and",
+           "if config.splitting_enabled and",
+           ("tests/test_trainer.py::TestTaskOpening::test_a_snapshot_is_taken_only_where_a_round_can_read_it",
+            "tests/test_trainer.py::TestBaseline::test_no_snapshot_is_held_where_no_round_can_read_it")),
+    Mutant("snapshot-taken-with-splitting-off", "src/pss/trainer.py",
+           "if task > 0 and config.splitting_enabled and",
+           "if task > 0 and",
+           ("tests/test_trainer.py::TestTaskOpening::test_a_snapshot_is_taken_only_where_a_round_can_read_it",
+            "tests/test_trainer.py::TestBaseline")),
+    Mutant("snapshot-kept-after-the-hybrid-switch", "src/pss/trainer.py",
+           "                net.snapshot = None  # every snapshot row is frozen: none can split again\n",
+           "",
+           ("tests/test_trainer.py::TestHybridScope::test_one_round_splits_and_one_cache_is_built_per_task",)),
     # the task stream and the boundary evaluation
     Mutant("task-rows-recorded-unshuffled", "src/pss/data.py",
            "TaskDataset(images, idx[order], y[order])",
