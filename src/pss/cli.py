@@ -123,8 +123,8 @@ class RunConfig:
                    trainer=trainer).validate()
 
     def validate(self):
-        """Reject stream flags no corpus can satisfy, and output paths that
-        ``train`` cannot use, before any data is built."""
+        """Reject stream flags no corpus can satisfy, a ``--baseline`` told to
+        freeze, and output paths ``train`` cannot use, before any data is built."""
         if not 1 <= self.n_tasks <= N_CLASSES:
             raise ValueError(f"--tasks must be 1..{N_CLASSES}, one per digit class")
         for flag, value, least in (("--train-size", self.train_size, N_CLASSES),
@@ -137,6 +137,8 @@ class RunConfig:
             raise ValueError("--per-task-train must be at least 2 "
                              "(one positive and one negative image)")
         if self.trainer is not None:
+            if self.baseline and self.trainer.freeze_scope == "pss_only":
+                raise ValueError("--baseline trains what --scope pss_only freezes")
             _check_out_dir("--out", self.out_dir)
             if self.model_path:
                 if os.path.isdir(self.model_path):

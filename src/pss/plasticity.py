@@ -275,12 +275,11 @@ class PlasticNetwork:
         return self.task
 
     def take_snapshot(self):
-        """Record hidden weights as the reference for the open task's drift,
-        against which no neuron has split yet."""
+        """Record the hidden weights and biases as ``snapshot``, the open
+        task's drift reference, and clear the record of its splits."""
         self.snapshot = Snapshot([l.weights.copy() for l in self.hidden_layers],
                                  [l.bias.copy() for l in self.hidden_layers])
         self._split_done = [set() for _ in self.hidden_layers]
-        return self.snapshot
 
     # -- drift and splitting -------------------------------------------------
 
@@ -299,7 +298,7 @@ class PlasticNetwork:
         m0, k0 = snap_w.shape
         drift = np.zeros(layer.fan_out)
         diff = layer.weights[:m0, :k0] - snap_w
-        drift[:m0] = np.sum(diff * diff, axis=1)
+        drift[:m0] = np.sum(np.square(diff, out=diff), axis=1)
         drift[:m0] += (layer.bias[:m0] - snap_b) ** 2
         return drift
 
@@ -333,12 +332,13 @@ class PlasticNetwork:
 
     def split_neurons(self, layer_index, indices, split_init="drifted"):
         """Split neurons of one layer: revert each original to its snapshot
-        row and bias, and append the copies in one ``_append_hidden``, in
-        the order of ``indices``, from the drifted rows
-        (``split_init="drifted"``) or the snapshot rows (``"reverted"``).
-        Each index must be in the snapshot, not split yet this task and
-        not repeated; on any refusal nothing changes. Returns the
-        originals' tags and the copies' tags.
+        row and bias (zeros in the columns appended since), and append the
+        copies in one ``_append_hidden``, in the order of ``indices``. Each
+        copy is taken from the row it starts as: the drifted row, before
+        the revert (``split_init="drifted"``), or the reverted original
+        (``"reverted"``). Each index must be in the snapshot, not split yet
+        this task and not repeated; on any refusal nothing changes. Returns
+        the originals' tags and the copies' tags.
         """
         if split_init not in SPLIT_INITS:
             raise ValueError(f"unknown split_init {split_init!r}")
@@ -355,14 +355,11 @@ class PlasticNetwork:
         if len(set(indices)) != len(indices):
             raise ValueError(f"a neuron of layer {layer_index} is repeated in {indices}")
         layer, k0 = self.hidden_layers[layer_index], snap_w.shape[1]
-        if split_init == "drifted":
-            rows, biases = layer.weights[indices], layer.bias[indices]
-        else:
-            rows, biases = np.zeros((len(indices), layer.fan_in)), snap_b[indices]
-            rows[:, :k0] = snap_w[indices]
+        drifted = (layer.weights[indices], layer.bias[indices]) if split_init == "drifted" else None
         layer.weights[indices, :k0] = snap_w[indices]
         layer.weights[indices, k0:] = 0.0
         layer.bias[indices] = snap_b[indices]
+        rows, biases = drifted or (layer.weights[indices], layer.bias[indices])
         first = self._append_hidden(layer_index, rows, biases)
         done.update(indices)
         gens = self.hidden_gens[layer_index]

@@ -130,7 +130,6 @@ class TrainerConfig:
 class TaskReport:
     """Per-task training record."""
 
-    task: int
     epoch_losses: list = field(default_factory=list)
     splits_per_epoch: list = field(default_factory=list)
     filler_count: int = 0
@@ -154,7 +153,7 @@ class TaskRun:
             net.take_snapshot()  # a round can split: old neurons train
         self.velocity = None
         self._fit_structure()
-        self.shuffle_rng, self.report = rng_for(config.seed, 1, task), TaskReport(task=task)
+        self.shuffle_rng, self.report = rng_for(config.seed, 1, task), TaskReport()
 
     def _fit_structure(self, reset=()):
         """At task open and after a round that grew: make the trainable

@@ -62,6 +62,24 @@ class TestTrain:
         assert report["mode"] == "baseline-finetune"
         assert report["split_counts"] == [0, 0, 0]
 
+    def test_baseline_told_to_freeze_is_config_error(self, tmp_path, capsys, monkeypatch):
+        """``--scope pss_only`` would freeze what ``--baseline`` trains: exit 2
+        before any data is built. The scopes that train everything present
+        until a split, which the baseline never makes, stay accepted."""
+        monkeypatch.setattr(RunConfig, "build_stream",
+                            lambda self: pytest.fail("data built before validation"))
+        code = main(["train", *FAST, "--out", str(tmp_path / "x"),
+                     "--baseline", "--scope", "pss_only"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "--scope pss_only" in err
+        assert not (tmp_path / "x").exists()
+        for scope in ("hybrid", "full_truncated"):
+            args = cli.build_parser().parse_args(
+                ["train", *FAST, "--out", str(tmp_path / "x"), "--baseline",
+                 "--scope", scope, "--split-init", "reverted"])
+            assert RunConfig.from_args(args).trainer.freeze_scope == scope
+
     def test_bad_momentum_is_config_error(self, tmp_path, capsys):
         code = main(["train", *FAST, "--out", str(tmp_path / "x"),
                      "--momentum", "1.5"])

@@ -107,6 +107,35 @@ class TestSemanticDrift:
         with pytest.raises(ValueError):
             net.semantic_drift(0)
 
+    def drifted_default_net(self):
+        """The default-size trunk grown to [437, 262] and opened at task 1,
+        every hidden weight 1e-3 past its snapshot."""
+        net = PlasticNetwork.new(784, [437, 262], np.random.default_rng(0))
+        net.grow_output()
+        net.grow_output()
+        net.take_snapshot()
+        for layer in net.hidden_layers:
+            layer.weights += 1e-3
+        return net
+
+    def test_holds_one_snapshot_sized_temporary(self):
+        """The difference is squared where it lies: the peak is the layer's
+        weight bytes plus the drift vector, not twice the weights."""
+        net = self.drifted_default_net()
+        net.semantic_drift(0)  # numpy's lazy imports
+        drift, peak = traced_peak(net.semantic_drift, 0)
+        layer = net.hidden_layers[0]
+        assert peak <= layer.weights.nbytes + drift.nbytes + 64 * 1024
+
+    def test_leaves_weights_and_snapshot_as_they_were(self):
+        net = self.drifted_default_net()
+        before = [a.tobytes() for a in (*net.snapshot.weights, *net.snapshot.biases)]
+        weights = [l.weights.tobytes() for l in net.hidden_layers]
+        for l in range(net.n_hidden_layers):
+            assert np.all(net.semantic_drift(l) > 0.0)
+        assert [a.tobytes() for a in (*net.snapshot.weights, *net.snapshot.biases)] == before
+        assert [l.weights.tobytes() for l in net.hidden_layers] == weights
+
     def test_new_neurons_report_zero(self):
         net = opened(fresh_net())
         opened(net)
@@ -142,11 +171,24 @@ class TestSplitNeuron:
         assert net.hidden_gens[0] == [0, 0, 0, 0, 1]
 
     def test_reverted_init_copies_snapshot_instead(self):
+        """The copy is the reverted original, in a layer whose fan-in is
+        the snapshot's and in one that grew since: a layer-1 split after
+        layer 0 split, where the columns past the snapshot's are 0."""
         net = self.setup_net()
         net.hidden_layers[0].weights[0] += 1.0
         _, [new_tag] = net.split_neurons(0, [0], split_init="reverted")
         l0 = net.hidden_layers[0]
         assert l0.weights[new_tag.index].tobytes() == l0.weights[0].tobytes()
+        assert l0.bias[new_tag.index] == l0.bias[0] == net.snapshot.biases[0][0]
+        l1, k0 = net.hidden_layers[1], net.snapshot.weights[1].shape[1]
+        l1.weights[2] += 1.0
+        l1.bias[2] += 1.0
+        _, [new_tag] = net.split_neurons(1, [2], split_init="reverted")
+        assert l1.fan_in == k0 + 1
+        assert l1.weights[new_tag.index].tobytes() == l1.weights[2].tobytes()
+        assert l1.weights[new_tag.index, :k0].tobytes() == net.snapshot.weights[1][2].tobytes()
+        assert np.all(l1.weights[new_tag.index, k0:] == 0.0)
+        assert l1.bias[new_tag.index] == l1.bias[2] == net.snapshot.biases[1][2]
 
     def test_downstream_column_masking(self):
         net = self.setup_net()

@@ -182,9 +182,19 @@ MUTANTS = (
            "self.rng.normal(0.0, std, size=(int(live.sum()), n))",
            ("tests/test_plasticity.py::TestOneEditPerLayer::test_round_matches_per_neuron_reference",)),
     Mutant("drifted-copy-takes-the-snapshot-bias", "src/pss/plasticity.py",
-           "rows, biases = layer.weights[indices], layer.bias[indices]",
-           "rows, biases = layer.weights[indices], snap_b[indices]",
+           "drifted = (layer.weights[indices], layer.bias[indices])",
+           "drifted = (layer.weights[indices], snap_b[indices])",
            ("tests/test_plasticity.py::TestOneEditPerLayer::test_round_matches_per_neuron_reference",)),
+    Mutant("reverted-copy-is-the-drifted-row", "src/pss/plasticity.py",
+           'if split_init == "drifted" else None',
+           "if True else None",
+           ("tests/test_plasticity.py::TestSplitNeuron::test_reverted_init_copies_snapshot_instead",)),
+    # ``semantic_drift``: one temporary, squared in place
+    Mutant("drift-written-into-the-weights", "src/pss/plasticity.py",
+           "diff = layer.weights[:m0, :k0] - snap_w",
+           "diff = np.subtract(layer.weights[:m0, :k0], snap_w, out=layer.weights[:m0, :k0])",
+           ("tests/test_plasticity.py::TestSplittingRound::test_each_neuron_splits_at_most_once_per_task",
+            "tests/test_plasticity.py::TestSemanticDrift::test_leaves_weights_and_snapshot_as_they_were")),
     # the splitting round and what follows it
     Mutant("non-strict-drift-test", "src/pss/plasticity.py",
            "np.flatnonzero(drift > threshold)",
