@@ -236,9 +236,9 @@ class PlasticNetwork:
         Under ``pss_only`` those rows are frozen and, by the edge rule,
         depend only on frozen rows below, so these values hold until a
         split reverts a frozen row. The cache takes
-        ``len(rows) * sum(train_from) * 8`` bytes: at most 22.7 MB in
+        ``len(rows) * sum(train_from) * 8`` bytes: at most 14.4 MB in
         ``pss train --preset synthetic --train-size 20000`` (the last
-        task, 4000 images, 437 + 262 + 9 frozen rows).
+        task, 4000 images, 312 + 128 + 9 frozen rows).
 
         Only those rows are computed: each layer's frozen runs, which end
         at its ``train_from``, read the frozen rows of the layer below in

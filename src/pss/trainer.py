@@ -5,41 +5,56 @@ network's next task (``grow_output`` appends its output node and
 advances ``net.task``, the one record of the open task); its ``batches``
 cut an epoch into minibatches and its ``step`` trains one, the loss
 gradient entering only at that output; ``end_epoch`` runs a splitting
-round at the thresholds of the epoch just ended; ``close`` returns the
-report. The run owns the task's state, one lifetime per array: the
-snapshot of the hidden weights is taken at open only where a round can
-read it (from task 1 on, splitting on, opening under ``full_truncated``
-as ``hybrid`` does) and released at the ``hybrid`` switch;
-``pad_velocity`` makes the trainable rows' velocity at open and after a
-round that grew (appended and reverted neurons restart at 0), each
-``step`` writes its gradients into the velocity's spare and turns them
-there into the new velocity, and a round drops the spares; a step's
-forward trace lives only for that step.
+round at the thresholds of the epoch just ended, and gives ``hybrid``'s
+probe its verdict; ``close`` returns the report. The run owns the
+task's state, one lifetime per array: the snapshot of the hidden
+weights is taken only where a round can read it (from task 1 on,
+splitting on, under ``full_truncated``, as ``hybrid`` trains after a
+failed probe) and released at the ``hybrid`` switch; ``pad_velocity``
+makes the trainable rows' velocity at open and after a round that grew
+(appended and reverted neurons restart at 0), each ``step`` writes its
+gradients into the velocity's spare and turns them there into the new
+velocity, and a round drops the spares; a step's forward trace lives
+only for that step.
 
 The freeze scope decides how much of the old network may move:
 
 ``hybrid`` (default)
-    everything trains until the first split of the task, then only the
-    current generation keeps training;
+    from task 1 on, with splitting on, a task opens in a probe: its
+    first ``PROBE_EPOCHS`` (2) epochs train under ``pss_only``, the new
+    output row alone on the frozen trunk. If the last probe epoch's
+    loss is at most ``PROBE_LOSS`` (0.1), the trunk encodes the task,
+    which finishes under ``pss_only`` as a ``--scope pss_only`` run
+    would. Otherwise the task starts again from its state at open (the
+    head row's weights and bias as they were, zero velocity, a fresh
+    shuffle, an empty report, epoch 0) and everything trains until its
+    first split, after which only the current generation trains. A
+    probe moves no other parameter and draws nothing from ``net.rng``,
+    so a run whose probes all fail writes the bytes it would write with
+    no probe. In task 0 nothing is old: everything trains.
+    Measured at the verdict: on W2 (``pss train --preset synthetic
+    --train-size 20000``) every probe passes, at 0.028 or below; on the
+    default run every probe fails, at 0.31 or above, and on acceptance
+    5's noisy stream, seeds 0 to 9, at 0.58 or above.
 ``full_truncated``
     everything structurally present trains for the whole task;
 ``pss_only``
     only the current generation trains from the first step on. Old
     generations never move, so earlier tasks' logits stay bit-identical.
 
-Under ``pss_only`` (from task start, or from the hybrid switch on) a
-step computes only the current generation's rows. On entering the
-scope the run caches every frozen row's post-activation over the
-task's training set (``PlasticNetwork.frozen_activations``); each step
-takes the batch's rows of that cache, and backward, velocity and SGD
-cover the trainable rows only. From task 1 on, in ``pss_only`` every
-snapshot row is frozen: its drift stays put while the threshold only
-grows, so no round could split. That is why no snapshot is held there,
-and why under ``hybrid`` the switching round is the task's last (the
-switch releases the snapshot before the cache is built). A task
-therefore builds the cache at most once: at open under ``pss_only``, at
-the switch under ``hybrid``, never under ``full_truncated`` (every
-``train_from`` is 0).
+Under ``pss_only`` (from task start, in a probe, or from the hybrid
+switch on) a step computes only the current generation's rows. On
+entering the scope the run caches every frozen row's post-activation
+over the task's training set (``PlasticNetwork.frozen_activations``);
+each step takes the batch's rows of that cache, and backward, velocity
+and SGD cover the trainable rows only. From task 1 on, in ``pss_only``
+every snapshot row is frozen: its drift stays put while the threshold
+only grows, so no round could split. That is why no snapshot is held
+there, and why under ``hybrid`` the switching round is the task's last
+(the switch releases the snapshot before the cache is built). A task
+therefore builds the cache at open under ``pss_only`` and in a probe,
+at the switch under ``hybrid``, and never under ``full_truncated``
+(every ``train_from`` is 0).
 Batches, and each block of images a cache is built from, are gathered
 from the shared training images.
 
@@ -67,6 +82,11 @@ from .plasticity import FREEZE_SCOPES, SPLIT_INITS, PlasticNetwork, drift_thresh
 log = logging.getLogger(__name__)
 
 SCOPE_CHOICES = ("hybrid",) + FREEZE_SCOPES
+# ``hybrid``'s probe: its epochs on the frozen trunk (0: no probe), and the
+# epoch loss at or below which the trunk encodes the task, which then
+# finishes there
+PROBE_EPOCHS = 2
+PROBE_LOSS = 0.1
 
 
 def rng_for(seed, *key):
@@ -137,23 +157,38 @@ class TaskReport:
 
 class TaskRun:
     """The network's open task ``net.task``: trainable rows' velocity
-    (``pad_velocity``), frozen-row cache, shuffle generator, report."""
+    (``pad_velocity``), frozen-row cache, shuffle generator, report and,
+    while ``hybrid``'s probe runs, ``head``: the output row's weights and
+    bias at open."""
 
     def __init__(self, net, task_data, config):
         config.validate()
         self.net, self.data, self.config = net, task_data, config
-        self.started, self.epoch, self.loss_sum = time.perf_counter(), 0, 0.0
+        self.started = time.perf_counter()
         task = net.grow_output()
-        net.set_structural_freeze(
-            "full_truncated" if config.freeze_scope == "hybrid" else config.freeze_scope)
+        scope, probe = config.freeze_scope, False
+        if scope == "hybrid":  # a probe on the frozen trunk first, where a round could split
+            probe = config.splitting_enabled and task > 0 and PROBE_EPOCHS > 0
+            scope = "pss_only" if probe else "full_truncated"
+        net.set_structural_freeze(scope)
         if config.magnitude_freeze_threshold > 0:
             log.debug("task %d: %d small weights frozen", task,
                       net.freeze_small_weights(config.magnitude_freeze_threshold))
+        out = net.output_layer
+        self.head = (out.weights[task].copy(), out.bias[task]) if probe else None
+        self._open()
+
+    def _open(self):
+        """Start the task's epochs from its state at open: the snapshot
+        where a round can read it, zero velocity, a fresh shuffle, an
+        empty report."""
+        net, config, task = self.net, self.config, self.net.task
         if task > 0 and config.splitting_enabled and net.freeze_scope == "full_truncated":
             net.take_snapshot()  # a round can split: old neurons train
         self.velocity = None
         self._fit_structure()
         self.shuffle_rng, self.report = rng_for(config.seed, 1, task), TaskReport()
+        self.epoch, self.loss_sum = 0, 0.0
 
     def _fit_structure(self, reset=()):
         """At task open and after a round that grew: make the trainable
@@ -188,7 +223,10 @@ class TaskRun:
         velocity's spares (with no round the next step writes its gradients
         into them); returns its ``SplitReport`` or None.
         After a split (under ``hybrid``, once in ``pss_only``) velocity covers
-        the rows that train, 0 for appended neurons and split originals."""
+        the rows that train, 0 for appended neurons and split originals.
+        The probe's last epoch (``PROBE_EPOCHS``, or every epoch of a
+        shorter task) ends it: above ``PROBE_LOSS`` the head row goes back
+        to ``head`` and the task opens again under ``full_truncated``."""
         net, config, report = self.net, self.config, self.report
         report.epoch_losses.append(self.loss_sum / len(self.data))
         self.loss_sum, round_report = 0.0, None
@@ -207,6 +245,14 @@ class TaskRun:
             log.info("task %d epoch %d: %d splits, %d fillers", net.task, self.epoch,
                      round_report.total_splits, round_report.total_fillers)
         self.epoch += 1
+        if self.head is not None and self.epoch == min(PROBE_EPOCHS, config.epochs_per_task):
+            head, self.head = self.head, None
+            if report.epoch_losses[-1] > PROBE_LOSS:  # the trunk cannot encode the task
+                log.info("task %d: probe loss %.4f, restarting under hybrid", net.task,
+                         report.epoch_losses[-1])
+                net.output_layer.weights[net.task], net.output_layer.bias[net.task] = head
+                net.set_structural_freeze("full_truncated")
+                self._open()
         return round_report
 
     def close(self):
@@ -220,7 +266,7 @@ class TaskRun:
 def train_task(net, task_data, config):
     """Train the network's next task end to end on ``task_data``."""
     run = TaskRun(net, task_data, config)
-    for _ in range(config.epochs_per_task):
+    while run.epoch < config.epochs_per_task:
         for idx in run.batches():
             run.step(idx)
         run.end_epoch()

@@ -41,7 +41,7 @@ from pss import trainer
 from pss.data import TaskDataset
 from pss.numerics import BLOCK_ROWS
 from pss.plasticity import PlasticNetwork
-from pss.trainer import TaskRun, TrainerConfig, rng_for
+from pss.trainer import PROBE_EPOCHS, PROBE_LOSS, TaskRun, TrainerConfig, rng_for
 
 RTOL = 1e-12
 N_FEATURES = 6
@@ -106,6 +106,12 @@ def oracle_step(net, x, y, velocity, learning_rate, momentum):
                      v_w, v_b)
         d_post = delta @ (layer.weights * m)
     return post, grads, params
+
+
+def oracle_loss(net, x, y):
+    """The open task's mean binary cross-entropy over ``x``."""
+    z = oracle_forward(net, x)[1][-1][:, net.output_gens.index(net.task)]
+    return float(np.mean(np.logaddexp(0.0, z) - z * y))
 
 
 def gradient_scales(net, x, y):
@@ -218,29 +224,52 @@ def frozen_in_open(layer):
 
 def replay_task(net, data, config):
     """Train the network's next task by driving its run, every step through
-    ``check_step``, the reference's velocity zero at task start. Returns
+    ``check_step``, the reference's velocity zero at task start. Under
+    ``hybrid`` from task 1 on the task opens in a probe: its first
+    ``PROBE_EPOCHS`` epochs train under ``pss_only``, and where the
+    reference's loss over the last of them is above ``PROBE_LOSS`` the
+    task starts again at epoch 0 under ``full_truncated``, every parameter
+    back at its bytes at open and the reference's velocity zero. Returns
     per step its batch size, each layer's ``train_from`` and open rows,
-    whether a frozen set was held and froze a weight in open rows, and
-    whether the step wrote its gradients into the velocity's spare that
-    the last step left (``check_step`` asserts that every step writes
-    them into the velocity's spare)."""
-    run, steps = TaskRun(net, data, config), []
+    whether a frozen set was held and froze a weight in open rows, whether
+    the probe ran it, and whether the step wrote its gradients into the
+    velocity's spare that the last step left (``check_step`` asserts that
+    every step writes them into the velocity's spare)."""
+    run, steps, epoch = TaskRun(net, data, config), [], 0
+    opened = [(l.weights.tobytes(), l.bias.tobytes()) for l in net.layers]
+    probing = config.freeze_scope == "hybrid" and config.splitting_enabled and net.task > 0
+    if probing:
+        assert net.freeze_scope == "pss_only"
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
     scales = [0.0] * len(net.layers)
-    for _ in range(config.epochs_per_task):
+    while epoch < config.epochs_per_task:
+        loss = 0.0
         for idx in run.batches():
             steps.append({"batch": len(idx),
                           "train_from": [l.train_from for l in net.layers],
                           "open": [l.fan_out - l.train_from for l in net.layers],
                           "frozen": any(l.frozen is not None for l in net.layers),
-                          "frozen_in_open": any(map(frozen_in_open, net.layers))})
+                          "frozen_in_open": any(map(frozen_in_open, net.layers)),
+                          "probe": probing})
             held = [v.spare and v.spare[0] for v in run.velocity]
+            loss += oracle_loss(net, data.source[data.rows[idx]], data.y[idx]) * len(idx)
             _, velocity, scales = check_step(run, idx, velocity, scales)
             # the new velocity is the spare the gradient was written into
             steps[-1]["kept"] = all(a is v.weights for a, v in zip(held, run.velocity))
         split = run.end_epoch()
+        epoch += 1
         if split is not None and split.total_splits:
             velocity = velocity_after_split(net, velocity, split)
+        if probing and epoch == min(PROBE_EPOCHS, config.epochs_per_task):
+            probing = False
+            if loss / len(data) > PROBE_LOSS:  # the trunk cannot encode the task
+                epoch = 0
+                assert [(l.weights.tobytes(), l.bias.tobytes()) for l in net.layers] == opened
+                velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias))
+                            for l in net.layers]
+                scales = [0.0] * len(net.layers)
+            assert net.freeze_scope == ("full_truncated" if epoch == 0 else "pss_only")
+        assert run.epoch == epoch
     run.close()
     return steps
 
@@ -277,7 +306,11 @@ def test_every_step_and_predict_match_the_dense_reference(scope, freeze):
         steps += replay_task(net, data, config)
         assert net.check_masks() == []
         assert_close(net.predict(probe), oracle_forward(net, probe)[1][-1])
-    assert len(steps) == 3 * 3 * 5
+    probes = [s for s in steps if s["probe"]]
+    assert len(steps) == 3 * 3 * 5 + len(probes)
+    # tasks 1 and 2 under hybrid: two probe epochs each, only the output row trains
+    assert len(probes) == (2 * 2 * 5 if scope == "hybrid" else 0)
+    assert all(s["open"] == [0, 0, 1] for s in probes)
     restricted = [s for s in steps if any(s["train_from"])]
     if scope == "full_truncated":
         assert not restricted and all(s["frozen"] for s in steps)
@@ -291,7 +324,27 @@ def test_every_step_and_predict_match_the_dense_reference(scope, freeze):
         assert len(restricted) == 2 * 3 * 5
         assert all(s["open"] == [0, 0, 1] for s in restricted)
     if scope == "hybrid":  # after the switch the new generation trains in every layer
-        assert all(min(s["open"]) > 0 for s in restricted)
-        assert any(s["frozen_in_open"] for s in restricted) == (freeze > 0)
+        switched = [s for s in restricted if not s["probe"]]
+        assert switched and all(min(s["open"]) > 0 for s in switched)
+        assert any(s["frozen_in_open"] for s in switched) == (freeze > 0)
     # under pss_only nothing old drifts; the baseline never splits
     assert (net.hidden_sizes() == [12, 8]) == (scope in ("pss_only", "baseline"))
+
+
+def test_a_passed_and_a_failed_probe_match_the_dense_reference():
+    """Under ``hybrid`` at a learning rate of 0.5, task 1, every label 1,
+    passes its probe and finishes under ``pss_only`` without growing;
+    task 2's probe fails and the task starts again, splits and grows."""
+    config = TrainerConfig(hidden_sizes=(12, 8), sigma=1e-6, delta=0.0, batch_size=8,
+                           epochs_per_task=3, seed=5, learning_rate=0.5)
+    net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
+    data = tasks()
+    data[1] = TaskDataset(data[1].source, data[1].rows, np.ones(len(data[1])))
+    steps, sizes = [], []
+    for task in data:
+        steps.append(replay_task(net, task, config))
+        sizes.append(net.hidden_sizes())
+    assert [len(s) for s in steps] == [15, 15, 10 + 15]
+    assert [sum(s["probe"] for s in task) for task in steps] == [0, 10, 10]
+    assert all(s["open"] == [0, 0, 1] for s in steps[1])
+    assert sizes[:2] == [[12, 8]] * 2 and sum(sizes[2]) > 12 + 8

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from test_data import traced_peak
 
 from pss.cli import EXIT_DATA, main
 from pss.container import ContainerError, read_container, write_container
@@ -277,3 +278,20 @@ class TestHostileModelFiles:
         rewrite_header(path, lambda h: h["arrays"].append(dict(h["arrays"][-1])))
         path.write_bytes(path.read_bytes() + last.tobytes())
         self.assert_refused(path, capsys)
+
+    def test_an_array_claimed_past_the_end_of_the_file_is_never_allocated(
+            self, tmp_path, capsys):
+        """A file of a few hundred bytes whose header claims a 32 MiB array
+        exits 3, and reading it traces a peak far below the claimed size:
+        the array is refused before ``np.empty`` would allocate it."""
+        claimed = (4096, 1024)
+        header = json.dumps({"meta": {}, "arrays": [
+            {"name": "w0", "dtype": "float64", "shape": list(claimed)}]}).encode()
+        path = tmp_path / "model.pssnet"
+        path.write_bytes(MODEL_MAGIC + struct.pack(">Q", len(header)) + header + bytes(64))
+        assert path.stat().st_size < 400
+        code, peak = traced_peak(main, ["inspect", "--model", str(path)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "truncated array 'w0'" in err
+        assert peak < np.prod(claimed) * 8 // 16, peak

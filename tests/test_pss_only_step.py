@@ -19,7 +19,7 @@ from test_dense_oracle import N_FEATURES, assert_close, check_step, velocity_aft
 from pss.data import TaskDataset
 from pss.numerics import IDENTITY, Activation, MaskedLayer, forward, post_activations
 from pss.plasticity import PlasticNetwork
-from pss.trainer import TaskRun, TrainerConfig, rng_for, train_task
+from pss.trainer import PROBE_EPOCHS, TaskRun, TrainerConfig, rng_for, train_task
 
 
 def odd_tasks(n_tasks=3, n=33):
@@ -38,13 +38,19 @@ class TestFrozenCache:
     @staticmethod
     def drifted_run():
         """Task 1's run under hybrid after task 0 trained under
-        full_truncated, and five checked steps on all of task 1's images
-        that drift old neurons before any round. Returns the run and the
-        reference's velocity and scales (see ``check_step``)."""
+        full_truncated, its probe failed and the task restarted, and five
+        checked steps on all of task 1's images that drift old neurons
+        before any round. Returns the run and the reference's velocity and
+        scales (see ``check_step``)."""
         net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
         data = odd_tasks()
         train_task(net, data[0], TrainerConfig(**CONFIG, freeze_scope="full_truncated"))
         run = TaskRun(net, data[1], TrainerConfig(**CONFIG))
+        for _ in range(PROBE_EPOCHS):
+            for idx in run.batches():
+                run.step(idx)
+            run.end_epoch()
+        assert run.epoch == 0 and net.freeze_scope == "full_truncated"
         velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
         scales = [0.0] * len(net.layers)
         for _ in range(5):

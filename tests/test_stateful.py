@@ -3,15 +3,22 @@
 A hypothesis state machine drives ``TaskRun`` itself through random
 sequences of its rules: open the next task under a drawn scope, split
 initialisation and thresholds, with or without a magnitude freeze; take
-one to three steps on drawn batches; end an epoch, with every eligible
+one to three steps on drawn batches, or a step on every batch of the
+run's next shuffle; end an epoch, with every eligible
 drift kept away from its threshold; close a task after an epoch; and,
 between tasks, save and load the model and predict on
 ``2 * BLOCK_ROWS + 1`` rows. It keeps what the engine should
 hold, derived from ``test_dense_oracle``'s reference: the parameters
 (each step's by the reference's dense arithmetic, a round's by the
 revert and copy rules, and only the entries a generator draws from the
-engine), the whole-layer reference velocity, the task's snapshot, and
-whether a round can run.
+engine), the whole-layer reference velocity, the task's snapshot,
+whether a round can run, and the epoch and its loss summed from the
+reference's logits. A ``hybrid`` task from task 1 on opens in a probe
+under ``pss_only``; at the end of its ``PROBE_EPOCHS``-th epoch the
+machine expects the task to finish there if that epoch's reference loss
+is at most ``PROBE_LOSS``, and else to start again at epoch 0 under
+``full_truncated`` with every parameter at its bytes at open, zero
+velocity and a snapshot.
 
 Every step goes through ``test_dense_oracle.check_step``, which
 compares the step with the reference: activations, gradients,
@@ -40,6 +47,7 @@ from test_dense_oracle import (
     assert_within,
     check_step,
     oracle_forward,
+    oracle_loss,
     tasks,
     velocity_after_split,
 )
@@ -47,7 +55,7 @@ from test_dense_oracle import (
 from pss.model_io import load_model, save_model
 from pss.numerics import BLOCK_ROWS
 from pss.plasticity import SPLIT_INITS, PlasticNetwork
-from pss.trainer import SCOPE_CHOICES, TaskRun, TrainerConfig, rng_for
+from pss.trainer import PROBE_EPOCHS, PROBE_LOSS, SCOPE_CHOICES, TaskRun, TrainerConfig, rng_for
 
 N_TASKS = 3
 DATA = tasks(N_TASKS)
@@ -71,6 +79,7 @@ class TaskLifecycle(RuleBasedStateMachine):
         self.params = params_of(self.net)  # what the engine's parameters should be
         self.velocity = None  # the reference's whole-layer velocity of the open task
         self.rounds = False  # whether ``end_epoch`` runs a splitting round
+        self.probing = False  # whether the open task is in its probe
 
     @precondition(lambda self: self.run is None and self.net.task + 1 < N_TASKS)
     @rule(scope=st.sampled_from(SCOPE_CHOICES), freeze=st.sampled_from([0.0, 0.3]),
@@ -91,7 +100,10 @@ class TaskLifecycle(RuleBasedStateMachine):
         self.velocity_scales = [0.0] * len(self.net.layers)  # see check_step
         self.snapshot = params_of(self.net)[:-1]
         self.split_done = [set() for _ in self.snapshot]
-        self.rounds = t > 0 and scope != "pss_only"
+        self.probing = t > 0 and scope == "hybrid"
+        self.rounds = t > 0 and scope == "full_truncated"
+        self.opened = [(l.weights.tobytes(), l.bias.tobytes()) for l in self.net.layers]
+        self.epoch, self.loss = 0, 0.0
 
     @precondition(lambda self: self.run is not None)
     @rule(batches=st.lists(st.lists(st.integers(0, len(DATA[0]) - 1), min_size=1,
@@ -100,7 +112,17 @@ class TaskLifecycle(RuleBasedStateMachine):
         for batch in batches:
             self.step(np.array(batch))
 
+    @precondition(lambda self: self.run is not None)
+    @rule(count=st.integers(1, 5))
+    def steps_on_a_shuffle(self, count):
+        """The first ``count`` batches of the run's next shuffle (of 5), as
+        ``train_task`` steps them."""
+        for idx in self.run.batches()[:count]:
+            self.step(idx)
+
     def step(self, idx):
+        data = self.run.data
+        self.loss += oracle_loss(self.net, data.source[data.rows[idx]], data.y[idx]) * len(idx)
         self.params, self.velocity, self.velocity_scales = check_step(
             self.run, idx, self.velocity, self.velocity_scales)
 
@@ -108,7 +130,11 @@ class TaskLifecycle(RuleBasedStateMachine):
     @rule()
     def end_epoch(self):
         net, run = self.net, self.run
-        config, epoch = run.config, run.epoch
+        config, epoch = run.config, self.epoch
+        loss = self.loss / len(run.data)
+        verdict = self.probing and epoch + 1 == min(PROBE_EPOCHS, config.epochs_per_task)
+        if verdict:
+            assume(abs(loss - PROBE_LOSS) > TIE * PROBE_LOSS)
         threshold = config.sigma + epoch * config.delta
         eligible = []
         if self.rounds:
@@ -121,8 +147,11 @@ class TaskLifecycle(RuleBasedStateMachine):
         splits = [(l, i, d) for l, i, d in eligible if d > threshold]
         before = self.params
         report = run.end_epoch()
+        self.epoch, self.loss = epoch + 1, 0.0
         if not self.rounds:
             assert report is None
+            if verdict:
+                self.probe_verdict(loss)
             return
         assert report.epoch == epoch and report.thresholds == [threshold] * 2
         assert [(s.layer, s.index) for s in report.splits] == [(l, i) for l, i, _ in splits]
@@ -155,6 +184,23 @@ class TaskLifecycle(RuleBasedStateMachine):
         if config.freeze_scope == "hybrid":
             assert net.freeze_scope == "pss_only"
             self.rounds = False
+
+    def probe_verdict(self, loss):
+        """The probe passed at ``loss <= PROBE_LOSS``: the task finishes
+        under ``pss_only``. Else it starts again from its state at open."""
+        net, self.probing = self.net, False
+        if loss <= PROBE_LOSS:
+            assert net.freeze_scope == "pss_only"
+            return
+        assert [(l.weights.tobytes(), l.bias.tobytes()) for l in net.layers] == self.opened
+        assert net.freeze_scope == "full_truncated"
+        self.params = params_of(net)
+        self.velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias))
+                         for l in net.layers]
+        self.velocity_scales = [0.0] * len(net.layers)
+        self.snapshot = self.params[:-1]
+        self.split_done = [set() for _ in self.snapshot]
+        self.rounds, self.epoch = True, 0
 
     @precondition(lambda self: self.run is not None and self.run.epoch >= 1
                   and self.net.task + 1 < N_TASKS)  # the last task stays open
@@ -195,6 +241,7 @@ class TaskLifecycle(RuleBasedStateMachine):
             assert_close(net.predict(FEW), oracle_forward(net, FEW)[1][-1])
         if self.run is None:
             return
+        assert self.run.epoch == self.epoch
         for layer, v, (v_w, v_b), scale in zip(
                 net.layers, self.run.velocity, self.velocity, self.velocity_scales):
             o = layer.train_from

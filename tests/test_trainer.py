@@ -8,9 +8,12 @@ from test_data import traced_peak
 
 from pss import trainer
 from pss.data import build_task_stream, synthetic_digits
+from pss.model_io import save_model
 from pss.numerics import SGD_BLOCK, MaskedLayer
 from pss.plasticity import PlasticNetwork
 from pss.trainer import (
+    PROBE_EPOCHS,
+    PROBE_LOSS,
     TaskRun,
     TrainerConfig,
     evaluate_boundary,
@@ -207,7 +210,7 @@ class TestBaseline:
             run = TaskRun(net, task.train, cfg)
             held = net.snapshot is not None
             assert held == (t > 0 and not baseline)
-            for _ in range(cfg.epochs_per_task):
+            while run.epoch < cfg.epochs_per_task:
                 for idx in run.batches():
                     run.step(idx)
                 assert (run.end_epoch() is not None) == held
@@ -238,7 +241,9 @@ class TestHybridScope:
         """After the switch old neurons are frozen, so their drift stays
         put while the threshold only grows: no later round can split, so
         none runs, the snapshot is released before the frozen-row cache is
-        built, and the cache is built once per task. Under
+        built, and the cache is built once per task after the probe's,
+        which is built at open (every probe here fails and restarts the
+        task under ``full_truncated``, which builds none). Under
         ``full_truncated`` every epoch from task 1 on runs a round and the
         snapshot is kept; under ``pss_only`` no round runs from task 1 on."""
         builds, current = [], {}
@@ -246,9 +251,11 @@ class TestHybridScope:
 
         def spy(net, source, rows):
             run = current.get("run")  # the task before, while a task opens
-            builds.append((net.freeze_scope, net.snapshot, run and step_arrays(run),
-                           run and next((v.spare for v in run.velocity if v.spare), None)))
-            return frozen_activations(net, source, rows)
+            cache = frozen_activations(net, source, rows)
+            if cache is not None:
+                builds.append((net.freeze_scope, net.snapshot, run and step_arrays(run),
+                               run and next((v.spare for v in run.velocity if v.spare), None)))
+            return cache
 
         monkeypatch.setattr(PlasticNetwork, "frozen_activations", spy)
         cfg = TrainerConfig(**dict(SMALL, epochs_per_task=4))
@@ -257,11 +264,12 @@ class TestHybridScope:
         for t, task in enumerate(small_stream(n_tasks=4)):
             current["run"] = run = TaskRun(net, task.train, cfg)
             builds.clear()
-            _, results, caches = drive(run)
+            _, results, caches, probed = drive(run)
             rounds = sum(1 for r in results if r is not None and r.total_splits)
             assert rounds == (t > 0)
+            assert probed == (PROBE_EPOCHS if t else 0)
             built += [t] * len({id(c) for c in caches if c is not None})
-            assert built.count(t) == rounds
+            assert built.count(t) == rounds + (t > 0)  # the probe's, then the switch's
             dropped = results[-1] is not None  # only a round drops the velocity's spares
             assert (step_arrays(run), all(v.spare is None for v in run.velocity)) == \
                 ([], dropped)
@@ -270,7 +278,7 @@ class TestHybridScope:
                 assert results[switch + 1:] == [None] * (len(results) - switch - 1)
                 assert net.snapshot is None
                 assert builds == [("pss_only", None, [], None)]
-        assert len(built) == 3
+        assert len(built) == 6
 
         for scope in ("full_truncated", "pss_only"):
             cfg = TrainerConfig(**dict(SMALL, epochs_per_task=4), freeze_scope=scope)
@@ -278,7 +286,8 @@ class TestHybridScope:
             for t, task in enumerate(small_stream(n_tasks=3)):
                 current["run"] = run = TaskRun(net, task.train, cfg)
                 snapshot = net.snapshot
-                _, results, _ = drive(run)
+                _, results, _, probed = drive(run)
+                assert probed == 0
                 if t == 0:
                     continue
                 if scope == "full_truncated":
@@ -312,22 +321,27 @@ def held_arrays(obj):
 
 def step_arrays(run):
     """Shapes of the arrays ``run`` holds beyond the network's, the task
-    data's, the cache's and the velocity's (spares included): what its
-    steps left behind."""
-    kept = {id(a) for a in held_arrays([run.net, run.data, run.cache, run.velocity])}
+    data's, the cache's, the velocity's (spares included) and, while the
+    probe runs, the head row at open: what its steps left behind."""
+    kept = {id(a) for a in held_arrays([run.net, run.data, run.cache, run.velocity,
+                                        run.head])}
     return [a.shape for a in held_arrays(run) if id(a) not in kept]
 
 
 def drive(run):
-    """Run every epoch of an open task as ``train_task`` does; returns the
-    batch losses and lengths, the ``end_epoch`` results, and the run's
-    cache after opening and after each epoch."""
-    batches, rounds, caches = [], [], [run.cache]
-    for _ in range(run.config.epochs_per_task):
+    """Run every epoch of an open task as ``train_task`` does, looping on
+    ``run.epoch``, so a failed probe restarts it; returns the batch losses
+    and lengths, the ``end_epoch`` results, the run's cache after opening
+    and after each epoch, and how many of those epochs, the first ones, a
+    failed probe ran before the restart (0 where no probe failed)."""
+    batches, rounds, caches, probed = [], [], [run.cache], 0
+    while run.epoch < run.config.epochs_per_task:
         batches.append([(run.step(idx), len(idx)) for idx in run.batches()])
         rounds.append(run.end_epoch())
         caches.append(run.cache)
-    return batches, rounds, caches
+        if run.epoch == 0:  # the probe failed: the task starts again
+            probed = len(rounds)
+    return batches, rounds, caches, probed
 
 
 def rounds_that_split(scope):
@@ -340,7 +354,7 @@ def rounds_that_split(scope):
     stream = small_stream(n_tasks=2)
     train_task(net, stream.tasks[0].train, cfg)
     run = TaskRun(net, stream.tasks[1].train, cfg)
-    for _ in range(cfg.epochs_per_task):
+    while run.epoch < cfg.epochs_per_task:
         for idx in run.batches():
             run.step(idx)
         before = [(v.weights.copy(), v.bias.copy()) for v in run.velocity]
@@ -424,16 +438,23 @@ class TestTaskSteps:
     def test_steps_driven_by_hand_are_train_task(self, scope):
         """The epoch loss is the sum of batch loss times batch length over
         n, each round's split count is its ``SplitReport``'s, and the
-        report and weights equal those of ``train_task`` bit for bit."""
+        report and weights equal those of ``train_task`` bit for bit. Under
+        ``hybrid`` each task from 1 on first runs a probe, whose last epoch
+        loss here is above the bar, and the report starts at the restart."""
         cfg = TrainerConfig(**SMALL, freeze_scope=scope)
         nets = [PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
                 for _ in range(2)]
         for t, task in enumerate(small_stream()):
             want = train_task(nets[0], task.train, cfg)
             run = TaskRun(nets[1], task.train, cfg)
-            batches, rounds, _ = drive(run)
+            batches, rounds, _, probed = drive(run)
             got = run.close()
             assert got == want
+            assert probed == (PROBE_EPOCHS if scope == "hybrid" and t else 0)
+            if probed:
+                assert sum(loss * n for loss, n in batches[probed - 1]) / len(task.train) \
+                    > PROBE_LOSS
+            batches, rounds = batches[probed:], rounds[probed:]
             assert got.epoch_losses == [sum(loss * n for loss, n in epoch) / len(task.train)
                                         for epoch in batches]
             assert got.splits_per_epoch == [r.total_splits if r else 0 for r in rounds]
@@ -461,7 +482,7 @@ class TestTaskSteps:
         scopes = set()
         for task in small_stream():
             run = TaskRun(net, task.train, cfg)
-            for _ in range(cfg.epochs_per_task):
+            while run.epoch < cfg.epochs_per_task:
                 for idx in run.batches():
                     received.clear()
                     run.step(idx)
@@ -541,7 +562,7 @@ class TestTaskSteps:
         train_task(net, stream.tasks[0].train, cfg)
         run = TaskRun(net, stream.tasks[1].train, cfg)
         scopes = set()
-        for _ in range(cfg.epochs_per_task):
+        while run.epoch < cfg.epochs_per_task:
             for idx in run.batches():
                 run.step(idx)
                 scopes.add(net.freeze_scope)
@@ -556,6 +577,71 @@ class TestTaskSteps:
         assert report.epoch_losses == [] and report.splits_per_epoch == []
         assert net.hidden_sizes() == list(cfg.hidden_sizes)
         assert net.parameter_count() == (784 + 1) * 12 + (12 + 1) * 8 + 8 + 1
+
+
+def model_bytes(net, tmp_path, name):
+    path = tmp_path / name
+    save_model(str(path), net)
+    return path.read_bytes()
+
+
+class TestProbe:
+    """From task 1 on, ``hybrid`` opens each task in a probe: ``PROBE_EPOCHS``
+    epochs of ``pss_only``. At or below ``PROBE_LOSS`` the task finishes
+    there; above it the task starts again as a probe-less ``hybrid`` task."""
+
+    def test_a_stream_whose_probes_pass_is_trained_as_under_pss_only(self, tmp_path):
+        """Three tasks of the W2 corpus (``pss train --preset synthetic
+        --train-size 20000``) on the default trunk: each probe ends near
+        0.03, so ``hybrid`` never splits, and its accuracy matrix, epoch
+        losses, hidden sizes and model file are those of ``pss_only``."""
+        train, test = synthetic_digits(20000, 600, seed=0)
+        stream = build_task_stream(train, test, n_tasks=3, seed=0, test_count=600)
+        runs = {scope: run_lifelong(stream, TrainerConfig(epochs_per_task=3,
+                                                          freeze_scope=scope))
+                for scope in ("hybrid", "pss_only")}
+        (net, got), (want_net, want) = runs["hybrid"], runs["pss_only"]
+        assert got.split_counts == [0, 0, 0] and got.filler_counts == [0, 0, 0]
+        assert max(losses[PROBE_EPOCHS - 1] for losses in got.epoch_losses[1:]) <= PROBE_LOSS
+        assert got.accuracy_matrix == want.accuracy_matrix
+        assert got.epoch_losses == want.epoch_losses
+        assert got.hidden_sizes == want.hidden_sizes == [[312, 128]] * 3
+        assert model_bytes(net, tmp_path, "hybrid") == model_bytes(want_net, tmp_path, "pss")
+
+    def test_a_stream_whose_probes_fail_is_trained_as_without_a_probe(
+            self, tmp_path, monkeypatch):
+        """Every probe of ``small_stream`` fails; each restart puts the head
+        row back at its bytes at open, and the report and weights equal, byte
+        for byte, those of the run with no probe (``PROBE_EPOCHS = 0``)."""
+        opened, restarts = {}, []
+        grow_output, end_epoch = PlasticNetwork.grow_output, TaskRun.end_epoch
+
+        def grow_spy(net):
+            task = grow_output(net)
+            opened[task] = (net.output_layer.weights[task].tobytes(), net.output_layer.bias[task])
+            return task
+
+        def end_epoch_spy(run):
+            net, probing = run.net, run.head is not None
+            head = net.output_layer.weights[net.task].tobytes()
+            result = end_epoch(run)
+            if probing and run.head is None:  # the verdict: a restart
+                assert run.epoch == 0 and run.report.epoch_losses == []
+                assert head != opened[net.task][0]  # the probe trained the head row
+                restarts.append((net.task, net.output_layer.weights[net.task].tobytes(),
+                                 net.output_layer.bias[net.task]))
+            return result
+
+        cfg = TrainerConfig(**SMALL)
+        with monkeypatch.context() as patch:
+            patch.setattr(PlasticNetwork, "grow_output", grow_spy)
+            patch.setattr(TaskRun, "end_epoch", end_epoch_spy)
+            net, report = run_lifelong(small_stream(), cfg)
+        assert restarts == [(t, *opened[t]) for t in (1, 2)]
+        monkeypatch.setattr(trainer, "PROBE_EPOCHS", 0)
+        want_net, want = run_lifelong(small_stream(), cfg)
+        assert report.to_json() == want.to_json() and sum(report.split_counts) > 0
+        assert model_bytes(net, tmp_path, "probe") == model_bytes(want_net, tmp_path, "none")
 
 
 class TestTaskOpening:
@@ -604,7 +690,7 @@ class TestTaskOpening:
         net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
         firsts = []
         for t, task in enumerate(small_stream(n_tasks=3)):
-            _, rounds, _ = drive(TaskRun(net, task.train, cfg))
+            _, rounds, _, _ = drive(TaskRun(net, task.train, cfg))
             if t == 0:
                 assert rounds == [None] * 3
                 continue

@@ -229,6 +229,27 @@ MUTANTS = (
            "                net.snapshot = None  # every snapshot row is frozen: none can split again\n",
            "",
            ("tests/test_trainer.py::TestHybridScope::test_one_round_splits_and_one_cache_is_built_per_task",)),
+    # ``hybrid``'s probe: the bar, and the restart from the state at open
+    Mutant("probe-bar-always-met", "src/pss/trainer.py",
+           "if report.epoch_losses[-1] > PROBE_LOSS:",
+           "if False:",
+           ("tests/test_trainer.py::TestProbe::test_a_stream_whose_probes_fail_is_trained_as_without_a_probe",
+            "tests/test_dense_oracle.py")),
+    Mutant("probe-bar-never-met", "src/pss/trainer.py",
+           "if report.epoch_losses[-1] > PROBE_LOSS:",
+           "if True:",
+           ("tests/test_dense_oracle.py::test_a_passed_and_a_failed_probe_match_the_dense_reference",
+            "tests/test_trainer.py::TestProbe::test_a_stream_whose_probes_pass_is_trained_as_under_pss_only")),
+    Mutant("probe-restart-keeps-probe-head", "src/pss/trainer.py",
+           "                net.output_layer.weights[net.task], net.output_layer.bias[net.task] = head\n",
+           "",
+           ("tests/test_trainer.py::TestProbe::test_a_stream_whose_probes_fail_is_trained_as_without_a_probe",
+            "tests/test_dense_oracle.py")),
+    # the refusals of a hostile model file
+    Mutant("container-claimed-array-size-unchecked", "src/pss/container.py",
+           "            if size > remaining:\n",
+           "            if False:\n",
+           ("tests/test_model_io.py::TestHostileModelFiles::test_an_array_claimed_past_the_end_of_the_file_is_never_allocated",)),
     # the task stream and the boundary evaluation
     Mutant("task-rows-recorded-unshuffled", "src/pss/data.py",
            "TaskDataset(images, idx[order], y[order])",
