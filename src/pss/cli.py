@@ -16,9 +16,6 @@ refused files), 4 numerical failures.
 """
 
 import argparse
-import contextlib
-import ctypes
-import glob
 import json
 import logging
 import os
@@ -45,6 +42,7 @@ from .trainer import (
     SCOPE_CHOICES,
     TrainerConfig,
     evaluate_boundary,
+    one_blas_thread,
     rng_for,
     run_baseline_finetune,
     run_lifelong,
@@ -59,9 +57,6 @@ EXIT_NUMERIC = 4
 
 PRESET_CHOICES = ("mnist", "mnist-variation", "synthetic")
 TRAINER_DEFAULTS = {f.name: f.default for f in fields(TrainerConfig)}
-# numpy's bundled OpenBLAS, whose thread count ``one_blas_thread`` sets
-OPENBLAS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs", "libscipy_openblas64_*.so")
 
 
 def _scalar_or_tuple(text):
@@ -332,28 +327,6 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="compare backprop to finite differences")
     p.set_defaults(func=cmd_gradcheck)
     return parser
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run numpy's bundled OpenBLAS on one thread, then restore its count:
-    a product rounds differently on two threads, and the report bytes
-    should not depend on the machine's thread count."""
-    try:
-        lib = ctypes.CDLL(glob.glob(OPENBLAS)[0])
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
-        log.warning("numpy's OpenBLAS thread control not found; BLAS threads left as set")
-        yield
-        return
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 def main(argv=None):

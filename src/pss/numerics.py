@@ -46,11 +46,15 @@ runs in each of 3 layers that is 30 matmuls and little else.
 
 Every row before ``train_from`` is frozen, and by the edge rule sees
 only input columns before the ``train_from`` of the layer below. A
-training step computes only the rows from ``train_from`` on.
-``forward`` takes the frozen rows' post-activations from a cache when
-one is given; gradients and velocity (``LayerGrads``) both cover the
-trainable rows only (only ``pad_velocity`` makes a velocity), the
-only rows ``sgd_step`` reads and writes. A training step allocates
+training step starts at the first layer with a trainable row: the
+caller passes ``forward``, ``backward_truncated`` and ``sgd_step`` the
+layers from there on, with the post-activations of the layer below as
+the input (the images when the step starts at layer 0), and each of
+them computes only the rows from ``train_from`` on. ``forward`` takes
+the frozen rows' post-activations from a cache when one is given;
+gradients and velocity (``LayerGrads``) both cover the trainable rows
+only (only ``pad_velocity`` makes a velocity), the only rows
+``sgd_step`` reads and writes. A training step allocates
 no parameter-sized array and keeps no gradient array:
 ``backward_truncated`` writes the gradients into the spare each layer's
 velocity keeps, and
@@ -325,13 +329,14 @@ def row_blocks(n):
     return [slice(a, a + BLOCK_ROWS) for a in range(0, last, BLOCK_ROWS)] + [slice(last, n)]
 
 
-def post_activations(layers, source, rows=None, stops=None, cached=None, last_only=False):
+def post_activations(layers, source, rows=None, stops=None, cached=None, keep_from=0):
     """Post-activations of rows ``:stops[i]`` (all rows when ``stops`` or
-    its entry is None) of every layer ``i`` over the images
-    ``source[rows]`` (all of ``source``, in order, when ``rows`` is None),
-    or of the last layer only when ``last_only``. A layer's first
-    ``cached[i].shape[1]`` columns, when ``cached`` is given, are copied
-    from it and only the columns after them are computed.
+    its entry is None) of every layer ``i`` from ``keep_from`` on (None
+    for the layers below it, whose rows are computed on the way up but
+    not kept) over the images ``source[rows]`` (all of ``source``, in
+    order, when ``rows`` is None). A layer's first ``cached[i].shape[1]``
+    columns, when ``cached`` is given, are copied from it and only the
+    columns after them are computed.
 
     The images are gathered and forwarded one ``row_blocks`` block at a
     time, and each kept layer's block is computed and activated in place
@@ -341,7 +346,7 @@ def post_activations(layers, source, rows=None, stops=None, cached=None, last_on
     """
     n = len(source) if rows is None else len(rows)
     stops = stops or [None] * len(layers)
-    out = [None if last_only and i < len(layers) - 1
+    out = [None if i < keep_from
            else np.empty((n, layer.fan_out if stop is None else stop))
            for i, (layer, stop) in enumerate(zip(layers, stops))]
     # per layer, read once per call: index, layer, first computed unit,

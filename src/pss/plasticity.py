@@ -221,37 +221,52 @@ class PlasticNetwork:
         """Logits for every output node, shape (n, n_outputs), computed one
         block of images at a time (``row_blocks``), so the pass holds the
         logits and one block of two layers (see ``post_activations``)."""
-        return post_activations(self.layers, x, last_only=True)[-1]
+        return post_activations(self.layers, x, keep_from=len(self.layers) - 1)[-1]
 
-    def trace(self, x, cached=None):
-        """Forward trace of ``x``; ``cached`` holds the rows of
-        ``frozen_activations`` that belong to ``x``."""
-        return forward(self.layers, x, cached)
+    def trace(self, x, cached=None, start=0):
+        """Forward trace through ``layers[start:]`` of ``x``: the images
+        when ``start`` is 0, else layer ``start - 1``'s post-activations.
+        ``cached`` holds the rows of ``frozen_activations`` that belong to
+        ``x``, one array per layer from ``start`` on."""
+        return forward(self.layers[start:], x, cached)
+
+    def first_trained(self):
+        """Index of the first layer with a trainable row (``train_from <
+        fan_out``), where a training step starts; ``len(layers)`` when no
+        row trains. Every row of the layers below it is frozen."""
+        return next((i for i, layer in enumerate(self.layers)
+                     if layer.train_from < layer.fan_out), len(self.layers))
 
     def frozen_activations(self, source, rows):
-        """Post-activations over the images ``source[rows]`` of every layer's
-        rows before its ``train_from``, or None when every layer trains
-        from row 0.
+        """What a training step reads of the frozen rows over the images
+        ``source[rows]``, or None when every layer trains from row 0: with
+        ``k = first_trained()``, the post-activations of layer ``k - 1``
+        (every row of it, the step's input) and of each later layer's rows
+        before its ``train_from``. The layers below ``k - 1`` hold None:
+        they are computed block by block on the way up and not kept.
 
         Under ``pss_only`` those rows are frozen and, by the edge rule,
         depend only on frozen rows below, so these values hold until a
-        split reverts a frozen row. The cache takes
-        ``len(rows) * sum(train_from) * 8`` bytes: at most 14.4 MB in
-        ``pss train --preset synthetic --train-size 20000`` (the last
-        task, 4000 images, 312 + 128 + 9 frozen rows).
+        split reverts a frozen row. The cache takes ``len(rows) * 8``
+        bytes per kept column: at most 4.4 MB in ``pss train --preset
+        synthetic --train-size 20000`` (the last task, 4000 images, layer
+        1's 128 units and 9 frozen output rows), where keeping every
+        frozen row would take 14.4 MB.
 
         Only those rows are computed: each layer's frozen runs, which end
         at its ``train_from``, read the frozen rows of the layer below in
         the same matmuls as ``forward``. The images are gathered and
-        forwarded one block at a time (``row_blocks``), each layer's block
-        written straight into the cache, so a cached row is bit-identical
-        to the matching column of ``forward`` over its block, and the
-        build holds the cache plus one block of images.
+        forwarded one block at a time (``row_blocks``), each kept layer's
+        block written straight into the cache, so a cached row is
+        bit-identical to the matching column of ``forward`` over its
+        block, and the build holds the cache plus one block of images and
+        of each layer below ``k - 1``.
         """
         if not any(layer.train_from for layer in self.layers):
             return None
         return post_activations(self.layers, source, rows,
-                                [l.train_from for l in self.layers])
+                                [l.train_from for l in self.layers],
+                                keep_from=max(self.first_trained() - 1, 0))
 
     # -- task boundaries ---------------------------------------------------
 

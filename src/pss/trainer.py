@@ -44,26 +44,37 @@ The freeze scope decides how much of the old network may move:
 
 Under ``pss_only`` (from task start, in a probe, or from the hybrid
 switch on) a step computes only the current generation's rows. On
-entering the scope the run caches every frozen row's post-activation
-over the task's training set (``PlasticNetwork.frozen_activations``);
-each step takes the batch's rows of that cache, and backward, velocity
-and SGD cover the trainable rows only. From task 1 on, in ``pss_only``
-every snapshot row is frozen: its drift stays put while the threshold
-only grows, so no round could split. That is why no snapshot is held
-there, and why under ``hybrid`` the switching round is the task's last
-(the switch releases the snapshot before the cache is built). A task
-therefore builds the cache at open under ``pss_only`` and in a probe,
-at the switch under ``hybrid``, and never under ``full_truncated``
-(every ``train_from`` is 0).
-Batches, and each block of images a cache is built from, are gathered
-from the shared training images.
+entering the scope the run finds ``start``, the first layer with a
+trainable row, and caches what a step reads of the frozen rows over the
+task's training set (``PlasticNetwork.frozen_activations``): layer
+``start - 1`` and the frozen rows above it. Each step runs forward,
+backward, velocity and SGD over ``layers[start:]`` and their trainable
+rows only, its input the batch's cached rows of layer ``start - 1`` (its
+images when ``start`` is 0, as in every dense step): a task that trains
+only its output row reads no image in a step. From task 1 on, in
+``pss_only`` every snapshot row is frozen: its drift stays put while
+the threshold only grows, so no round could split. That is why no
+snapshot is held there, and why under ``hybrid`` the switching round is
+the task's last (the switch releases the snapshot before the cache is
+built). A task therefore builds the cache at open under ``pss_only``
+and in a probe, at the switch under ``hybrid``, and never under
+``full_truncated`` (every ``train_from`` is 0).
+Batches of a step from layer 0, and each block of images a cache is
+built from, are gathered from the shared training images.
+
+``run_lifelong`` runs BLAS on one thread (``one_blas_thread``), so a
+caller from Python gets the bytes a ``pss`` command writes.
 
 The baseline runner trains the same architecture with splitting
 disabled and everything trainable, which is plain multi-head
 fine-tuning and forgets accordingly.
 """
 
+import contextlib
+import ctypes
+import glob
 import logging
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -87,6 +98,34 @@ SCOPE_CHOICES = ("hybrid",) + FREEZE_SCOPES
 # finishes there
 PROBE_EPOCHS = 2
 PROBE_LOSS = 0.1
+
+
+# numpy's bundled OpenBLAS, whose thread count ``one_blas_thread`` sets
+OPENBLAS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "libscipy_openblas64_*.so")
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread, then restore its count:
+    a product rounds differently on two threads, and the report bytes
+    should not depend on the machine's thread count. ``run_lifelong``
+    runs under it, and so does every ``pss`` command."""
+    try:
+        lib = ctypes.CDLL(glob.glob(OPENBLAS)[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        log.warning("numpy's OpenBLAS thread control not found; BLAS threads left as set")
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def rng_for(seed, *key):
@@ -157,7 +196,8 @@ class TaskReport:
 
 class TaskRun:
     """The network's open task ``net.task``: trainable rows' velocity
-    (``pad_velocity``), frozen-row cache, shuffle generator, report and,
+    (``pad_velocity``), ``start``, the first layer a step trains, the
+    frozen-row cache, shuffle generator, report and,
     while ``hybrid``'s probe runs, ``head``: the output row's weights and
     bias at open."""
 
@@ -192,9 +232,11 @@ class TaskRun:
 
     def _fit_structure(self, reset=()):
         """At task open and after a round that grew: make the trainable
-        rows' velocity (``pad_velocity``, 0 in the ``reset`` rows) and the
-        cache of the rows that cannot train."""
+        rows' velocity (``pad_velocity``, 0 in the ``reset`` rows), find
+        ``start``, the first layer that trains, and cache what a step
+        reads of the rows that cannot train."""
         self.velocity = pad_velocity(self.velocity, self.net.layers, reset)
+        self.start = self.net.first_trained()
         self.cache = self.net.frozen_activations(self.data.source, self.data.rows)
 
     def batches(self):
@@ -204,17 +246,18 @@ class TaskRun:
         return [order[start:start + size] for start in range(0, len(order), size)]
 
     def step(self, idx):
-        """Train on the task's rows ``idx``; returns the batch loss. The
-        gradients are written into the velocity's spare (made here if
-        missing), where ``sgd_step`` turns them into the new velocity."""
-        xb, yb, sel = self.data.source[self.data.rows[idx]], self.data.y[idx], [self.net.task]
-        trace = self.net.trace(xb, self.cache and [c[idx] for c in self.cache])
+        """Train on the task's rows ``idx`` over the layers from ``start``
+        on; returns the batch loss. The gradients are written into the
+        velocity's spare (made here if missing), where ``sgd_step`` turns
+        them into the new velocity."""
+        k, data, sel = self.start, self.data, [self.net.task]
+        x = data.source[data.rows[idx]] if k == 0 else self.cache[k - 1][idx]
+        trace = self.net.trace(x, self.cache and [c[idx] for c in self.cache[k:]], k)
+        layers, velocity, yb = self.net.layers[k:], self.velocity[k:], data.y[idx]
         loss = selected_bce(trace.output, sel, yb)
         self.loss_sum += loss * len(idx)
-        grads = backward_truncated(self.net.layers, trace, yb, sel,
-                                   [v.spares() for v in self.velocity])
-        sgd_step(self.net.layers, grads, self.config.learning_rate,
-                 self.config.momentum, self.velocity)
+        grads = backward_truncated(layers, trace, yb, sel, [v.spares() for v in velocity])
+        sgd_step(layers, grads, self.config.learning_rate, self.config.momentum, velocity)
         return loss
 
     def end_epoch(self):
@@ -287,7 +330,8 @@ def evaluate_boundary(net, stream, upto):
 
 
 def run_lifelong(stream, config, mode="pss"):
-    """Train every task in the stream in order; returns (net, report)."""
+    """Train every task in the stream in order, BLAS on one thread
+    (``one_blas_thread``); returns (net, report)."""
     config.validate()
     if not len(stream):
         raise ValueError("empty task stream")
@@ -295,20 +339,21 @@ def run_lifelong(stream, config, mode="pss"):
     net = PlasticNetwork.new(n_features, list(config.hidden_sizes),
                              rng_for(config.seed, 0), config.leaky_slope)
     report = RunReport(mode=mode, seed=config.seed, config=config.to_dict())
-    for task in stream:
-        task_report = train_task(net, task.train, config)
-        problems = net.check_masks()
-        if problems:
-            raise AssertionError(
-                f"mask invariants violated after task {net.task}: {problems}")
-        row, mc = evaluate_boundary(net, stream, net.task)
-        report.accuracy_matrix.append(row)
-        report.multiclass.append(mc)
-        report.hidden_sizes.append(net.hidden_sizes())
-        report.parameter_counts.append(net.parameter_count())
-        report.split_counts.append(sum(task_report.splits_per_epoch))
-        report.filler_counts.append(task_report.filler_count)
-        report.epoch_losses.append(task_report.epoch_losses)
+    with one_blas_thread():
+        for task in stream:
+            task_report = train_task(net, task.train, config)
+            problems = net.check_masks()
+            if problems:
+                raise AssertionError(
+                    f"mask invariants violated after task {net.task}: {problems}")
+            row, mc = evaluate_boundary(net, stream, net.task)
+            report.accuracy_matrix.append(row)
+            report.multiclass.append(mc)
+            report.hidden_sizes.append(net.hidden_sizes())
+            report.parameter_counts.append(net.parameter_count())
+            report.split_counts.append(sum(task_report.splits_per_epoch))
+            report.filler_counts.append(task_report.filler_count)
+            report.epoch_losses.append(task_report.epoch_losses)
     return net, report
 
 

@@ -2,12 +2,12 @@
 
 import pytest
 
-from pss import cli
+from pss import trainer
 
 
 @pytest.fixture(scope="session", autouse=True)
 def blas_on_one_thread():
     """Run the whole session with numpy's OpenBLAS on one thread, as every
     ``pss`` command does, so an in-process test rounds as a subprocess does."""
-    with cli.one_blas_thread():
+    with trainer.one_blas_thread():
         yield

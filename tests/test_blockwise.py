@@ -164,7 +164,7 @@ def test_head_k_is_the_pass_over_generations_up_to_k(grown, case):
         logits = net.predict(x)
         for k in range(net.task + 1):
             stops = [bisect_right(gens, k) for gens in net.hidden_gens] + [k + 1]
-            head = post_activations(net.layers, x, stops=stops, last_only=True)[-1]
+            head = post_activations(net.layers, x, stops=stops, keep_from=len(stops) - 1)[-1]
             assert head.tobytes() == np.ascontiguousarray(logits[:, :k + 1]).tobytes()
 
 
@@ -200,15 +200,16 @@ def test_cache_build_sees_one_block_of_images_at_a_time(grown, monkeypatch):
         return affine(layer, x, start, stop, out)
 
     monkeypatch.setattr(MaskedLayer, "affine", spy)
-    cache = TaskRun(net, data, TrainerConfig(**CONFIG, freeze_scope="pss_only")).cache
+    run = TaskRun(net, data, TrainerConfig(**CONFIG, freeze_scope="pss_only"))
     assert [len(x) for x in seen] == [BLOCK_ROWS, BLOCK_ROWS + 1]
     assert np.concatenate(seen).tobytes() == data.x.tobytes()
-    assert len(cache[0]) == len(data)
+    assert run.start == 2 and run.cache[0] is None and len(run.cache[1]) == len(data)
 
 
 def test_cache_build_peaks_at_the_cache_plus_one_block():
-    """Each layer's block is written straight into the cache, so the
-    build holds the cache and one block of images, not all of them."""
+    """Each kept layer's block is written straight into the cache, so the
+    build holds the cache, one block of images and one block of layer 0,
+    which is not kept, not all of them."""
     net = PlasticNetwork.new(784, [400, 100], rng_for(5, 0))
     net.grow_output()
     net.grow_output()
@@ -219,8 +220,9 @@ def test_cache_build_peaks_at_the_cache_plus_one_block():
     rows = np.random.default_rng(1).permutation(len(source))[:3 * BLOCK_ROWS]
     net.frozen_activations(source, rows[:5])  # lazy imports
     cache, peak = traced_peak(net.frozen_activations, source, rows)
-    block = 8 * BLOCK_ROWS * 784
-    assert peak <= 1.1 * (sum(c.nbytes for c in cache) + block)
+    assert cache[0] is None  # only the output layer trains: layer 1 is the step's input
+    block = 8 * BLOCK_ROWS * (784 + 400)
+    assert peak <= 1.1 * (sum(c.nbytes for c in cache[1:]) + block)
 
 
 def test_predict_peaks_at_its_logits_plus_one_block_of_each_layer():

@@ -7,6 +7,7 @@ import dataclasses
 import errno
 import functools
 import glob
+import hashlib
 import json
 import logging
 import os
@@ -16,15 +17,16 @@ import sys
 
 import numpy as np
 import pytest
+from test_acceptance import variation_stream
 
 import pss
-from pss import cli
+from pss import cli, trainer
 from pss.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, RunConfig, main
 from pss.data import save_idx
 from pss.model_io import save_model
 from pss.numerics import GradcheckReport
 from pss.plasticity import PlasticNetwork
-from pss.trainer import TrainerConfig
+from pss.trainer import TrainerConfig, run_lifelong
 
 STREAM = ["--preset", "synthetic", "--train-size", "240", "--test-size", "120",
           "--tasks", "3", "--test-count", "120"]
@@ -430,7 +432,7 @@ class TestBlasThreads:
     def threads():
         """The getter and setter of numpy's bundled OpenBLAS thread count,
         or a skip where numpy has no such build."""
-        libs = glob.glob(cli.OPENBLAS)
+        libs = glob.glob(trainer.OPENBLAS)
         if not libs:
             pytest.skip("numpy has no bundled OpenBLAS")
         lib = ctypes.CDLL(libs[0])
@@ -444,7 +446,7 @@ class TestBlasThreads:
         before = get()
         set_(2)  # the suite itself runs on one thread (tests/conftest.py)
         try:
-            with cli.one_blas_thread():
+            with trainer.one_blas_thread():
                 assert get() == 1
             assert get() == 2
         finally:
@@ -452,13 +454,33 @@ class TestBlasThreads:
         assert before == 1
 
     def test_missing_thread_control_warns_once_and_goes_on(self, monkeypatch, caplog):
-        monkeypatch.setattr(cli.glob, "glob", lambda pattern: [])
+        monkeypatch.setattr(trainer.glob, "glob", lambda pattern: [])
         ran = []
-        with caplog.at_level(logging.WARNING, logger="pss.cli"):
-            with cli.one_blas_thread():
+        with caplog.at_level(logging.WARNING, logger="pss.trainer"):
+            with trainer.one_blas_thread():
                 ran.append(True)
         assert ran == [True]
         assert [r.levelname for r in caplog.records] == ["WARNING"]
+
+    def test_a_library_run_at_two_threads_gives_the_one_thread_report(self):
+        """``run_lifelong`` runs BLAS on one thread itself, so a caller from
+        Python that leaves OpenBLAS at 2 threads gets the one-thread report:
+        acceptance 5's noisy stream at seed 4, whose products round
+        differently on two threads, gives the same report sha256."""
+        get, set_ = self.threads()
+        stream, _ = variation_stream(4)
+        cfg = TrainerConfig(hidden_sizes=(64, 32), epochs_per_task=3, sigma=(0.05, 0.05),
+                            delta=(0.1, 0.1), seed=4)
+        digests, before = [], get()
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                report = run_lifelong(stream, cfg)[1]
+                assert get() == threads  # restored
+                digests.append(hashlib.sha256(report.to_json().encode()).hexdigest())
+        finally:
+            set_(before)
+        assert digests[0] == digests[1]
 
     def test_default_report_is_the_same_at_one_and_two_threads(self, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(pss.__file__)))

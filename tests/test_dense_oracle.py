@@ -26,12 +26,15 @@ gradients into its velocity's spare and turns them there into the new
 velocity, so the check copies them as ``sgd_step`` receives them (a spy)
 and asserts that they were written into that spare. The run keeps
 gradients and velocity for the rows from ``train_from`` on only, so
-those rows are compared. While some
-``train_from`` is above 0, the check also asserts that each layer's
-cache holds exactly its rows before ``train_from``, that those rows and
-the earlier heads do not change by a bit, and that the reference
-velocity is exactly 0 there: dropping those rows loses nothing. The
-tests here drive each task's run step by step.
+those rows are compared. A step starts at the run's ``start``, the
+first layer with a trainable row: the check asserts that every row
+below it is frozen, and compares the trace and gradients of the layers
+from there on. While some ``train_from`` is above 0, the check also
+asserts that the cache holds exactly layer ``start - 1`` and the rows
+before ``train_from`` of each layer above it, no array for the layers
+below, that the frozen rows and the earlier heads do not change by a
+bit, and that the reference velocity is exactly 0 there: dropping those
+rows loses nothing. The tests here drive each task's run step by step.
 """
 
 import numpy as np
@@ -171,15 +174,22 @@ def check_step(run, idx, velocity, scales):
     grad_scales = gradient_scales(net, x, y)
     scales = [config.momentum * s + g for s, g in zip(scales, grad_scales)]
     offsets = [l.train_from for l in net.layers]
-    restricted = any(offsets)
+    restricted, k = any(offsets), run.start
+    # the step starts at the first layer that trains: every row below it is frozen
+    assert offsets[:k] == [l.fan_out for l in net.layers[:k]] and offsets[k] < net.layers[k].fan_out
     if restricted:
-        assert [c.shape[1] for c in run.cache] == offsets
+        kept = max(k - 1, 0)  # no array for the layers below the step's input
+        assert [None if c is None else c.shape[1] for c in run.cache] == \
+            [None] * kept + offsets[kept:]
         frozen = [(l.weights[:o].tobytes(), l.bias[:o].tobytes())
                   for l, o in zip(net.layers, offsets)]
         heads = net.predict(x)[:, :offsets[-1]].tobytes()
     got_post, grads = step_receiving(run, idx)
-    for got, expected in zip(got_post, post):
+    assert len(got_post) == len(grads) == len(net.layers) - k
+    for got, expected in zip(got_post, post[k:]):
         assert_close(got, expected)
+    # the layers below ``k`` get no gradient: none of their rows trains
+    grads = [(np.zeros((0, l.fan_in)), np.zeros(0)) for l in net.layers[:k]] + grads
     for layer, (got_w, got_b), v, o, (g_w, g_b), (w, b, v_w, v_b), g_scale, v_scale in zip(
             net.layers, grads, run.velocity, offsets, want_grads, want,
             grad_scales, scales):

@@ -47,7 +47,7 @@ def test_a_base_tree_with_other_logits_exits_1(model, tmp_path):
     base = tmp_path / "pss"
     shutil.copytree(PACKAGE, base, ignore=shutil.ignore_patterns("__pycache__"))
     source = (base / "plasticity.py").read_text()
-    call = "return post_activations(self.layers, x, last_only=True)[-1]"
+    call = "return post_activations(self.layers, x, keep_from=len(self.layers) - 1)[-1]"
     assert call in source
     (base / "plasticity.py").write_text(source.replace(call, call + " + 1.0"))
     done = run_timer(base, model, "--rounds", "1", "--requests", "20")

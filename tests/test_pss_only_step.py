@@ -1,23 +1,29 @@
 """The frozen-row cache of a ``pss_only`` run.
 
 Under ``pss_only`` a training step computes only each layer's rows from
-``train_from`` on: the rows before it come from a cache of their
-post-activations over the task's training set, built when the run
-enters the scope and again after a round that splits. The cache must be
-the frozen columns of a full forward pass, built one block of images at
-a time; the steps after a rebuild go through
-``test_dense_oracle.check_step``.
+``train_from`` on, and starts at the first layer that has such rows:
+its input is the layer below's post-activations. Those, and the rows
+before ``train_from`` of the layers from there on, come from a cache
+over the task's training set, built when the run enters the scope and
+again after a round that splits. The cache must be the frozen columns
+of a full forward pass, hold no array for the layers below the step's
+input, be built one block of images at a time, and spare a step that
+starts above layer 0 every read of the images; the steps after a
+rebuild go through ``test_dense_oracle.check_step``.
 """
 
 import weakref
 
 import numpy as np
+import pytest
 from test_blockwise import forward_by_block
 from test_data import traced_peak
 from test_dense_oracle import N_FEATURES, assert_close, check_step, velocity_after_split
+from test_dense_oracle import tasks as dense_tasks
 
 from pss.data import TaskDataset
-from pss.numerics import IDENTITY, Activation, MaskedLayer, forward, post_activations
+from pss.numerics import (IDENTITY, Activation, MaskedLayer, forward, post_activations,
+                          row_blocks)
 from pss.plasticity import PlasticNetwork
 from pss.trainer import PROBE_EPOCHS, TaskRun, TrainerConfig, rng_for, train_task
 
@@ -64,14 +70,18 @@ class TestFrozenCache:
         return run.net, run.data
 
     def test_cache_is_the_frozen_rows_of_a_full_forward(self, monkeypatch):
+        """Only the output row trains, so a step starts at layer 2: the
+        cache holds layer 1, the step's input, and the output's frozen
+        row, and no array for layer 0."""
         net, data = self.drifted_task()
         cache = net.frozen_activations(data.source, data.rows)
-        assert [c.shape[1] for c in cache] == [12, 8, 1]
+        assert net.first_trained() == 2
+        assert cache[0] is None and [c.shape[1] for c in cache[1:]] == [8, 1]
         post = forward(net.layers, data.x).post
-        for c, a, layer in zip(cache, post, net.layers):
+        for c, a, layer in zip(cache[1:], post[1:], net.layers[1:]):
             assert c.shape == (len(data.x), layer.train_from)
             assert_close(c, a[:, :layer.train_from])
-        # a trace built from the cache computes only the trainable rows
+        # a trace from layer 2, built from the cache, computes only the trainable rows
         idx = np.arange(0, len(data.x), 2)
         computed = []
         affine = MaskedLayer.affine
@@ -82,11 +92,12 @@ class TestFrozenCache:
             return z
 
         monkeypatch.setattr(MaskedLayer, "affine", spy)
-        trace = net.trace(data.x[idx], [c[idx] for c in cache])
+        trace = net.trace(cache[1][idx], [cache[2][idx]], 2)
         monkeypatch.setattr(MaskedLayer, "affine", affine)
-        assert [l.fan_out - c.shape[1] for l, c in zip(net.layers, cache)] == [0, 0, 1]
-        assert computed == [0, 0, 1]
-        for got, want in zip(trace.post, forward(net.layers, data.x[idx]).post):
+        assert net.layers[2].fan_out - cache[2].shape[1] == 1
+        assert computed == [1]
+        assert len(trace.post) == 1
+        for got, want in zip(trace.post, forward(net.layers, data.x[idx]).post[2:]):
             assert_close(got, want)
 
     @staticmethod
@@ -105,8 +116,11 @@ class TestFrozenCache:
         cache = net.frozen_activations(x, np.arange(len(x)))
         monkeypatch.setattr(MaskedLayer, "affine", affine)
         assert computed == [(0, layer.train_from) for layer in net.layers]
+        # no array below layer ``k - 1``, the input of a step that starts at ``k``
+        kept = max(net.first_trained() - 1, 0)
+        assert [c is None for c in cache] == [i < kept for i in range(len(cache))]
         post = forward(net.layers, x).post
-        for c, a, layer in zip(cache, post, net.layers):
+        for c, a, layer in zip(cache[kept:], post[kept:], net.layers[kept:]):
             assert c.shape == (len(x), layer.train_from)
             assert c.tobytes() == np.ascontiguousarray(a[:, :layer.train_from]).tobytes()
 
@@ -142,6 +156,29 @@ class TestFrozenCache:
         self.assert_frozen_columns_of_forward(net, x, monkeypatch)
         cache = net.frozen_activations(x, np.arange(len(x)))
         assert np.all(cache[2] == layers[2].bias[0])
+
+    @pytest.mark.parametrize("hidden_gens, start", [
+        ([[0] * 4, [0, 1, 1], [1] * 3], 1), ([[0] * 4, [0] * 3, [0, 1, 1]], 2),
+        ([[0] * 4, [0] * 3, [0] * 3], 3)])
+    def test_cache_keeps_no_layer_below_the_steps_input(self, hidden_gens, start,
+                                                        monkeypatch):
+        """Three hidden layers in task 1: a step starts at the first layer
+        holding a generation-1 row (the output layer when none does). The
+        cache holds no array for the layers below the step's input, and
+        the kept columns are byte for byte those of a full forward."""
+        rng = np.random.default_rng(7)
+        sizes = [N_FEATURES] + [len(gens) for gens in hidden_gens] + [2]
+        layers = [MaskedLayer(np.zeros((n, fan_in)), rng.standard_normal(n),
+                              activation=Activation() if i < 3 else IDENTITY)
+                  for i, (fan_in, n) in enumerate(zip(sizes, sizes[1:]))]
+        net = PlasticNetwork(layers, hidden_gens, task=1, freeze_scope="pss_only")
+        for layer in layers:
+            for r0, r1, c1 in layer.runs:
+                layer.weights[r0:r1, :c1] = rng.standard_normal((r1 - r0, c1))
+        assert net.check_masks() == [] and net.first_trained() == start
+        assert [layer.train_from for layer in layers[:start]] == sizes[1:start + 1]
+        self.assert_frozen_columns_of_forward(net, rng.standard_normal((9, N_FEATURES)),
+                                              monkeypatch)
 
     def test_nothing_frozen_means_no_cache(self):
         net, data = self.drifted_task()
@@ -202,10 +239,56 @@ class TestFrozenCache:
         source = np.random.default_rng(2).standard_normal((3000, 16))
         net.frozen_activations(source, rows[:5])  # lazy imports
         cache, peak = traced_peak(net.frozen_activations, source, rows)
-        held = source.nbytes + cache[0].nbytes + sum(c.nbytes for c in cache)
+        assert cache[0] is None  # only the output row trains: layer 1 is the step's input
+        layer_0_block = 8 * max(b.stop - b.start for b in row_blocks(len(rows))) * 200
+        held = source.nbytes + layer_0_block + sum(c.nbytes for c in cache[1:])
         assert peak <= 1.1 * held
         x = source[rows]
-        for c, a, whole in zip(cache, forward_by_block(net.layers, x),
-                               forward(net.layers, x).post):
+        for c, a, whole in zip(cache[1:], forward_by_block(net.layers, x)[1:],
+                               forward(net.layers, x).post[1:]):
             assert c.tobytes() == np.ascontiguousarray(a[:, :c.shape[1]]).tobytes()
             np.testing.assert_allclose(c, whole[:, :c.shape[1]], rtol=1e-12, atol=0)
+
+
+class SourceReads:
+    """A task's images that record each read of their rows."""
+
+    def __init__(self, source):
+        self.source, self.reads = source, []
+
+    def __getitem__(self, rows):
+        self.reads.append(rows)
+        return self.source[rows]
+
+    def __len__(self):
+        return len(self.source)
+
+
+@pytest.mark.parametrize("scope", ["hybrid", "pss_only"])
+def test_a_step_above_layer_0_reads_no_image(scope):
+    """Task 1, every label 1 at a learning rate of 0.5, passes ``hybrid``'s
+    probe, so under either scope it trains its output row alone: each
+    step starts at layer 2, its input the cache's layer 1, and no step
+    reads a row of the task's images. Task 0's steps start at layer 0
+    and read one batch each."""
+    config = TrainerConfig(hidden_sizes=(12, 8), sigma=1e-6, delta=0.0, batch_size=8,
+                           epochs_per_task=3, seed=5, learning_rate=0.5, freeze_scope=scope)
+    net = PlasticNetwork.new(N_FEATURES, [12, 8], rng_for(5, 0))
+    data = dense_tasks(2)
+    data[1] = TaskDataset(data[1].source, data[1].rows, np.ones(len(data[1])))
+    starts, reads = [], []
+    for task in data:
+        run = TaskRun(net, task, config)
+        run.data.source = SourceReads(task.source)  # after the cache build
+        head = net.output_layer.weights[net.task].copy()
+        while run.epoch < config.epochs_per_task:
+            for idx in run.batches():
+                starts.append(run.start)
+                run.step(idx)
+            run.end_epoch()
+        run.close()
+        reads.append(len(run.data.source.reads))
+        assert not np.array_equal(net.output_layer.weights[net.task], head)
+    assert net.freeze_scope == "pss_only" and net.hidden_sizes() == [12, 8]
+    assert starts == [0] * 15 + [2] * 15
+    assert reads == [15, 0]

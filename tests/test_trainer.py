@@ -467,9 +467,10 @@ class TestTaskSteps:
     @pytest.mark.parametrize("scope", ["hybrid", "pss_only"])
     def test_velocity_has_the_gradients_shapes_after_every_step(self, scope, monkeypatch):
         """Velocity covers the rows that train: after every step each
-        layer's velocity is shaped like the gradients ``sgd_step`` received,
-        before and after the hybrid switch and under ``pss_only`` from task
-        start."""
+        layer's velocity from the run's ``start`` on is shaped like the
+        gradients ``sgd_step`` received, and the velocity of each layer
+        below it has no row, before and after the hybrid switch and under
+        ``pss_only`` from task start."""
         received, sgd_step = [], trainer.sgd_step
 
         def spy(layers, grads, *args):
@@ -486,7 +487,9 @@ class TestTaskSteps:
                 for idx in run.batches():
                     received.clear()
                     run.step(idx)
-                    assert [[(v.weights.shape, v.bias.shape) for v in run.velocity]] == received
+                    shapes = [(v.weights.shape, v.bias.shape) for v in run.velocity]
+                    assert [shapes[run.start:]] == received
+                    assert all(len(v.bias) == 0 for v in run.velocity[:run.start])
                     scopes.add((net.freeze_scope, any(l.train_from for l in net.layers)))
                 run.end_epoch()
             run.close()

@@ -50,7 +50,7 @@ def sha256(path):
 
 def blas_line():
     """``blas: numpy <version>, <OpenBLAS configuration>``, the first line."""
-    from pss.cli import OPENBLAS  # from this tree when run as a script (``main``)
+    from pss.trainer import OPENBLAS  # from this tree when run as a script (``main``)
     try:
         config = ctypes.CDLL(glob.glob(OPENBLAS)[0]).scipy_openblas_get_config64_
     except (IndexError, OSError, AttributeError):

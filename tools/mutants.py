@@ -141,13 +141,24 @@ MUTANTS = (
            ("tests/test_blockwise.py::test_predict_and_cache_are_forward_by_block_bitwise",
             "tests/test_blockwise.py::test_old_logits_stay_bit_identical_on_a_multi_block_probe")),
     Mutant("frozen-row-cache-of-every-row", "src/pss/plasticity.py",
-           "[l.train_from for l in self.layers])",
-           "None)",
+           "                                [l.train_from for l in self.layers],\n",
+           "                                None,\n",
            ("tests/test_pss_only_step.py::TestFrozenCache::test_cache_is_the_frozen_rows_of_a_full_forward",
             "tests/test_dense_oracle.py")),
+    Mutant("cache-keeps-every-layer", "src/pss/plasticity.py",
+           "keep_from=max(self.first_trained() - 1, 0))",
+           "keep_from=0)",
+           ("tests/test_pss_only_step.py::TestFrozenCache::test_cache_keeps_no_layer_below_the_steps_input",
+            "tests/test_dense_oracle.py")),
+    # the step: it starts at the first layer that trains, from the cache
+    Mutant("step-starts-one-layer-above-the-first-that-trains", "src/pss/plasticity.py",
+           "return next((i for i, layer in enumerate(self.layers)",
+           "return next((i + 1 for i, layer in enumerate(self.layers)",
+           ("tests/test_pss_only_step.py::TestFrozenCache::test_cache_keeps_no_layer_below_the_steps_input",
+            "tests/test_dense_oracle.py")),
     Mutant("step-reads-the-sorted-batchs-cache-rows", "src/pss/trainer.py",
-           "[c[idx] for c in self.cache]",
-           "[c[np.sort(idx)] for c in self.cache]",
+           "[c[idx] for c in self.cache[k:]]",
+           "[c[np.sort(idx)] for c in self.cache[k:]]",
            ("tests/test_dense_oracle.py",)),
     # ``MaskedLayer.affine`` and its run plan
     Mutant("affine-without-the-prefix-width-check", "src/pss/numerics.py",
@@ -250,6 +261,50 @@ MUTANTS = (
            "            if size > remaining:\n",
            "            if False:\n",
            ("tests/test_model_io.py::TestHostileModelFiles::test_an_array_claimed_past_the_end_of_the_file_is_never_allocated",)),
+    Mutant("container-magic-unchecked", "src/pss/container.py",
+           "        if got != magic:\n",
+           "        if False:\n",
+           ("tests/test_model_io.py::TestSaveLoad::test_wrong_magic_rejected",)),
+    Mutant("container-short-header-length-unchecked", "src/pss/container.py",
+           "        if len(raw_len) != 8:\n",
+           "        if False:\n",
+           ("tests/test_model_io.py::TestHostileModelFiles", "tests/test_fuzz.py")),
+    Mutant("container-header-kinds-unchecked", "src/pss/container.py",
+           "        if not isinstance(header, dict) or not isinstance(header.get(\"meta\"), dict) \\\n"
+           "                or not isinstance(header.get(\"arrays\"), list):\n",
+           "        if False:\n",
+           ("tests/test_model_io.py::TestHostileModelFiles", "tests/test_fuzz.py")),
+    Mutant("container-array-entry-unchecked", "src/pss/container.py",
+           "    if not isinstance(entry, dict) or not isinstance(entry.get(\"name\"), str) \\\n"
+           "            or entry.get(\"dtype\") != DTYPE \\\n"
+           "            or not isinstance(entry.get(\"shape\"), list) \\\n"
+           "            or not all(type(s) is int and s >= 0 for s in entry[\"shape\"]):\n",
+           "    if False:\n",
+           ("tests/test_model_io.py::TestHostileModelFiles", "tests/test_fuzz.py")),
+    Mutant("container-array-named-twice-accepted", "src/pss/container.py",
+           "            if name in arrays:\n",
+           "            if False:\n",
+           ("tests/test_model_io.py::TestHostileModelFiles::test_array_named_twice_is_data_error",)),
+    Mutant("container-bytes-after-the-last-array-accepted", "src/pss/container.py",
+           "        if remaining:\n",
+           "        if False:\n",
+           ("tests/test_model_io.py::TestHostileModelFiles::test_bytes_after_the_last_array_are_data_error",)),
+    Mutant("model-schema-unchecked", "src/pss/model_io.py",
+           "    if meta.get(\"schema\") != MODEL_SCHEMA:\n",
+           "    if False:\n",
+           ("tests/test_model_io.py::TestSaveLoad::test_future_schema_rejected",)),
+    Mutant("model-array-names-unchecked", "src/pss/model_io.py",
+           "    if set(arrays) != set(names):\n",
+           "    if False:\n",
+           ("tests/test_model_io.py::TestHostileModelFiles", "tests/test_fuzz.py")),
+    Mutant("model-structural-audit-ignored", "src/pss/model_io.py",
+           "    if problems:\n",
+           "    if False:\n",
+           ("tests/test_model_io.py::TestHostileModelFiles", "tests/test_fuzz.py")),
+    Mutant("model-header-unchecked-against-the-network", "src/pss/model_io.py",
+           "    if json.dumps(meta, sort_keys=True) != json.dumps(header(net), sort_keys=True):\n",
+           "    if False:\n",
+           ("tests/test_model_io.py::TestHostileModelFiles", "tests/test_fuzz.py")),
     # the task stream and the boundary evaluation
     Mutant("task-rows-recorded-unshuffled", "src/pss/data.py",
            "TaskDataset(images, idx[order], y[order])",
