@@ -39,6 +39,8 @@ from .model_io import load_model, save_model
 from .numerics import NonFiniteError, gradcheck
 from .plasticity import SPLIT_INITS
 from .trainer import (
+    PROBE_EPOCHS,
+    PROBE_LOSS,
     SCOPE_CHOICES,
     TrainerConfig,
     evaluate_boundary,
@@ -208,10 +210,9 @@ def _add_trainer_flags(p):
                    help="per-epoch threshold escalation")
     p.add_argument("--scope", choices=SCOPE_CHOICES, dest="freeze_scope",
                    help="which weights train; hybrid first probes each task from task 1 on: "
-                        "2 epochs of the new output row alone on the frozen trunk, kept if "
-                        "the last epoch's loss is at most 0.1 (W2's probes end at 0.028 or "
-                        "below, the default run's at 0.31 or above), else the task restarts "
-                        "with everything training until its first split")
+                        f"{PROBE_EPOCHS} epochs of the new output row alone on the frozen "
+                        f"trunk, kept if the last epoch's loss is at most {PROBE_LOSS}, else "
+                        "the task restarts with everything training until its first split")
     p.add_argument("--split-init", choices=SPLIT_INITS,
                    help="weights a split neuron's copy starts from")
     p.add_argument("--magnitude-freeze", type=float, dest="magnitude_freeze_threshold",

@@ -12,8 +12,8 @@ existed when it was taken: growth only appends rows and columns.
 ``conn_mask`` and ``train_mask`` are dense views, built on demand and
 never read by training.
 Backpropagation is derived by hand for the fixed affine + activation
-layer form and can be truncated so the loss gradient enters only at a
-chosen subset of output nodes.
+layer form and truncated so the loss gradient enters only at one output
+node, the head of the task that trains.
 
 Pre-activations are computed one run at a time, each run against the
 prefix of input columns it can see (see ``MaskedLayer.affine``). Once a
@@ -393,36 +393,29 @@ class LayerGrads:
         return self.spare
 
 
-def _selection(selected_outputs, targets, n, out_dim):
-    """The selected output columns and their ``(n, k)`` 0/1 targets, which
-    may be given as ``(n,)`` when a single output is selected."""
-    sel = [int(s) for s in selected_outputs]
-    if not sel:
-        raise ValueError("selected_outputs must be non-empty")
-    if len(set(sel)) != len(sel):
-        raise ValueError("selected_outputs contains duplicates")
-    for s in sel:
-        if not 0 <= s < out_dim:
-            raise IndexError(f"output index {s} out of range [0, {out_dim})")
+def _selection(head, targets, n, out_dim):
+    """The ``(n, 1)`` 0/1 targets of output ``head``, checked with it; they
+    may be given as ``(n,)``."""
+    if not 0 <= head < out_dim:
+        raise IndexError(f"output index {head} out of range [0, {out_dim})")
     y = np.asarray(targets, dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
-    if y.shape != (n, len(sel)):
-        raise DimensionError(
-            f"targets shape {y.shape} does not match batch {n} x selection {len(sel)}")
+    if y.shape != (n, 1):
+        raise DimensionError(f"targets shape {y.shape} does not match batch {n} x one head")
     if not n:
         raise DimensionError("empty batch")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("targets must be exactly 0 or 1")
-    return sel, y
+    return y
 
 
-def backward_truncated(layers, trace, targets, selected_outputs, out=None):
+def backward_truncated(layers, trace, targets, head, out=None):
     """Gradients of the truncated mean BCE loss for every layer.
 
     The loss is the mean binary cross-entropy of ``sigmoid`` over the
-    final post-activations at ``selected_outputs`` only; gradient enters
-    the network at exactly those output nodes. Returned gradients are
+    final post-activations at output ``head`` only; gradient enters the
+    network at exactly that output node. Returned gradients are
     exactly zero past each run's prefix (at every structural zero), and
     at every weight in a layer's ``frozen`` set.
 
@@ -432,8 +425,7 @@ def backward_truncated(layers, trace, targets, selected_outputs, out=None):
     propagated through ``weights[o:, o_below:]`` alone and the
     trainable rows get exactly the dense gradient.
 
-    ``targets`` is ``(n, k)`` with columns aligned to the selection
-    order, or ``(n,)`` when a single output is selected. ``out``, when
+    ``targets`` is ``(n,)`` or ``(n, 1)``, 0 or 1 per image. ``out``, when
     given, holds per layer arrays shaped like its gradients, weights
     then bias (a velocity's ``spare``): the gradients are written into
     them, and the returned gradients are those arrays.
@@ -441,11 +433,11 @@ def backward_truncated(layers, trace, targets, selected_outputs, out=None):
     if len(trace.post) != len(layers):
         raise DimensionError("trace layer count does not match layers")
     final = trace.output
-    sel, y = _selection(selected_outputs, targets, *final.shape)
+    y = _selection(head, targets, *final.shape)
 
-    # dL/da at the selected outputs; everything else stays exactly zero.
+    # dL/da at the head, its column an (n, 1) block; everything else stays exactly zero.
     d_post = np.zeros_like(final)
-    d_post[:, sel] = (sigmoid(final[:, sel]) - y) / y.size
+    d_post[:, [head]] = (sigmoid(final[:, [head]]) - y) / y.size
 
     grads = [None] * len(layers)
     top = layers[-1]
@@ -558,12 +550,12 @@ def sgd_step(layers, grads, learning_rate, momentum, velocity):
         v.spare, v.weights, v.bias = (v.weights, v.bias, w, b), v_w, v_b
 
 
-def selected_bce(trace_output, selected_outputs, targets):
+def selected_bce(trace_output, head, targets):
     """The truncated loss that ``backward_truncated`` differentiates: the
     mean of ``softplus(z) - z * y``, finite for any finite logit, over the
-    selected columns ``z`` of ``trace_output``."""
-    sel, y = _selection(selected_outputs, targets, *trace_output.shape)
-    z = trace_output[:, sel]
+    column ``z`` of output ``head`` in ``trace_output``."""
+    y = _selection(head, targets, *trace_output.shape)
+    z = trace_output[:, [head]]
     return float(np.mean(_softplus(z) - z * y))
 
 
@@ -600,13 +592,14 @@ def gradcheck(layer_dims, seed=0, zero_prob=0.0, freeze_prob=0.0, tolerance=1e-5
     """Check ``backward_truncated`` against central finite differences.
 
     Builds one random masked network for ``layer_dims`` (first entry is
-    the input width, last the output width), a random output selection
-    and random binary targets for three images, then perturbs every
-    parameter by ``+-1e-5``. Trainable positions are compared by
-    relative error; frozen or structurally absent positions must report
-    an exactly zero analytic gradient. The relative-error denominator is
-    floored at 1e-4, which turns the check into a tight absolute test for
-    near-zero gradients instead of an ill-conditioned ratio.
+    the input width, last the output width) and random binary targets for
+    three images, then, with each output in turn as the head, perturbs
+    every parameter by ``+-1e-5`` (``checked`` and ``frozen_checked``
+    count once per head). Trainable positions are compared by relative
+    error; frozen or structurally absent positions must report an exactly
+    zero analytic gradient. The relative-error denominator is floored at
+    1e-4, which turns the check into a tight absolute test for near-zero
+    gradients instead of an ill-conditioned ratio.
     """
     dims = [int(d) for d in layer_dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
@@ -615,40 +608,35 @@ def gradcheck(layer_dims, seed=0, zero_prob=0.0, freeze_prob=0.0, tolerance=1e-5
     rng = np.random.default_rng(seed)
     layers = _random_masked_net(dims, rng, zero_prob, freeze_prob)
     x = rng.standard_normal((batch, dims[0]))
-    n_sel = int(rng.integers(1, dims[-1] + 1))
-    sel = sorted(rng.choice(dims[-1], size=n_sel, replace=False).tolist())
-    y = rng.integers(0, 2, size=(batch, n_sel)).astype(np.float64)
-
-    grads = backward_truncated(layers, forward(layers, x), y, sel)
-
-    def loss_now():
-        return selected_bce(forward(layers, x).output, sel, y)
+    targets = rng.integers(0, 2, size=(batch, dims[-1])).astype(np.float64)
 
     max_rel = 0.0
     checked = frozen_checked = frozen_nonzero = 0
-    for layer, g in zip(layers, grads):
-        for arr, garr, frozen in (
-                (layer.weights, g.weights, layer.frozen),
-                (layer.bias, g.bias, np.zeros(layer.fan_out, dtype=bool))):
-            flat = arr.reshape(-1)
-            gflat = garr.reshape(-1)
-            fflat = frozen.reshape(-1)
-            for j in range(flat.size):
-                if fflat[j]:
-                    frozen_checked += 1
-                    if gflat[j] != 0.0:
-                        frozen_nonzero += 1
-                    continue
-                orig = flat[j]
-                flat[j] = orig + step
-                up = loss_now()
-                flat[j] = orig - step
-                down = loss_now()
-                flat[j] = orig
-                fd = (up - down) / (2.0 * step)
-                rel = abs(gflat[j] - fd) / max(abs(gflat[j]), abs(fd), 1e-4)
-                max_rel = max(max_rel, rel)
-                checked += 1
+    for head, y in enumerate(targets.T):
+        grads = backward_truncated(layers, forward(layers, x), y, head)
+        for layer, g in zip(layers, grads):
+            for arr, garr, frozen in (
+                    (layer.weights, g.weights, layer.frozen),
+                    (layer.bias, g.bias, np.zeros(layer.fan_out, dtype=bool))):
+                flat = arr.reshape(-1)
+                gflat = garr.reshape(-1)
+                fflat = frozen.reshape(-1)
+                for j in range(flat.size):
+                    if fflat[j]:
+                        frozen_checked += 1
+                        if gflat[j] != 0.0:
+                            frozen_nonzero += 1
+                        continue
+                    orig = flat[j]
+                    flat[j] = orig + step
+                    up = selected_bce(forward(layers, x).output, head, y)
+                    flat[j] = orig - step
+                    down = selected_bce(forward(layers, x).output, head, y)
+                    flat[j] = orig
+                    fd = (up - down) / (2.0 * step)
+                    rel = abs(gflat[j] - fd) / max(abs(gflat[j]), abs(fd), 1e-4)
+                    max_rel = max(max_rel, rel)
+                    checked += 1
     return GradcheckReport(max_rel_error=max_rel, checked=checked,
                            frozen_checked=frozen_checked,
                            frozen_nonzero=frozen_nonzero, tolerance=tolerance)

@@ -10,12 +10,12 @@ probe its verdict; ``close`` returns the report. The run owns the
 task's state, one lifetime per array: the snapshot of the hidden
 weights is taken only where a round can read it (from task 1 on,
 splitting on, under ``full_truncated``, as ``hybrid`` trains after a
-failed probe) and released at the ``hybrid`` switch; ``pad_velocity``
-makes the trainable rows' velocity at open and after a round that grew
-(appended and reverted neurons restart at 0), each ``step`` writes its
-gradients into the velocity's spare and turns them there into the new
-velocity, and a round drops the spares; a step's forward trace lives
-only for that step.
+failed probe) and released at the ``hybrid`` switch or else by
+``close``; ``pad_velocity`` makes the trainable rows' velocity at open
+and after a round that grew (appended and reverted neurons restart at
+0), each ``step`` writes its gradients into the velocity's spare and
+turns them there into the new velocity, and a round drops the spares; a
+step's forward trace lives only for that step.
 
 The freeze scope decides how much of the old network may move:
 
@@ -62,8 +62,10 @@ and in a probe, at the switch under ``hybrid``, and never under
 Batches of a step from layer 0, and each block of images a cache is
 built from, are gathered from the shared training images.
 
-``run_lifelong`` runs BLAS on one thread (``one_blas_thread``), so a
-caller from Python gets the bytes a ``pss`` command writes.
+``run_lifelong`` runs as a ``pss`` command does, BLAS on one thread
+(``one_blas_thread``) and numpy's overflow and invalid-value warnings
+off, so a caller from Python gets its bytes, and ``NonFiniteError`` if
+the run diverges.
 
 The baseline runner trains the same architecture with splitting
 disabled and everything trainable, which is plain multi-head
@@ -250,13 +252,13 @@ class TaskRun:
         on; returns the batch loss. The gradients are written into the
         velocity's spare (made here if missing), where ``sgd_step`` turns
         them into the new velocity."""
-        k, data, sel = self.start, self.data, [self.net.task]
+        k, data, head = self.start, self.data, self.net.task
         x = data.source[data.rows[idx]] if k == 0 else self.cache[k - 1][idx]
         trace = self.net.trace(x, self.cache and [c[idx] for c in self.cache[k:]], k)
         layers, velocity, yb = self.net.layers[k:], self.velocity[k:], data.y[idx]
-        loss = selected_bce(trace.output, sel, yb)
+        loss = selected_bce(trace.output, head, yb)
         self.loss_sum += loss * len(idx)
-        grads = backward_truncated(layers, trace, yb, sel, [v.spares() for v in velocity])
+        grads = backward_truncated(layers, trace, yb, head, [v.spares() for v in velocity])
         sgd_step(layers, grads, self.config.learning_rate, self.config.momentum, velocity)
         return loss
 
@@ -299,7 +301,10 @@ class TaskRun:
         return round_report
 
     def close(self):
+        """Release the task's snapshot (nothing reads it after the last
+        epoch) and return the report."""
         report, net = self.report, self.net
+        net.snapshot = None
         log.info("task %d done in %.2fs: sizes %s, epoch losses %s",
                  net.task, time.perf_counter() - self.started,
                  net.hidden_sizes(), [round(loss, 4) for loss in report.epoch_losses])
@@ -330,8 +335,8 @@ def evaluate_boundary(net, stream, upto):
 
 
 def run_lifelong(stream, config, mode="pss"):
-    """Train every task in the stream in order, BLAS on one thread
-    (``one_blas_thread``); returns (net, report)."""
+    """Train every task in the stream in order, as a ``pss`` command does
+    (see the module docstring); returns (net, report)."""
     config.validate()
     if not len(stream):
         raise ValueError("empty task stream")
@@ -339,7 +344,7 @@ def run_lifelong(stream, config, mode="pss"):
     net = PlasticNetwork.new(n_features, list(config.hidden_sizes),
                              rng_for(config.seed, 0), config.leaky_slope)
     report = RunReport(mode=mode, seed=config.seed, config=config.to_dict())
-    with one_blas_thread():
+    with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for task in stream:
             task_report = train_task(net, task.train, config)
             problems = net.check_masks()

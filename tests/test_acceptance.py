@@ -205,7 +205,7 @@ class TestCriterion3StructuralFuzz:
             y = rng.integers(0, 2, size=8).astype(float)
             out = int(rng.integers(net.n_outputs))
             trace = net.trace(x)
-            grads = backward_truncated(net.layers, trace, y, [out])
+            grads = backward_truncated(net.layers, trace, y, out)
             rows = [LayerGrads(v.weights[l.train_from:], v.bias[l.train_from:])
                     for v, l in zip(velocity, net.layers)]
             sgd_step(net.layers, grads, 0.05, 0.9, rows)

@@ -121,7 +121,7 @@ def test_one_image_predict_is_the_run_by_run_loop_bitwise(grown, case, tmp_path)
         net = copy.deepcopy(net)
         assert all(layer.train_from for layer in net.layers)  # written in place
         before = [layer.weights.copy() for layer in net.layers]
-        grads = backward_truncated(net.layers, net.trace(source[:8]), np.ones(8), [net.task])
+        grads = backward_truncated(net.layers, net.trace(source[:8]), np.ones(8), net.task)
         sgd_step(net.layers, grads, 0.5, 0.0, pad_velocity(None, net.layers))
         assert all((l.weights != w).any() for l, w in zip(net.layers, before))
     elif case == "grown and split":

@@ -134,6 +134,18 @@ REASONS = {"NaN weight": "NaN/Inf", "Inf bias": "NaN/Inf",
            **dict.fromkeys(CUT, "truncated container header length")}
 
 
+# the run settings a resumed run is checked under (``TrainerConfig`` fields);
+# the baseline is ``run_baseline_finetune``'s
+RESUME_SETTINGS = {
+    "hybrid": {},
+    "full_truncated": dict(freeze_scope="full_truncated"),
+    "pss_only": dict(freeze_scope="pss_only"),
+    "baseline": dict(freeze_scope="full_truncated", splitting_enabled=False),
+    "magnitude_freeze": dict(magnitude_freeze_threshold=0.05),
+    "reverted": dict(split_init="reverted"),
+}
+
+
 class TestSaveLoad:
     def test_round_trip_is_bitwise(self, tmp_path):
         net, stream, _ = trained_net()
@@ -163,25 +175,33 @@ class TestSaveLoad:
         np.testing.assert_array_equal(net.rng.standard_normal(8),
                                       back.rng.standard_normal(8))
 
-    def test_resume_at_boundary_matches_straight_run(self, tmp_path):
+    @pytest.mark.parametrize("boundary", [1, 2])
+    @pytest.mark.parametrize("setting", list(RESUME_SETTINGS))
+    def test_resume_at_boundary_matches_straight_run(self, setting, boundary, tmp_path):
+        """Saving at a task boundary and training on from the loaded model
+        gives the straight run's epoch losses, weights and biases, bit for
+        bit: in every scope, in the baseline, with a magnitude freeze and
+        with reverted split copies."""
         train, test = synthetic_digits(240, 120, seed=3)
         stream = build_task_stream(train, test, n_tasks=3, seed=3,
                                    test_count=120)
         cfg = TrainerConfig(hidden_sizes=(10, 6), sigma=1e-6, delta=0.0,
-                            batch_size=32, epochs_per_task=2, seed=2)
-
-        straight = PlasticNetwork.new(784, [10, 6], rng_for(2, 0))
-        for task in stream:
-            train_task(straight, task.train, cfg)
-
-        resumed = PlasticNetwork.new(784, [10, 6], rng_for(2, 0))
-        train_task(resumed, stream.tasks[0].train, cfg)
+                            batch_size=32, epochs_per_task=2, seed=2,
+                            **RESUME_SETTINGS[setting])
         path = tmp_path / "boundary.pssnet"
-        save_model(path, resumed)
-        resumed = load_model(path)
-        train_task(resumed, stream.tasks[1].train, cfg)
-        train_task(resumed, stream.tasks[2].train, cfg)
 
+        def run(resume_at):
+            net, losses = PlasticNetwork.new(784, [10, 6], rng_for(2, 0)), []
+            for t, task in enumerate(stream):
+                if t == resume_at:
+                    save_model(path, net)
+                    net = load_model(path)
+                losses.append(train_task(net, task.train, cfg).epoch_losses)
+            return net, losses
+
+        straight, straight_losses = run(None)
+        resumed, resumed_losses = run(boundary)
+        assert path.exists() and resumed_losses == straight_losses
         for a, b in zip(straight.layers, resumed.layers):
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
@@ -279,6 +299,23 @@ class TestHostileModelFiles:
         path.write_bytes(path.read_bytes() + last.tobytes())
         self.assert_refused(path, capsys)
 
+    def test_a_header_claimed_past_the_end_of_the_file_is_never_read(self, tmp_path, capsys):
+        """A file of about 100 bytes whose length field claims a 32 MiB
+        header exits 3, and reading it traces a peak far below the claim:
+        the length is refused before ``f.read`` is asked for it."""
+        claimed = 32 << 20
+        header = json.dumps({"meta": {}, "arrays": []}).encode()
+        path = tmp_path / "model.pssnet"
+        path.write_bytes(MODEL_MAGIC + struct.pack(">Q", claimed) + header + bytes(64))
+        assert path.stat().st_size < 128
+        with pytest.raises(ContainerError, match="truncated container header$"):
+            read_container(path, MODEL_MAGIC)
+        code, peak = traced_peak(main, ["inspect", "--model", str(path)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "truncated container header" in err
+        assert peak < claimed // 16, peak
+
     def test_an_array_claimed_past_the_end_of_the_file_is_never_allocated(
             self, tmp_path, capsys):
         """A file of a few hundred bytes whose header claims a 32 MiB array
@@ -295,3 +332,23 @@ class TestHostileModelFiles:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "truncated array 'w0'" in err
         assert peak < np.prod(claimed) * 8 // 16, peak
+
+
+class TestWriteContainer:
+    """``write_container`` refuses, before it opens the file, what no
+    reader would accept back."""
+
+    def test_a_magic_of_other_than_8_bytes_is_refused(self, tmp_path):
+        path = tmp_path / "c.bin"
+        with pytest.raises(ContainerError, match="magic"):
+            write_container(path, MODEL_MAGIC[:7], {}, {"w": np.zeros(2)})
+        assert not path.exists()
+
+    def test_an_array_that_is_not_float64_is_refused(self, tmp_path):
+        path = tmp_path / "c.bin"
+        with pytest.raises(ContainerError, match="float32"):
+            write_container(path, MODEL_MAGIC, {}, {"w": np.zeros(2, np.float32)})
+        assert not path.exists()
+        write_container(path, MODEL_MAGIC, {"k": 1}, {"w": np.arange(2.0)})
+        meta, arrays = read_container(path, MODEL_MAGIC)
+        assert meta == {"k": 1} and arrays["w"].tolist() == [0.0, 1.0]

@@ -35,15 +35,16 @@ def where_activation(z, activation):
     return np.where(z > 0, z, activation.slope * z)
 
 
-def finite_diff_grads(layers, x, y, sel, step=1e-6):
-    """Test-local central-difference gradients of the truncated loss.
+def finite_diff_grads(layers, x, y, head, step=1e-6):
+    """Test-local central-difference gradients of the truncated loss at
+    output ``head``.
 
     Independent of backward_truncated: perturbs every parameter in
     place and re-runs the forward pass, so any systematic error in the
     hand-derived backprop shows up as a mismatch.
     """
     def loss():
-        return selected_bce(forward(layers, x).output, sel, y)
+        return selected_bce(forward(layers, x).output, head, y)
 
     out = []
     for layer in layers:
@@ -100,34 +101,40 @@ class TestSigmoid:
 class TestSelectedBce:
     def test_frozen_reference_value(self):
         # mean(softplus(2) - 2, softplus(-1)) computed at 50 decimal digits
-        got = selected_bce(np.array([[2.0, -1.0]]), [0, 1], np.array([[1.0, 0.0]]))
+        z = np.array([[9.0, 2.0], [9.0, -1.0]])
+        got = selected_bce(z, 1, np.array([1.0, 0.0]))
         assert got == pytest.approx(0.22009484928059767, rel=1e-15)
+        assert selected_bce(z, 1, np.array([[1.0], [0.0]])) == got  # (n, 1) targets
 
     def test_perfect_confident_prediction_is_near_zero(self):
         z = np.array([[40.0], [-40.0]])
         y = np.array([1.0, 0.0])
-        assert selected_bce(z, [0], y) < 1e-15
+        assert selected_bce(z, 0, y) < 1e-15
 
     def test_large_logits_finite(self):
-        assert np.isfinite(selected_bce(np.array([[1e6, -1e6]]), [0, 1],
-                                        np.array([[0.0, 1.0]])))
+        z, y = np.array([[1e6, -1e6]]), np.array([[0.0, 1.0]])
+        for head in range(2):
+            assert np.isfinite(selected_bce(z, head, y[:, head]))
 
     def test_rejects_soft_labels(self):
         with pytest.raises(ValueError):
-            selected_bce(np.array([[0.0]]), [0], np.array([0.5]))
+            selected_bce(np.array([[0.0]]), 0, np.array([0.5]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            selected_bce(np.zeros((3, 1)), [0], np.zeros(2))
+            selected_bce(np.zeros((3, 1)), 0, np.zeros(2))
+        with pytest.raises(DimensionError):  # one head, one target column
+            selected_bce(np.zeros((3, 2)), 0, np.zeros((3, 2)))
 
-    def test_reads_only_the_selected_columns(self):
+    def test_reads_only_the_head_column(self):
         z = np.array([[2.0, 9.0, -1.0], [-3.0, 7.0, 0.5]])
-        y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert selected_bce(z, [2, 0], y) == selected_bce(z[:, [2, 0]], [0, 1], y)
+        y = np.array([1.0, 0.0])
+        for head in range(3):
+            assert selected_bce(z, head, y) == selected_bce(z[:, [head]], 0, y)
 
     def test_rejects_an_empty_batch(self):
         with pytest.raises(DimensionError):
-            selected_bce(np.zeros((0, 2)), [1], np.zeros(0))
+            selected_bce(np.zeros((0, 2)), 1, np.zeros(0))
 
 
 class TestMaskedLayer:
@@ -372,11 +379,11 @@ class TestBackwardTruncated:
         x = np.array([[1.0, 2.0]])
         trace = forward([layer], x)
         assert trace.output[0, 0] == 0.125
-        grads = backward_truncated([layer], trace, np.array([1.0]), [0])
+        grads = backward_truncated([layer], trace, np.array([1.0]), 0)
         np.testing.assert_allclose(
             grads[0].weights, [[-0.46879062662624377, -0.9375812532524875]], rtol=1e-15)
         np.testing.assert_allclose(grads[0].bias, [-0.46879062662624377], rtol=1e-15)
-        assert selected_bce(trace.output, [0], np.array([1.0])) == pytest.approx(
+        assert selected_bce(trace.output, 0, np.array([1.0])) == pytest.approx(
             0.6325990353171691, rel=1e-15)
 
     def test_column_truncation_loss_value(self):
@@ -385,9 +392,9 @@ class TestBackwardTruncated:
         x = np.array([[0.4, 0.7], [0.9, -0.3]])
         trace = forward([layer], x)
         y = np.array([0.0, 1.0])
-        assert selected_bce(trace.output, [1], y) == pytest.approx(
+        assert selected_bce(trace.output, 1, y) == pytest.approx(
             0.9787706466769925, rel=1e-14)
-        grads = backward_truncated([layer], trace, y, [1])
+        grads = backward_truncated([layer], trace, y, 1)
         # row 0 of the weight matrix feeds only output 0: untouched
         np.testing.assert_array_equal(grads[0].weights[0], [0.0, 0.0])
         assert grads[0].bias[0] == 0.0
@@ -401,7 +408,7 @@ class TestBackwardTruncated:
     def masked_net(rng):
         """Random structural zeros and frozen weights in layer 0; output rows
         0:2 see hidden units :3, row 2 sees all five. Returns the layers, a
-        batch, its targets and the selected outputs."""
+        batch and its targets at every output."""
         # random structural zeros: zero weights that never train
         keep1 = (rng.random((5, 4)) >= 0.3).astype(float)
         train1 = keep1 * (rng.random((5, 4)) >= 0.3)
@@ -411,7 +418,7 @@ class TestBackwardTruncated:
         w2[:2, 3:] = 0.0
         l2 = MaskedLayer(w2, rng.standard_normal(3) * 0.1, [(0, 2, 3), (2, 3, 5)])
         x = rng.standard_normal((6, 4))
-        return [l1, l2], x, rng.integers(0, 2, size=(6, 2)).astype(float), [0, 2]
+        return [l1, l2], x, rng.integers(0, 2, size=(6, 3)).astype(float)
 
     @staticmethod
     def grown_net(rng):
@@ -428,27 +435,29 @@ class TestBackwardTruncated:
         assert sum(report.splits_per_epoch) and net.freeze_scope == "pss_only"
         assert all(layer.train_from for layer in net.hidden_layers)
         x = rng.standard_normal((6, 4))
-        return net.layers, x, rng.integers(0, 2, size=6).astype(float), [1]
+        return net.layers, x, rng.integers(0, 2, size=(6, 2)).astype(float)
 
     @pytest.mark.parametrize("build", ["masked_net", "grown_net"])
     def test_matches_finite_differences_on_masked_net(self, build):
         """The rows from ``train_from`` on are the finite differences where
         a weight trains, and exactly 0 where it is frozen or absent (past
         its run's prefix, where the loss does not depend on it); every
-        bias from ``train_from`` on trains: a frozen set holds weights only."""
-        layers, x, y, sel = getattr(self, build)(np.random.default_rng(42))
-        grads = backward_truncated(layers, forward(layers, x), y, sel)
-        fd = finite_diff_grads(layers, x, y, sel)
-        for layer, g, (fw, fb) in zip(layers, grads, fd):
-            o = layer.train_from
-            np.testing.assert_allclose(g.weights, (fw * layer.train_mask)[o:], atol=2e-9)
-            np.testing.assert_allclose(g.bias, fb[o:], atol=2e-9)
-            for r0, r1, c1 in layer.runs:  # no edge, no dependence
-                assert not fw[r0:r1, c1:].any()
-                assert not g.weights[max(r0 - o, 0):max(r1 - o, 0), c1:].any()
-            if layer.frozen is not None:
-                frozen = layer.frozen[o:]
-                assert not g.weights[:len(frozen), :frozen.shape[1]][frozen].any()
+        bias from ``train_from`` on trains: a frozen set holds weights only.
+        Every output is checked as the head."""
+        layers, x, targets = getattr(self, build)(np.random.default_rng(42))
+        for head, y in enumerate(targets.T):
+            grads = backward_truncated(layers, forward(layers, x), y, head)
+            fd = finite_diff_grads(layers, x, y, head)
+            for layer, g, (fw, fb) in zip(layers, grads, fd):
+                o = layer.train_from
+                np.testing.assert_allclose(g.weights, (fw * layer.train_mask)[o:], atol=2e-9)
+                np.testing.assert_allclose(g.bias, fb[o:], atol=2e-9)
+                for r0, r1, c1 in layer.runs:  # no edge, no dependence
+                    assert not fw[r0:r1, c1:].any()
+                    assert not g.weights[max(r0 - o, 0):max(r1 - o, 0), c1:].any()
+                if layer.frozen is not None:
+                    frozen = layer.frozen[o:]
+                    assert not g.weights[:len(frozen), :frozen.shape[1]][frozen].any()
 
     def test_frozen_positions_get_exact_zero(self):
         rng = np.random.default_rng(5)
@@ -457,13 +466,16 @@ class TestBackwardTruncated:
                             frozen=frozen)
         x = rng.standard_normal((4, 3))
         y = rng.integers(0, 2, size=(4, 3)).astype(float)
-        g = backward_truncated([layer], forward([layer], x), y, [0, 1, 2])[0]
-        assert np.all(g.weights[frozen] == 0.0) and np.all(g.weights[~frozen] != 0.0)
-        assert np.all(g.bias != 0.0)  # a bias is never frozen
+        for head in range(3):  # the gradient enters at the head's row only
+            g = backward_truncated([layer], forward([layer], x), y[:, head], head)[0]
+            assert np.all(g.weights[frozen] == 0.0)
+            assert np.all(g.weights[head, ~frozen[head]] != 0.0)
+            assert g.bias[head] != 0.0  # a bias is never frozen
         # a corner covers its own positions, from train_from on
         layer.frozen, layer.train_from = frozen[:2, :2], 1
-        g = backward_truncated([layer], forward([layer], x), y, [0, 1, 2])[0]
+        g = backward_truncated([layer], forward([layer], x), y[:, 1], 1)[0]
         assert np.all(g.weights[0, :2] == 0.0) and np.all(g.weights[0, 2] != 0.0)
+        g = backward_truncated([layer], forward([layer], x), y[:, 2], 2)[0]
         assert np.all(g.weights[1] != 0.0)
 
     def test_trainable_rows_zero_past_each_prefix(self):
@@ -477,13 +489,15 @@ class TestBackwardTruncated:
         layer = MaskedLayer(w, rng.standard_normal(4), runs)
         x = rng.standard_normal((5, 3))
         y = rng.integers(0, 2, size=(5, 4)).astype(float)
-        dense = backward_truncated([layer], forward([layer], x), y, [0, 1, 2, 3])[0]
-        assert np.all(dense.weights[:2, 1:] == 0.0) and np.all(dense.weights[2, 2:] == 0.0)
-        assert np.all(dense.weights[3] != 0.0)
-        layer.train_from = 1
-        g = backward_truncated([layer], forward([layer], x), y, [0, 1, 2, 3])[0]
-        assert g.weights.tobytes() == dense.weights[1:].tobytes()
-        assert g.bias.tobytes() == dense.bias[1:].tobytes()
+        for head, c1 in enumerate([1, 1, 2, 3]):  # the head row's prefix
+            layer.train_from = 0
+            dense = backward_truncated([layer], forward([layer], x), y[:, head], head)[0]
+            assert np.all(dense.weights[:2, 1:] == 0.0) and np.all(dense.weights[2, 2:] == 0.0)
+            assert np.all(dense.weights[head, :c1] != 0.0)
+            layer.train_from = 1
+            g = backward_truncated([layer], forward([layer], x), y[:, head], head)[0]
+            assert g.weights.tobytes() == dense.weights[1:].tobytes()
+            assert g.bias.tobytes() == dense.bias[1:].tobytes()
 
     def test_gradient_flows_through_frozen_weights(self):
         """Freezing stops updates to a weight, not signal through it."""
@@ -494,20 +508,20 @@ class TestBackwardTruncated:
                          frozen=np.ones((2, 4), dtype=bool))
         x = rng.standard_normal((5, 3))
         y = rng.integers(0, 2, size=(5, 2)).astype(float)
-        grads = backward_truncated([l1, l2], forward([l1, l2], x), y, [0, 1])
-        assert np.all(grads[1].weights == 0.0)
-        assert np.any(grads[0].weights != 0.0)
+        for head in range(2):
+            grads = backward_truncated([l1, l2], forward([l1, l2], x), y[:, head], head)
+            assert np.all(grads[1].weights == 0.0)
+            assert np.any(grads[0].weights != 0.0)
 
-    def test_rejects_bad_selection(self):
+    def test_rejects_a_head_that_is_not_an_output(self):
         layer = MaskedLayer(np.eye(2), np.zeros(2))
         trace = forward([layer], np.zeros((1, 2)))
         y = np.zeros((1, 1))
-        with pytest.raises(ValueError):
-            backward_truncated([layer], trace, np.zeros((1, 0)), [])
-        with pytest.raises(IndexError):
-            backward_truncated([layer], trace, y, [5])
-        with pytest.raises(ValueError):
-            backward_truncated([layer], trace, np.zeros((1, 2)), [1, 1])
+        for head in (5, 2, -1):
+            with pytest.raises(IndexError):
+                backward_truncated([layer], trace, y, head)
+        with pytest.raises(TypeError):  # one output index, not a list of them
+            backward_truncated([layer], trace, y, [1])
 
 
 class TestSgdStep:
@@ -682,7 +696,9 @@ class TestGradcheck:
         report = gradcheck([6, 5, 3], seed=1)
         assert report.passed
         assert report.max_rel_error < 1e-5
-        assert report.checked > 0
+        # every parameter, once with each of the 3 outputs as the head
+        assert report.checked == 3 * (5 * 6 + 5 + 3 * 5 + 3)
+        assert report.frozen_checked == 0
 
     def test_masked_frozen_net_passes(self):
         report = gradcheck([8, 6, 4], seed=2, zero_prob=0.4, freeze_prob=0.3)

@@ -41,7 +41,7 @@ def train_steps(net, x, y, out_index, steps=20, lr=0.05, momentum=0.9):
     vel = pad_velocity(None, net.layers)
     for _ in range(steps):
         trace = net.trace(x)
-        grads = backward_truncated(net.layers, trace, y, [out_index])
+        grads = backward_truncated(net.layers, trace, y, out_index)
         sgd_step(net.layers, grads, lr, momentum, vel)
 
 

@@ -9,7 +9,7 @@ from test_data import traced_peak
 from pss import trainer
 from pss.data import build_task_stream, synthetic_digits
 from pss.model_io import save_model
-from pss.numerics import SGD_BLOCK, MaskedLayer
+from pss.numerics import SGD_BLOCK, MaskedLayer, NonFiniteError
 from pss.plasticity import PlasticNetwork
 from pss.trainer import (
     PROBE_EPOCHS,
@@ -180,6 +180,17 @@ class TestRunLifelong:
         for l1, l2 in zip(net1.layers, net2.layers):
             assert l1.weights.tobytes() == l2.weights.tobytes()
             assert l1.bias.tobytes() == l2.bias.tobytes()
+
+    def test_a_diverging_run_raises_non_finite_error(self):
+        """A step size that overflows ends a run called from Python with
+        ``NonFiniteError`` from the finiteness checks, as it ends a ``pss``
+        command, not with numpy's overflow warning (an error under this
+        suite's warning filter); numpy's error state is restored after."""
+        before = np.geterr()
+        with pytest.raises(NonFiniteError):
+            run_lifelong(small_stream(n_tasks=2),
+                         TrainerConfig(hidden_sizes=(12, 8), learning_rate=1e200))
+        assert np.geterr() == before
 
     def test_empty_stream_rejected(self):
         from pss.data import TaskStream
@@ -682,6 +693,27 @@ class TestTaskOpening:
         reads = scope in ("hybrid", "full_truncated")
         assert taken == ([1, 2] if reads else [])
         assert all(report.split_counts[1:]) == reads
+
+    @pytest.mark.parametrize("scope, sigma", [("full_truncated", SMALL["sigma"]),
+                                              ("hybrid", 1e9)])
+    def test_a_tasks_snapshot_is_released_when_it_closes(self, scope, sigma, monkeypatch):
+        """A snapshot no round released (under ``full_truncated``, and under
+        ``hybrid`` when a restarted task never splits) is released by
+        ``close``: none is held through the boundary evaluation, the model
+        save or past the last task."""
+        taken, take = [], PlasticNetwork.take_snapshot
+
+        def spy(net):
+            taken.append(net.task)
+            return take(net)
+
+        monkeypatch.setattr(PlasticNetwork, "take_snapshot", spy)
+        cfg = TrainerConfig(**dict(SMALL, sigma=sigma), freeze_scope=scope)
+        net = PlasticNetwork.new(784, list(cfg.hidden_sizes), rng_for(cfg.seed, 0))
+        for task in small_stream(n_tasks=3):
+            train_task(net, task.train, cfg)
+            assert net.snapshot is None
+        assert taken == [1, 2]
 
     def test_each_round_uses_the_thresholds_of_its_epoch(self):
         """Every round reports the epoch it ran after and the thresholds

@@ -79,6 +79,15 @@ MUTANTS = (
            "        v.weights, v.bias = v_w, v_b\n",
            ("tests/test_numerics.py::TestSgdStep::test_two_steps_by_hand",
             "tests/test_dense_oracle.py")),
+    # the loss: one head, checked, and the gradient checker tries every head
+    Mutant("head-index-unchecked", "src/pss/numerics.py",
+           "    if not 0 <= head < out_dim:\n",
+           "    if False:\n",
+           ("tests/test_numerics.py::TestBackwardTruncated::test_rejects_a_head_that_is_not_an_output",)),
+    Mutant("gradcheck-checks-the-first-head-only", "src/pss/numerics.py",
+           "for head, y in enumerate(targets.T):",
+           "for head, y in enumerate(targets.T[:1]):",
+           ("tests/test_numerics.py::TestGradcheck::test_dense_net_passes",)),
     # backward: truncation at each run's prefix, the frozen set, the activations
     Mutant("backward-no-per-run-zeroing", "src/pss/numerics.py",
            "                d_w[max(r0, o) - o:r1 - o, c1:] = 0.0\n",
@@ -256,7 +265,23 @@ MUTANTS = (
            "",
            ("tests/test_trainer.py::TestProbe::test_a_stream_whose_probes_fail_is_trained_as_without_a_probe",
             "tests/test_dense_oracle.py")),
+    Mutant("close-keeps-the-snapshot", "src/pss/trainer.py",
+           "        net.snapshot = None\n",
+           "",
+           ("tests/test_trainer.py::TestTaskOpening::test_a_tasks_snapshot_is_released_when_it_closes",)),
     # the refusals of a hostile model file
+    Mutant("container-header-claimed-past-the-file-unchecked", "src/pss/container.py",
+           "        if header_len > remaining:\n",
+           "        if False:\n",
+           ("tests/test_model_io.py::TestHostileModelFiles::test_a_header_claimed_past_the_end_of_the_file_is_never_read",)),
+    Mutant("container-write-magic-length-unchecked", "src/pss/container.py",
+           "    if len(magic) != 8:\n",
+           "    if False:\n",
+           ("tests/test_model_io.py::TestWriteContainer::test_a_magic_of_other_than_8_bytes_is_refused",)),
+    Mutant("container-write-dtype-unchecked", "src/pss/container.py",
+           "        if arr.dtype.name != DTYPE:\n",
+           "        if False:\n",
+           ("tests/test_model_io.py::TestWriteContainer::test_an_array_that_is_not_float64_is_refused",)),
     Mutant("container-claimed-array-size-unchecked", "src/pss/container.py",
            "            if size > remaining:\n",
            "            if False:\n",
