@@ -62,6 +62,17 @@ and in a probe, at the switch under ``hybrid``, and never under
 Batches of a step from layer 0, and each block of images a cache is
 built from, are gathered from the shared training images.
 
+After each task ``evaluate_boundary`` scores every task so far on the
+multiclass pool. Where a later task can train its output row alone
+(under ``pss_only``, and under ``hybrid`` where a probe runs),
+``run_lifelong`` carries from one boundary to the next the pool's
+post-activations of the last hidden layer and its logits. A task whose
+every step starts at the output layer (no probe restart, no round)
+moves no other row, so its boundary computes only its own output's
+column from the carried layer. The first step from a lower layer (at
+open, at a probe's restart, after a round) empties the carry, and that
+task's boundary forwards the pool once, keeping what it will carry.
+
 ``run_lifelong`` runs as a ``pss`` command does, BLAS on one thread
 (``one_blas_thread``) and numpy's overflow and invalid-value warnings
 off, so a caller from Python gets its bytes, and ``NonFiniteError`` if
@@ -87,6 +98,7 @@ from .numerics import (
     Activation,
     backward_truncated,
     pad_velocity,
+    post_activations,
     selected_bce,
     sgd_step,
 )
@@ -199,13 +211,15 @@ class TaskReport:
 class TaskRun:
     """The network's open task ``net.task``: trainable rows' velocity
     (``pad_velocity``), ``start``, the first layer a step trains, the
-    frozen-row cache, shuffle generator, report and,
+    frozen-row cache, shuffle generator, report,
     while ``hybrid``'s probe runs, ``head``: the output row's weights and
-    bias at open."""
+    bias at open, and ``carry``, the run's pool activations of the last
+    boundary (``evaluate_boundary``), emptied once a step can move a row
+    below the output layer."""
 
-    def __init__(self, net, task_data, config):
+    def __init__(self, net, task_data, config, carry=None):
         config.validate()
-        self.net, self.data, self.config = net, task_data, config
+        self.net, self.data, self.config, self.carry = net, task_data, config, carry
         self.started = time.perf_counter()
         task = net.grow_output()
         scope, probe = config.freeze_scope, False
@@ -236,9 +250,12 @@ class TaskRun:
         """At task open and after a round that grew: make the trainable
         rows' velocity (``pad_velocity``, 0 in the ``reset`` rows), find
         ``start``, the first layer that trains, and cache what a step
-        reads of the rows that cannot train."""
+        reads of the rows that cannot train. A step from below the output
+        layer moves rows the carry was computed with: it is emptied first."""
         self.velocity = pad_velocity(self.velocity, self.net.layers, reset)
         self.start = self.net.first_trained()
+        if self.carry and self.start < len(self.net.layers) - 1:
+            self.carry.clear()
         self.cache = self.net.frozen_activations(self.data.source, self.data.rows)
 
     def batches(self):
@@ -311,9 +328,11 @@ class TaskRun:
         return report
 
 
-def train_task(net, task_data, config):
-    """Train the network's next task end to end on ``task_data``."""
-    run = TaskRun(net, task_data, config)
+def train_task(net, task_data, config, carry=None):
+    """Train the network's next task end to end on ``task_data``; the
+    ``carry`` of ``evaluate_boundary``, when given, is emptied unless every
+    step trains the output row alone (``TaskRun``)."""
+    run = TaskRun(net, task_data, config, carry)
     while run.epoch < config.epochs_per_task:
         for idx in run.batches():
             run.step(idx)
@@ -321,14 +340,29 @@ def train_task(net, task_data, config):
     return run.close()
 
 
-def evaluate_boundary(net, stream, upto):
+def evaluate_boundary(net, stream, upto, carry=None):
     """Binary accuracy of every task trained so far, plus multiclass.
 
-    Both come from one forward pass over the multiclass pool: each
-    task's test set is a set of pool rows (``TaskDataset.rows``), scored
-    on those rows' logits at the task's output node.
+    Both come from the logits of the multiclass pool: each task's test
+    set is a set of pool rows (``TaskDataset.rows``), scored on those
+    rows' logits at the task's output node.
+
+    ``carry``, the list ``run_lifelong`` keeps between boundaries (see
+    the module docstring), holds the pool's post-activations of the last
+    hidden layer and its logits as this call leaves them. A non-empty one
+    means the task trained its output row alone, so only that row's
+    column is computed, from the carried layer; else the pool is
+    forwarded once. Both ways use the same row blocks and one matmul per
+    output run, so the logits are the same bytes.
     """
-    logits = net.predict(stream.pool_x)
+    if carry:  # only the open task's output row moved since the last boundary
+        hidden = carry[0]
+        logits = post_activations(net.layers[-1:], hidden, cached=carry[1:])[0]
+    else:
+        keep = len(net.layers) - (1 if carry is None else 2)
+        hidden, logits = post_activations(net.layers, stream.pool_x, keep_from=keep)[-2:]
+    if carry is not None:
+        carry[:] = hidden, logits
     row = [task_accuracy(logits[task.test.rows, j], task.test.y)
            for j, task in enumerate(stream.tasks[:upto + 1])]
     return row, multiclass_accuracy(logits, stream.pool_y)
@@ -344,14 +378,19 @@ def run_lifelong(stream, config, mode="pss"):
     net = PlasticNetwork.new(n_features, list(config.hidden_sizes),
                              rng_for(config.seed, 0), config.leaky_slope)
     report = RunReport(mode=mode, seed=config.seed, config=config.to_dict())
+    # the boundary's carry, kept only where a later task can train its
+    # output row alone: under ``pss_only``, and where ``hybrid``'s probe runs
+    heads_alone = config.freeze_scope == "pss_only" or (
+        config.freeze_scope == "hybrid" and config.splitting_enabled and PROBE_EPOCHS > 0)
+    carry = [] if heads_alone else None
     with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for task in stream:
-            task_report = train_task(net, task.train, config)
+            task_report = train_task(net, task.train, config, carry)
             problems = net.check_masks()
             if problems:
                 raise AssertionError(
                     f"mask invariants violated after task {net.task}: {problems}")
-            row, mc = evaluate_boundary(net, stream, net.task)
+            row, mc = evaluate_boundary(net, stream, net.task, carry)
             report.accuracy_matrix.append(row)
             report.multiclass.append(mc)
             report.hidden_sizes.append(net.hidden_sizes())

@@ -73,6 +73,11 @@ class TestMatrixMetrics:
         assert average_accuracy(m, 0) == 0.9
         assert average_accuracy(m) == pytest.approx(0.7)
 
+    def test_average_of_an_empty_row_is_refused(self):
+        """Not NaN: the mean of no accuracy is refused."""
+        with pytest.raises(ValueError, match="empty accuracy row"):
+            average_accuracy([[0.9], []])
+
     def test_forgetting_hand_example(self):
         per_task, mean = forgetting([[0.9], [0.8, 0.7]])
         assert per_task == [pytest.approx(0.1)]
@@ -174,6 +179,11 @@ class TestRunReport:
     def test_invalid_json_is_refused(self):
         with pytest.raises(ValueError):
             RunReport.from_json("{not json")
+
+    @pytest.mark.parametrize("text", ['[1, 2]', '"mode seed config"', '3', 'null'])
+    def test_a_json_value_other_than_an_object_is_refused_as_such(self, text):
+        with pytest.raises(TypeError, match="a run report is a JSON object"):
+            RunReport.from_json(text)
 
     def test_non_report_object_is_refused(self):
         with pytest.raises(TypeError, match="missing or malformed report fields"):

@@ -33,6 +33,13 @@ def small_stream(n_tasks=3, n_train=360, n_test=200, seed=4):
                              test_count=n_test)
 
 
+def w2_stream():
+    """Three tasks of the W2 corpus (``pss train --preset synthetic
+    --train-size 20000``), 600 test images: every probe passes."""
+    train, test = synthetic_digits(20000, 600, seed=0)
+    return build_task_stream(train, test, n_tasks=3, seed=0, test_count=600)
+
+
 class TestTrainerConfig:
     def test_defaults_validate(self):
         TrainerConfig().validate()
@@ -609,8 +616,7 @@ class TestProbe:
         --train-size 20000``) on the default trunk: each probe ends near
         0.03, so ``hybrid`` never splits, and its accuracy matrix, epoch
         losses, hidden sizes and model file are those of ``pss_only``."""
-        train, test = synthetic_digits(20000, 600, seed=0)
-        stream = build_task_stream(train, test, n_tasks=3, seed=0, test_count=600)
+        stream = w2_stream()
         runs = {scope: run_lifelong(stream, TrainerConfig(epochs_per_task=3,
                                                           freeze_scope=scope))
                 for scope in ("hybrid", "pss_only")}
@@ -761,15 +767,104 @@ class TestNoDenseViews:
             assert arrays == {"weights", "bias"}
 
 
+# The runs whose boundaries are checked: a stream and ``run_lifelong``'s
+# config (``baseline``: ``run_baseline_finetune`` instead). From task 1 on,
+# every task of the ``HEAD_ALONE`` runs trains its output row alone; no task
+# of the others does, though the probes of ``hybrid`` start so. The
+# ``NO_CARRY`` runs have no task that could.
+BOUNDARY_RUNS = {
+    "hybrid, probes pass": (w2_stream, dict(epochs_per_task=3)),
+    "hybrid, probes fail": (small_stream, SMALL),
+    "pss_only": (small_stream, dict(SMALL, freeze_scope="pss_only")),
+    "full_truncated": (small_stream, dict(SMALL, freeze_scope="full_truncated")),
+    "baseline": (small_stream, dict(SMALL, baseline=True)),
+    "pss_only, magnitude freeze 0.05": (small_stream, dict(SMALL, freeze_scope="pss_only",
+                                                           magnitude_freeze_threshold=0.05)),
+    "hybrid, reverted split init": (small_stream, dict(SMALL, split_init="reverted")),
+}
+HEAD_ALONE = {"hybrid, probes pass", "pss_only", "pss_only, magnitude freeze 0.05"}
+NO_CARRY = {"baseline", "full_truncated"}
+
+
+def carry_bytes(carry):
+    return None if carry is None else sum(a.nbytes for a in held_arrays(carry))
+
+
+@pytest.fixture(scope="module", params=sorted(BOUNDARY_RUNS))
+def boundaries(request):
+    """Train a run of ``BOUNDARY_RUNS`` with spies; returns its name and,
+    per task, a record of its steps (whether each started at the output
+    layer, and the bytes of carry held then), the carry's bytes when it
+    opens and closes, and of its boundary: the logits scored and those of
+    ``net.predict`` on the pool, the pool passes made (layers forwarded,
+    output columns computed), the carry's bytes after it and the bound
+    ``len(pool) * (last hidden width + outputs) * 8``."""
+    case = request.param
+    make_stream, kw = BOUNDARY_RUNS[case]
+    kw = dict(kw)
+    baseline = kw.pop("baseline", False)
+    tasks, passes, scored = [], [], []
+    step, post_activations = TaskRun.step, trainer.post_activations
+    multiclass, train, evaluate = (trainer.multiclass_accuracy, trainer.train_task,
+                                   trainer.evaluate_boundary)
+
+    def step_spy(run, idx):
+        tasks[-1]["steps"].append((run.start == len(run.net.layers) - 1,
+                                   carry_bytes(run.carry)))
+        return step(run, idx)
+
+    def post_spy(layers, source, *args, **kwargs):
+        cached = kwargs.get("cached")
+        passes.append((len(layers), layers[-1].fan_out - (cached[-1].shape[1] if cached else 0)))
+        return post_activations(layers, source, *args, **kwargs)
+
+    def multiclass_spy(logits, labels):
+        scored.append(logits.copy())
+        return multiclass(logits, labels)
+
+    def train_spy(net, data, config, carry=None):
+        tasks.append(dict(steps=[], opened=carry_bytes(carry)))
+        report = train(net, data, config, carry)
+        tasks[-1]["closed"] = carry_bytes(carry)
+        return report
+
+    def evaluate_spy(net, stream, upto, carry=None):
+        passes.clear()
+        result = evaluate(net, stream, upto, carry)
+        tasks[-1].update(
+            scored=scored[-1].tobytes(), predicted=net.predict(stream.pool_x).tobytes(),
+            passes=list(passes), layers=len(net.layers), outputs=net.n_outputs,
+            after=carry_bytes(carry),
+            bound=len(stream.pool_x) * (net.hidden_sizes()[-1] + net.n_outputs) * 8)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TaskRun, "step", step_spy)
+        for name, spy in (("post_activations", post_spy), ("multiclass_accuracy", multiclass_spy),
+                          ("train_task", train_spy), ("evaluate_boundary", evaluate_spy)):
+            patch.setattr(trainer, name, spy)
+        stream = make_stream()
+        if baseline:
+            run_baseline_finetune(stream, TrainerConfig(**kw))
+        else:
+            run_lifelong(stream, TrainerConfig(**kw))
+    return case, tasks
+
+
+def trained_head_alone(task):
+    """Whether every step of ``task`` started at the output layer."""
+    return all(head for head, _ in task["steps"])
+
+
 class TestEvaluateBoundary:
     @pytest.mark.parametrize("baseline", [False, True])
     def test_one_pool_forward_equals_per_task_forwards(self, baseline, monkeypatch):
-        """At every boundary, the accuracies read from one pool forward
+        """At every boundary, the accuracies read from the pool logits
         equal a per-task ``predict`` on each test set plus a pool argmax."""
         checked = []
 
-        def compare(net, stream, upto):
-            row, mc = evaluate_boundary(net, stream, upto)
+        def compare(net, stream, upto, carry=None):
+            row, mc = evaluate_boundary(net, stream, upto, carry)
             want = [float(np.mean((net.predict(task.test.x)[:, j] >= 0.0) == task.test.y))
                     for j, task in enumerate(stream.tasks[:upto + 1])]
             want_mc = float(np.mean(np.argmax(net.predict(stream.pool_x), axis=1)
@@ -790,3 +885,40 @@ class TestEvaluateBoundary:
         row, mc = evaluate_boundary(net, stream, 1)
         assert len(row) == 2
         assert 0.0 <= mc <= 1.0
+
+
+class TestBoundaryCarry:
+    """A boundary after a task that trained its output row alone computes
+    that row's column from the carried pool activations of the last
+    hidden layer; any other boundary forwards the pool once."""
+
+    def test_the_scored_logits_are_the_bytes_of_predict(self, boundaries):
+        _, tasks = boundaries
+        for task in tasks:
+            assert task["scored"] == task["predicted"]
+
+    def test_one_pool_forward_through_the_trunk_per_task_that_moved_it(self, boundaries):
+        case, tasks = boundaries
+        alone = [trained_head_alone(task) for task in tasks]
+        for task, head_alone in zip(tasks, alone):
+            fresh = (task["layers"], task["outputs"])
+            assert task["passes"] == [(1, 1) if head_alone else fresh]
+        assert alone == [False] + [case in HEAD_ALONE] * (len(tasks) - 1)
+
+    def test_the_carry_holds_only_what_the_next_boundary_reads(self, boundaries):
+        """Between boundaries the run holds the last hidden layer's pool
+        activations and the pool logits, and only while every step trains
+        the output row alone; under ``--baseline`` and ``full_truncated``,
+        where no task can, it holds nothing."""
+        case, tasks = boundaries
+        if case in NO_CARRY:
+            held = {task[k] for task in tasks for k in ("opened", "closed", "after")}
+            assert held | {b for task in tasks for _, b in task["steps"]} == {None}
+            return
+        bound = 0
+        for task in tasks:
+            assert task["opened"] == bound
+            assert all(held == (bound if head else 0) for head, held in task["steps"])
+            assert task["closed"] == (bound if trained_head_alone(task) else 0)
+            bound = task["bound"]
+            assert task["after"] == bound

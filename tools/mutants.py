@@ -269,6 +269,36 @@ MUTANTS = (
            "        net.snapshot = None\n",
            "",
            ("tests/test_trainer.py::TestTaskOpening::test_a_tasks_snapshot_is_released_when_it_closes",)),
+    # the boundary's carried pool activations
+    Mutant("boundary-reuses-after-a-trunk-step", "src/pss/trainer.py",
+           "        if self.carry and self.start < len(self.net.layers) - 1:\n",
+           "        if False:\n",
+           ("tests/test_trainer.py::TestBoundaryCarry",)),
+    Mutant("boundary-carry-not-refreshed", "src/pss/trainer.py",
+           "    if carry is not None:\n        carry[:] = hidden, logits\n",
+           "    if carry == []:\n        carry[:] = hidden, logits\n",
+           ("tests/test_trainer.py::TestBoundaryCarry",)),
+    # the refusals of the scorers and of a malformed report
+    Mutant("average-of-an-empty-row-unchecked", "src/pss/evaluation.py",
+           "    if not row:\n",
+           "    if False:\n",
+           ("tests/test_evaluation.py::TestMatrixMetrics",)),
+    Mutant("report-non-json-constants-accepted", "src/pss/evaluation.py",
+           "    raise ValueError(f\"{name} is not a JSON number\")\n",
+           "    return float(name)\n",
+           ("tests/test_evaluation.py::TestRunReport::test_malformed_report_is_refused",)),
+    Mutant("report-non-object-unchecked", "src/pss/evaluation.py",
+           "        if not isinstance(d, dict):\n",
+           "        if False:\n",
+           ("tests/test_evaluation.py::TestRunReport::test_a_json_value_other_than_an_object_is_refused_as_such",)),
+    Mutant("report-malformed-fields-accepted", "src/pss/evaluation.py",
+           "        if bad:\n",
+           "        if False:\n",
+           ("tests/test_evaluation.py::TestRunReport::test_non_report_object_is_refused",)),
+    Mutant("report-deep-nesting-not-a-value-error", "src/pss/evaluation.py",
+           "        except RecursionError:\n",
+           "        except ZeroDivisionError:\n",
+           ("tests/test_evaluation.py::TestRunReport::test_malformed_report_is_refused",)),
     # the refusals of a hostile model file
     Mutant("container-header-claimed-past-the-file-unchecked", "src/pss/container.py",
            "        if header_len > remaining:\n",
